@@ -132,6 +132,7 @@ func (a *aggregator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			var h map[string]any
 			if json.Unmarshal(res.body, &h) == nil {
 				s["model"] = h["model"]
+				s["kernel"] = h["kernel"]
 				s["scored"] = h["scored"]
 			}
 		}

@@ -215,6 +215,37 @@ func TestClapDetectEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The matrix kernel changes the wall clock and nothing else: the default
+	// build (AVX2 panels where the CPU has them) and a -tags purego build
+	// (the portable Go kernel) must print the same bytes — the six-decimal
+	// report and the full-precision -json stream.
+	detect := func(name, tags string) func(mode string) string {
+		bin := filepath.Join(work, "clap-detect-"+name)
+		if out, err := exec.Command("go", "build", "-tags", tags, "-o", bin, "./cmd/clap-detect").CombinedOutput(); err != nil {
+			t.Fatalf("go build -tags %q ./cmd/clap-detect: %v\n%s", tags, err, out)
+		}
+		return func(mode string) string {
+			var stdout, stderr strings.Builder
+			cmd := exec.Command(bin, "-in", adv, "-model", model, mode)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("%s %s: %v\n%s", bin, mode, err, stderr.String())
+			}
+			return stdout.String()
+		}
+	}
+	defaultKernel, goKernel := detect("default", ""), detect("purego", "purego")
+	for _, mode := range []string{"-all", "-json"} {
+		got, want := defaultKernel(mode), goKernel(mode)
+		if got != want {
+			t.Fatalf("clap-detect %s differs between the default and the purego kernel:\ndefault:\n%s\npurego:\n%s",
+				mode, got, want)
+		}
+		if mode == "-all" && len(scoreLines(got)) != len(serialScores) {
+			t.Fatalf("kernel diff compared %d score lines, want %d", len(scoreLines(got)), len(serialScores))
+		}
+	}
+
 	// Calibrated mode still flags connections through the engine.
 	out := goRun(t, "./cmd/clap-detect", "-in", adv, "-model", model,
 		"-calibrate", benign, "-fpr", "0.05", "-workers", "4")

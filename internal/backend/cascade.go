@@ -212,6 +212,9 @@ func (b *Cascade) Trained() bool { return b.s1.Trained() && b.s2.Trained() }
 
 // Train implements Backend: both stages fit on the same benign corpus.
 func (b *Cascade) Train(benign []*flow.Connection, logf Logf) error {
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
 	logf("cascade: training stage 1 (%s)", b.s1.Tag())
 	if err := b.s1.Train(benign, logf); err != nil {
 		return fmt.Errorf("cascade stage 1 (%s): %w", b.s1.Tag(), err)

@@ -248,6 +248,37 @@ func TestCascadeSaveRejectsUntrained(t *testing.T) {
 	}
 }
 
+// TestCascadeTrainNilLogf trains a cascade the way a library caller with no
+// progress sink does. Train used to call the nil Logf itself and panic;
+// the stages below it (kitsune's logs unguarded too) now get a no-op.
+func TestCascadeTrainNilLogf(t *testing.T) {
+	b1cfg, clapCfg := core.Baseline1Config(), core.DefaultConfig()
+	b1cfg.RNNEpochs, b1cfg.AEEpochs = 1, 1
+	clapCfg.RNNEpochs, clapCfg.AEEpochs = 1, 1
+	for _, s1 := range []Backend{
+		&CLAP{tag: TagBaseline1, Cfg: b1cfg},
+		func() Backend {
+			k, err := New(TagKitsune)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.(*Kitsune).Cfg.FMWindow = 200 // keep the grace window inside the tiny corpus
+			return k
+		}(),
+	} {
+		c, err := NewCascade(s1, &CLAP{tag: TagCLAP, Cfg: clapCfg}, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Train(genConns(12, 5), nil); err != nil {
+			t.Fatalf("%s: %v", c.Describe(), err)
+		}
+		if !c.Trained() {
+			t.Fatalf("%s: not trained after Train(nil)", c.Describe())
+		}
+	}
+}
+
 // TestCascadeWithStage2 pins the hot-reload graft: the replacement keeps
 // the first stage, escalation threshold, and the shared counters, while
 // escalated verdicts switch to the incoming model.

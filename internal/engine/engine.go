@@ -52,9 +52,10 @@ import (
 // DefaultBatch is the micro-batch size batched scoring defaults to —
 // tuned by BenchmarkBackendThroughput: the pkts/s curve is flat from ~6
 // windows up, so the knob mostly trades cache residency against batch
-// fill. 24 keeps one batch's activations L2-resident, is a multiple of
-// the kernel's 6-lane block (so no window rides the slower tail lanes),
-// and still fills well from a single average connection in stream mode.
+// fill. 24 keeps one batch's activations L2-resident, is a whole number
+// of blocks on both MulMat kernels (three 8-lane AVX2 panels with no
+// padded lanes, four 6-lane blocks on the portable one), and still fills
+// well from a single average connection in stream mode.
 const DefaultBatch = 24
 
 // minChunk is the smallest per-worker share of a ParallelFor that pays
@@ -83,17 +84,18 @@ type Options struct {
 	// recurrences step together through one matrix-matrix pass per gate.
 	// 0 (the default) disables lockstep — the per-connection window
 	// production path runs exactly as before, byte for byte. Widths that
-	// are multiples of the MulMat kernel's 6-lane block (e.g.
-	// DefaultLockstep) keep every fleet row off the slower tail lanes.
+	// are whole MulMat blocks on both kernels (multiples of 8 and 6, e.g.
+	// DefaultLockstep) waste no padded or tail lanes on a full fleet.
 	Lockstep int
 }
 
 // DefaultLockstep is the lockstep width the CLIs default to when the
 // feature is switched on without an explicit width: equal to
-// DefaultBatch, so a full fleet feeds full micro-batches, and a multiple
-// of the 6-lane MulMat block (see BENCH_pr9.json's sweep — throughput is
-// flat from ~6 rows up once the recurrent projections batch, so the knob
-// mostly trades fleet memory against fill).
+// DefaultBatch, so a full fleet feeds full micro-batches, and a whole
+// number of MulMat blocks on both kernels (see BENCH_pr9.json's sweep,
+// taken on the 6-lane Go kernel — throughput is flat from ~6 rows up once
+// the recurrent projections batch, so the knob mostly trades fleet memory
+// against fill).
 const DefaultLockstep = 24
 
 // Engine schedules per-connection work across a worker pool.

@@ -196,13 +196,15 @@ func (ae *Autoencoder) getBatchScratch(rows int) *batchScratch {
 
 // ErrorsBatch computes the L1 reconstruction errors of a whole window
 // stack in one forward pass per layer: every layer runs as a single
-// cache-blocked matrix-matrix multiply (Tensor.MulMat) over the batch
-// instead of len(xs) matrix-vector passes. Element k is bit-identical to
-// Error(xs[k]) at any batch size — MulMat preserves MulVec's per-element
-// accumulation order and the bias/tanh/L1 arithmetic is applied in the
-// same per-element order as the unbatched path. Scratch buffers are
-// pooled; like Error/Errors, ErrorsBatch is safe for concurrent use on a
-// trained (no longer mutating) model.
+// matrix-matrix multiply over the batch instead of len(xs) matrix-vector
+// passes — on the AVX2 panel kernel with feature-major activations where
+// the CPU has it (errorsPanels, kernel_amd64.go), through Tensor.MulMat
+// on row-major activations otherwise. Element k is bit-identical to
+// Error(xs[k]) at any batch size on either path — both kernels preserve
+// MulVec's per-element arithmetic and the bias/tanh/L1 arithmetic is
+// applied in the same per-element order as the unbatched path. Scratch
+// buffers are pooled; like Error/Errors, ErrorsBatch is safe for
+// concurrent use on a trained (no longer mutating) model.
 func (ae *Autoencoder) ErrorsBatch(xs [][]float64) []float64 {
 	n := len(xs)
 	out := make([]float64, n)
@@ -214,6 +216,9 @@ func (ae *Autoencoder) ErrorsBatch(xs [][]float64) []float64 {
 		if len(x) != in {
 			panic(fmt.Sprintf("nn: ErrorsBatch input width %d, want %d", len(x), in))
 		}
+	}
+	if ae.errorsPanels(xs, out) {
+		return out
 	}
 	s := ae.getBatchScratch(n)
 	cur, nxt := s.a, s.b

@@ -1,0 +1,166 @@
+//go:build !purego
+
+package nn
+
+import (
+	"fmt"
+	"math"
+	"sync"
+)
+
+// The AVX2 kernel under MulMat. Lanes carry batch rows, not output
+// neurons: the batch is laid out feature-major (xT[j*ld+b]) in panels of
+// eight rows, and every lane of a panel runs MulVec's own sum — a rounded
+// VMULPD product added by VADDPD, j ascending, never an FMA — so the bits
+// are MulVec's at any batch size. The weights are read in place, one
+// broadcast per element: there is no packed or transposed copy to go stale
+// when training mutates Tensor.W.
+
+// hasAVX2 reports whether the CPU and the OS support AVX2 (kernel_amd64.s).
+func hasAVX2() bool
+
+// mulPanelAVX2 computes one 8-lane panel: outT[i*ld+l] = Σ_j w[i*c+j] ·
+// xT[j*ld+l] for l in [0,8), i in [0,r). c ≥ 1 (kernel_amd64.s).
+//
+//go:noescape
+func mulPanelAVX2(w *float64, r, c int, xT *float64, ld int, outT *float64)
+
+var useAVX2 = hasAVX2()
+
+const (
+	// panelLanes is the panel width: two ymm registers of batch rows.
+	panelLanes = 8
+	// panelMinBatch is the smallest batch the panels win on. A panel costs
+	// the same for one row as for eight, and measures about one MulVec
+	// pass; a lone row stays on MulVec, two rows or more ride a panel.
+	panelMinBatch = 2
+)
+
+// Kernel names the MulMat kernel this process runs: "avx2" or "go".
+func Kernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
+
+// panelPad rounds a batch up to whole panels.
+func panelPad(n int) int { return (n + panelLanes - 1) &^ (panelLanes - 1) }
+
+// panelScratch pools the feature-major copies MulMat makes of its
+// row-major operands; buffers grow to the high-water batch and stay.
+var panelScratch sync.Pool
+
+func getPanelScratch(size int) *[]float64 {
+	if v := panelScratch.Get(); v != nil {
+		if b := v.(*[]float64); cap(*b) >= size {
+			*b = (*b)[:size]
+			return b
+		}
+	}
+	b := make([]float64, size)
+	return &b
+}
+
+func (t *Tensor) mulMat(x []float64, n int, out []float64) {
+	if !useAVX2 || n < panelMinBatch || t.R < 1 || t.C < 1 {
+		t.mulMatGo(x, n, out)
+		return
+	}
+	t.mulMatAVX2(x, n, out)
+}
+
+// mulMatAVX2 is MulMat on the panel kernel: transpose the batch in, run
+// the panels, transpose the result out. The batch is padded to whole
+// panels with zero lanes whose results are dropped, so the kernel has no
+// scalar tail.
+func (t *Tensor) mulMatAVX2(x []float64, n int, out []float64) {
+	C, R := t.C, t.R
+	ld := panelPad(n)
+	buf := getPanelScratch((C + R) * ld)
+	xT, outT := (*buf)[:C*ld], (*buf)[C*ld:]
+	for j := 0; j < C; j++ {
+		col := xT[j*ld : j*ld+ld]
+		for b := 0; b < n; b++ {
+			col[b] = x[b*C+j]
+		}
+		clear(col[n:])
+	}
+	mulPanels(t, xT, ld, outT)
+	for i := 0; i < R; i++ {
+		col := outT[i*ld : i*ld+ld]
+		for b := 0; b < n; b++ {
+			out[b*R+i] = col[b]
+		}
+	}
+	panelScratch.Put(buf)
+}
+
+// mulPanels runs every panel of a feature-major batch of ld rows (a
+// positive multiple of panelLanes): outT[i*ld+b] = (W·x_b)[i]. The
+// assembly trusts its pointers, so the shapes are checked here, as strictly
+// as MulMat checks its own.
+func mulPanels(t *Tensor, xT []float64, ld int, outT []float64) {
+	if t.R < 1 || t.C < 1 || len(t.W) < t.R*t.C || ld < panelLanes || ld%panelLanes != 0 ||
+		len(xT) != t.C*ld || len(outT) != t.R*ld {
+		panic(fmt.Sprintf("nn: mulPanels (%d,%d) weights %d, ld %d, in %d, out %d", t.R, t.C, len(t.W), ld, len(xT), len(outT)))
+	}
+	for p := 0; p < ld; p += panelLanes {
+		mulPanelAVX2(&t.W[0], t.R, t.C, &xT[p], ld, &outT[p])
+	}
+}
+
+// errorsPanels is ErrorsBatch on the panel kernel, with the activations
+// kept feature-major (act[i*ld+b]) from the input copy to the L1 sum so
+// that no layer transposes. It reports false, having done nothing, when the
+// batch belongs on the portable path. The bias/tanh and L1 expressions are
+// ErrorsBatch's own, applied to each window in the same element order, so
+// the errors are bit-identical to Error at any batch size. Pad lanes hold
+// zeros throughout (no bias is added to them) and are never read back.
+// out must arrive zeroed: the L1 sums accumulate in it.
+func (ae *Autoencoder) errorsPanels(xs [][]float64, out []float64) bool {
+	n := len(xs)
+	if !useAVX2 || n < panelMinBatch {
+		return false
+	}
+	ld := panelPad(n)
+	s := ae.getBatchScratch(ld)
+	cur, nxt := s.a, s.b
+	width := ae.Sizes[0]
+	for b, x := range xs {
+		for j, v := range x {
+			cur[j*ld+b] = v
+		}
+	}
+	for j := 0; j < width; j++ {
+		clear(cur[j*ld+n : j*ld+ld])
+	}
+	for _, l := range ae.Layers {
+		r := l.W.R
+		mulPanels(l.W, cur[:width*ld], ld, nxt[:r*ld])
+		for i, bv := range l.B.W[:r] {
+			o := nxt[i*ld : i*ld+n]
+			if l.Tanh {
+				for b := range o {
+					o[b] = math.Tanh(o[b] + bv)
+				}
+			} else {
+				for b := range o {
+					o[b] += bv
+				}
+			}
+		}
+		cur, nxt = nxt, cur
+		width = r
+	}
+	for i := 0; i < width; i++ {
+		for b, v := range cur[i*ld : i*ld+n] {
+			out[b] += math.Abs(v - xs[b][i])
+		}
+	}
+	for b := range out {
+		out[b] /= float64(width)
+	}
+	ae.batches.Put(s)
+	return true
+}

@@ -1,0 +1,11 @@
+//go:build !amd64 || purego
+
+package nn
+
+// Kernel names the MulMat kernel this process runs: always "go" off amd64
+// and under the purego build tag (see kernel_amd64.go for "avx2").
+func Kernel() string { return "go" }
+
+func (t *Tensor) mulMat(x []float64, n int, out []float64) { t.mulMatGo(x, n, out) }
+
+func (ae *Autoencoder) errorsPanels(xs [][]float64, out []float64) bool { return false }

@@ -1,7 +1,9 @@
 // Package nn is the neural-network substrate for CLAP: a GRU sequence
 // classifier that exposes its per-step gate activations (the inter-packet
 // context carrier, §3.3(a)-(b)), a deep autoencoder trained with L1 loss
-// (§3.3(c)), and the Adam optimiser, all in pure Go on float64.
+// (§3.3(c)), and the Adam optimiser, all in pure Go on float64 — except
+// one AVX2 assembly kernel under MulMat on amd64 (kernel_amd64.s), which
+// computes the same bits as the Go kernel it stands in for.
 //
 // Everything is deterministic given the caller-supplied *rand.Rand.
 // Training is single-threaded unless stated otherwise; the inference paths
@@ -55,6 +57,12 @@ func (t *Tensor) ZeroGrad() {
 
 // MulVec computes out = W·x (R×C times C) into out (length R). out may not
 // alias x.
+//
+// It is the reference every batched kernel is held to, bit for bit: each
+// element is s = s + round(w·x) for j ascending. The explicit float64
+// conversion is a rounding point by the language spec, so no compiler may
+// fuse the product into the sum (arm64 would; amd64 may under GOAMD64=v3)
+// and the scores are the same bits on every architecture.
 func (t *Tensor) MulVec(x, out []float64) {
 	if len(x) != t.C || len(out) != t.R {
 		panic(fmt.Sprintf("nn: MulVec shape mismatch: (%d,%d)·%d into %d", t.R, t.C, len(x), len(out)))
@@ -63,37 +71,37 @@ func (t *Tensor) MulVec(x, out []float64) {
 		row := t.W[i*t.C : (i+1)*t.C]
 		var s float64
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		out[i] = s
 	}
 }
 
-// mulMatLane is MulMat's batch-blocking factor: six batch rows ride one
-// pass over each weight row. The block cuts weight-row loads 6× (one wv
-// load feeds six multiplies) and gives the inner loop six independent
-// accumulator chains instead of MulVec's one — together they lift the
-// kernel from load-bound to near the scalar FP throughput limit. Six is
-// the measured sweet spot: eight lanes spill accumulators to the stack and
-// run slower, four leaves throughput on the table.
+// mulMatLane is the portable MulMat's batch-blocking factor: six batch rows
+// ride one pass over each weight row. The block cuts weight-row loads 6×
+// (one wv load feeds six multiplies) and gives the inner loop six
+// independent accumulator chains instead of MulVec's one — together they
+// lift the scalar code from load-bound to near the scalar FP throughput
+// limit. Six is the measured sweet spot: eight lanes spill accumulators to
+// the stack and run slower, four leaves throughput on the table.
 const mulMatLane = 6
 
-// mul6 is MulMat's inner kernel: one weight row against six batch rows.
+// mul6 is mulMatGo's inner kernel: one weight row against six batch rows.
 // It lives in its own function so the register allocator sees only the
 // hot loop, and the re-slicing to len(row) up front lets the compiler
 // drop every bounds check inside it. Each accumulator sums over j in
-// ascending order — MulVec's order exactly.
+// ascending order with a rounded product — MulVec's arithmetic exactly.
 func mul6(row, x0, x1, x2, x3, x4, x5 []float64) (s0, s1, s2, s3, s4, s5 float64) {
 	n := len(row)
 	x0, x1, x2 = x0[:n], x1[:n], x2[:n]
 	x3, x4, x5 = x3[:n], x4[:n], x5[:n]
 	for j, wv := range row {
-		s0 += wv * x0[j]
-		s1 += wv * x1[j]
-		s2 += wv * x2[j]
-		s3 += wv * x3[j]
-		s4 += wv * x4[j]
-		s5 += wv * x5[j]
+		s0 += float64(wv * x0[j])
+		s1 += float64(wv * x1[j])
+		s2 += float64(wv * x2[j])
+		s3 += float64(wv * x3[j])
+		s4 += float64(wv * x4[j])
+		s5 += float64(wv * x5[j])
 	}
 	return
 }
@@ -104,23 +112,31 @@ func mul4(row, x0, x1, x2, x3 []float64) (s0, s1, s2, s3 float64) {
 	n := len(row)
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
 	for j, wv := range row {
-		s0 += wv * x0[j]
-		s1 += wv * x1[j]
-		s2 += wv * x2[j]
-		s3 += wv * x3[j]
+		s0 += float64(wv * x0[j])
+		s1 += float64(wv * x1[j])
+		s2 += float64(wv * x2[j])
+		s3 += float64(wv * x3[j])
 	}
 	return
 }
 
 // MulMat computes Out = X·Wᵀ for a row-major batch X of n rows (each of
 // length C) into Out (n rows of length R), both flat. Each output element
-// accumulates over j in ascending order — exactly MulVec's order — so the
-// result is bit-identical to n MulVec calls at any batch size; only the
-// wall clock changes. Out may not alias X.
+// is MulVec's sum term for term — a rounded product added to the running
+// sum, j ascending — so the result is bit-identical to n MulVec calls at
+// any batch size and on either kernel (AVX2 panels where the CPU has them,
+// see kernel_amd64.go; mulMatGo everywhere else); only the wall clock
+// changes. Out may not alias X.
 func (t *Tensor) MulMat(x []float64, n int, out []float64) {
 	if len(x) != n*t.C || len(out) != n*t.R {
 		panic(fmt.Sprintf("nn: MulMat shape mismatch: (%d,%d) batch %d over %d into %d", t.R, t.C, n, len(x), len(out)))
 	}
+	t.mulMat(x, n, out)
+}
+
+// mulMatGo is the portable MulMat: six-lane scalar blocks, a four-lane
+// tail, MulVec for what is left.
+func (t *Tensor) mulMatGo(x []float64, n int, out []float64) {
 	C, R := t.C, t.R
 	b := 0
 	for ; b+mulMatLane <= n; b += mulMatLane {

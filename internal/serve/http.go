@@ -10,6 +10,7 @@ import (
 
 	"clap"
 	"clap/internal/backend"
+	"clap/internal/nn"
 	"clap/internal/obs"
 )
 
@@ -95,6 +96,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{
 		"status":         "ok",
 		"version":        clap.Version,
+		"kernel":         nn.Kernel(),
 		"uptime_seconds": time.Since(s.metrics.start).Seconds(),
 		"model":          s.hot.Tag(),
 		"generation":     s.hot.Generation(),

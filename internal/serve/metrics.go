@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"clap"
+	"clap/internal/nn"
 	"clap/internal/obs"
 )
 
@@ -209,8 +210,8 @@ func (m *metrics) writeProm(w io.Writer, queueDepth, queueCap, inFlight int, thr
 	}
 	fmt.Fprintf(w, "# HELP clap_build_info Build and runtime identity of the serving binary (value is always 1).\n")
 	fmt.Fprintf(w, "# TYPE clap_build_info gauge\n")
-	fmt.Fprintf(w, "clap_build_info{version=\"%s\",go_version=\"%s\",backend_tags=\"%s\"} 1\n",
-		promLabel(clap.Version), promLabel(runtime.Version()), promLabel(strings.Join(clap.BackendTags(), ",")))
+	fmt.Fprintf(w, "clap_build_info{version=\"%s\",go_version=\"%s\",backend_tags=\"%s\",kernel=\"%s\"} 1\n",
+		promLabel(clap.Version), promLabel(runtime.Version()), promLabel(strings.Join(clap.BackendTags(), ",")), promLabel(nn.Kernel()))
 	c("clap_serve_connections_scored_total", "Connections scored since start.", m.connsScored.Load())
 	c("clap_serve_packets_total", "Packets in scored connections since start.", m.packets.Load())
 	c("clap_serve_flagged_total", "Connections flagged over the operating threshold.", m.flagged.Load())

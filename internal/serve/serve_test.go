@@ -19,6 +19,7 @@ import (
 
 	"clap"
 	"clap/internal/backend"
+	"clap/internal/nn"
 )
 
 // The shared fixture: two tiny trained models of different registry tags,
@@ -212,9 +213,10 @@ func TestServeEndToEnd(t *testing.T) {
 	var health struct {
 		Status string `json:"status"`
 		Model  string `json:"model"`
+		Kernel string `json:"kernel"`
 	}
 	getJSON(t, ts.URL+"/healthz", &health)
-	if health.Status != "ok" || health.Model != clap.BackendCLAP {
+	if health.Status != "ok" || health.Model != clap.BackendCLAP || health.Kernel != nn.Kernel() {
 		t.Fatalf("healthz = %+v", health)
 	}
 

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"clap"
+	"clap/internal/nn"
 	"clap/internal/tenant"
 )
 
@@ -587,8 +588,8 @@ func TestServeMetricsStrictExposition(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	body := getBody(t, ts.URL+"/metrics")
 	series := lintProm(t, body)
-	buildKey := fmt.Sprintf("clap_build_info{backend_tags=%q,go_version=%q,version=%q}",
-		strings.Join(clap.BackendTags(), ","), runtime.Version(), clap.Version)
+	buildKey := fmt.Sprintf("clap_build_info{backend_tags=%q,go_version=%q,kernel=%q,version=%q}",
+		strings.Join(clap.BackendTags(), ","), runtime.Version(), nn.Kernel(), clap.Version)
 	if v, ok := series[buildKey]; !ok || v != 1 {
 		t.Fatalf("missing build info series %s in:\n%s", buildKey, body)
 	}
