@@ -1,0 +1,37 @@
+package core
+
+import (
+	"testing"
+
+	"clap/internal/allocbudget"
+)
+
+// TestAllocBudgetStackedRoundTrip pins the batched window production of one
+// connection — StackedProfilesBatched, then RecycleStacked — at its
+// steady-state allocation count. Feature vectors, context profiles and
+// windows all come from the pool, row headers included; what is left is
+// per connection and none of it scales with packets.
+func TestAllocBudgetStackedRoundTrip(t *testing.T) {
+	d := testDetector(t)
+	conns := benignSet(20, 5)
+	roundTrip := func(d *Detector) func() {
+		return func() {
+			for _, c := range conns {
+				d.RecycleStacked(d.StackedProfilesBatched(c))
+			}
+		}
+	}
+	t.Run("clap", func(t *testing.T) {
+		// The slab header RecycleStacked wraps the windows in, the RNN
+		// input views, and the batched GRU pass's own four (two sets of
+		// gate row headers, its pooled backing's header, the release
+		// closure).
+		allocbudget.AtMost(t, float64(6*len(conns)), roundTrip(d))
+	})
+	t.Run("baseline1", func(t *testing.T) {
+		// No gates, no stacking — the cascade's screen: the slab header
+		// alone.
+		screen := &Detector{Cfg: Baseline1Config(), Profile: d.Profile}
+		allocbudget.AtMost(t, float64(len(conns)), roundTrip(screen))
+	})
+}

@@ -182,44 +182,85 @@ func trainAE(stacked [][]float64, cfg Config, rng *rand.Rand, restart int, logf 
 	return ae, epochLoss
 }
 
-// backingPool recycles the batched scoring path's flat float64 backings
-// (context profiles, stacked windows). At ~3KB per window, allocating
-// them fresh per connection makes the garbage collector a measurable
-// fraction of the hot path; the pool keeps steady-state batched scoring
-// allocation-free. Only the batched path uses it — its buffers have a
-// clear release point (engine / pipeline recycle after scoring) — while
-// the serial path keeps plain allocations, since its windows escape to
-// callers indefinitely (training, forensics).
-var backingPool sync.Pool
+// windowPool and scratchPool recycle the batched scoring path's buffers: a
+// connection's feature vectors, its context profiles and its stacked
+// windows, each a flat float64 backing with the row headers carved over
+// it. At ~3KB per window plus 51 floats per packet, allocating them fresh
+// per connection makes the garbage collector a measurable fraction of the
+// hot path; the pools keep steady-state batched scoring allocating per
+// connection only what escapes to the caller. Only the batched path uses
+// them — its buffers have a clear release point — while the serial path
+// keeps plain allocations, since its windows escape to callers
+// indefinitely (training, forensics).
+//
+// Two pools because the buffers live differently. What
+// StackedProfilesBatched returns is out until the engine / pipeline
+// recycles it after scoring, dozens of connections' worth at a time, and is
+// the largest buffer of the three; the vectors and profiles behind it are
+// a seventh to a third of its size and go back before the producer
+// returns. In one pool the small short-lived requests keep taking the
+// large buffers, and every window request that then finds a small one
+// allocates another large one: file-clap's peak RSS was 17 MB higher.
+var (
+	windowPool  sync.Pool // results: out from StackedProfilesBatched / Windows to RecycleStacked
+	scratchPool sync.Pool // intermediates: never leave the producer
+)
 
-// getBacking returns a zero-length float64 buffer with at least the given
-// capacity.
-func getBacking(n int) []float64 {
-	if v := backingPool.Get(); v != nil {
-		if b := *(v.(*[]float64)); cap(b) >= n {
-			return b[:0]
-		}
-	}
-	return make([]float64, 0, n)
+// slab is one pooled buffer: a flat backing and row headers to carve over
+// it. Both are handed out empty, with at least the capacity asked for.
+type slab struct {
+	data []float64
+	rows [][]float64
 }
 
-// putBacking recycles a buffer obtained from getBacking.
-func putBacking(b []float64) {
-	if cap(b) == 0 {
-		return
+// getSlab takes a slab with room for n values in rows rows from pool.
+func getSlab(pool *sync.Pool, n, rows int) *slab {
+	s, _ := pool.Get().(*slab)
+	if s == nil {
+		s = &slab{}
 	}
-	b = b[:0]
-	backingPool.Put(&b)
+	if cap(s.data) < n {
+		s.data = make([]float64, 0, n)
+	}
+	if cap(s.rows) < rows {
+		s.rows = make([][]float64, 0, rows)
+	}
+	s.data, s.rows = s.data[:0], s.rows[:0]
+	return s
+}
+
+// profileSlab takes the slab a connection's n context profiles are built
+// in: a result when the profiles are themselves the windows (no stacking),
+// an intermediate otherwise.
+func (d *Detector) profileSlab(n int) *slab {
+	pool := &scratchPool
+	if d.Cfg.StackLength <= 1 {
+		pool = &windowPool
+	}
+	return getSlab(pool, n*d.Cfg.ProfileWidth(), n)
+}
+
+// vectorizePooled is Profile.Vectorize into a scratchPool slab, nil for an
+// empty connection. The caller puts the slab back once the vectors are
+// consumed.
+func (d *Detector) vectorizePooled(c *flow.Connection) (*slab, [][]float64) {
+	n := c.Len()
+	if n == 0 {
+		return nil, nil
+	}
+	fs := getSlab(&scratchPool, n*features.NumPacket, n)
+	return fs, d.Profile.VectorizeInto(c, fs.data[:n*features.NumPacket], fs.rows[:n])
 }
 
 // contextProfiles fuses packet features with the RNN's per-step gate
 // activations (Equation 2): CxtProf = [P_IP, P_TCP, P_amp, G_update,
 // G_reset]. batched selects the batched GRU kernel, which hoists the
 // input projections of the whole sequence into matrix-matrix passes;
-// both kernels produce bit-identical gates. A non-nil backing (capacity
-// >= len(vecs)*ProfileWidth) is carved into the profile rows instead of a
-// fresh allocation — the batched path passes a pooled one.
-func (d *Detector) contextProfiles(vecs [][]float64, batched bool, backing []float64) [][]float64 {
+// both kernels produce bit-identical gates. A non-nil slab (room for
+// len(vecs)·ProfileWidth values in len(vecs) rows) is carved into the
+// profile rows instead of a fresh allocation — the batched path passes a
+// pooled one. The rows are copies: vecs is not referenced afterwards.
+func (d *Detector) contextProfiles(vecs [][]float64, batched bool, ps *slab) [][]float64 {
 	if len(vecs) == 0 {
 		return nil
 	}
@@ -237,36 +278,31 @@ func (d *Detector) contextProfiles(vecs [][]float64, batched bool, backing []flo
 			gz, gr = d.RNN.ForwardGates(features.RNNInputs(vecs))
 		}
 	}
-	width := d.Cfg.ProfileWidth()
-	featWidth := features.NumPacket
-	if !d.Cfg.UseAmplification {
-		featWidth = features.NumRNN
-	}
-	out := make([][]float64, len(vecs))
+	featWidth := d.featWidth()
 	// One backing array for all profiles: n small slices would otherwise
 	// be n allocations the GC has to trace on the scoring hot path.
 	// Pooled backings are carved as two-index slices so the buffer can be
 	// recovered from row 0 at recycle time; fresh ones get full-cap rows.
-	pooled := backing != nil
+	pooled := ps != nil
 	if !pooled {
-		backing = make([]float64, 0, len(vecs)*width)
+		ps = &slab{data: make([]float64, 0, len(vecs)*d.Cfg.ProfileWidth()), rows: make([][]float64, 0, len(vecs))}
 	}
 	for t, v := range vecs {
-		start := len(backing)
-		backing = append(backing, v[:featWidth]...)
+		start := len(ps.data)
+		ps.data = append(ps.data, v[:featWidth]...)
 		if d.Cfg.UseUpdateGates {
-			backing = append(backing, gz[t]...)
+			ps.data = append(ps.data, gz[t]...)
 		}
 		if d.Cfg.UseResetGates {
-			backing = append(backing, gr[t]...)
+			ps.data = append(ps.data, gr[t]...)
 		}
 		if pooled {
-			out[t] = backing[start:len(backing)]
+			ps.rows = append(ps.rows, ps.data[start:])
 		} else {
-			out[t] = backing[start:len(backing):len(backing)]
+			ps.rows = append(ps.rows, ps.data[start:len(ps.data):len(ps.data)])
 		}
 	}
-	return out
+	return ps.rows
 }
 
 // ContextProfiles computes per-packet context profiles for a connection.
@@ -320,65 +356,69 @@ func (d *Detector) StackedProfiles(c *flow.Connection) [][]float64 {
 	return d.stack(d.ContextProfiles(c))
 }
 
-// stackPooled is stack over a pooled backing, for the batched scoring
-// path: windows are carved as two-index slices so RecycleStacked can
-// recover the whole buffer from window 0. Values are identical to stack.
+// stackPooled is stack over a pooled slab, for the batched scoring path:
+// windows are carved as two-index slices and their row headers come from
+// the slab too, so RecycleStacked can recover both from the result. Values
+// are identical to stack.
 func (d *Detector) stackPooled(profs [][]float64, t int) [][]float64 {
 	width := len(profs[0])
 	if len(profs) < t {
-		win := getBacking(t * width)
+		ws := getSlab(&windowPool, t*width, 1)
 		for pad := 0; pad < t-len(profs); pad++ {
-			win = append(win, profs[0]...)
+			ws.data = append(ws.data, profs[0]...)
 		}
 		for _, p := range profs {
-			win = append(win, p...)
+			ws.data = append(ws.data, p...)
 		}
-		return [][]float64{win}
+		return append(ws.rows, ws.data)
 	}
 	n := len(profs) - t + 1
-	out := make([][]float64, 0, n)
-	backing := getBacking(n * t * width)
+	ws := getSlab(&windowPool, n*t*width, n)
 	for i := 0; i+t <= len(profs); i++ {
-		start := len(backing)
+		start := len(ws.data)
 		for _, p := range profs[i : i+t] {
-			backing = append(backing, p...)
+			ws.data = append(ws.data, p...)
 		}
-		out = append(out, backing[start:len(backing)])
+		ws.rows = append(ws.rows, ws.data[start:])
 	}
-	return out
+	return ws.rows
 }
 
 // StackedProfilesBatched is StackedProfiles through the batched GRU kernel
 // (nn.ForwardGatesBatch) — the stage-(b) half of the batched scoring path.
-// Output is bit-identical to StackedProfiles, but the returned windows are
-// carved from pooled buffers: hand them back via RecycleStacked once they
-// have been scored, and do not touch them afterwards.
+// Output is bit-identical to StackedProfiles, but the returned windows —
+// backing and row headers both — are carved from a pooled buffer: hand them
+// back via RecycleStacked once they have been scored, and do not touch them
+// afterwards. The feature vectors and (when stacking) the context profiles
+// never leave this function; their slabs go back to the pool before it
+// returns, since each stage copies its rows into the next one's.
 func (d *Detector) StackedProfilesBatched(c *flow.Connection) [][]float64 {
-	vecs := d.Profile.Vectorize(c)
-	if len(vecs) == 0 {
+	fs, vecs := d.vectorizePooled(c)
+	if fs == nil {
 		return nil
 	}
-	pb := getBacking(len(vecs) * d.Cfg.ProfileWidth())
-	profs := d.contextProfiles(vecs, true, pb)
+	ps := d.profileSlab(len(vecs))
+	profs := d.contextProfiles(vecs, true, ps)
+	scratchPool.Put(fs)
 	t := d.Cfg.StackLength
 	if t <= 1 {
-		// The profiles are the windows; their backing is recycled by
+		// The profiles are the windows; their buffer is recycled by
 		// RecycleStacked, not here.
 		return profs
 	}
 	wins := d.stackPooled(profs, t)
-	putBacking(pb)
+	scratchPool.Put(ps)
 	return wins
 }
 
 // RecycleStacked returns the pooled buffer behind a StackedProfilesBatched
-// result for reuse. The windows must not be read after the call. Nil/empty
-// results are no-ops.
+// result — the whole result, not a sub-slice of it — for reuse. The windows
+// must not be read after the call. Nil/empty results are no-ops.
 func (d *Detector) RecycleStacked(wins [][]float64) {
 	if len(wins) == 0 {
 		return
 	}
-	putBacking(wins[0][:0])
+	windowPool.Put(&slab{data: wins[0][:0], rows: wins})
 }
 
 // WindowErrors runs the autoencoder over every stacked profile and returns

@@ -30,16 +30,14 @@ type LockstepSession struct {
 	d         *Detector
 	ls        *nn.GRULockstep
 	featWidth int
-	width     int
 	rows      []lockstepConn
 }
 
 type lockstepConn struct {
-	vecs  [][]float64
-	xs    [][]float64 // RNNInputs view of vecs
-	pos   int
-	pb    []float64 // pooled profile backing (getBacking)
-	profs [][]float64
+	fs   *slab // pooled feature vectors, held until the row is harvested
+	vecs [][]float64
+	pos  int
+	ps   *slab // pooled context profiles, one row per step taken
 }
 
 // LockstepSupported reports whether this detector's configuration runs a
@@ -60,7 +58,6 @@ func (d *Detector) NewLockstepSession(k int) *LockstepSession {
 		d:         d,
 		ls:        d.RNN.NewLockstep(k),
 		featWidth: d.featWidth(),
-		width:     d.Cfg.ProfileWidth(),
 		rows:      make([]lockstepConn, k),
 	}
 }
@@ -78,16 +75,15 @@ func (d *Detector) featWidth() int {
 // steps it needs (its packet count). 0 means the connection produces no
 // windows — it never occupies the row and Windows must not be called.
 func (s *LockstepSession) Load(row int, c *flow.Connection) int {
-	vecs := s.d.Profile.Vectorize(c)
-	if len(vecs) == 0 {
+	fs, vecs := s.d.vectorizePooled(c)
+	if fs == nil {
 		return 0
 	}
 	s.ls.Reset(row)
 	s.rows[row] = lockstepConn{
-		vecs:  vecs,
-		xs:    features.RNNInputs(vecs),
-		pb:    getBacking(len(vecs) * s.width),
-		profs: make([][]float64, 0, len(vecs)),
+		fs:   fs,
+		vecs: vecs,
+		ps:   s.d.profileSlab(len(vecs)),
 	}
 	return len(vecs)
 }
@@ -102,22 +98,23 @@ func (s *LockstepSession) Step(n int) {
 		if r.pos >= len(r.vecs) {
 			panic(fmt.Sprintf("core: lockstep Step over finished row %d", b))
 		}
-		s.ls.StageInput(b, r.xs[r.pos])
+		s.ls.StageInput(b, r.vecs[r.pos][:features.NumRNN])
 	}
 	s.ls.Step(n)
 	for b := 0; b < n; b++ {
 		r := &s.rows[b]
-		start := len(r.pb)
-		r.pb = append(r.pb, r.vecs[r.pos][:s.featWidth]...)
+		ps := r.ps
+		start := len(ps.data)
+		ps.data = append(ps.data, r.vecs[r.pos][:s.featWidth]...)
 		if s.d.Cfg.UseUpdateGates {
-			r.pb = append(r.pb, s.ls.Z(b)...)
+			ps.data = append(ps.data, s.ls.Z(b)...)
 		}
 		if s.d.Cfg.UseResetGates {
-			r.pb = append(r.pb, s.ls.R(b)...)
+			ps.data = append(ps.data, s.ls.R(b)...)
 		}
 		// Two-index carving, like contextProfiles' pooled mode: the whole
 		// backing is recoverable from row 0 at recycle time.
-		r.profs = append(r.profs, r.pb[start:len(r.pb)])
+		ps.rows = append(ps.rows, ps.data[start:])
 		r.pos++
 	}
 }
@@ -130,16 +127,19 @@ func (s *LockstepSession) Windows(row int) [][]float64 {
 	if r.pos < len(r.vecs) {
 		panic(fmt.Sprintf("core: lockstep Windows on unfinished row %d (%d/%d)", row, r.pos, len(r.vecs)))
 	}
-	profs, pb := r.profs, r.pb
+	ps := r.ps
+	// The vectors were copied into the profile rows step by step; the row
+	// gives their slab up here, where it is released.
+	scratchPool.Put(r.fs)
 	s.rows[row] = lockstepConn{} // release references
 	t := s.d.Cfg.StackLength
 	if t <= 1 {
-		// The profiles are the windows; their backing is recycled by
+		// The profiles are the windows; their buffer is recycled by
 		// RecycleStacked, not here — exactly StackedProfilesBatched.
-		return profs
+		return ps.rows
 	}
-	wins := s.d.stackPooled(profs, t)
-	putBacking(pb)
+	wins := s.d.stackPooled(ps.rows, t)
+	scratchPool.Put(ps)
 	return wins
 }
 

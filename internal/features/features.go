@@ -179,17 +179,33 @@ type connState struct {
 // filled by Profile.Vectorize once training bounds exist — while the
 // equivalence feature, which needs no training data, is computed here.
 func ExtractRaw(c *flow.Connection) [][]float64 {
-	st := &connState{}
-	out := make([][]float64, c.Len())
-	// One backing array for the whole train: a per-packet make would be
-	// c.Len() small GC-traced allocations on the scoring hot path.
-	backing := make([]float64, c.Len()*NumPacket)
+	return extractRawInto(c, make([]float64, c.Len()*NumPacket), make([][]float64, c.Len()))
+}
+
+// extractRawInto is ExtractRaw over the caller's memory: slab (at least
+// c.Len()·NumPacket values, contents ignored) holds the vectors back to
+// back and rows (at least c.Len() headers) points at them. One slab for the
+// whole train, never one per packet.
+func extractRawInto(c *flow.Connection, slab []float64, rows [][]float64) [][]float64 {
+	slab, rows = slab[:c.Len()*NumPacket], rows[:c.Len()]
+	clear(slab)
+	var st connState
 	for i, p := range c.Packets {
-		v := backing[i*NumPacket : (i+1)*NumPacket : (i+1)*NumPacket]
+		v := slab[i*NumPacket : (i+1)*NumPacket : (i+1)*NumPacket]
 		st.packetRaw(v, p, c.Dirs[i])
-		out[i] = v
+		rows[i] = v
 	}
-	return out
+	return rows
+}
+
+// flagSlots maps each TCP flag bit to its one-hot feature slot.
+var flagSlots = [...]struct {
+	bit  packet.Flags
+	slot int
+}{
+	{packet.FIN, FFlagFIN}, {packet.SYN, FFlagSYN}, {packet.RST, FFlagRST},
+	{packet.PSH, FFlagPSH}, {packet.ACK, FFlagACK}, {packet.URG, FFlagURG},
+	{packet.ECE, FFlagECE}, {packet.CWR, FFlagCWR}, {packet.NS, FFlagNS},
 }
 
 // packetRaw fills v (length NumPacket, zeroed) with one packet's raw
@@ -218,13 +234,9 @@ func (st *connState) packetRaw(v []float64, p *packet.Packet, dir flow.Direction
 		}
 	}
 	v[FDataOffset] = float64(p.TCP.DataOffset)
-	for bit, slot := range map[packet.Flags]int{
-		packet.FIN: FFlagFIN, packet.SYN: FFlagSYN, packet.RST: FFlagRST,
-		packet.PSH: FFlagPSH, packet.ACK: FFlagACK, packet.URG: FFlagURG,
-		packet.ECE: FFlagECE, packet.CWR: FFlagCWR, packet.NS: FFlagNS,
-	} {
-		if p.TCP.Flags.Has(bit) {
-			v[slot] = 1
+	for _, f := range flagSlots {
+		if p.TCP.Flags.Has(f.bit) {
+			v[f.slot] = 1
 		}
 	}
 	v[FWindow] = math.Log1p(float64(p.TCP.Window))

@@ -96,9 +96,18 @@ func (p *Profile) outOfRange(i int, x float64) bool {
 
 // Vectorize produces the scaled 51-dim packet-feature vectors for a
 // connection, with amplification indicators computed against the fitted
-// bounds.
+// bounds. The result is the caller's: two allocations per connection, the
+// vectors' slab and their row headers.
 func (p *Profile) Vectorize(c *flow.Connection) [][]float64 {
-	raws := ExtractRaw(c)
+	return p.VectorizeInto(c, make([]float64, c.Len()*NumPacket), make([][]float64, c.Len()))
+}
+
+// VectorizeInto is Vectorize over memory the caller owns and may reuse —
+// slab of at least c.Len()·NumPacket values (contents ignored) and rows of
+// at least c.Len() headers. The returned rows are rows itself, pointing into
+// slab.
+func (p *Profile) VectorizeInto(c *flow.Connection, slab []float64, rows [][]float64) [][]float64 {
+	raws := extractRawInto(c, slab, rows)
 	for _, v := range raws {
 		// Amplification flags first (they read raw values)...
 		for k, slot := range numericTCP {

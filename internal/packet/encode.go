@@ -14,66 +14,75 @@ type SerializeOptions struct {
 	ComputeChecksums bool
 }
 
-// optionBytes flattens parsed TCP options back to wire bytes, padding with
-// zeros to a 4-byte multiple.
-func optionBytes(opts []Option) []byte {
-	var out []byte
+// maxOptionBytes is the option space of a well-formed IPv4 or TCP header:
+// fifteen 32-bit words less the five fixed ones.
+const maxOptionBytes = 40
+
+// appendOptions appends the wire form of parsed TCP options to dst, without
+// padding.
+func appendOptions(dst []byte, opts []Option) []byte {
 	for _, o := range opts {
 		switch o.Kind {
 		case OptEndOfList, OptNOP:
-			out = append(out, o.Kind)
+			dst = append(dst, o.Kind)
 		default:
-			out = append(out, o.Kind, byte(2+len(o.Data)))
-			out = append(out, o.Data...)
+			dst = append(dst, o.Kind, byte(2+len(o.Data)))
+			dst = append(dst, o.Data...)
 		}
 	}
-	for len(out)%4 != 0 {
-		out = append(out, 0)
-	}
-	return out
+	return dst
 }
 
-// Encode serializes the packet to raw IPv4 bytes.
-func (p *Packet) Encode(opt SerializeOptions) ([]byte, error) {
-	tcpOpts := optionBytes(p.TCP.Options)
-	ipOpts := p.IP.Options
-	if len(ipOpts)%4 != 0 {
-		pad := make([]byte, 4-len(ipOpts)%4)
-		ipOpts = append(append([]byte(nil), ipOpts...), pad...)
-	}
+// wireLayout is where Encode puts a packet's two headers. A stored IHL or
+// Data Offset below five words cannot drive the layout, so real contents do
+// and the bogus value only rides in its field; a stored length that is
+// usable but too small for the options is ErrOptionSpace.
+type wireLayout struct {
+	ipHdrLen, tcpHdrLen int
+}
 
-	ip := p.IP
-	tcp := p.TCP
-	if opt.FixLengths {
-		ip.IHL = uint8((20 + len(ipOpts)) / 4)
-		tcp.DataOffset = uint8((20 + len(tcpOpts)) / 4)
-		ip.TotalLen = uint16(int(ip.IHL)*4 + int(tcp.DataOffset)*4 + len(p.Payload))
+// layoutFor resolves the header lengths for the given IHL and Data Offset
+// over ipOpts and tcpOpts option bytes (each padded to a 4-byte multiple).
+func layoutFor(ihl, dataOffset uint8, ipOpts, tcpOpts int) (wireLayout, error) {
+	l := wireLayout{ipHdrLen: int(ihl) * 4, tcpHdrLen: int(dataOffset) * 4}
+	if l.ipHdrLen < 20 {
+		l.ipHdrLen = 20 + ipOpts
 	}
-	ipHdrLen := int(ip.IHL) * 4
-	if ipHdrLen < 20 {
-		// A corrupted IHL (e.g. the Invalid IP Header Length attack) cannot
-		// drive the layout; lay the packet out using real contents and keep
-		// the bogus IHL on the wire.
-		ipHdrLen = 20 + len(ipOpts)
+	if l.ipHdrLen < 20+ipOpts {
+		return l, fmt.Errorf("ipv4 encode: %w: ihl=%d options=%d", ErrOptionSpace, ihl, ipOpts)
 	}
-	if ipHdrLen < 20+len(ipOpts) {
-		return nil, fmt.Errorf("ipv4 encode: %w: ihl=%d options=%d", ErrOptionSpace, ip.IHL, len(ipOpts))
+	if l.tcpHdrLen < 20 {
+		l.tcpHdrLen = 20 + tcpOpts
 	}
-	tcpHdrLen := int(tcp.DataOffset) * 4
-	if tcpHdrLen < 20 {
-		tcpHdrLen = 20 + len(tcpOpts)
+	if l.tcpHdrLen < 20+tcpOpts {
+		return l, fmt.Errorf("tcp encode: %w: offset=%d options=%d", ErrOptionSpace, dataOffset, tcpOpts)
 	}
-	if tcpHdrLen < 20+len(tcpOpts) {
-		return nil, fmt.Errorf("tcp encode: %w: offset=%d options=%d", ErrOptionSpace, tcp.DataOffset, len(tcpOpts))
-	}
+	return l, nil
+}
 
-	buf := make([]byte, ipHdrLen+tcpHdrLen+len(p.Payload))
+func pad4(n int) int { return (n + 3) &^ 3 }
 
-	// IPv4 fixed header.
-	buf[0] = ip.Version<<4 | ip.IHL&0x0f
-	buf[1] = ip.TOS
-	be.PutUint16(buf[2:4], ip.TotalLen)
-	be.PutUint16(buf[4:6], ip.ID)
+// paddedOptionLens returns the IP and TCP option sizes on the wire.
+func (p *Packet) paddedOptionLens() (ipOpts, tcpOpts int) {
+	for _, o := range p.TCP.Options {
+		tcpOpts += o.Len()
+	}
+	return pad4(len(p.IP.Options)), pad4(tcpOpts)
+}
+
+// layout is the layout Encode gives the packet with its stored lengths.
+func (p *Packet) layout() (wireLayout, error) {
+	ipOpts, tcpOpts := p.paddedOptionLens()
+	return layoutFor(p.IP.IHL, p.TCP.DataOffset, ipOpts, tcpOpts)
+}
+
+// putIPv4 writes the 20 fixed bytes of the IPv4 header.
+func putIPv4(b []byte, ip *IPv4Header) {
+	_ = b[19]
+	b[0] = ip.Version<<4 | ip.IHL&0x0f
+	b[1] = ip.TOS
+	be.PutUint16(b[2:4], ip.TotalLen)
+	be.PutUint16(b[4:6], ip.ID)
 	flagsFrag := ip.FragOffset & 0x1fff
 	if ip.Reserved {
 		flagsFrag |= 0x8000
@@ -84,140 +93,59 @@ func (p *Packet) Encode(opt SerializeOptions) ([]byte, error) {
 	if ip.MoreFrag {
 		flagsFrag |= 0x2000
 	}
-	be.PutUint16(buf[6:8], flagsFrag)
-	buf[8] = ip.TTL
-	buf[9] = ip.Protocol
-	be.PutUint16(buf[10:12], ip.Checksum)
-	copy(buf[12:16], ip.SrcIP[:])
-	copy(buf[16:20], ip.DstIP[:])
-	copy(buf[20:ipHdrLen], ipOpts)
+	be.PutUint16(b[6:8], flagsFrag)
+	b[8] = ip.TTL
+	b[9] = ip.Protocol
+	be.PutUint16(b[10:12], ip.Checksum)
+	copy(b[12:16], ip.SrcIP[:])
+	copy(b[16:20], ip.DstIP[:])
+}
 
-	// TCP header.
-	t := buf[ipHdrLen:]
-	be.PutUint16(t[0:2], tcp.SrcPort)
-	be.PutUint16(t[2:4], tcp.DstPort)
-	be.PutUint32(t[4:8], tcp.Seq)
-	be.PutUint32(t[8:12], tcp.Ack)
-	be.PutUint16(t[12:14], uint16(tcp.DataOffset)<<12|uint16(tcp.Reserved&0x07)<<9|uint16(tcp.Flags)&0x01ff)
-	be.PutUint16(t[14:16], tcp.Window)
-	be.PutUint16(t[16:18], tcp.Checksum)
-	be.PutUint16(t[18:20], tcp.Urgent)
-	copy(t[20:tcpHdrLen], tcpOpts)
-	copy(t[tcpHdrLen:], p.Payload)
+// putTCP writes the 20 fixed bytes of the TCP header.
+func putTCP(b []byte, tcp *TCPHeader) {
+	_ = b[19]
+	be.PutUint16(b[0:2], tcp.SrcPort)
+	be.PutUint16(b[2:4], tcp.DstPort)
+	be.PutUint32(b[4:8], tcp.Seq)
+	be.PutUint32(b[8:12], tcp.Ack)
+	be.PutUint16(b[12:14], uint16(tcp.DataOffset)<<12|uint16(tcp.Reserved&0x07)<<9|uint16(tcp.Flags)&0x01ff)
+	be.PutUint16(b[14:16], tcp.Window)
+	be.PutUint16(b[16:18], tcp.Checksum)
+	be.PutUint16(b[18:20], tcp.Urgent)
+}
+
+// Encode serializes the packet to raw IPv4 bytes.
+func (p *Packet) Encode(opt SerializeOptions) ([]byte, error) {
+	ipOpts, tcpOpts := p.paddedOptionLens()
+	ip := p.IP
+	tcp := p.TCP
+	if opt.FixLengths {
+		ip.IHL = uint8((20 + ipOpts) / 4)
+		tcp.DataOffset = uint8((20 + tcpOpts) / 4)
+		ip.TotalLen = uint16(int(ip.IHL)*4 + int(tcp.DataOffset)*4 + len(p.Payload))
+	}
+	l, err := layoutFor(ip.IHL, tcp.DataOffset, ipOpts, tcpOpts)
+	if err != nil {
+		return nil, err
+	}
+
+	// make zeroes the buffer, which is the option padding and whatever a
+	// header length beyond the options leaves.
+	buf := make([]byte, l.ipHdrLen+l.tcpHdrLen+len(p.Payload))
+	putIPv4(buf, &ip)
+	copy(buf[20:l.ipHdrLen], ip.Options)
+	t := buf[l.ipHdrLen:]
+	putTCP(t, &tcp)
+	appendOptions(t[20:20], tcp.Options)
+	copy(t[l.tcpHdrLen:], p.Payload)
 
 	if opt.ComputeChecksums {
 		be.PutUint16(buf[10:12], 0)
-		ipSum := Checksum(buf[:ipHdrLen])
-		be.PutUint16(buf[10:12], ipSum)
+		be.PutUint16(buf[10:12], Checksum(buf[:l.ipHdrLen]))
 		be.PutUint16(t[16:18], 0)
-		tcpSum := tcpChecksum(ip.SrcIP, ip.DstIP, t)
-		be.PutUint16(t[16:18], tcpSum)
+		s := pseudoHeader(ip.SrcIP, ip.DstIP, len(t))
+		s.write(t)
+		be.PutUint16(t[16:18], s.fold())
 	}
 	return buf, nil
-}
-
-// FixChecksums computes correct IP and TCP checksums for the packet as it
-// would appear on the wire — honouring the claimed IP total length with
-// zero padding for stripped payload, the same convention TCPChecksumValid
-// verifies — and stores them in the header fields. Synthetic traffic calls
-// this once after construction; attacks corrupt other fields afterwards
-// (and may call it again when the strategy wants checksums to stay valid).
-func (p *Packet) FixChecksums() error {
-	raw, err := p.Encode(SerializeOptions{})
-	if err != nil {
-		return err
-	}
-	ipHdrLen := int(p.IP.IHL) * 4
-	if ipHdrLen < 20 || ipHdrLen > len(raw) {
-		ipHdrLen = 20 + len(p.IP.Options)
-	}
-	hdr := raw[:ipHdrLen]
-	be.PutUint16(hdr[10:12], 0)
-	p.IP.Checksum = Checksum(hdr)
-
-	seg := raw[ipHdrLen:]
-	claimed := int(p.IP.TotalLen) - ipHdrLen
-	if claimed > len(seg) && claimed <= 65535 {
-		seg = append(seg, make([]byte, claimed-len(seg))...)
-	}
-	if len(seg) >= 18 {
-		be.PutUint16(seg[16:18], 0)
-		p.TCP.Checksum = tcpChecksum(p.IP.SrcIP, p.IP.DstIP, seg)
-	}
-	return nil
-}
-
-// Checksum computes the RFC 1071 internet checksum over data.
-func Checksum(data []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(data); i += 2 {
-		sum += uint32(be.Uint16(data[i : i+2]))
-	}
-	if len(data)%2 == 1 {
-		sum += uint32(data[len(data)-1]) << 8
-	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
-}
-
-// tcpChecksum computes the TCP checksum including the IPv4 pseudo-header.
-// segment must contain the TCP header (with a zeroed checksum field) and
-// payload.
-func tcpChecksum(src, dst [4]byte, segment []byte) uint16 {
-	pseudo := make([]byte, 12, 12+len(segment))
-	copy(pseudo[0:4], src[:])
-	copy(pseudo[4:8], dst[:])
-	pseudo[9] = ProtoTCP
-	be.PutUint16(pseudo[10:12], uint16(len(segment)))
-	return Checksum(append(pseudo, segment...))
-}
-
-// IPChecksumValid re-derives the IP header checksum and compares it with the
-// stored value.
-func (p *Packet) IPChecksumValid() bool {
-	raw, err := p.Encode(SerializeOptions{})
-	if err != nil {
-		return false
-	}
-	hdrLen := int(p.IP.IHL) * 4
-	if hdrLen < 20 || hdrLen > len(raw) {
-		hdrLen = 20 + len(p.IP.Options)
-		if hdrLen > len(raw) {
-			return false
-		}
-	}
-	be.PutUint16(raw[10:12], 0)
-	return Checksum(raw[:hdrLen]) == p.IP.Checksum
-}
-
-// TCPChecksumValid re-derives the TCP checksum (pseudo-header included) and
-// compares it with the stored value.
-//
-// Payload-stripped captures (the MAWI convention this corpus follows) keep
-// the claimed segment length in the IP total length while carrying no
-// payload bytes. Validation therefore checksums the header plus the stored
-// payload, zero-padded out to the claimed length — the same convention the
-// synthetic generator uses when stamping checksums — so that any header
-// corruption, stored-checksum corruption, or length forgery flips validity.
-func (p *Packet) TCPChecksumValid() bool {
-	raw, err := p.Encode(SerializeOptions{})
-	if err != nil {
-		return false
-	}
-	ipHdrLen := int(p.IP.IHL) * 4
-	if ipHdrLen < 20 || ipHdrLen > len(raw) {
-		ipHdrLen = 20 + len(p.IP.Options)
-	}
-	if ipHdrLen+20 > len(raw) {
-		return false
-	}
-	seg := raw[ipHdrLen:]
-	claimed := int(p.IP.TotalLen) - ipHdrLen
-	if claimed > len(seg) && claimed <= 65535 {
-		seg = append(seg, make([]byte, claimed-len(seg))...)
-	}
-	be.PutUint16(seg[16:18], 0)
-	return tcpChecksum(p.IP.SrcIP, p.IP.DstIP, seg) == p.TCP.Checksum
 }

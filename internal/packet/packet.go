@@ -125,7 +125,10 @@ const (
 	OptUserTimeout   = 28
 )
 
-// Option is a single TCP option. For NOP/EOL, Data is nil.
+// Option is a single TCP option. For NOP/EOL, Data is nil. The Data of a
+// decoded or cloned packet's options share one buffer, each slice
+// capacity-limited to its own bytes: writing through Data changes that
+// option only, and appending to it reallocates.
 type Option struct {
 	Kind uint8
 	Data []byte
@@ -158,16 +161,23 @@ type Packet struct {
 }
 
 // Clone returns a deep copy of the packet; attack strategies mutate clones so
-// the benign original survives.
+// the benign original survives. Like a decoded packet, the copy carries its
+// option bytes in its own allocation, each Data capacity-limited to itself.
 func (p *Packet) Clone() *Packet {
-	q := *p
+	size := len(p.IP.Options)
+	for _, o := range p.TCP.Options {
+		size += len(o.Data)
+	}
+	q, buf := newPacket(size)
+	*q = *p
 	q.Payload = append([]byte(nil), p.Payload...)
-	q.IP.Options = append([]byte(nil), p.IP.Options...)
+	q.IP.Options, buf = carve(buf, p.IP.Options)
 	q.TCP.Options = make([]Option, len(p.TCP.Options))
 	for i, o := range p.TCP.Options {
-		q.TCP.Options[i] = Option{Kind: o.Kind, Data: append([]byte(nil), o.Data...)}
+		q.TCP.Options[i].Kind = o.Kind
+		q.TCP.Options[i].Data, buf = carve(buf, o.Data)
 	}
-	return &q
+	return q
 }
 
 // FindOption returns the first option with the given kind, or nil.

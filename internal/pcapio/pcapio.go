@@ -70,6 +70,8 @@ type Reader struct {
 	nanos    bool
 	linkType uint32
 	snapLen  uint32
+	hdr      [16]byte // the record header being read
+	buf      []byte   // ReadPacket's frame buffer, reused from record to record
 }
 
 // NewReader parses the global header and prepares to iterate records.
@@ -104,23 +106,38 @@ func NewReader(r io.Reader) (*Reader, error) {
 // LinkType returns the capture's link-layer type.
 func (r *Reader) LinkType() uint32 { return r.linkType }
 
-// Next returns the next record, or io.EOF at end of stream.
+// Next returns the next record, or io.EOF at end of stream. The record's
+// Data is the caller's to keep: every call reads into a buffer of its own.
 func (r *Reader) Next() (Record, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	return r.next(false)
+}
+
+// next reads one record, into the Reader's own buffer when reuse is set —
+// Data is then only good until the next read — and into a fresh one
+// otherwise.
+func (r *Reader) next(reuse bool) (Record, error) {
+	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return Record{}, io.EOF
 		}
 		return Record{}, err
 	}
-	sec := r.order.Uint32(hdr[0:4])
-	frac := r.order.Uint32(hdr[4:8])
-	capLen := r.order.Uint32(hdr[8:12])
-	origLen := r.order.Uint32(hdr[12:16])
+	sec := r.order.Uint32(r.hdr[0:4])
+	frac := r.order.Uint32(r.hdr[4:8])
+	capLen := r.order.Uint32(r.hdr[8:12])
+	origLen := r.order.Uint32(r.hdr[12:16])
 	if capLen > maxRecordLen {
 		return Record{}, fmt.Errorf("%w: %d", ErrOversizeRecord, capLen)
 	}
-	data := make([]byte, capLen)
+	var data []byte
+	if !reuse {
+		data = make([]byte, capLen)
+	} else {
+		if uint32(cap(r.buf)) < capLen {
+			r.buf = make([]byte, capLen)
+		}
+		data = r.buf[:capLen]
+	}
 	if _, err := io.ReadFull(r.r, data); err != nil {
 		return Record{}, fmt.Errorf("pcapio: truncated record body: %w", err)
 	}
@@ -152,35 +169,47 @@ func (r *Reader) Next() (Record, error) {
 	return rec, nil
 }
 
+// ReadPacket reads the next record and decodes it: the packet with its
+// capture timestamp, or nil for a record that is not a decodable TCP/IPv4
+// packet (non-IP frames, other protocols, and the junk real backbone traces
+// contain), which callers count and skip. The frame is read into a buffer
+// the Reader reuses — packet.Decode copies what it keeps — so a record
+// costs what its packet costs. io.EOF ends the stream.
+func (r *Reader) ReadPacket() (*packet.Packet, error) {
+	rec, err := r.next(true)
+	if err != nil {
+		return nil, err
+	}
+	if len(rec.Data) == 0 {
+		return nil, nil
+	}
+	p, derr := packet.Decode(rec.Data)
+	if derr != nil {
+		return nil, nil
+	}
+	p.Timestamp = rec.Timestamp
+	return p, nil
+}
+
 // ReadPackets drains the stream, decoding every TCP/IPv4 record into a
-// packet. Non-IP and non-TCP records are skipped; structurally undecodable
-// TCP/IP records are also skipped (real backbone traces contain junk), with
-// the skip count returned.
+// packet, with the count of records skipped as undecodable.
 func ReadPackets(r io.Reader) (pkts []*packet.Packet, skipped int, err error) {
 	rd, err := NewReader(r)
 	if err != nil {
 		return nil, 0, err
 	}
 	for {
-		rec, err := rd.Next()
+		p, err := rd.ReadPacket()
 		if err == io.EOF {
 			return pkts, skipped, nil
 		}
 		if err != nil {
 			return pkts, skipped, err
 		}
-		if len(rec.Data) == 0 {
+		if p == nil {
 			skipped++
 			continue
 		}
-		p, derr := packet.Decode(rec.Data)
-		if derr != nil {
-			skipped++
-			continue
-		}
-		p.Timestamp = rec.Timestamp
-		// Reconcile stripped payloads: claimed length from IP header versus
-		// captured bytes is already handled by packet.Decode.
 		pkts = append(pkts, p)
 	}
 }

@@ -292,7 +292,7 @@ func streamPCAPRecords(ctx context.Context, r io.Reader, cfg LiveConfig, deliver
 			}
 			resync := false
 			for !resync {
-				rec, err := rd.Next()
+				p, err := rd.ReadPacket()
 				if err == io.EOF {
 					return
 				}
@@ -304,17 +304,7 @@ func streamPCAPRecords(ctx context.Context, r io.Reader, cfg LiveConfig, deliver
 					recs <- recOrErr{err: err}
 					return
 				}
-				if len(rec.Data) == 0 {
-					recs <- recOrErr{skip: true}
-					continue
-				}
-				p, derr := packet.Decode(rec.Data)
-				if derr != nil {
-					recs <- recOrErr{skip: true}
-					continue
-				}
-				p.Timestamp = rec.Timestamp
-				recs <- recOrErr{p: p}
+				recs <- recOrErr{p: p, skip: p == nil}
 			}
 		}
 	}()
