@@ -72,9 +72,8 @@ func (s memSource) Connections(*Engine) ([]*Connection, int, error) {
 // TestAFPacketSyntheticBitIdentity is the tentpole equivalence pin: the
 // same packets delivered through the pcap streaming path and through the
 // AF_PACKET source (decoding synthetic in-memory TPACKETv3 blocks) must
-// produce identical connections — and identical scores at every
-// workers × lockstep combination. Capture transport must never change
-// the bits.
+// produce identical connections — and identical scores at every worker
+// count. Capture transport must never change the bits.
 func TestAFPacketSyntheticBitIdentity(t *testing.T) {
 	want := GenerateBenign(40, 77)
 	pkts := flow.Flatten(want)
@@ -129,7 +128,7 @@ func TestAFPacketSyntheticBitIdentity(t *testing.T) {
 
 	// Scores: serial detector reference on the pcap-path connections,
 	// pinned against pipeline runs over the afpacket-path connections at
-	// every workers × lockstep combination.
+	// every worker count.
 	bk := pipelineBackend(t)
 	det := bk.(*CLAPBackend).Detector()
 	wantScores := make([]float64, len(pcapConns))
@@ -137,22 +136,20 @@ func TestAFPacketSyntheticBitIdentity(t *testing.T) {
 		wantScores[i] = det.Score(c).Adversarial
 	}
 	for _, workers := range []int{1, 4} {
-		for _, lockstep := range []int{0, 6} {
-			p, err := NewPipeline(WithBackend(bk), WithWorkers(workers), WithShards(workers), WithLockstep(lockstep))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum, err := p.Run(memSource(afConns))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(sum.Results) != len(wantScores) {
-				t.Fatalf("workers=%d lockstep=%d: %d results, want %d", workers, lockstep, len(sum.Results), len(wantScores))
-			}
-			for i, r := range sum.Results {
-				if r.Score != wantScores[i] {
-					t.Fatalf("workers=%d lockstep=%d: conn %d score %v != serial pcap-path %v", workers, lockstep, i, r.Score, wantScores[i])
-				}
+		p, err := NewPipeline(WithBackend(bk), WithWorkers(workers), WithShards(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := p.Run(memSource(afConns))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sum.Results) != len(wantScores) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(sum.Results), len(wantScores))
+		}
+		for i, r := range sum.Results {
+			if r.Score != wantScores[i] {
+				t.Fatalf("workers=%d: conn %d score %v != serial pcap-path %v", workers, i, r.Score, wantScores[i])
 			}
 		}
 	}

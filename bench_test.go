@@ -360,7 +360,7 @@ func BenchmarkEngineScore(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = eng.ScoreAll(s.CLAP, conns)
+				_ = eng.MapFloat(conns, func(c *flow.Connection) float64 { return s.CLAP.Score(c).Adversarial })
 			}
 			b.ReportMetric(float64(pkts*b.N)/b.Elapsed().Seconds(), "pkts/s")
 		})
@@ -388,11 +388,10 @@ func BenchmarkEngineAssemble(b *testing.B) {
 }
 
 // --- Backend throughput trajectory: pkts/s for every registered backend
-// across worker counts, micro-batch sizes and lockstep widths, written to
-// BENCH_pr9.json so CI uploads a machine-readable benchmark artifact per
-// PR (the BENCH trajectory) and cmd/bench-gate can compare it against the
-// committed BENCH_pr4.json snapshot and hold the within-artifact
-// lockstep/serial ratio floor.
+// across worker counts and micro-batch sizes, written to BENCH_pr9.json so
+// CI uploads a machine-readable benchmark artifact per PR (the BENCH
+// trajectory) and cmd/bench-gate can compare it against the committed
+// snapshot and hold the within-artifact cascade/clap ratio floor.
 
 // benchTrajectory accumulates BenchmarkBackendThroughput samples; the
 // file is rewritten after every sample so partial bench runs still leave
@@ -405,16 +404,15 @@ var benchTrajectory = struct {
 type benchSample struct {
 	Backend    string  `json:"backend"`
 	Workers    int     `json:"workers"`
-	Batch      int     `json:"batch,omitempty"`    // 0/absent: unbatched (pre-PR4 snapshots)
-	Lockstep   int     `json:"lockstep,omitempty"` // 0/absent: per-connection recurrences (pre-PR9 snapshots)
+	Batch      int     `json:"batch,omitempty"` // 0/absent: unbatched (snapshots older than BENCH_pr4.json)
 	PktsPerSec float64 `json:"pkts_per_sec"`
 }
 
-func recordBenchSample(backendTag string, workers, batch, lockstep int, pktsPerSec float64) {
+func recordBenchSample(backendTag string, workers, batch int, pktsPerSec float64) {
 	benchTrajectory.Lock()
 	defer benchTrajectory.Unlock()
-	key := fmt.Sprintf("%s/%03d/%05d/%03d", backendTag, workers, batch, lockstep)
-	benchTrajectory.samples[key] = benchSample{Backend: backendTag, Workers: workers, Batch: batch, Lockstep: lockstep, PktsPerSec: pktsPerSec}
+	key := fmt.Sprintf("%s/%03d/%05d", backendTag, workers, batch)
+	benchTrajectory.samples[key] = benchSample{Backend: backendTag, Workers: workers, Batch: batch, PktsPerSec: pktsPerSec}
 
 	keys := make([]string, 0, len(benchTrajectory.samples))
 	for k := range benchTrajectory.samples {
@@ -438,15 +436,13 @@ func recordBenchSample(backendTag string, workers, batch, lockstep int, pktsPerS
 }
 
 // BenchmarkBackendThroughput measures scoring throughput (pkts/s) for
-// each registered backend across worker counts, micro-batch sizes and
-// lockstep widths, recording the samples into BENCH_pr9.json. batch=1 is
-// the unbatched path (comparable to the BENCH_pr3 snapshot); larger
-// batches run the micro-batched matrix-matrix kernels on capable
-// backends; lockstep>0 additionally steps the GRU recurrence across that
-// many connections at once (scores are bit-identical on every variant —
-// see the engine and pipeline determinism tests). Sub-benchmark names
-// carry backend, workers, batch and lockstep, so the text output doubles
-// as the human-readable table.
+// each registered backend across worker counts and micro-batch sizes,
+// recording the samples into BENCH_pr9.json. batch=1 is the unbatched path
+// (comparable to the BENCH_pr3 snapshot); larger batches run the
+// micro-batched matrix-matrix kernels on capable backends (scores are
+// bit-identical on every variant — see the engine and pipeline
+// determinism tests). Sub-benchmark names carry backend, workers and
+// batch, so the text output doubles as the human-readable table.
 func BenchmarkBackendThroughput(b *testing.B) {
 	s, _ := fixture(b)
 	conns := append(append([]*flow.Connection{}, s.Data.TestBenign...), advCorpus(s)...)
@@ -475,47 +471,9 @@ func BenchmarkBackendThroughput(b *testing.B) {
 					}
 					rate := float64(pkts*b.N) / b.Elapsed().Seconds()
 					b.ReportMetric(rate, "pkts/s")
-					recordBenchSample(tag, workers, batchN, 0, rate)
+					recordBenchSample(tag, workers, batchN, rate)
 				})
 			}
-		}
-
-		// Cross-connection lockstep rows, only for backends whose model
-		// actually opens a fleet session (gate-free models decline and
-		// would just re-measure the rows above). The batch sweep at fixed
-		// width=DefaultLockstep documents the DefaultBatch interaction:
-		// with lockstep on, windows from the whole fleet pool into the
-		// micro-batches, so batch != DefaultBatch mostly shifts AE-kernel
-		// granularity rather than fleet occupancy.
-		ls, ok := bk.(backend.LockstepScorer)
-		if !ok || ls.OpenLockstep(1) == nil {
-			continue
-		}
-		for _, workers := range []int{1, 4, 8} {
-			for _, width := range []int{6, engine.DefaultLockstep} {
-				eng := engine.New(engine.Options{Workers: workers, Batch: engine.DefaultBatch, Lockstep: width})
-				b.Run(fmt.Sprintf("%s/workers=%d/batch=%d/lockstep=%d", tag, workers, engine.DefaultBatch, width), func(b *testing.B) {
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						_ = eng.ScoresBatched(bk, conns)
-					}
-					rate := float64(pkts*b.N) / b.Elapsed().Seconds()
-					b.ReportMetric(rate, "pkts/s")
-					recordBenchSample(tag, workers, engine.DefaultBatch, width, rate)
-				})
-			}
-		}
-		for _, batchN := range []int{6, 60} {
-			eng := engine.New(engine.Options{Workers: 1, Batch: batchN, Lockstep: engine.DefaultLockstep})
-			b.Run(fmt.Sprintf("%s/workers=1/batch=%d/lockstep=%d", tag, batchN, engine.DefaultLockstep), func(b *testing.B) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = eng.ScoresBatched(bk, conns)
-				}
-				rate := float64(pkts*b.N) / b.Elapsed().Seconds()
-				b.ReportMetric(rate, "pkts/s")
-				recordBenchSample(tag, 1, batchN, engine.DefaultLockstep, rate)
-			})
 		}
 	}
 
@@ -551,22 +509,7 @@ func BenchmarkBackendThroughput(b *testing.B) {
 			}
 			rate := float64(heavyPkts*b.N) / b.Elapsed().Seconds()
 			b.ReportMetric(rate, "pkts/s")
-			recordBenchSample(backend.TagCascade, workers, 1, 0, rate)
-		})
-	}
-	// Cascade with lockstep: stage 1 stays per-connection (gate-free
-	// baseline1 declines the fleet) but escalated stage-2 re-scores run
-	// the clap gates lockstep-wide through the grouped composite path.
-	for _, workers := range []int{1, 4, 8} {
-		eng := engine.New(engine.Options{Workers: workers, Batch: engine.DefaultBatch, Lockstep: engine.DefaultLockstep})
-		b.Run(fmt.Sprintf("cascade/workers=%d/batch=1/lockstep=%d", workers, engine.DefaultLockstep), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = eng.ScoresBatched(cascade, heavy)
-			}
-			rate := float64(heavyPkts*b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(rate, "pkts/s")
-			recordBenchSample(backend.TagCascade, workers, 1, engine.DefaultLockstep, rate)
+			recordBenchSample(backend.TagCascade, workers, 1, rate)
 		})
 	}
 }

@@ -38,7 +38,8 @@ func cascadeStage1(t *testing.T) Backend {
 // across batch {1,24} × workers {1,4}, every escalated connection's score
 // through the cascade pipeline equals the pure-CLAP pipeline's score for
 // that connection bit for bit, and non-escalated connections reduce the
-// cheap stage's series.
+// cheap stage's series. A Run and a stream over the same corpus leave the
+// same escalation counters as per-connection routing.
 func TestCascadePipelineDeterminism(t *testing.T) {
 	s1 := cascadeStage1(t)
 	s2 := pipelineBackend(t)
@@ -86,10 +87,12 @@ func TestCascadePipelineDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				cascade.ResetEscalationCounts()
 				sum, err := p.Run(probe())
 				if err != nil {
 					t.Fatal(err)
 				}
+				runEval, runEsc := cascade.EscalationCounts()
 				if len(sum.Results) != len(pureSum.Results) {
 					t.Fatalf("%d results, want %d", len(sum.Results), len(pureSum.Results))
 				}
@@ -111,6 +114,29 @@ func TestCascadePipelineDeterminism(t *testing.T) {
 				}
 				if escalated == 0 {
 					t.Fatal("probe corpus escalated nothing; determinism not exercised")
+				}
+				if runEval != uint64(len(sum.Results)) || runEsc != uint64(escalated) {
+					t.Fatalf("run counted %d/%d escalated, routing %d/%d",
+						runEsc, runEval, escalated, len(sum.Results))
+				}
+
+				cascade.ResetEscalationCounts()
+				var streamed []Result
+				s, err := p.NewStream(func(r Result) { streamed = append(streamed, r) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range sum.Results {
+					s.Submit(r.Conn)
+				}
+				s.Close()
+				for i, r := range streamed {
+					if r.Score != sum.Results[i].Score {
+						t.Fatalf("stream conn %d: score %v != run %v", i, r.Score, sum.Results[i].Score)
+					}
+				}
+				if ev, es := cascade.EscalationCounts(); ev != runEval || es != runEsc {
+					t.Fatalf("stream counted %d/%d escalated, run %d/%d", es, ev, runEsc, runEval)
 				}
 			})
 		}

@@ -131,7 +131,9 @@
 // count:
 //
 //	eng := clap.NewEngine(0) // 0 = all cores
-//	scores := eng.ScoreAll(det, conns)
+//	scores := eng.MapFloat(conns, func(c *clap.Connection) float64 {
+//	        return det.Score(c).Adversarial
+//	})
 //
 // Scoring through the Pipeline (or clap-detect/clap-serve) also batches
 // inference on capable backends: stacked-profile windows from many
@@ -139,20 +141,6 @@
 // matrix-vector pass each — ≥2× single-core throughput for CLAP with
 // bit-identical scores (DESIGN.md §8). WithBatchSize (or the CLIs'
 // -batch flag) tunes the micro-batch size; 1 disables batching.
-//
-// WithLockstep(k) (or the CLIs' -lockstep flag; 0 disables, -1 on the
-// CLIs selects the bench-tuned DefaultLockstep) additionally steps the
-// GRU recurrence across k connections at once: k hidden states advance
-// as the rows of one matrix-matrix pass per gate, with a ragged-batch
-// scheduler retiring finished connections and refilling rows mid-flight
-// (DESIGN.md §13). Scores stay bit-identical to the serial path — the
-// fleet only reorders which connection steps when, never the arithmetic
-// inside any one connection — and with lockstep off every code path and
-// served byte is identical to builds before the feature:
-//
-//	p, _ := clap.NewPipeline(
-//	        clap.WithBackend(b),
-//	        clap.WithLockstep(clap.DefaultLockstep))
 //
 // When CLAP's accuracy is needed at closer to Baseline #1's throughput,
 // tier the two (DESIGN.md §10): a cascade screens every connection with
@@ -229,9 +217,6 @@ type (
 	// knobs the CLIs expose (-workers/-shards), available to library users
 	// through NewEngineOpts.
 	EngineOptions = engine.Options
-	// Stream scores submitted connections concurrently and emits results in
-	// submission order — the online-deployment mode.
-	Stream = engine.Stream
 	// Backend is the backend-agnostic detection contract every detector
 	// family implements: CLAP, Baseline #1, Kitsune, and anything
 	// registered since.
@@ -280,11 +265,6 @@ const (
 	BackendKitsune   = backend.TagKitsune
 	BackendCascade   = backend.TagCascade
 )
-
-// DefaultLockstep is the bench-tuned cross-connection lockstep width —
-// what the CLIs select for `-lockstep -1`, for callers passing
-// WithLockstep that just want the feature on.
-const DefaultLockstep = engine.DefaultLockstep
 
 // NewEngine returns a parallel scoring engine with the given worker count;
 // 0 sizes it to the machine. Scores produced through an Engine are

@@ -8,6 +8,9 @@ import (
 
 // artifact mirrors the JSON BenchmarkBackendThroughput writes. Batch is
 // absent in pre-PR4 snapshots (those rows are the unbatched path).
+// Lockstep is set only on rows of snapshots taken while the engine could
+// step GRU recurrences across connections (BENCH_pr9.json); that mode is
+// gone, so best never selects those rows.
 type artifact struct {
 	PR         int      `json:"pr"`
 	Profile    string   `json:"profile"`
@@ -19,7 +22,7 @@ type sample struct {
 	Backend    string  `json:"backend"`
 	Workers    int     `json:"workers"`
 	Batch      int     `json:"batch,omitempty"`
-	Lockstep   int     `json:"lockstep,omitempty"` // 0/absent: per-connection recurrences (pre-PR9 snapshots)
+	Lockstep   int     `json:"lockstep,omitempty"` // > 0: a row of the removed cross-connection mode
 	PktsPerSec float64 `json:"pkts_per_sec"`
 }
 
@@ -48,15 +51,13 @@ type verdict struct {
 }
 
 // best returns the highest-throughput sample for one backend/workers cell
-// across its batch variants; ok is false when the cell is absent.
-// lockstepOn selects the fleet-stepped rows (Lockstep > 0) or the
-// per-connection rows (Lockstep == 0; all rows of pre-PR9 artifacts) —
-// the two are separate deployment modes, so a gate never mixes them.
-func best(a *artifact, backendTag string, workers int, lockstepOn bool) (sample, bool) {
+// across its batch variants, skipping rows of the removed cross-connection
+// mode; ok is false when the cell is absent.
+func best(a *artifact, backendTag string, workers int) (sample, bool) {
 	var top sample
 	found := false
 	for _, s := range a.Results {
-		if s.Backend != backendTag || s.Workers != workers || (s.Lockstep > 0) != lockstepOn {
+		if s.Backend != backendTag || s.Workers != workers || s.Lockstep > 0 {
 			continue
 		}
 		if !found || s.PktsPerSec > top.PktsPerSec {
@@ -69,11 +70,11 @@ func best(a *artifact, backendTag string, workers int, lockstepOn bool) (sample,
 // gate compares the fresh artifact against the baseline for one
 // backend/workers cell.
 func gate(oldArt, newArt *artifact, backendTag string, workers int, maxRegress, minSpeedup float64) (verdict, error) {
-	base, ok := best(oldArt, backendTag, workers, false)
+	base, ok := best(oldArt, backendTag, workers)
 	if !ok {
 		return verdict{}, fmt.Errorf("baseline has no %s workers=%d sample", backendTag, workers)
 	}
-	top, ok := best(newArt, backendTag, workers, false)
+	top, ok := best(newArt, backendTag, workers)
 	if !ok {
 		return verdict{}, fmt.Errorf("fresh artifact has no %s workers=%d sample", backendTag, workers)
 	}
@@ -104,11 +105,11 @@ type ratioVerdict struct {
 // across batch variants) — e.g. the cascade's required serial speedup
 // over pure clap on the benign-heavy profile.
 func ratioGate(a *artifact, numTag, denTag string, workers int, minRatio float64) (ratioVerdict, error) {
-	num, ok := best(a, numTag, workers, false)
+	num, ok := best(a, numTag, workers)
 	if !ok {
 		return ratioVerdict{}, fmt.Errorf("artifact has no %s workers=%d sample", numTag, workers)
 	}
-	den, ok := best(a, denTag, workers, false)
+	den, ok := best(a, denTag, workers)
 	if !ok {
 		return ratioVerdict{}, fmt.Errorf("artifact has no %s workers=%d sample", denTag, workers)
 	}
@@ -117,42 +118,6 @@ func ratioGate(a *artifact, numTag, denTag string, workers int, minRatio float64
 		v.Failures = append(v.Failures, fmt.Sprintf(
 			"RATIO FLOOR: %s is %.2fx %s (%.0f vs %.0f pkts/s), below the required %.2fx",
 			numTag, v.Ratio, denTag, v.Num, v.Den, minRatio))
-	}
-	return v, nil
-}
-
-// lockstepGate asserts that backend tag's best fleet-stepped throughput
-// (lockstep > 0, best across batch and width variants) is at least
-// minRatio times its per-connection serial throughput (batch <= 1,
-// lockstep off — the one-recurrence-at-a-time path the fleet refactor
-// replaced) within one artifact at the same worker count. Same run, same
-// machine, so hardware variance cancels. The batched-but-serial rows are
-// deliberately not the denominator: on small CI boxes they sit within
-// noise of the fleet rows, and the contract being held is that fleet
-// stepping keeps beating the per-connection path, not batch-size tuning.
-func lockstepGate(a *artifact, tag string, workers int, minRatio float64) (ratioVerdict, error) {
-	num, ok := best(a, tag, workers, true)
-	if !ok {
-		return ratioVerdict{}, fmt.Errorf("artifact has no %s workers=%d lockstep sample", tag, workers)
-	}
-	var den sample
-	found := false
-	for _, s := range a.Results {
-		if s.Backend != tag || s.Workers != workers || s.Lockstep > 0 || s.Batch > 1 {
-			continue
-		}
-		if !found || s.PktsPerSec > den.PktsPerSec {
-			den, found = s, true
-		}
-	}
-	if !found {
-		return ratioVerdict{}, fmt.Errorf("artifact has no %s workers=%d per-connection serial sample", tag, workers)
-	}
-	v := ratioVerdict{Num: num.PktsPerSec, Den: den.PktsPerSec, Ratio: num.PktsPerSec / den.PktsPerSec}
-	if minRatio > 0 && v.Ratio < minRatio {
-		v.Failures = append(v.Failures, fmt.Sprintf(
-			"LOCKSTEP FLOOR: %s lockstep=%d is %.2fx its serial path (%.0f vs %.0f pkts/s), below the required %.2fx",
-			tag, num.Lockstep, v.Ratio, v.Num, v.Den, minRatio))
 	}
 	return v, nil
 }

@@ -129,48 +129,10 @@ func TestRatioGate(t *testing.T) {
 	}
 }
 
-func TestLockstepGate(t *testing.T) {
-	a := art(
-		sample{Backend: "clap", Workers: 1, Batch: 1, PktsPerSec: 8000},
-		sample{Backend: "clap", Workers: 1, Batch: 24, PktsPerSec: 21000},
-		sample{Backend: "clap", Workers: 1, Batch: 24, Lockstep: 6, PktsPerSec: 22000},
-		sample{Backend: "clap", Workers: 1, Batch: 24, Lockstep: 24, PktsPerSec: 20000},
-	)
-	v, err := lockstepGate(a, "clap", 1, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Failures != nil {
-		t.Fatalf("lockstep gate failed: %v", v.Failures)
-	}
-	// Numerator: best lockstep row (22000). Denominator: the
-	// per-connection serial row (batch<=1, 8000) — NOT the batched
-	// serial 21000 sample.
-	if v.Num != 22000 || v.Den != 8000 {
-		t.Fatalf("picked %v / %v, want 22000 / 8000", v.Num, v.Den)
-	}
-
-	v, err = lockstepGate(a, "clap", 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Failures) != 1 || !strings.Contains(v.Failures[0], "LOCKSTEP FLOOR") {
-		t.Fatalf("failures = %v, want one LOCKSTEP FLOOR", v.Failures)
-	}
-
-	noLS := art(sample{Backend: "clap", Workers: 1, Batch: 1, PktsPerSec: 8000})
-	if _, err := lockstepGate(noLS, "clap", 1, 1.5); err == nil {
-		t.Fatal("missing lockstep cell accepted")
-	}
-	noSerial := art(sample{Backend: "clap", Workers: 1, Batch: 24, Lockstep: 24, PktsPerSec: 20000})
-	if _, err := lockstepGate(noSerial, "clap", 1, 1.5); err == nil {
-		t.Fatal("missing per-connection serial cell accepted")
-	}
-}
-
-// TestLockstepRowsStaySeparate pins that fleet-stepped samples never leak
-// into the serial selections: the regression gate and the cross-backend
-// ratio gate must compare the per-connection deployment mode only.
+// TestLockstepRowsStaySeparate pins that rows of the removed
+// cross-connection mode, still present in the committed BENCH_pr9.json
+// baseline, never leak into the regression gate or the cross-backend
+// ratio gate.
 func TestLockstepRowsStaySeparate(t *testing.T) {
 	oldArt := art(sample{Backend: "clap", Workers: 1, PktsPerSec: 10000})
 	newArt := art(

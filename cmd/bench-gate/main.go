@@ -12,21 +12,15 @@
 //
 // -ratio additionally asserts a cross-backend throughput ratio within
 // the fresh artifact — the cascade's contract is that its serial
-// benign-heavy throughput stays at least 5x pure clap's.
-//
-// -lockstep-ratio asserts, also within the fresh artifact, that a
-// backend's best fleet-stepped (lockstep > 0) throughput holds a floor
-// over its own best per-connection throughput — the cross-connection
-// lockstep refactor must keep paying for itself. Both within-artifact
-// checks compare samples from the same run on the same machine, so
-// runner hardware variance cancels.
+// benign-heavy throughput stays at least 5x pure clap's. It compares
+// samples from the same run on the same machine, so runner hardware
+// variance cancels.
 //
 // Usage:
 //
 //	bench-gate -old BENCH_pr4.json -new BENCH_pr9.json
 //	bench-gate -old BENCH_pr4.json -new BENCH_pr9.json -max-regress 0.10 -min-speedup 2
 //	bench-gate -new BENCH_pr9.json -ratio cascade/clap -min-ratio 5
-//	bench-gate -new BENCH_pr9.json -lockstep-ratio clap -min-lockstep-ratio 1.5
 package main
 
 import (
@@ -47,15 +41,13 @@ func main() {
 		minSpeedup = flag.Float64("min-speedup", 0, "additionally fail below this new/old speedup (0: no floor)")
 		ratioSpec  = flag.String("ratio", "", "cross-backend ratio to check within -new, as num/den (e.g. cascade/clap)")
 		minRatio   = flag.Float64("min-ratio", 0, "fail when the -ratio pair's throughput ratio is below this floor (0: no floor)")
-		lsTag      = flag.String("lockstep-ratio", "", "backend whose lockstep/serial throughput ratio is checked within -new (e.g. clap)")
-		minLSRatio = flag.Float64("min-lockstep-ratio", 0, "fail when the -lockstep-ratio backend's lockstep/serial ratio is below this floor (0: no floor)")
 	)
 	flag.Parse()
 	if *newPath == "" {
 		log.Fatal("need -new")
 	}
-	if *oldPath == "" && *ratioSpec == "" && *lsTag == "" {
-		log.Fatal("need -old (or -ratio / -lockstep-ratio for a ratio-only check)")
+	if *oldPath == "" && *ratioSpec == "" {
+		log.Fatal("need -old (or -ratio for a ratio-only check)")
 	}
 
 	newArt, err := readArtifact(*newPath)
@@ -94,18 +86,6 @@ func main() {
 			log.Print(f)
 		}
 		failed = failed || rv.Failures != nil
-	}
-	if *lsTag != "" {
-		lv, err := lockstepGate(newArt, *lsTag, *workers, *minLSRatio)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("%s lockstep/serial workers=%d: %.0f vs %.0f pkts/s: %.2fx (floor %.2fx)",
-			*lsTag, *workers, lv.Num, lv.Den, lv.Ratio, *minLSRatio)
-		for _, f := range lv.Failures {
-			log.Print(f)
-		}
-		failed = failed || lv.Failures != nil
 	}
 	if failed {
 		log.Fatal("benchmark gate FAILED")

@@ -38,7 +38,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "scoring workers (0: all cores)")
 		shards      = flag.Int("shards", 0, "assembly shards (0: same as workers)")
 		batch       = flag.Int("batch", 0, "inference micro-batch size (0: default 24; 1: unbatched)")
-		lockstep    = flag.Int("lockstep", 0, "cross-connection GRU lockstep width (0: off; -1: bench-tuned default)")
 		escalateFPR = flag.Float64("escalate-fpr", 0,
 			"cascade models: override the persisted escalate-FPR (takes effect at -calibrate)")
 	)
@@ -75,13 +74,6 @@ func main() {
 	}
 	if *batch > 0 {
 		opts = append(opts, clap.WithBatchSize(*batch))
-	}
-	if *lockstep != 0 {
-		w := *lockstep
-		if w < 0 {
-			w = clap.DefaultLockstep
-		}
-		opts = append(opts, clap.WithLockstep(w))
 	}
 	if *calibrate != "" {
 		opts = append(opts, clap.WithThresholdFPR(*fpr, clap.PCAPFile(*calibrate)))

@@ -210,13 +210,12 @@ func main() {
 		fpr         = flag.Float64("fpr", 0.01, "target false-positive rate for -calibrate")
 		escalateFPR = flag.Float64("escalate-fpr", 0,
 			"cascade models: override the persisted escalate-FPR (takes effect at -calibrate)")
-		top      = flag.Int("top", 5, "Top-N windows to localize per flagged connection (negative: disable localization)")
-		workers  = flag.Int("workers", 0, "scoring workers (0: all cores)")
-		shards   = flag.Int("shards", 0, "assembly shards (0: same as workers)")
-		batch    = flag.Int("batch", 0, "inference micro-batch size (0: default 24; 1: unbatched)")
-		lockstep = flag.Int("lockstep", 0, "cross-connection GRU lockstep width (0: off; -1: bench-tuned default)")
-		queue    = flag.Int("queue", 256, "ingest queue depth")
-		shed     = flag.Bool("shed", false, "drop connections at a full queue instead of backpressuring sources")
+		top     = flag.Int("top", 5, "Top-N windows to localize per flagged connection (negative: disable localization)")
+		workers = flag.Int("workers", 0, "scoring workers (0: all cores)")
+		shards  = flag.Int("shards", 0, "assembly shards (0: same as workers)")
+		batch   = flag.Int("batch", 0, "inference micro-batch size (0: default 24; 1: unbatched)")
+		queue   = flag.Int("queue", 256, "ingest queue depth")
+		shed    = flag.Bool("shed", false, "drop connections at a full queue instead of backpressuring sources")
 
 		tail   = flag.String("tail", "", "follow a growing pcap file")
 		stdin  = flag.Bool("stdin", false, "read pcap records from stdin (a pipe or fifo)")
@@ -303,10 +302,6 @@ func main() {
 	}
 	log.Printf("loaded %s", b.Describe())
 
-	lockstepWidth := *lockstep
-	if lockstepWidth < 0 {
-		lockstepWidth = clap.DefaultLockstep
-	}
 	cfg := serve.Config{
 		Backend:        b,
 		ModelPath:      *model,
@@ -314,7 +309,6 @@ func main() {
 		Workers:        *workers,
 		Shards:         *shards,
 		Batch:          *batch,
-		Lockstep:       lockstepWidth,
 		Threshold:      *threshold,
 		TopN:           *top,
 		QueueDepth:     *queue,

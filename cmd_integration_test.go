@@ -193,28 +193,6 @@ func TestClapDetectEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Cross-connection lockstep must also reproduce the serial output
-	// byte-for-byte: the fleet reorders which connection steps when, never
-	// the arithmetic inside any one connection. -lockstep -1 exercises the
-	// bench-tuned default width.
-	for _, ls := range []string{"1", "6", "24", "-1"} {
-		for _, wk := range []string{"1", "4"} {
-			par := goRun(t, "./cmd/clap-detect", "-in", adv, "-model", model,
-				"-all", "-workers", wk, "-shards", wk, "-lockstep", ls)
-			parScores := scoreLines(par)
-			if len(parScores) != len(serialScores) {
-				t.Fatalf("lockstep=%s workers=%s: %d scored connections, serial %d",
-					ls, wk, len(parScores), len(serialScores))
-			}
-			for i := range parScores {
-				if parScores[i] != serialScores[i] {
-					t.Fatalf("lockstep=%s workers=%s: line %d diverged\nlockstep: %s\nserial:   %s",
-						ls, wk, i, parScores[i], serialScores[i])
-				}
-			}
-		}
-	}
-
 	// The matrix kernel changes the wall clock and nothing else: the default
 	// build (AVX2 panels where the CPU has them) and a -tags purego build
 	// (the portable Go kernel) must print the same bytes — the six-decimal

@@ -92,58 +92,6 @@ type BatchRecycler interface {
 	RecycleWindows(wins [][]float64)
 }
 
-// LockstepSession is one fleet of up to K recurrences stepped in
-// lockstep — the cross-connection batching capability's working state.
-// The caller (the engine's ragged scheduler) binds connections to fleet
-// rows, advances the compacted active prefix step by step, and harvests
-// each finished row's model-input windows:
-//
-//	steps := sess.Load(row, c)  // 0: c produces no windows, row stays free
-//	sess.Step(n)                // one step for every row in [0, n)
-//	wins := sess.Windows(row)   // after its steps: same rows as Windows(c)
-//	sess.Move(dst, src)         // compaction; src must be live, dst harvested
-//
-// The contract mirrors BatchScorer's: a row's Windows result is
-// bit-identical to Windows(c) — fleet width, co-residents and
-// compaction never change bits — and recycles through BatchRecycler the
-// same way. A session is single-goroutine state; open one per worker.
-type LockstepSession interface {
-	Load(row int, c *flow.Connection) int
-	Step(n int)
-	Windows(row int) [][]float64
-	Move(dst, src int)
-}
-
-// LockstepScorer is an optional refinement of BatchScorer: the backend's
-// window production runs a recurrence that can be stepped K connections
-// wide (one matrix-matrix pass per gate per step instead of K
-// matrix-vector passes). OpenLockstep returns nil when the trained
-// model has no recurrence to batch (e.g. a gate-free configuration) —
-// callers then fall back to per-connection Windows.
-type LockstepScorer interface {
-	BatchScorer
-	OpenLockstep(k int) LockstepSession
-}
-
-// StageSeriesFunc scores a uniform group of connections with one
-// constituent backend, returning each connection's window-error series
-// in input order — bit-identical to stage.WindowErrors per connection.
-// The engine passes its cross-connection batched pass (lockstep gate
-// production plus micro-batched window scoring) so a composite's stages
-// ride the same kernels as standalone backends.
-type StageSeriesFunc func(stage Backend, conns []*flow.Connection) [][]float64
-
-// GroupScorer is an optional Backend capability for composite backends
-// whose batching needs internal routing knowledge: the cascade screens a
-// whole group with stage 1, then re-scores only the escalated subset
-// with stage 2 — and cross-connection batching must happen per stage,
-// inside the routing, not outside it. WindowErrorsGroup returns every
-// connection's series in input order, bit-identical to per-connection
-// WindowErrors, with identical side effects (escalation counters).
-type GroupScorer interface {
-	WindowErrorsGroup(conns []*flow.Connection, stageSeries StageSeriesFunc) [][]float64
-}
-
 // StageCalibrator is an optional Backend capability for composite
 // backends whose internal routing carries thresholds of its own (the
 // cascade's escalation threshold). Calibration layers invoke it with the

@@ -307,49 +307,6 @@ func (b *Cascade) WindowErrorsRouted(c *flow.Connection) (errs []float64, escala
 	return stageSeries(b.s2, c), true, score
 }
 
-// WindowErrorsGroup implements GroupScorer: the group path of the
-// escalation routing above. Stage 1 screens the whole group through the
-// caller's cross-connection batched pass, then ONLY the escalated subset
-// rides a second cross-connection pass through stage 2 — so the
-// expensive stage's GRU recurrence steps escalated connections in
-// lockstep instead of one at a time. Series and escalation counters are
-// identical to calling WindowErrors per connection: screened series are
-// the same threshold-shifted stage-1 margins, escalated series the same
-// stage-2 bits (batch splits never change bits — the BatchScorer
-// contract both stages pin).
-func (b *Cascade) WindowErrorsGroup(conns []*flow.Connection, stageSeries StageSeriesFunc) [][]float64 {
-	out := stageSeries(b.s1, conns)
-	b.stats.evaluated.Add(uint64(len(conns)))
-	th, set := b.Escalation()
-	var escIdx []int
-	for i, e1 := range out {
-		if set {
-			if score, _ := b.s1.Summarize(e1); score < th {
-				for j := range e1 {
-					e1[j] -= th
-				}
-				continue
-			}
-		}
-		escIdx = append(escIdx, i)
-	}
-	b.stats.escalated.Add(uint64(len(escIdx)))
-	if len(escIdx) == 0 {
-		return out
-	}
-	esc := make([]*flow.Connection, len(escIdx))
-	for j, i := range escIdx {
-		esc[j] = conns[i]
-	}
-	e2 := stageSeries(b.s2, esc)
-	for j, i := range escIdx {
-		out[i] = e2[j]
-	}
-	return out
-}
-
-var _ GroupScorer = (*Cascade)(nil)
-
 // Router is implemented by composite backends that can attribute a
 // verdict to the internal stage that settled it. The streaming scorer
 // routes through it when provenance capture is on, so a decision record

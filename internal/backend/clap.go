@@ -34,13 +34,10 @@ func init() {
 }
 
 // CLAP (and therefore Baseline #1) supports batched scoring with pooled,
-// recyclable window buffers, and cross-connection lockstep window
-// production when the configuration runs gates (Baseline #1's gate-free
-// config declines the session and falls back).
+// recyclable window buffers.
 var (
-	_ BatchScorer    = (*CLAP)(nil)
-	_ BatchRecycler  = (*CLAP)(nil)
-	_ LockstepScorer = (*CLAP)(nil)
+	_ BatchScorer   = (*CLAP)(nil)
+	_ BatchRecycler = (*CLAP)(nil)
 )
 
 // CLAP adapts the core.Detector pipeline family — both the full system and
@@ -140,17 +137,6 @@ func (b *CLAP) ScoreWindows(wins [][]float64) []float64 {
 // RecycleWindows implements backend.BatchRecycler: Windows results come
 // from a pooled arena; scored windows go back to it.
 func (b *CLAP) RecycleWindows(wins [][]float64) { b.Det.RecycleStacked(wins) }
-
-// OpenLockstep implements LockstepScorer: a k-row fleet stepping the
-// GRU recurrence across connections, producing windows bit-identical to
-// Windows(c). Gate-free configurations (Baseline #1) have no recurrence
-// on the scoring path and return nil — the documented fallback.
-func (b *CLAP) OpenLockstep(k int) LockstepSession {
-	if s := b.Det.NewLockstepSession(k); s != nil {
-		return s
-	}
-	return nil // typed-nil guard: a nil *core.LockstepSession must not box
-}
 
 // Save implements Backend (payload only; use the registry Save for the
 // tagged on-disk format).

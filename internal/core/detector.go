@@ -229,27 +229,13 @@ func getSlab(pool *sync.Pool, n, rows int) *slab {
 	return s
 }
 
-// profileSlab takes the slab a connection's n context profiles are built
-// in: a result when the profiles are themselves the windows (no stacking),
-// an intermediate otherwise.
-func (d *Detector) profileSlab(n int) *slab {
-	pool := &scratchPool
-	if d.Cfg.StackLength <= 1 {
-		pool = &windowPool
+// featWidth is the packet-feature prefix of a context profile row (the
+// part that comes straight from the feature vector, before gate blocks).
+func (d *Detector) featWidth() int {
+	if d.Cfg.UseAmplification {
+		return features.NumPacket
 	}
-	return getSlab(pool, n*d.Cfg.ProfileWidth(), n)
-}
-
-// vectorizePooled is Profile.Vectorize into a scratchPool slab, nil for an
-// empty connection. The caller puts the slab back once the vectors are
-// consumed.
-func (d *Detector) vectorizePooled(c *flow.Connection) (*slab, [][]float64) {
-	n := c.Len()
-	if n == 0 {
-		return nil, nil
-	}
-	fs := getSlab(&scratchPool, n*features.NumPacket, n)
-	return fs, d.Profile.VectorizeInto(c, fs.data[:n*features.NumPacket], fs.rows[:n])
+	return features.NumRNN
 }
 
 // contextProfiles fuses packet features with the RNN's per-step gate
@@ -385,7 +371,7 @@ func (d *Detector) stackPooled(profs [][]float64, t int) [][]float64 {
 }
 
 // StackedProfilesBatched is StackedProfiles through the batched GRU kernel
-// (nn.ForwardGatesBatch) — the stage-(b) half of the batched scoring path.
+// (nn.ForwardGatesBatchPooled) — the stage-(b) half of the batched scoring path.
 // Output is bit-identical to StackedProfiles, but the returned windows —
 // backing and row headers both — are carved from a pooled buffer: hand them
 // back via RecycleStacked once they have been scored, and do not touch them
@@ -393,14 +379,22 @@ func (d *Detector) stackPooled(profs [][]float64, t int) [][]float64 {
 // never leave this function; their slabs go back to the pool before it
 // returns, since each stage copies its rows into the next one's.
 func (d *Detector) StackedProfilesBatched(c *flow.Connection) [][]float64 {
-	fs, vecs := d.vectorizePooled(c)
-	if fs == nil {
+	n := c.Len()
+	if n == 0 {
 		return nil
 	}
-	ps := d.profileSlab(len(vecs))
+	fs := getSlab(&scratchPool, n*features.NumPacket, n)
+	vecs := d.Profile.VectorizeInto(c, fs.data[:n*features.NumPacket], fs.rows[:n])
+	// Without stacking the profiles are the windows, so their slab is a
+	// result; otherwise it is one more intermediate.
+	t := d.Cfg.StackLength
+	pool := &scratchPool
+	if t <= 1 {
+		pool = &windowPool
+	}
+	ps := getSlab(pool, n*d.Cfg.ProfileWidth(), n)
 	profs := d.contextProfiles(vecs, true, ps)
 	scratchPool.Put(fs)
-	t := d.Cfg.StackLength
 	if t <= 1 {
 		// The profiles are the windows; their buffer is recycled by
 		// RecycleStacked, not here.

@@ -20,21 +20,9 @@
 // of one matrix-vector pass per window — same bits, a fraction of the
 // wall clock.
 //
-// For backends that additionally expose backend.LockstepScorer the engine
-// batches the other axis too: window *production* runs a recurrence, and
-// with Options.Lockstep > 0 a ragged fleet scheduler steps up to Lockstep
-// connections' recurrences together — one matrix-matrix pass per gate per
-// step instead of one matrix-vector pass per connection per step. Rows
-// retire as their sequences end, vacant rows refill from the queued group,
-// and the active prefix compacts without ever reordering a row's own step
-// sequence, so every row's windows stay bit-identical to the serial path.
-// Composite backends (backend.GroupScorer) route whole groups through
-// their internal stages with the same kernels.
-//
 // The zero-config entry point is Default(); New lets callers pin worker,
-// shard, micro-batch and lockstep counts. An Engine holds no per-call
-// state — only monotonic occupancy counters (LockstepFill) — and is safe
-// for concurrent use.
+// shard and micro-batch counts. An Engine holds no per-call state and is
+// safe for concurrent use.
 package engine
 
 import (
@@ -79,37 +67,13 @@ type Options struct {
 	// backend.BatchScorer: how many windows ride one batched inference
 	// pass. <= 0 selects DefaultBatch; 1 disables batching.
 	Batch int
-	// Lockstep is the cross-connection GRU batching width for backends
-	// implementing backend.LockstepScorer: how many connections' gate
-	// recurrences step together through one matrix-matrix pass per gate.
-	// 0 (the default) disables lockstep — the per-connection window
-	// production path runs exactly as before, byte for byte. Widths that
-	// are whole MulMat blocks on both kernels (multiples of 8 and 6, e.g.
-	// DefaultLockstep) waste no padded or tail lanes on a full fleet.
-	Lockstep int
 }
-
-// DefaultLockstep is the lockstep width the CLIs default to when the
-// feature is switched on without an explicit width: equal to
-// DefaultBatch, so a full fleet feeds full micro-batches, and a whole
-// number of MulMat blocks on both kernels (see BENCH_pr9.json's sweep,
-// taken on the 6-lane Go kernel — throughput is flat from ~6 rows up once
-// the recurrent projections batch, so the knob mostly trades fleet memory
-// against fill).
-const DefaultLockstep = 24
 
 // Engine schedules per-connection work across a worker pool.
 type Engine struct {
-	workers  int
-	shards   int
-	batch    int
-	lockstep int
-
-	// Lockstep occupancy counters (LockstepFill): rows actually stepped
-	// vs. fleet slots available over the same steps. The engine is
-	// otherwise stateless; these are monotonic stats, safe concurrently.
-	lsRows  atomic.Uint64
-	lsSlots atomic.Uint64
+	workers int
+	shards  int
+	batch   int
 }
 
 // New builds an engine from options.
@@ -126,11 +90,7 @@ func New(o Options) *Engine {
 	if b <= 0 {
 		b = DefaultBatch
 	}
-	ls := o.Lockstep
-	if ls < 0 {
-		ls = 0
-	}
-	return &Engine{workers: w, shards: s, batch: b, lockstep: ls}
+	return &Engine{workers: w, shards: s, batch: b}
 }
 
 // Default returns an engine sized to the machine.
@@ -144,25 +104,6 @@ func (e *Engine) Shards() int { return e.shards }
 
 // Batch reports the configured micro-batch size (1: batching disabled).
 func (e *Engine) Batch() int { return e.batch }
-
-// Lockstep reports the configured cross-connection lockstep width
-// (0: disabled).
-func (e *Engine) Lockstep() int { return e.lockstep }
-
-// LockstepFill reports fleet occupancy since the engine was built: of the
-// fleet slots available across every lockstep step taken, the fraction
-// that held a live connection row. The ragged scheduler compacts the
-// active prefix so idle slots cost no arithmetic — fill below 1.0 means
-// groups drained toward their stragglers (smaller -lockstep or larger
-// groups raise it), not that compute was wasted on padding. Returns 0
-// before any lockstep work has run.
-func (e *Engine) LockstepFill() float64 {
-	slots := e.lsSlots.Load()
-	if slots == 0 {
-		return 0
-	}
-	return float64(e.lsRows.Load()) / float64(slots)
-}
 
 // ParallelFor runs fn(i) for every i in [0, n) across the worker pool. Work
 // is handed out through an atomic cursor, so callers writing fn results
@@ -216,22 +157,6 @@ func (e *Engine) parallelFor(n, minPer int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ScoreAll scores every connection with the detector, preserving input
-// order. Scores are bit-identical to calling det.Score serially.
-func (e *Engine) ScoreAll(det *core.Detector, conns []*flow.Connection) []core.Score {
-	out := make([]core.Score, len(conns))
-	e.ParallelFor(len(conns), func(i int) { out[i] = det.Score(conns[i]) })
-	return out
-}
-
-// AdversarialScores returns only the scalar adversarial score per
-// connection, in input order.
-func (e *Engine) AdversarialScores(det *core.Detector, conns []*flow.Connection) []float64 {
-	out := make([]float64, len(conns))
-	e.ParallelFor(len(conns), func(i int) { out[i] = det.Score(conns[i]).Adversarial })
-	return out
-}
-
 // MapFloat evaluates an arbitrary per-connection scalar (e.g. a baseline
 // detector's score function) across the pool, in input order. score must be
 // safe for concurrent calls.
@@ -241,18 +166,9 @@ func (e *Engine) MapFloat(conns []*flow.Connection, score func(*flow.Connection)
 	return out
 }
 
-// WindowErrorsAll computes per-window reconstruction errors for every
-// connection, in input order.
-func (e *Engine) WindowErrorsAll(det *core.Detector, conns []*flow.Connection) [][]float64 {
-	out := make([][]float64, len(conns))
-	e.ParallelFor(len(conns), func(i int) { out[i] = det.WindowErrors(conns[i]) })
-	return out
-}
-
 // ScoreBackend scores every connection with an arbitrary detection backend
-// across the pool, in input order — the backend-agnostic counterpart of
-// AdversarialScores. The backend must be trained (its scoring path is
-// required to be concurrency-safe by the Backend contract).
+// across the pool, in input order. The backend must be trained (its
+// scoring path is required to be concurrency-safe by the Backend contract).
 func (e *Engine) ScoreBackend(b backend.Backend, conns []*flow.Connection) []float64 {
 	return e.MapFloat(conns, b.ScoreConn)
 }
@@ -287,17 +203,10 @@ func (e *Engine) batchGroup() int {
 // capture never holds every window resident at once.
 //
 // Results are slot-indexed and bit-identical to the unbatched serial path
-// at any worker, shard, batch or lockstep size: batch boundaries only
-// split the window list, lockstep only reorders *which connection* steps
-// when (never a connection's own step order), and the BatchScorer /
-// LockstepScorer contracts pin every split to the same bits. Backends
-// without the capabilities fall back to WindowErrorsBackend; composite
-// backends implementing backend.GroupScorer route whole groups through
-// their internal stages when lockstep is enabled.
+// at any worker, shard or batch size: batch boundaries only split the
+// window list, and the BatchScorer contract pins every split to the same
+// bits. Backends without the capability fall back to WindowErrorsBackend.
 func (e *Engine) WindowErrorsBatched(b backend.Backend, conns []*flow.Connection) [][]float64 {
-	if gs, ok := b.(backend.GroupScorer); ok && e.lockstep > 0 && e.batch > 1 {
-		return e.windowErrorsGrouped(gs, conns)
-	}
 	bs, ok := b.(backend.BatchScorer)
 	if !ok || e.batch <= 1 {
 		return e.WindowErrorsBackend(b, conns)
@@ -318,16 +227,15 @@ func (e *Engine) WindowErrorsBatched(b backend.Backend, conns []*flow.Connection
 // micro-batched path.
 func (e *Engine) windowErrorsGroup(bs backend.BatchScorer, conns []*flow.Connection, out [][]float64) {
 	wins := make([][][]float64, len(conns))
-	e.produceWindows(bs, conns, wins)
-	e.scoreWindowSets(bs, wins, out, true)
+	e.ParallelFor(len(conns), func(i int) { wins[i] = bs.Windows(conns[i]) })
+	e.scoreWindowSets(bs, wins, out)
 }
 
 // scoreWindowSets flattens produced window sets, runs the pooled
-// micro-batch inference pass (fanned out across the pool when fanOut is
-// set, serially on the calling goroutine otherwise), carves each
-// connection's series from one flat error buffer, and hands pooled window
-// buffers back to the backend.
-func (e *Engine) scoreWindowSets(bs backend.BatchScorer, wins [][][]float64, out [][]float64, fanOut bool) {
+// micro-batch inference pass across the pool, carves each connection's
+// series from one flat error buffer, and hands pooled window buffers back
+// to the backend.
+func (e *Engine) scoreWindowSets(bs backend.BatchScorer, wins [][][]float64, out [][]float64) {
 	total := 0
 	for _, w := range wins {
 		total += len(w)
@@ -346,13 +254,7 @@ func (e *Engine) scoreWindowSets(bs backend.BatchScorer, wins [][][]float64, out
 		}
 		copy(errsFlat[blo:bhi], bs.ScoreWindows(flat[blo:bhi]))
 	}
-	if fanOut {
-		e.parallelForWide(nb, score)
-	} else {
-		for k := 0; k < nb; k++ {
-			score(k)
-		}
-	}
+	e.parallelForWide(nb, score)
 
 	at := 0
 	for i, w := range wins {
@@ -372,9 +274,7 @@ func (e *Engine) scoreWindowSets(bs backend.BatchScorer, wins [][][]float64, out
 // contract pins Summarize(WindowErrors(c)) == ScoreConn(c) bit for bit,
 // so scores are identical to the serial path at any batch size.
 func (e *Engine) ScoresBatched(b backend.Backend, conns []*flow.Connection) []float64 {
-	_, isBatch := b.(backend.BatchScorer)
-	_, isGroup := b.(backend.GroupScorer)
-	if (!isBatch && !(isGroup && e.lockstep > 0)) || e.batch <= 1 {
+	if _, ok := b.(backend.BatchScorer); !ok || e.batch <= 1 {
 		return e.ScoreBackend(b, conns)
 	}
 	errsAll := e.WindowErrorsBatched(b, conns)

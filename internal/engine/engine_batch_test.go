@@ -6,9 +6,14 @@ package engine
 // connection boundaries and the group bound.
 
 import (
+	"math/rand"
+	"sort"
+	"strconv"
 	"testing"
 
 	"clap/internal/backend"
+	"clap/internal/core"
+	"clap/internal/flow"
 )
 
 func TestWindowErrorsBatchedBitIdentity(t *testing.T) {
@@ -44,6 +49,188 @@ func TestWindowErrorsBatchedBitIdentity(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// raggedCorpus builds a corpus whose window-sequence lengths are
+// deliberately heterogeneous: the mixed benign/attack set plus
+// single-packet truncations, shuffled deterministically so the short
+// connections land between long ones.
+func raggedCorpus(t *testing.T, n int, seed int64) []*flow.Connection {
+	t.Helper()
+	conns := mixedCorpus(t, n, seed)
+	for i := 0; i < 4 && i < n; i++ {
+		src := conns[i]
+		conns = append(conns, &flow.Connection{
+			Key:     src.Key,
+			Packets: src.Packets[:1],
+			Dirs:    src.Dirs[:1],
+		})
+	}
+	rng := rand.New(rand.NewSource(seed + 7))
+	rng.Shuffle(len(conns), func(i, j int) { conns[i], conns[j] = conns[j], conns[i] })
+	return conns
+}
+
+func assertSeriesEqual(t *testing.T, label string, got, want [][]float64) {
+	t.Helper()
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: conn %d has %d errors, serial %d", label, i, len(got[i]), len(want[i]))
+		}
+		for w := range want[i] {
+			if got[i][w] != want[i][w] {
+				t.Fatalf("%s: conn %d window %d error %v != serial %v",
+					label, i, w, got[i][w], want[i][w])
+			}
+		}
+	}
+}
+
+// The four tests below keep the names of the cross-connection lockstep
+// tests they grew from; the lockstep scheduler is gone, and each now pins
+// the degenerate input it was written for on the one micro-batched path.
+
+// TestLockstepBatchedBitIdentity: the ragged corpus — one-window
+// connections shuffled between long ones — through the micro-batched path
+// matches the serial path bit for bit.
+func TestLockstepBatchedBitIdentity(t *testing.T) {
+	det := tinyDetector(t)
+	b := backend.FromDetector(det)
+	conns := raggedCorpus(t, 50, 13)
+
+	want := make([][]float64, len(conns))
+	wantScore := make([]float64, len(conns))
+	for i, c := range conns {
+		want[i] = b.WindowErrors(c)
+		wantScore[i] = b.ScoreConn(c)
+	}
+
+	for _, workers := range []int{1, 4} {
+		for _, batch := range []int{3, 24} {
+			eng := New(Options{Workers: workers, Batch: batch})
+			got := eng.WindowErrorsBatched(b, conns)
+			label := "workers=" + strconv.Itoa(workers) + " batch=" + strconv.Itoa(batch)
+			assertSeriesEqual(t, label, got, want)
+			gotScore := eng.ScoresBatched(b, conns)
+			for i := range conns {
+				if gotScore[i] != wantScore[i] {
+					t.Fatalf("%s: conn %d score %v != serial %v", label, i, gotScore[i], wantScore[i])
+				}
+			}
+		}
+	}
+}
+
+// TestLockstepOneConnectionGroup: a batch group holding a single
+// connection, with more workers than connections, matches the serial path.
+func TestLockstepOneConnectionGroup(t *testing.T) {
+	det := tinyDetector(t)
+	b := backend.FromDetector(det)
+	conns := mixedCorpus(t, 5, 3)[:1]
+	want := b.WindowErrors(conns[0])
+	eng := New(Options{Workers: 4, Batch: 8})
+	got := eng.WindowErrorsBatched(b, conns)
+	assertSeriesEqual(t, "single-conn group", got, [][]float64{want})
+}
+
+// TestLockstepGateFreeFallsBack: a gate-free model (Baseline #1's config)
+// has no recurrence on its scoring path; its window production through the
+// micro-batched path still matches the serial path bit for bit.
+func TestLockstepGateFreeFallsBack(t *testing.T) {
+	b := gateFreeBackend(t)
+	conns := mixedCorpus(t, 12, 5)
+	want := make([][]float64, len(conns))
+	for i, c := range conns {
+		want[i] = b.WindowErrors(c)
+	}
+	eng := New(Options{Workers: 2, Batch: 8})
+	got := eng.WindowErrorsBatched(b, conns)
+	assertSeriesEqual(t, "gate-free", got, want)
+}
+
+var (
+	gateFreeB1  *backend.CLAP
+	gateFreeErr error
+)
+
+// gateFreeBackend trains one shared tiny gate-free (Baseline #1 style)
+// backend: no gate features, no stacking — no recurrence on the scoring
+// path at all.
+func gateFreeBackend(t *testing.T) *backend.CLAP {
+	t.Helper()
+	if gateFreeB1 == nil && gateFreeErr == nil {
+		nb, err := backend.New(backend.TagBaseline1)
+		if err == nil {
+			b1 := nb.(*backend.CLAP)
+			cfg := core.TinyConfig()
+			cfg.UseUpdateGates, cfg.UseResetGates = false, false
+			cfg.StackLength = 1
+			b1.Cfg = cfg
+			err = b1.Train(genConns(30, 1), nil)
+			gateFreeB1 = b1
+		}
+		gateFreeErr = err
+	}
+	if gateFreeErr != nil {
+		t.Fatalf("training gate-free backend: %v", gateFreeErr)
+	}
+	return gateFreeB1
+}
+
+// TestLockstepCascadeGroupPath pins the composite route through the
+// engine: with roughly half the ragged corpus escalated, the cascade's
+// per-connection series and its escalation counters from
+// WindowErrorsBatched match per-connection routing exactly, at every
+// worker count, and ScoresBatched matches ScoreConn.
+func TestLockstepCascadeGroupPath(t *testing.T) {
+	s2 := backend.FromDetector(tinyDetector(t))
+	s1 := gateFreeBackend(t)
+	casc, err := backend.NewCascade(s1, s2, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := raggedCorpus(t, 40, 17)
+
+	// Escalate roughly half the corpus: pin the escalation threshold to
+	// the median stage-1 score so both branches of the routing run.
+	s1Scores := make([]float64, 0, len(conns))
+	for _, c := range conns {
+		s1Scores = append(s1Scores, s1.ScoreConn(c))
+	}
+	sorted := append([]float64(nil), s1Scores...)
+	sort.Float64s(sorted)
+	if err := casc.SetEscalation(sorted[len(sorted)/2]); err != nil {
+		t.Fatal(err)
+	}
+
+	want := make([][]float64, len(conns))
+	for i, c := range conns {
+		want[i] = casc.WindowErrors(c)
+	}
+	wantEval, wantEsc := casc.EscalationCounts()
+	if wantEsc == 0 || wantEsc == wantEval {
+		t.Fatalf("degenerate routing: %d/%d escalated", wantEsc, wantEval)
+	}
+
+	for _, workers := range []int{1, 4} {
+		casc.ResetEscalationCounts()
+		eng := New(Options{Workers: workers, Batch: 8})
+		got := eng.WindowErrorsBatched(casc, conns)
+		assertSeriesEqual(t, "cascade workers="+strconv.Itoa(workers), got, want)
+		gotEval, gotEsc := casc.EscalationCounts()
+		if gotEval != wantEval || gotEsc != wantEsc {
+			t.Fatalf("workers=%d: engine path counted %d/%d, routed path %d/%d",
+				workers, gotEsc, gotEval, wantEsc, wantEval)
+		}
+	}
+
+	eng := New(Options{Workers: 2, Batch: 8})
+	gotScores := eng.ScoresBatched(casc, conns)
+	for i, c := range conns {
+		if w := casc.ScoreConn(c); gotScores[i] != w {
+			t.Fatalf("conn %d: engine cascade score %v != serial %v", i, gotScores[i], w)
 		}
 	}
 }

@@ -88,9 +88,12 @@ func sameScore(t *testing.T, label string, i int, got, want core.Score) {
 
 // TestScoreAllDeterminism is the tentpole contract: engine scores over a
 // mixed benign/adversarial corpus are bit-identical to the serial path, in
-// the same order, at 1, 4 and 8 workers.
+// the same order, at 1, 4 and 8 workers — full Score values fanned out
+// with ParallelFor, the scalar scores MapFloat gives the evaluation code,
+// and the window-error series WindowErrorsBackend gives the pipeline.
 func TestScoreAllDeterminism(t *testing.T) {
 	det := tinyDetector(t)
+	b := backend.FromDetector(det)
 	conns := mixedCorpus(t, 24, 7)
 
 	want := make([]core.Score, len(conns))
@@ -100,27 +103,28 @@ func TestScoreAllDeterminism(t *testing.T) {
 
 	for _, workers := range []int{1, 4, 8} {
 		eng := New(Options{Workers: workers})
-		got := eng.ScoreAll(det, conns)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d scores for %d connections", workers, len(got), len(conns))
-		}
+		got := make([]core.Score, len(conns))
+		eng.ParallelFor(len(conns), func(i int) { got[i] = det.Score(conns[i]) })
 		for i := range got {
-			sameScore(t, "ScoreAll", i, got[i], want[i])
+			sameScore(t, "ParallelFor", i, got[i], want[i])
 		}
-		adv := eng.AdversarialScores(det, conns)
+		adv := eng.MapFloat(conns, func(c *flow.Connection) float64 { return det.Score(c).Adversarial })
+		if len(adv) != len(want) {
+			t.Fatalf("workers=%d: %d scores for %d connections", workers, len(adv), len(conns))
+		}
 		for i := range adv {
 			if adv[i] != want[i].Adversarial {
-				t.Fatalf("workers=%d: AdversarialScores[%d] = %v, want %v", workers, i, adv[i], want[i].Adversarial)
+				t.Fatalf("workers=%d: MapFloat[%d] = %v, want %v", workers, i, adv[i], want[i].Adversarial)
 			}
 		}
-		errs := eng.WindowErrorsAll(det, conns)
+		errs := eng.WindowErrorsBackend(b, conns)
 		for i := range errs {
 			if len(errs[i]) != len(want[i].Errors) {
-				t.Fatalf("workers=%d: WindowErrorsAll[%d] length mismatch", workers, i)
+				t.Fatalf("workers=%d: WindowErrorsBackend[%d] length mismatch", workers, i)
 			}
 			for w := range errs[i] {
 				if errs[i][w] != want[i].Errors[w] {
-					t.Fatalf("workers=%d: WindowErrorsAll[%d][%d] = %v, want %v", workers, i, w, errs[i][w], want[i].Errors[w])
+					t.Fatalf("workers=%d: WindowErrorsBackend[%d][%d] = %v, want %v", workers, i, w, errs[i][w], want[i].Errors[w])
 				}
 			}
 		}

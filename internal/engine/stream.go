@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"clap/internal/core"
 	"clap/internal/flow"
 )
 
@@ -38,9 +37,6 @@ type streamJob[T any] struct {
 	scored    time.Time
 }
 
-// Stream is the CLAP-native stream, kept as the common case's name.
-type Stream = StreamOf[core.Score]
-
 // StreamStats carries one connection's measured stage latencies through a
 // stream: how long it waited for a worker, how long scoring took, and how
 // long the finished result waited behind earlier submissions before the
@@ -70,14 +66,10 @@ type StreamHooks struct {
 // NewStreamOf starts a scoring stream producing results of type T. score
 // runs on pool workers and must be safe for concurrent calls (any trained
 // Backend's scoring methods are); emit is invoked on a single goroutine,
-// one connection at a time, in submission order. Close the stream to drain
-// and release the workers.
-func NewStreamOf[T any](e *Engine, score func(*flow.Connection) T, emit func(*flow.Connection, T)) *StreamOf[T] {
-	return NewStreamOfHooked(e, score, emit, StreamHooks{})
-}
-
-// NewStreamOfHooked is NewStreamOf with per-stage latency instrumentation.
-func NewStreamOfHooked[T any](e *Engine, score func(*flow.Connection) T, emit func(*flow.Connection, T), hooks StreamHooks) *StreamOf[T] {
+// one connection at a time, in submission order. hooks instruments the
+// per-stage latencies; the zero value measures nothing. Close the stream
+// to drain and release the workers.
+func NewStreamOf[T any](e *Engine, score func(*flow.Connection) T, emit func(*flow.Connection, T), hooks StreamHooks) *StreamOf[T] {
 	depth := 4 * e.workers
 	s := &StreamOf[T]{
 		jobs:    make(chan *streamJob[T], depth),
@@ -124,104 +116,6 @@ func NewStreamOfHooked[T any](e *Engine, score func(*flow.Connection) T, emit fu
 		close(s.done)
 	}()
 	return s
-}
-
-// NewStreamOfGrouped starts a stream whose workers score connections in
-// opportunistic groups instead of one at a time — the streaming entry to
-// cross-connection batching. A worker takes one job, then drains up to
-// width-1 more without blocking (whatever has already been submitted),
-// and hands the whole group to scoreGroup, which must return exactly one
-// result per connection, in the order given. Under load groups approach
-// width, feeding the lockstep fleet and micro-batches; when traffic is
-// sparse groups shrink to 1 and the stream behaves like NewStreamOf —
-// grouping changes throughput, never results or emission order (the
-// pending queue still emits strictly in submission order).
-//
-// The in-flight window grows to 2*width when that exceeds the usual
-// 4*workers, so a single worker's group can actually fill.
-func NewStreamOfGrouped[T any](e *Engine, width int, scoreGroup func([]*flow.Connection) []T, emit func(*flow.Connection, T), hooks StreamHooks) *StreamOf[T] {
-	if width < 1 {
-		width = 1
-	}
-	depth := 4 * e.workers
-	if d := 2 * width; d > depth {
-		depth = d
-	}
-	s := &StreamOf[T]{
-		jobs:    make(chan *streamJob[T], depth),
-		pending: make(chan *streamJob[T], depth),
-		done:    make(chan struct{}),
-		hooks:   hooks,
-	}
-	observed := hooks.Observe != nil
-	s.wg.Add(e.workers)
-	for w := 0; w < e.workers; w++ {
-		go func() {
-			defer s.wg.Done()
-			group := make([]*streamJob[T], 0, width)
-			conns := make([]*flow.Connection, 0, width)
-			for j := range s.jobs {
-				group = append(group[:0], j)
-			drain:
-				for len(group) < width {
-					select {
-					case j2, ok := <-s.jobs:
-						if !ok {
-							break drain // closed; outer range ends after this group
-						}
-						group = append(group, j2)
-					default:
-						break drain // queue momentarily empty; score what we have
-					}
-				}
-				conns = conns[:0]
-				for _, g := range group {
-					conns = append(conns, g.c)
-				}
-				if observed {
-					now := time.Now()
-					for _, g := range group {
-						g.started = now
-					}
-				}
-				rs := scoreGroup(conns)
-				if observed {
-					now := time.Now()
-					for _, g := range group {
-						g.scored = now
-					}
-				}
-				for i, g := range group {
-					g.out <- rs[i]
-				}
-			}
-		}()
-	}
-	go func() {
-		for j := range s.pending {
-			r := <-j.out
-			var emitAt time.Time
-			if observed {
-				emitAt = time.Now()
-			}
-			emit(j.c, r)
-			if observed {
-				hooks.Observe(j.c, StreamStats{
-					Seq:       j.seq,
-					QueueWait: j.started.Sub(j.submitted),
-					Score:     j.scored.Sub(j.started),
-					EmitWait:  emitAt.Sub(j.scored),
-				})
-			}
-		}
-		close(s.done)
-	}()
-	return s
-}
-
-// NewStream starts a CLAP-scored stream; see NewStreamOf for the contract.
-func (e *Engine) NewStream(score func(*flow.Connection) core.Score, emit func(*flow.Connection, core.Score)) *Stream {
-	return NewStreamOf(e, score, emit)
 }
 
 // Submit queues one connection for scoring. It blocks only when the

@@ -24,10 +24,10 @@ func TestStreamOrderedEmission(t *testing.T) {
 		eng := New(Options{Workers: workers})
 		var gotConns []*flow.Connection
 		var gotScores []core.Score
-		stream := eng.NewStream(det.Score, func(c *flow.Connection, s core.Score) {
+		stream := NewStreamOf(eng, det.Score, func(c *flow.Connection, s core.Score) {
 			gotConns = append(gotConns, c)
 			gotScores = append(gotScores, s)
-		})
+		}, StreamHooks{})
 		for _, c := range conns {
 			stream.Submit(c)
 		}
@@ -53,7 +53,7 @@ func TestStreamBackpressure(t *testing.T) {
 	conns := genConns(10, 41)
 	eng := New(Options{Workers: 2})
 	emitted := 0
-	stream := eng.NewStream(det.Score, func(*flow.Connection, core.Score) { emitted++ })
+	stream := NewStreamOf(eng, det.Score, func(*flow.Connection, core.Score) { emitted++ }, StreamHooks{})
 	const rounds = 30 // 300 submissions through an 8-deep window
 	for r := 0; r < rounds; r++ {
 		for _, c := range conns {
@@ -77,7 +77,7 @@ func TestStreamHooksObserveStages(t *testing.T) {
 	var emitted []*flow.Connection
 	var observed []*flow.Connection
 	var stats []StreamStats
-	s := NewStreamOfHooked(eng,
+	s := NewStreamOf(eng,
 		func(c *flow.Connection) float64 {
 			// A measurable floor so Score latencies cannot round to zero.
 			time.Sleep(200 * time.Microsecond)
@@ -115,7 +115,7 @@ func TestStreamHooksObserveStages(t *testing.T) {
 func TestStreamUnhookedSkipsClock(t *testing.T) {
 	det := tinyDetector(t)
 	eng := New(Options{Workers: 2})
-	s := eng.NewStream(det.Score, func(*flow.Connection, core.Score) {})
+	s := NewStreamOf(eng, det.Score, func(*flow.Connection, core.Score) {}, StreamHooks{})
 	for _, c := range genConns(4, 3) {
 		s.Submit(c)
 	}
@@ -146,7 +146,7 @@ func TestStreamOfGenericResultType(t *testing.T) {
 		return verdict{key: c.Key.String(), score: b.ScoreConn(c)}
 	}, func(_ *flow.Connection, v verdict) {
 		emitted = append(emitted, v)
-	})
+	}, StreamHooks{})
 	for _, c := range conns {
 		s.Submit(c)
 	}

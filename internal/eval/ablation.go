@@ -81,9 +81,8 @@ func (s *Suite) baseScoreMap(names []string, score func(*flow.Connection) float6
 // through the parallel engine; results are independent of the worker count.
 func (s *Suite) EvaluateDetector(det *core.Detector, names []string) float64 {
 	eng := s.engineOrDefault()
-	baseScores := s.baseScoreMap(names, func(c *flow.Connection) float64 {
-		return det.Score(c).Adversarial
-	})
+	score := func(c *flow.Connection) float64 { return det.Score(c).Adversarial }
+	baseScores := s.baseScoreMap(names, score)
 
 	var sum float64
 	var n int
@@ -93,7 +92,7 @@ func (s *Suite) EvaluateDetector(det *core.Detector, names []string) float64 {
 		if len(conns) == 0 {
 			continue
 		}
-		adv := eng.AdversarialScores(det, conns)
+		adv := eng.MapFloat(conns, score)
 		ben := make([]float64, len(conns))
 		for i := range conns {
 			ben[i] = baseScores[srcs[i]]

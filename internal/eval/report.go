@@ -84,7 +84,7 @@ func (s *Suite) MeasureThroughputCLAP(conns []*flow.Connection) Throughput {
 func (s *Suite) MeasureThroughputEngine(conns []*flow.Connection) Throughput {
 	th := Throughput{Connections: len(conns)}
 	start := time.Now()
-	_ = s.engineOrDefault().ScoreAll(s.CLAP, conns)
+	_ = s.engineOrDefault().MapFloat(conns, func(c *flow.Connection) float64 { return s.CLAP.Score(c).Adversarial })
 	th.Elapsed = time.Since(start)
 	for _, c := range conns {
 		th.Packets += c.Len()

@@ -158,27 +158,24 @@ func (m *GRUClassifier) ForwardGates(seq [][]float64) (Z, R [][]float64) {
 	return Z, R
 }
 
-// ForwardGatesBatch is the batched-inference variant of ForwardGates: the
-// input projections Wz·x_t, Wr·x_t and Wh·x_t for the whole packet
-// sequence are hoisted out of the recurrence into three matrix-matrix
-// passes (Tensor.MulMat), leaving only the hidden-state multiplies
-// sequential — the part the recurrence genuinely orders. MulMat preserves
-// MulVec's per-element accumulation order and the gate arithmetic matches
-// step() exactly, so Z and R are bit-identical to ForwardGates(seq) at any
-// sequence length. All scratch state is per-call; concurrent calls on one
-// model are safe.
-func (m *GRUClassifier) ForwardGatesBatch(seq [][]float64) (Z, R [][]float64) {
-	return m.forwardGatesBatch(seq, nil)
-}
-
-// ForwardGatesBatchPooled is ForwardGatesBatch over a pooled backing
-// buffer: call release (always non-nil) once Z and R have been consumed,
-// and do not read them afterwards. Bit-identical to ForwardGatesBatch;
-// the pooling only removes the ~(In+5·Hidden)·T float64 allocation per
-// call from the scoring hot path.
+// ForwardGatesBatchPooled is the batched-inference variant of
+// ForwardGates: the input projections Wz·x_t, Wr·x_t and Wh·x_t for the
+// whole packet sequence are hoisted out of the recurrence into three
+// matrix-matrix passes (Tensor.MulMat), leaving only the hidden-state
+// multiplies sequential — the part the recurrence genuinely orders. MulMat
+// preserves MulVec's per-element accumulation order and the gate
+// arithmetic matches step() exactly, so Z and R are bit-identical to
+// ForwardGates(seq) at any sequence length.
+//
+// Z and R are carved from a pooled backing buffer: call release (always
+// non-nil) once they have been consumed, and do not read them afterwards.
+// The pooling removes the ~(In+5·Hidden)·T float64 allocation per call
+// from the scoring hot path. All other scratch state is per-call;
+// concurrent calls on one model are safe.
 func (m *GRUClassifier) ForwardGatesBatchPooled(seq [][]float64) (Z, R [][]float64, release func()) {
 	T := len(seq)
-	need := T*(m.In+5*m.Hidden) + 5*m.Hidden
+	H := m.Hidden
+	need := T*(m.In+5*H) + 5*H
 	var backing []float64
 	if v := m.gateBufs.Get(); v != nil {
 		if b := *(v.(*[]float64)); cap(b) >= need {
@@ -188,27 +185,16 @@ func (m *GRUClassifier) ForwardGatesBatchPooled(seq [][]float64) (Z, R [][]float
 	if backing == nil {
 		backing = make([]float64, need)
 	}
-	Z, R = m.forwardGatesBatch(seq, backing)
-	return Z, R, func() { m.gateBufs.Put(&backing) }
-}
-
-// forwardGatesBatch runs the batched pass over the given backing (nil:
-// allocate fresh; pooled backings may hold stale values — every region is
-// fully written or explicitly cleared before its first read).
-func (m *GRUClassifier) forwardGatesBatch(seq [][]float64, backing []float64) (Z, R [][]float64) {
-	T := len(seq)
+	release = func() { m.gateBufs.Put(&backing) }
 	Z = make([][]float64, T)
 	R = make([][]float64, T)
 	if T == 0 {
-		return Z, R
+		return Z, R, release
 	}
-	H := m.Hidden
-	// One backing allocation for every per-call buffer: the flattened
-	// inputs, the three hoisted projections, the gate outputs, and the
-	// recurrence scratch.
-	if backing == nil {
-		backing = make([]float64, T*(m.In+5*H)+5*H)
-	}
+	// The backing holds every per-call buffer: the flattened inputs, the
+	// three hoisted projections, the gate outputs, and the recurrence
+	// scratch. A pooled backing may hold stale values — every region is
+	// fully written or explicitly cleared before its first read.
 	x, rest := backing[:T*m.In], backing[T*m.In:]
 	az, rest := rest[:T*H], rest[T*H:]
 	ar, rest := rest[:T*H], rest[T*H:]
@@ -224,7 +210,7 @@ func (m *GRUClassifier) forwardGatesBatch(seq [][]float64, backing []float64) (Z
 	clear(hPrev)
 	for t, v := range seq {
 		if len(v) != m.In {
-			panic(fmt.Sprintf("nn: ForwardGatesBatch step width %d, want %d", len(v), m.In))
+			panic(fmt.Sprintf("nn: ForwardGatesBatchPooled step width %d, want %d", len(v), m.In))
 		}
 		copy(x[t*m.In:(t+1)*m.In], v)
 	}
@@ -255,7 +241,7 @@ func (m *GRUClassifier) forwardGatesBatch(seq [][]float64, backing []float64) (Z
 		Z[t], R[t] = z, r
 		hPrev, h = h, hPrev
 	}
-	return Z, R
+	return Z, R, release
 }
 
 // Loss computes the mean cross-entropy of a forward pass against labels.

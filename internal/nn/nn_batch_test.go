@@ -1,7 +1,7 @@
 package nn
 
 // Bit-identity tests for the batched inference kernels: MulMat vs MulVec,
-// ErrorsBatch vs Error, ForwardGatesBatch vs ForwardGates. "Identical"
+// ErrorsBatch vs Error, ForwardGatesBatchPooled vs ForwardGates. "Identical"
 // everywhere below means float64 bit equality (==), not tolerance — the
 // batched kernels preserve the unbatched accumulation order by
 // construction, and these tests pin that contract at batch sizes on both
@@ -127,7 +127,7 @@ func TestForwardGatesBatchBitIdentity(t *testing.T) {
 	for _, T := range []int{0, 1, 2, 3, 4, 5, 11, 32} {
 		seq := randVecs(T, 8, rng)
 		wantZ, wantR := m.ForwardGates(seq)
-		gotZ, gotR := m.ForwardGatesBatch(seq)
+		gotZ, gotR, release := m.ForwardGatesBatchPooled(seq)
 		if len(gotZ) != len(wantZ) || len(gotR) != len(wantR) {
 			t.Fatalf("T=%d: batched lengths (%d,%d), unbatched (%d,%d)", T, len(gotZ), len(gotR), len(wantZ), len(wantR))
 		}
@@ -141,6 +141,7 @@ func TestForwardGatesBatchBitIdentity(t *testing.T) {
 				}
 			}
 		}
+		release()
 	}
 }
 

@@ -7,7 +7,7 @@
 //
 // Everything is deterministic given the caller-supplied *rand.Rand.
 // Training is single-threaded unless stated otherwise; the inference paths
-// (GRU Forward/ForwardGates/ForwardGatesBatch/Predict, Autoencoder
+// (GRU Forward/ForwardGates/ForwardGatesBatchPooled/Predict, Autoencoder
 // Reconstruct/Error/Errors/ErrorsBatch)
 // keep all scratch state per-call or pooled and are safe for concurrent use
 // on a model that is no longer being mutated — the contract the parallel

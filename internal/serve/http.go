@@ -163,9 +163,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	ls := lockstepSample{enabled: s.pipe.Lockstep() > 0, fill: st.LockstepFill()}
 	s.metrics.writeProm(w, len(s.queue), cap(s.queue), st.InFlight(),
-		st.Threshold(), st.BatchFill(), ls, drift, cascadeStatusOf(s.hot), s.hot.Tag(), s.hot.Generation(), s.stats, tenants)
+		st.Threshold(), st.BatchFill(), drift, cascadeStatusOf(s.hot), s.hot.Tag(), s.hot.Generation(), s.stats, tenants)
 }
 
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
@@ -301,11 +300,6 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		},
 		"sources":        srcs,
 		"uptime_seconds": time.Since(s.metrics.start).Seconds(),
-	}
-	if s.pipe.Lockstep() > 0 {
-		// Emitted only with lockstep on, keeping the lockstep-free
-		// summary shape byte-identical to builds without the feature.
-		summary["lockstep_fill"] = st.LockstepFill()
 	}
 	if s.multiTenant() {
 		summary["tenant"] = t.Name

@@ -193,15 +193,7 @@ type tenantSample struct {
 // writeProm renders the full metrics exposition. queueDepth/queueCap,
 // batchFill, the drift sample, the model info and the tenant samples are
 // sampled by the caller at render time.
-// lockstepSample carries the render-time lockstep view: enabled gates the
-// exposition entirely, so a lockstep-free daemon's metrics output stays
-// byte-identical to builds without the feature.
-type lockstepSample struct {
-	enabled bool
-	fill    float64
-}
-
-func (m *metrics) writeProm(w io.Writer, queueDepth, queueCap, inFlight int, threshold, batchFill float64, lockstep lockstepSample, drift driftSample, cascade cascadeSample, tag string, generation uint64, sources []*srcCounters, tenants []tenantSample) {
+func (m *metrics) writeProm(w io.Writer, queueDepth, queueCap, inFlight int, threshold, batchFill float64, drift driftSample, cascade cascadeSample, tag string, generation uint64, sources []*srcCounters, tenants []tenantSample) {
 	c := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -222,9 +214,6 @@ func (m *metrics) writeProm(w io.Writer, queueDepth, queueCap, inFlight int, thr
 	g("clap_serve_stream_in_flight", "Connections inside the scoring stream.", float64(inFlight))
 	g("clap_serve_threshold", "Current operating threshold.", threshold)
 	g("clap_serve_batch_fill", "Mean occupancy of batched inference micro-batches (1 = full; 0 = unbatched).", batchFill)
-	if lockstep.enabled {
-		g("clap_serve_lockstep_fill", "Mean occupancy of the cross-connection lockstep fleet (1 = every slot held a live row).", lockstep.fill)
-	}
 	g("clap_serve_uptime_seconds", "Seconds since the daemon started.", time.Since(m.start).Seconds())
 	if drift.enabled {
 		c("clap_serve_drift_alerts_total", "Drift alert excursions since start.", m.driftAlerts.Load())

@@ -75,14 +75,6 @@ type Config struct {
 	// are bit-identical at any batch size.
 	Batch int
 
-	// Lockstep is the cross-connection lockstep width for backends with
-	// the lockstep capability: up to Lockstep connections' GRU
-	// recurrences step together, with streamed connections scored in
-	// opportunistic groups. 0 (the default) disables it — serving
-	// behavior, metrics and summaries are then byte-identical to a
-	// daemon without the feature. Scores are bit-identical at any width.
-	Lockstep int
-
 	// Threshold fixes the operating threshold; Calibration+FPR derive it
 	// instead when Calibration is non-nil. Both may later be adjusted
 	// live via /v1/threshold.
@@ -388,9 +380,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Batch > 0 {
 		opts = append(opts, clap.WithBatchSize(cfg.Batch))
 	}
-	if cfg.Lockstep > 0 {
-		opts = append(opts, clap.WithLockstep(cfg.Lockstep))
-	}
 	// Calibration (source or snapshot) resolves at Start, where its
 	// outcome seeds each tenant's hot (model, threshold) pair and drift
 	// monitor reference; only the default tenant's fixed threshold
@@ -558,13 +547,8 @@ func (s *Server) Start(ctx context.Context) error {
 		return err
 	}
 	s.stream = stream
-	if ls := s.pipe.Lockstep(); ls > 0 {
-		s.logf("serving %s (threshold %.6f, %d workers, batch %d, lockstep %d)",
-			s.hot.Describe(), stream.Threshold(), s.pipe.Engine().Workers(), s.pipe.BatchSize(), ls)
-	} else {
-		s.logf("serving %s (threshold %.6f, %d workers, batch %d)",
-			s.hot.Describe(), stream.Threshold(), s.pipe.Engine().Workers(), s.pipe.BatchSize())
-	}
+	s.logf("serving %s (threshold %.6f, %d workers, batch %d)",
+		s.hot.Describe(), stream.Threshold(), s.pipe.Engine().Workers(), s.pipe.BatchSize())
 	for _, t := range s.tenants[1:] {
 		s.logf("tenant %s: serving %s (threshold %.6f)", t.Name, t.Hot.Describe(), t.Threshold())
 	}

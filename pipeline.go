@@ -38,7 +38,7 @@ type Pipeline struct {
 	backend Backend
 	eng     *Engine
 
-	workers, shards, batch, lockstep int
+	workers, shards, batch int
 
 	threshold   float64
 	fpr         float64
@@ -152,26 +152,6 @@ func WithBatchSize(n int) PipelineOption {
 	}
 }
 
-// WithLockstep sets the cross-connection lockstep width for backends with
-// the lockstep capability: up to n connections' GRU recurrences step
-// together through one matrix-matrix pass per gate, with the engine's
-// ragged scheduler retiring finished connections and refilling their
-// fleet rows mid-flight. It accelerates both batch Runs and streams
-// (streamed connections are scored in opportunistic groups). 0 — the
-// default — disables lockstep entirely: scoring and metrics behave
-// exactly as without the option. Scores are bit-identical at any width;
-// negative widths are rejected by NewPipeline. engine.DefaultLockstep is
-// the bench-tuned width for callers that just want it on.
-func WithLockstep(n int) PipelineOption {
-	return func(p *Pipeline) {
-		if n < 0 {
-			p.fail("clap: WithLockstep(%d): lockstep width must be >= 0 (0 disables)", n)
-			return
-		}
-		p.lockstep = n
-	}
-}
-
 // WithThresholdFPR calibrates the threshold at Run (or NewStream) time:
 // the calibration source is scored with the pipeline's backend and the
 // threshold is picked to keep the false-positive rate on it at or below
@@ -259,18 +239,13 @@ func NewPipeline(opts ...PipelineOption) (*Pipeline, error) {
 	if p.cal != nil && p.cal.Tag != p.backend.Tag() {
 		return nil, fmt.Errorf("clap: calibration snapshot is for backend %q, pipeline runs %q", p.cal.Tag, p.backend.Tag())
 	}
-	p.eng = engine.New(engine.Options{Workers: p.workers, Shards: p.shards, Batch: p.batch, Lockstep: p.lockstep})
+	p.eng = engine.New(engine.Options{Workers: p.workers, Shards: p.shards, Batch: p.batch})
 	p.batch = p.eng.Batch()
-	p.lockstep = p.eng.Lockstep()
 	return p, nil
 }
 
 // BatchSize reports the pipeline's micro-batch size (1: batching disabled).
 func (p *Pipeline) BatchSize() int { return p.batch }
-
-// Lockstep reports the pipeline's cross-connection lockstep width
-// (0: disabled).
-func (p *Pipeline) Lockstep() int { return p.lockstep }
 
 // Backend returns the pipeline's detection backend.
 func (p *Pipeline) Backend() Backend { return p.backend }
@@ -516,7 +491,6 @@ func (p *Pipeline) Run(src Source, sinks ...Sink) (*RunSummary, error) {
 // substrate for clap-serve.
 type PipelineStream struct {
 	inner     *engine.StreamOf[Result]
-	eng       *Engine
 	threshold atomic.Uint64 // math.Float64bits
 
 	// pair is non-nil when the backend is a reload-safe handle publishing
@@ -587,36 +561,23 @@ func (p *Pipeline) newStream(resolve func(*Connection) backend.PairHandle, emit 
 	if err != nil {
 		return nil, err
 	}
-	s := &PipelineStream{resolve: resolve, eng: p.eng}
+	s := &PipelineStream{resolve: resolve}
 	s.pair, _ = p.backend.(backend.PairHandle)
 	s.threshold.Store(math.Float64bits(th))
 	var h StreamHooks
 	if len(hooks) > 0 {
 		h = hooks[0]
 	}
-	emitFn := func(_ *Connection, r Result) { emit(r) }
-	if p.eng.Lockstep() > 0 {
-		// Grouped streaming: workers drain opportunistic groups so the
-		// lockstep fleet and micro-batches fill across connections. Twice
-		// the fleet width per group keeps rows refilling mid-group instead
-		// of draining the fleet at every group boundary.
-		width := 2 * p.eng.Lockstep()
-		s.inner = engine.NewStreamOfGrouped(p.eng, width,
-			func(cs []*Connection) []Result { return s.scoreGroup(p, cs) }, emitFn, h)
-		return s, nil
-	}
-	score := func(c *Connection) Result {
-		b, th, gen := s.pin(p, c)
-		return s.scorePinned(p, b, th, gen, c)
-	}
-	s.inner = engine.NewStreamOfHooked(p.eng, score, emitFn, h)
+	s.inner = engine.NewStreamOf(p.eng,
+		func(c *Connection) Result { return s.score(p, c) },
+		func(_ *Connection, r Result) { emit(r) }, h)
 	return s, nil
 }
 
-// scorePinned scores one streamed connection under an already-pinned
-// (model, threshold, generation) triple — the per-connection scoring core
-// shared by the solo and grouped stream paths.
-func (s *PipelineStream) scorePinned(p *Pipeline, b Backend, th float64, gen uint64, c *Connection) Result {
+// score scores one streamed connection under the (model, threshold,
+// generation) triple pin resolves for it.
+func (s *PipelineStream) score(p *Pipeline, c *Connection) Result {
+	b, th, gen := s.pin(p, c)
 	// Streams keep the historical threshold-0 = score-only contract:
 	// SetThreshold(0) reverts to score-only, so thSet stays false here.
 	if !p.prov {
@@ -625,7 +586,17 @@ func (s *PipelineStream) scorePinned(p *Pipeline, b Backend, th float64, gen uin
 	// Provenance-armed path: bind the verdict to the pinned pair right
 	// here, on the worker that pinned it — the same (model, threshold,
 	// generation) view no concurrent reload can split.
-	d := newDecision(b, th, gen, c)
+	d := &obs.Decision{
+		Key:        c.Key.String(),
+		Tenant:     c.Tenant,
+		Source:     c.Source,
+		Attack:     c.AttackName,
+		Model:      b.Tag(),
+		Generation: gen,
+		Threshold:  th,
+		Sampled:    c.TraceSampled,
+		WindowSpan: b.WindowSpan(),
+	}
 	var errs []float64
 	if rb, ok := b.(backend.Router); ok {
 		// Cascades route internally; capture which stage settled the
@@ -641,27 +612,6 @@ func (s *PipelineStream) scorePinned(p *Pipeline, b Backend, th float64, gen uin
 	} else {
 		errs = s.windowErrors(b, c, p.batch, d)
 	}
-	return p.finishProv(b, c, errs, th, d)
-}
-
-// newDecision starts a provenance record bound to one pinned pair.
-func newDecision(b Backend, th float64, gen uint64, c *Connection) *obs.Decision {
-	return &obs.Decision{
-		Key:        c.Key.String(),
-		Tenant:     c.Tenant,
-		Source:     c.Source,
-		Attack:     c.AttackName,
-		Model:      b.Tag(),
-		Generation: gen,
-		Threshold:  th,
-		Sampled:    c.TraceSampled,
-		WindowSpan: b.WindowSpan(),
-	}
-}
-
-// finishProv summarizes a provenance-armed verdict from its series and
-// completes the decision record's scoring-side fields.
-func (p *Pipeline) finishProv(b Backend, c *Connection, errs []float64, th float64, d *obs.Decision) Result {
 	r := p.resultFor(b, c, errs, th, false)
 	d.Score, d.Flagged = r.Score, r.Flagged
 	if c.TraceSampled && r.Errors == nil {
@@ -675,88 +625,6 @@ func (p *Pipeline) finishProv(b Backend, c *Connection, errs []float64, th float
 	}
 	r.Prov = d
 	return r
-}
-
-// scoreGroup scores one drained group of streamed connections through the
-// engine's cross-connection batched path. Each connection still pins its
-// own (model, threshold, generation) — multi-tenant resolution works
-// unchanged — and the group is partitioned by pinned model identity, so a
-// lockstep fleet or micro-batch never mixes two models' arithmetic.
-// Partitions that cannot group-score (provenance-armed routing backends,
-// models without the capabilities) fall back to the per-connection core;
-// results land in submission order regardless.
-func (s *PipelineStream) scoreGroup(p *Pipeline, conns []*Connection) []Result {
-	out := make([]Result, len(conns))
-	pinB := make([]Backend, len(conns))
-	pinTh := make([]float64, len(conns))
-	pinGen := make([]uint64, len(conns))
-	for i, c := range conns {
-		pinB[i], pinTh[i], pinGen[i] = s.pin(p, c)
-	}
-	done := make([]bool, len(conns))
-	idx := make([]int, 0, len(conns))
-	for i := range conns {
-		if done[i] {
-			continue
-		}
-		b := pinB[i]
-		idx = idx[:0]
-		for j := i; j < len(conns); j++ {
-			if !done[j] && pinB[j] == b {
-				idx = append(idx, j)
-				done[j] = true
-			}
-		}
-		s.scorePartition(p, b, conns, idx, pinTh, pinGen, out)
-	}
-	return out
-}
-
-// scorePartition scores one same-model slice of a group, writing each
-// result to its connection's original slot.
-func (s *PipelineStream) scorePartition(p *Pipeline, b Backend, conns []*Connection, idx []int, pinTh []float64, pinGen []uint64, out []Result) {
-	if _, isRouter := b.(backend.Router); isRouter && p.prov {
-		// Provenance wants each verdict's own routing outcome (stage,
-		// stage-1 margin); the routed per-connection path captures it.
-		for _, j := range idx {
-			out[j] = s.scorePinned(p, b, pinTh[j], pinGen[j], conns[j])
-		}
-		return
-	}
-	sub := make([]*Connection, len(idx))
-	for n, j := range idx {
-		sub[n] = conns[j]
-	}
-	series, ok := p.eng.GroupSeries(b, sub)
-	if !ok {
-		for _, j := range idx {
-			out[j] = s.scorePinned(p, b, pinTh[j], pinGen[j], conns[j])
-		}
-		return
-	}
-	total := 0
-	for _, e := range series {
-		total += len(e)
-	}
-	var batchID uint64
-	var fill float64
-	if total > 0 {
-		nb := (total + p.batch - 1) / p.batch
-		s.batchWindows.Add(uint64(total))
-		s.batchSlots.Add(uint64(nb * p.batch))
-		batchID = s.batchSeq.Add(1)
-		fill = float64(total) / float64(nb*p.batch)
-	}
-	for n, j := range idx {
-		c, errs := conns[j], series[n]
-		if !p.prov {
-			out[j] = p.resultFor(b, c, errs, pinTh[j], false)
-			continue
-		}
-		d := newDecision(b, pinTh[j], pinGen[j], c)
-		d.BatchID, d.BatchFill = batchID, fill
-		out[j] = p.finishProv(b, c, errs, pinTh[j], d)
-	}
 }
 
 // windowErrors computes one streamed connection's anomaly series, riding
@@ -806,13 +674,6 @@ func (s *PipelineStream) BatchFill() float64 {
 	}
 	return float64(s.batchWindows.Load()) / float64(slots)
 }
-
-// LockstepFill reports fleet occupancy of the lockstep scheduler serving
-// this stream — the fraction of fleet slots that held a live connection
-// row across every lockstep step taken. The counters live on the
-// pipeline's engine, so streams of one pipeline share them. 0 with
-// lockstep disabled or before any lockstep work.
-func (s *PipelineStream) LockstepFill() float64 { return s.eng.LockstepFill() }
 
 // pin resolves the (model, threshold, generation) a connection is judged
 // with: one atomic load from the connection's resolved pair handle (the

@@ -305,6 +305,149 @@ func TestPipelineStreamMatchesRun(t *testing.T) {
 	}
 }
 
+// The three tests named for the removed lockstep path below keep their
+// names; with grouped streams and the lockstep fleet gone, each pins the
+// same contract on the one stream and batch path.
+
+// TestPipelineLockstepBitIdentity: Run scores and window-error series at
+// workers {1,4} × batch {3,24} equal the serial detector path.
+func TestPipelineLockstepBitIdentity(t *testing.T) {
+	bk := pipelineBackend(t)
+	det := bk.(*CLAPBackend).Detector()
+
+	conns, _, err := suspectSource().Connections(NewEngine(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantScores := make([]float64, len(conns))
+	wantErrs := make([][]float64, len(conns))
+	for i, c := range conns {
+		wantScores[i] = det.Score(c).Adversarial
+		wantErrs[i] = det.WindowErrors(c)
+	}
+
+	for _, workers := range []int{1, 4} {
+		for _, batch := range []int{3, 24} {
+			p, err := NewPipeline(WithBackend(bk), WithWorkers(workers),
+				WithBatchSize(batch), WithWindowErrors(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := p.Run(suspectSource())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range sum.Results {
+				if r.Score != wantScores[i] {
+					t.Fatalf("workers=%d batch=%d: conn %d score %v != serial %v",
+						workers, batch, i, r.Score, wantScores[i])
+				}
+				if len(r.Errors) != len(wantErrs[i]) {
+					t.Fatalf("workers=%d batch=%d: conn %d has %d window errors, serial %d",
+						workers, batch, i, len(r.Errors), len(wantErrs[i]))
+				}
+				for w := range r.Errors {
+					if r.Errors[w] != wantErrs[i][w] {
+						t.Fatalf("workers=%d batch=%d: conn %d window %d diverged", workers, batch, i, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPipelineStreamLockstepMatchesRun: a stream emits the same verdicts
+// as the batch Run, in submission order, at every worker count.
+func TestPipelineStreamLockstepMatchesRun(t *testing.T) {
+	bk := pipelineBackend(t)
+	ref, err := NewPipeline(WithBackend(bk), WithThresholdFPR(0.25, TrafficGen(80, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := ref.Run(suspectSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 4} {
+		p, err := NewPipeline(WithBackend(bk), WithWorkers(workers),
+			WithThresholdFPR(0.25, TrafficGen(80, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns, _, _ := suspectSource().Connections(p.Engine())
+		var streamed []Result
+		s, err := p.NewStream(func(r Result) { streamed = append(streamed, r) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range conns {
+			s.Submit(c)
+		}
+		s.Close()
+		if len(streamed) != len(sum.Results) {
+			t.Fatalf("workers=%d: streamed %d results, run produced %d", workers, len(streamed), len(sum.Results))
+		}
+		for i := range streamed {
+			if streamed[i].Conn != conns[i] {
+				t.Fatalf("workers=%d: result %d out of submission order", workers, i)
+			}
+			if streamed[i].Score != sum.Results[i].Score || streamed[i].Flagged != sum.Results[i].Flagged {
+				t.Fatalf("workers=%d: stream result %d diverged from batch run", workers, i)
+			}
+		}
+	}
+}
+
+// TestPipelineStreamProvenance: on a provenance-armed stream every verdict
+// binds its model and score and carries its batched-pass placement, with
+// scores equal to the serial Run.
+func TestPipelineStreamProvenance(t *testing.T) {
+	bk := pipelineBackend(t)
+	p, err := NewPipeline(WithBackend(bk), WithProvenance(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := NewPipeline(WithBackend(bk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSum, err := serial.Run(suspectSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns, _, _ := suspectSource().Connections(p.Engine())
+	var streamed []Result
+	s, err := p.NewStream(func(r Result) { streamed = append(streamed, r) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range conns {
+		s.Submit(c)
+	}
+	s.Close()
+	if len(streamed) != len(refSum.Results) {
+		t.Fatalf("streamed %d results, run produced %d", len(streamed), len(refSum.Results))
+	}
+	for i, r := range streamed {
+		if r.Score != refSum.Results[i].Score {
+			t.Fatalf("conn %d: provenance-armed score %v != serial %v", i, r.Score, refSum.Results[i].Score)
+		}
+		if r.Prov == nil {
+			t.Fatalf("conn %d: no provenance record on a provenance-armed stream", i)
+		}
+		if r.Prov.Model != bk.Tag() {
+			t.Fatalf("conn %d: provenance model %q, want %q", i, r.Prov.Model, bk.Tag())
+		}
+		if r.Prov.BatchID == 0 {
+			t.Fatalf("conn %d: no batched-pass placement", i)
+		}
+		if r.Prov.Score != r.Score {
+			t.Fatalf("conn %d: provenance score %v != result %v", i, r.Prov.Score, r.Score)
+		}
+	}
+}
+
 // TestPipelineOptionValidation: invalid option values fail NewPipeline
 // loudly instead of being silently coerced.
 func TestPipelineOptionValidation(t *testing.T) {
@@ -454,6 +597,54 @@ func TestPipelineHotBackendStream(t *testing.T) {
 	}
 	if hot.Generation() != 1 {
 		t.Fatalf("failed swap bumped generation to %d", hot.Generation())
+	}
+}
+
+// TestPipelineStreamLockstepHotSwap: with four stream workers scoring
+// concurrently, a mid-stream hot swap still scores every connection wholly
+// by one model.
+func TestPipelineStreamLockstepHotSwap(t *testing.T) {
+	bk := pipelineBackend(t)
+	hot, err := NewHotBackend(bk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPipeline(WithBackend(hot), WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := NewBackend(BackendBaseline1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := b2.(*CLAPBackend)
+	cb.Cfg.RNNEpochs, cb.Cfg.AEEpochs = 2, 3
+	if err := b2.Train(GenerateBenign(30, 2), func(string, ...any) {}); err != nil {
+		t.Fatal(err)
+	}
+	conns := GenerateBenign(12, 55)
+	var scores []float64
+	s, err := p.NewStream(func(r Result) { scores = append(scores, r.Score) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range conns {
+		if i == len(conns)/2 {
+			if _, err := hot.Swap(b2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Submit(c)
+	}
+	s.Close()
+	if len(scores) != len(conns) {
+		t.Fatalf("emitted %d results, want %d", len(scores), len(conns))
+	}
+	for i, c := range conns {
+		s1, s2 := bk.ScoreConn(c), b2.ScoreConn(c)
+		if scores[i] != s1 && scores[i] != s2 {
+			t.Fatalf("conn %d score %v matches neither model (%v / %v)", i, scores[i], s1, s2)
+		}
 	}
 }
 
