@@ -184,6 +184,22 @@ func sourceFor(spec string, live clap.LiveConfig, soakSeed int64) (clap.ServeSou
 	return nil, fmt.Errorf("unknown source kind %q (want afpacket:IFACE[:fanout-id], tail:PATH, replay:PATH or soak:N[:rate[:attack]])", kind)
 }
 
+// checkQuotas rejects a -tenant-quota naming a tenant no -tenant flag
+// declares ("default" aside), the way an unknown -tenant-source name is
+// rejected: a typo would otherwise leave the intended tenant unlimited.
+func checkQuotas(quotas map[string]tenant.Quota, tenants []tenantFlag) error {
+	declared := map[string]bool{serve.DefaultTenant: true}
+	for _, tf := range tenants {
+		declared[tf.name] = true
+	}
+	for name := range quotas {
+		if !declared[name] {
+			return fmt.Errorf("-tenant-quota %s: unknown tenant %q (declare it with -tenant)", name, name)
+		}
+	}
+	return nil
+}
+
 // prefixWriter prepends a tenant tag to each alert line. writeAlert and
 // the drift formatter emit one line per Write, so prefixing per call is
 // line-accurate.
@@ -197,6 +213,40 @@ func (p prefixWriter) Write(b []byte) (int, error) {
 		return 0, err
 	}
 	return p.w.Write(b)
+}
+
+// alertHooks builds the serve.Config hooks that write flagged results
+// and drift alerts into the alert log out. Each tenant — the default one
+// plus the named tenants — gets its own dedup sink, so one tenant's
+// duplicate suppression (keyed by 5-tuple) never masks another's
+// alerts; the default tenant's lines are unprefixed, a named tenant's
+// start with "tenant=NAME ". Both hooks run on the stream's single emit
+// goroutine, so the sinks need no locking and drift lines interleave
+// line-atomically with alert lines.
+func alertHooks(out io.Writer, tenants []string, window time.Duration, rate int) (func(clap.Result), func(string, serve.DriftStatus)) {
+	// Keyed by connection tag: "" is the default tenant.
+	writers := map[string]io.Writer{"": out}
+	for _, name := range tenants {
+		writers[name] = prefixWriter{w: out, prefix: "tenant=" + name + " "}
+	}
+	sinks := make(map[string]clap.Sink, len(writers))
+	for tag, w := range writers {
+		sinks[tag] = clap.NewDedupAlertLog(w, window, rate)
+	}
+	onResult := func(r clap.Result) {
+		if sink := sinks[r.Conn.Tenant]; sink != nil {
+			if err := sink.Emit(r); err != nil {
+				log.Printf("alert sink: %v", err)
+			}
+		}
+	}
+	onDrift := func(tag string, st serve.DriftStatus) {
+		if w := writers[tag]; w != nil {
+			fmt.Fprintf(w, "DRIFT ALERT %s (drift=%.4f operating-fpr=%.4f target-fpr=%.4f over %d scores)\n",
+				st.Reason, st.Drift, st.OperatingFPR, st.TargetFPR, st.LiveCount)
+		}
+	}
+	return onResult, onDrift
 }
 
 func main() {
@@ -286,6 +336,9 @@ func main() {
 	if *model == "" {
 		log.Fatal("need -model")
 	}
+	if err := checkQuotas(tenantQuotas, tenantFlags); err != nil {
+		log.Fatal(err)
+	}
 
 	b, err := clap.LoadBackendFile(*model)
 	if err != nil {
@@ -341,9 +394,7 @@ func main() {
 	default:
 		cfg.CalibrationFile = *calibFile
 	}
-	if q, ok := tenantQuotas[serve.DefaultTenant]; ok {
-		cfg.Quota = q
-	}
+	cfg.Quota = tenantQuotas[serve.DefaultTenant]
 
 	// Named tenants: each owns its model, threshold, calibration snapshot
 	// and quota, while sharing the batched engine and ingest queue with
@@ -379,51 +430,11 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		if len(tenantFlags) == 0 {
-			sink := clap.NewDedupAlertLog(out, *alertWindow, *alertRate)
-			cfg.OnResult = func(r clap.Result) {
-				if err := sink.Emit(r); err != nil {
-					log.Printf("alert sink: %v", err)
-				}
-			}
-			// Drift alerts land in the same log. Both hooks fire on the
-			// stream's single emit goroutine, so the writes interleave
-			// line-atomically with the dedup sink's.
-			cfg.OnDriftAlert = func(st serve.DriftStatus) {
-				fmt.Fprintf(out, "DRIFT ALERT %s (drift=%.4f operating-fpr=%.4f target-fpr=%.4f over %d scores)\n",
-					st.Reason, st.Drift, st.OperatingFPR, st.TargetFPR, st.LiveCount)
-			}
-		} else {
-			// Multi-tenant: one dedup sink per tenant, so one tenant's
-			// duplicate suppression (keyed by 5-tuple) never masks
-			// another tenant's alerts; named tenants' lines carry a
-			// tenant= tag. All emits run on the stream's single emit
-			// goroutine, so the per-tenant sinks need no locking.
-			sinks := map[string]clap.Sink{
-				serve.DefaultTenant: clap.NewDedupAlertLog(out, *alertWindow, *alertRate),
-			}
-			for _, tf := range tenantFlags {
-				w := prefixWriter{w: out, prefix: "tenant=" + tf.name + " "}
-				sinks[tf.name] = clap.NewDedupAlertLog(w, *alertWindow, *alertRate)
-			}
-			cfg.OnTenantResult = func(name string, r clap.Result) {
-				sink := sinks[name]
-				if sink == nil {
-					return
-				}
-				if err := sink.Emit(r); err != nil {
-					log.Printf("alert sink: %v", err)
-				}
-			}
-			cfg.OnTenantDriftAlert = func(name string, st serve.DriftStatus) {
-				tag := ""
-				if name != serve.DefaultTenant {
-					tag = "tenant=" + name + " "
-				}
-				fmt.Fprintf(out, "%sDRIFT ALERT %s (drift=%.4f operating-fpr=%.4f target-fpr=%.4f over %d scores)\n",
-					tag, st.Reason, st.Drift, st.OperatingFPR, st.TargetFPR, st.LiveCount)
-			}
+		names := make([]string, len(tenantFlags))
+		for i, tf := range tenantFlags {
+			names[i] = tf.name
 		}
+		cfg.OnResult, cfg.OnDriftAlert = alertHooks(out, names, *alertWindow, *alertRate)
 	}
 
 	srv, err := serve.New(cfg)
@@ -511,10 +522,10 @@ func main() {
 	for {
 		select {
 		case <-hup:
-			if _, after, err := srv.Reload(""); err != nil {
+			if res, err := srv.Reload("", serve.ReloadRequest{}); err != nil {
 				log.Printf("SIGHUP reload failed: %v", err)
 			} else {
-				log.Printf("SIGHUP reload ok: now serving %s (generation %d)", after.Tag, after.Generation)
+				log.Printf("SIGHUP reload ok: now serving %s (generation %d)", res.New.Tag, res.New.Generation)
 			}
 		case sig := <-stop:
 			log.Printf("%s: draining...", sig)

@@ -105,7 +105,7 @@ func TestServeDriftEndToEnd(t *testing.T) {
 		CalibrationFile: calFile,
 		DriftWindow:     window,
 		DriftWindows:    2,
-		OnDriftAlert: func(st DriftStatus) {
+		OnDriftAlert: func(_ string, st DriftStatus) {
 			mu.Lock()
 			alerts = append(alerts, st)
 			mu.Unlock()
@@ -166,7 +166,7 @@ func TestServeDriftEndToEnd(t *testing.T) {
 	// Phase 2 — inject the drift: the serving model silently becomes a
 	// 4x-scaled version of itself (hot.Swap carries the stale threshold
 	// over — nothing announces the change to the calibration).
-	if _, err := srv.hot.Swap(&scaledBackend{inner: loadModel(t, clapModel), factor: 4}); err != nil {
+	if _, err := srv.tenants[0].Hot.Swap(&scaledBackend{inner: loadModel(t, clapModel), factor: 4}); err != nil {
 		t.Fatal(err)
 	}
 	feedBenign(window, 201)
@@ -213,7 +213,7 @@ func TestServeDriftEndToEnd(t *testing.T) {
 	// Phase 3 — atomic live recalibration: /v1/reload with the "live"
 	// calibration source re-derives the threshold from the recent sketch
 	// state, keeping the model (and its generation) in place.
-	genBefore := srv.hot.Generation()
+	genBefore := srv.tenants[0].Hot.Generation()
 	resp, err := http.Post(ts.URL+"/v1/reload", "application/json",
 		strings.NewReader(`{"calibration": "live"}`))
 	if err != nil {
@@ -234,7 +234,7 @@ func TestServeDriftEndToEnd(t *testing.T) {
 		t.Fatalf("recalibrated threshold %v not above stale %v after a 4x upward shift",
 			reload.New.Threshold, staleTh)
 	}
-	if srv.hot.Generation() != genBefore {
+	if srv.tenants[0].Hot.Generation() != genBefore {
 		t.Fatal("in-place recalibration bumped the model generation")
 	}
 	if got := srv.Threshold(); got != reload.New.Threshold {
@@ -389,7 +389,7 @@ func TestServeReloadCalibrationAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if th := srv.hot; th == nil {
+	if th := srv.tenants[0].Hot; th == nil {
 		t.Fatal("no hot handle")
 	}
 	// The soak is paced so scoring outlasts many reload transactions.

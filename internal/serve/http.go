@@ -47,8 +47,7 @@ func cascadeStatusOf(hot *backend.Hot) cascadeSample {
 // /v1/flagged, /v1/summary, /v1/threshold, /v1/drift, /v1/reload,
 // /v1/trace and /v1/explain accept ?tenant=NAME to scope to one tenant;
 // unscoped requests resolve to the default tenant (except /v1/flagged and
-// /v1/trace, whose unscoped views merge every tenant's ring), so
-// single-tenant clients are untouched.
+// /v1/trace, whose unscoped views merge every tenant's ring).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -88,6 +87,16 @@ func (s *Server) tenantParam(w http.ResponseWriter, r *http.Request) (*tenantSta
 	return t, true
 }
 
+// scope names t in a JSON body under the one surface rule (tenantKey)
+// and reports whether it did.
+func (s *Server) scope(body map[string]any, t *tenantState) bool {
+	name := s.tenantKey(t)
+	if name != "" {
+		body["tenant"] = name
+	}
+	return name != ""
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
@@ -98,11 +107,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"version":        clap.Version,
 		"kernel":         nn.Kernel(),
 		"uptime_seconds": time.Since(s.metrics.start).Seconds(),
-		"model":          s.hot.Tag(),
-		"generation":     s.hot.Generation(),
-		"scored":         s.metrics.connsScored.Load(),
+		"model":          s.tenants[0].Hot.Tag(),
+		"generation":     s.tenants[0].Hot.Generation(),
+		"scored":         s.Scored(),
 	}
-	if s.multiTenant() {
+	if s.tenantKey(s.tenants[0]) != "" {
 		body["tenants"] = len(s.tenants)
 	}
 	writeJSON(w, http.StatusOK, body)
@@ -118,53 +127,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "not started")
 		return
 	}
-	var drift driftSample
-	if ds, ok := s.DriftStatus(); ok {
-		drift = driftSample{
-			enabled:      true,
-			drift:        ds.Drift,
-			operatingFPR: ds.OperatingFPR,
-			targetFPR:    ds.TargetFPR,
-			alert:        ds.Alert,
+	tenants := make([]tenantSample, len(s.tenants))
+	for i, t := range s.tenants {
+		tenants[i] = tenantSample{
+			name:       t.Name,
+			tag:        t.Hot.Tag(),
+			generation: t.Hot.Generation(),
+			threshold:  t.Threshold(),
+			inFlight:   t.InFlight(),
+			delivered:  t.Delivered.Load(),
+			shed:       t.Shed.Load(),
+			counts:     t.counts(),
+			stages:     t.stageHist,
 		}
-	}
-	// Per-tenant series only in multi-tenant mode: the single-tenant
-	// exposition stays byte-identical to the pre-tenant daemon.
-	var tenants []tenantSample
-	if s.multiTenant() {
-		tenants = make([]tenantSample, 0, len(s.tenants))
-		for _, t := range s.tenants {
-			ts := tenantSample{
-				name:       t.Name,
-				tag:        t.Hot.Tag(),
-				generation: t.Hot.Generation(),
-				threshold:  t.Threshold(),
-				inFlight:   t.InFlight(),
-				scored:     t.Scored.Load(),
-				packets:    t.Packets.Load(),
-				flagged:    t.Flagged.Load(),
-				delivered:  t.Delivered.Load(),
-				shed:       t.Shed.Load(),
-				reloads:    t.Reloads.Load(),
-				alerts:     t.DriftAlerts.Load(),
-				stages:     t.stageHist,
-			}
-			if t.Monitor != nil {
-				ds := t.Monitor.Status(t.Threshold())
-				ts.drift = driftSample{
-					enabled:      true,
-					drift:        ds.Drift,
-					operatingFPR: ds.OperatingFPR,
-					targetFPR:    ds.TargetFPR,
-					alert:        ds.Alert,
-				}
-			}
-			tenants = append(tenants, ts)
+		if t.Monitor != nil {
+			ds := t.Monitor.Status(t.Threshold())
+			tenants[i].drift = &ds
 		}
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.writeProm(w, len(s.queue), cap(s.queue), st.InFlight(),
-		st.Threshold(), st.BatchFill(), drift, cascadeStatusOf(s.hot), s.hot.Tag(), s.hot.Generation(), s.stats, tenants)
+	s.metrics.writeProm(w, len(s.queue), cap(s.queue), st.InFlight(), st.BatchFill(),
+		cascadeStatusOf(s.tenants[0].Hot), s.stats, tenants, s.multiTenant())
 }
 
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
@@ -193,9 +176,7 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 			"generation": t.Hot.Generation(),
 		},
 	}
-	if s.multiTenant() {
-		body["tenant"] = t.Name
-	}
+	s.scope(body, t)
 	writeJSON(w, http.StatusOK, body)
 }
 
@@ -221,17 +202,16 @@ func (s *Server) handleFlagged(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusNotFound, "unknown tenant %q", name)
 			return
 		}
-		flagged, _ := s.FlaggedTenant(name, n)
 		writeJSON(w, http.StatusOK, map[string]any{
 			"tenant":        t.Name,
-			"flagged":       flagged,
+			"flagged":       lastN(t.flagged.Snapshot(), n),
 			"total_flagged": t.Flagged.Load(),
 		})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"flagged":       s.Flagged(n),
-		"total_flagged": s.metrics.flagged.Load(),
+		"total_flagged": s.totals().flagged,
 	})
 }
 
@@ -272,23 +252,18 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// The default tenant's view keeps the daemon-wide counters (equal to
-	// its own in single-tenant mode, and the natural "whole daemon" view
-	// otherwise); a named tenant's view is scoped to its own accounting.
-	scored, packets, flagged, reloads := s.metrics.connsScored.Load(), s.metrics.packets.Load(), s.metrics.flagged.Load(), s.metrics.reloads.Load()
-	threshold := st.Threshold()
-	srcs := sourceSummaries(s.stats)
-	if t.Name != DefaultTenant {
-		scored, packets, flagged, reloads = t.Scored.Load(), t.Packets.Load(), t.Flagged.Load(), t.Reloads.Load()
-		threshold = t.Threshold()
-		srcs = sourceSummaries(t.srcs)
+	// The default tenant's view is the whole daemon's (the sums over every
+	// tenant); a named tenant's view is scoped to its own accounting.
+	c, srcs := s.totals(), s.stats
+	if t != s.tenants[0] {
+		c, srcs = t.counts(), t.srcs
 	}
 	summary := map[string]any{
-		"scored":             scored,
-		"packets":            packets,
-		"flagged":            flagged,
-		"reloads":            reloads,
-		"threshold":          threshold,
+		"scored":             c.scored,
+		"packets":            c.packets,
+		"flagged":            c.flagged,
+		"reloads":            c.reloads,
+		"threshold":          t.Threshold(),
 		"batch_fill":         st.BatchFill(),
 		"packets_per_second": s.metrics.windowRate(),
 		"queue_depth":        len(s.queue),
@@ -298,11 +273,10 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 			"describe":   t.Hot.Describe(),
 			"generation": t.Hot.Generation(),
 		},
-		"sources":        srcs,
+		"sources":        sourceSummaries(srcs),
 		"uptime_seconds": time.Since(s.metrics.start).Seconds(),
 	}
-	if s.multiTenant() {
-		summary["tenant"] = t.Name
+	if s.scope(summary, t) {
 		summary["shed"] = t.Shed.Load()
 		summary["in_flight"] = t.InFlight()
 	}
@@ -330,8 +304,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
-	st := s.streamOrNil()
-	if st == nil {
+	if s.streamOrNil() == nil {
 		httpError(w, http.StatusServiceUnavailable, "not started")
 		return
 	}
@@ -339,15 +312,9 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	current := func() float64 {
-		if t.Name == DefaultTenant {
-			return st.Threshold()
-		}
-		return t.Threshold()
-	}
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, map[string]float64{"threshold": current()})
+		writeJSON(w, http.StatusOK, map[string]float64{"threshold": t.Threshold()})
 	case http.MethodPut:
 		var body struct {
 			Threshold *float64 `json:"threshold"`
@@ -363,11 +330,11 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "request body must be a single JSON object")
 			return
 		}
-		if err := s.SetTenantThreshold(r.URL.Query().Get("tenant"), *body.Threshold); err != nil {
+		if err := s.SetThreshold(t.Name, *body.Threshold); err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]float64{"threshold": current()})
+		writeJSON(w, http.StatusOK, map[string]float64{"threshold": t.Threshold()})
 	default:
 		httpError(w, http.StatusMethodNotAllowed, "GET or PUT")
 	}
@@ -398,7 +365,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "fpr %v must be in (0, 1)", body.FPR)
 		return
 	}
-	res, err := s.reloadTenant(t, body)
+	res, err := s.reload(t, body)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -409,9 +376,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		"recalibrated":      res.Recalibrated,
 		"calibration_conns": res.CalibrationConns,
 	}
-	if s.multiTenant() {
-		out["tenant"] = t.Name
-	}
+	s.scope(out, t)
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -466,13 +431,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusNotFound, "unknown tenant %q", name)
 			return
 		}
-		out := t.tracer.Decisions()
-		if n > 0 && len(out) > n {
-			out = out[len(out)-n:]
-		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"tenant":      t.Name,
-			"decisions":   out,
+			"decisions":   lastN(t.tracer.Decisions(), n),
 			"deep_traces": t.tracer.TraceCount(),
 		})
 		return
@@ -486,9 +447,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	// Seq is the shared stream's submission counter, so the merged view
 	// reads in true global scoring order.
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	if n > 0 && len(out) > n {
-		out = out[len(out)-n:]
-	}
+	out = lastN(out, n)
 	if out == nil {
 		out = []obs.Decision{}
 	}
@@ -527,9 +486,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := map[string]any{"trace": tr}
-	if s.multiTenant() {
-		body["tenant"] = t.Name
-	}
+	s.scope(body, t)
 	writeJSON(w, http.StatusOK, body)
 }
 

@@ -47,7 +47,7 @@ func TestServeHTTPErrorPaths(t *testing.T) {
 	}
 
 	th0 := srv.Threshold()
-	gen0 := srv.hot.Generation()
+	gen0 := srv.tenants[0].Hot.Generation()
 	drift0, _ := srv.DriftStatus()
 
 	cases := []struct {
@@ -116,7 +116,7 @@ func TestServeHTTPErrorPaths(t *testing.T) {
 			if got := srv.Threshold(); got != th0 {
 				t.Fatalf("threshold moved: %v -> %v", th0, got)
 			}
-			if got := srv.hot.Generation(); got != gen0 {
+			if got := srv.tenants[0].Hot.Generation(); got != gen0 {
 				t.Fatalf("generation moved: %d -> %d", gen0, got)
 			}
 			if d, _ := srv.DriftStatus(); d.TargetFPR != drift0.TargetFPR || d.Reference != drift0.Reference {
@@ -129,7 +129,7 @@ func TestServeHTTPErrorPaths(t *testing.T) {
 	// 10 scored) was rejected above; sanity-check the positive arm still
 	// works through the same handler once enough scores exist, proving
 	// the 422 came from the data guard and not a wiring bug.
-	if _, _, err := srv.monitor.Recalibrate(0.1); err == nil {
+	if _, _, err := srv.tenants[0].Monitor.Recalibrate(0.1); err == nil {
 		t.Fatal("live recalibration below one window succeeded via monitor")
 	}
 }

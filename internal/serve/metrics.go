@@ -42,21 +42,12 @@ func promLabel(v string) string {
 	return b.String()
 }
 
-// metrics is the daemon's operational state, exported in Prometheus text
-// format at /metrics. Counters are atomics (updated from the emit and
-// ingest goroutines, read by HTTP handlers); the packets/s window is the
+// metrics is the daemon-wide operational state that has no per-tenant
+// twin, exported in Prometheus text format at /metrics beside the sums
+// of the tenants' counters and histograms. The packets/s window is the
 // only mutex-guarded piece.
 type metrics struct {
 	start time.Time
-
-	connsScored atomic.Uint64
-	packets     atomic.Uint64
-	flagged     atomic.Uint64
-	reloads     atomic.Uint64
-	driftAlerts atomic.Uint64
-
-	// Per-stage latency histograms: queue wait, scoring, ordered-emit wait.
-	stages [3]*obs.Histogram
 
 	// ingestWait distributes how long deliveries sat in the shared ingest
 	// queue before the pump submitted them, and batchFill distributes each
@@ -76,7 +67,7 @@ type rateSample struct {
 	pkts int
 }
 
-// stage indices into metrics.stages.
+// stage indices into tenantState.stageHist.
 const (
 	stageQueue = iota
 	stageScore
@@ -87,26 +78,11 @@ var stageNames = [3]string{"queue", "score", "emit"}
 
 const rateWindow = 5 * time.Second
 
-func newMetrics() *metrics {
-	m := &metrics{start: time.Now()}
-	for i := range m.stages {
-		m.stages[i] = obs.NewHistogram(obs.LatencyBounds)
-	}
-	return m
-}
+func newMetrics() *metrics { return &metrics{start: time.Now()} }
 
-// observeConn records one scored connection: counters, the rate window,
-// and the per-stage latencies. Called from the single emit goroutine.
-func (m *metrics) observeConn(pkts int, flagged bool, queue, score, emit time.Duration) {
-	m.connsScored.Add(1)
-	m.packets.Add(uint64(pkts))
-	if flagged {
-		m.flagged.Add(1)
-	}
-	m.stages[stageQueue].Observe(queue.Seconds())
-	m.stages[stageScore].Observe(score.Seconds())
-	m.stages[stageEmit].Observe(emit.Seconds())
-
+// observeRate adds one scored connection's packets to the packets/s
+// window. Called from the single emit goroutine.
+func (m *metrics) observeRate(pkts int) {
 	now := time.Now()
 	m.rateMu.Lock()
 	m.rateSamples = append(m.rateSamples, rateSample{at: now, pkts: pkts})
@@ -150,16 +126,6 @@ type srcCounters struct {
 	ring clap.RingStatser
 }
 
-// driftSample is the drift monitor's state at render time (zero values
-// with monitoring disabled).
-type driftSample struct {
-	enabled      bool
-	drift        float64
-	operatingFPR float64
-	targetFPR    float64
-	alert        bool
-}
-
 // cascadeSample is a cascade backend's escalation accounting at render
 // time (present only while a cascade is serving).
 type cascadeSample struct {
@@ -167,33 +133,48 @@ type cascadeSample struct {
 	evaluated, escalated uint64
 }
 
-// tenantSample is one tenant's state at render time. Per-tenant series
-// are emitted only in multi-tenant mode (the caller passes nil
-// otherwise), keeping the single-tenant exposition byte-identical to the
-// pre-tenant daemon.
+// counts is one tenant's counters read at render time or — summed over
+// every tenant — the daemon's.
+type counts struct {
+	scored, packets, flagged, reloads, alerts uint64
+}
+
+func (c *counts) add(o counts) {
+	c.scored += o.scored
+	c.packets += o.packets
+	c.flagged += o.flagged
+	c.reloads += o.reloads
+	c.alerts += o.alerts
+}
+
+// tenantSample is one tenant's state at render time.
 type tenantSample struct {
-	name       string
-	tag        string
-	generation uint64
-	threshold  float64
-	inFlight   int
-	scored     uint64
-	packets    uint64
-	flagged    uint64
-	delivered  uint64
-	shed       uint64
-	reloads    uint64
-	drift      driftSample
-	alerts     uint64
-	// stages are the tenant's queue/score/emit latency histograms
-	// (rendered in multi-tenant mode only, like every tenant series).
+	name            string
+	tag             string
+	generation      uint64
+	threshold       float64
+	inFlight        int
+	delivered, shed uint64
+	counts
+	// drift is the tenant's drift evaluation, nil with monitoring off.
+	// Every tenant's monitor shares one configuration, so either every
+	// tenant has one or none does.
+	drift *DriftStatus
+	// stages are the tenant's queue/score/emit latency histograms.
 	stages [3]*obs.Histogram
 }
 
-// writeProm renders the full metrics exposition. queueDepth/queueCap,
-// batchFill, the drift sample, the model info and the tenant samples are
-// sampled by the caller at render time.
-func (m *metrics) writeProm(w io.Writer, queueDepth, queueCap, inFlight int, threshold, batchFill float64, drift driftSample, cascade cascadeSample, tag string, generation uint64, sources []*srcCounters, tenants []tenantSample) {
+// writeProm renders the full metrics exposition from samples the caller
+// takes at render time. tenants lists every tenant, default first: the
+// daemon-wide counters and stage histograms are their sums, and the
+// threshold, drift and model series are the default tenant's. The
+// tenant-labelled series are written only when perTenant is set.
+func (m *metrics) writeProm(w io.Writer, queueDepth, queueCap, inFlight int, batchFill float64, cascade cascadeSample, sources []*srcCounters, tenants []tenantSample, perTenant bool) {
+	def := tenants[0]
+	var tot counts
+	for _, t := range tenants {
+		tot.add(t.counts)
+	}
 	c := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -204,27 +185,23 @@ func (m *metrics) writeProm(w io.Writer, queueDepth, queueCap, inFlight int, thr
 	fmt.Fprintf(w, "# TYPE clap_build_info gauge\n")
 	fmt.Fprintf(w, "clap_build_info{version=\"%s\",go_version=\"%s\",backend_tags=\"%s\",kernel=\"%s\"} 1\n",
 		promLabel(clap.Version), promLabel(runtime.Version()), promLabel(strings.Join(clap.BackendTags(), ",")), promLabel(nn.Kernel()))
-	c("clap_serve_connections_scored_total", "Connections scored since start.", m.connsScored.Load())
-	c("clap_serve_packets_total", "Packets in scored connections since start.", m.packets.Load())
-	c("clap_serve_flagged_total", "Connections flagged over the operating threshold.", m.flagged.Load())
-	c("clap_serve_reloads_total", "Successful hot model reloads.", m.reloads.Load())
+	c("clap_serve_connections_scored_total", "Connections scored since start.", tot.scored)
+	c("clap_serve_packets_total", "Packets in scored connections since start.", tot.packets)
+	c("clap_serve_flagged_total", "Connections flagged over the operating threshold.", tot.flagged)
+	c("clap_serve_reloads_total", "Successful hot model reloads.", tot.reloads)
 	g("clap_serve_packets_per_second", "Scoring throughput over the last 5s window.", m.windowRate())
 	g("clap_serve_queue_depth", "Connections waiting in the ingest queue.", float64(queueDepth))
 	g("clap_serve_queue_capacity", "Ingest queue capacity.", float64(queueCap))
 	g("clap_serve_stream_in_flight", "Connections inside the scoring stream.", float64(inFlight))
-	g("clap_serve_threshold", "Current operating threshold.", threshold)
+	g("clap_serve_threshold", "Current operating threshold.", def.threshold)
 	g("clap_serve_batch_fill", "Mean occupancy of batched inference micro-batches (1 = full; 0 = unbatched).", batchFill)
 	g("clap_serve_uptime_seconds", "Seconds since the daemon started.", time.Since(m.start).Seconds())
-	if drift.enabled {
-		c("clap_serve_drift_alerts_total", "Drift alert excursions since start.", m.driftAlerts.Load())
-		g("clap_serve_drift", "Largest relative quantile shift of the live score distribution vs. the calibration reference.", drift.drift)
-		g("clap_serve_operating_fpr", "Estimated fraction of recent scores at or above the operating threshold.", drift.operatingFPR)
-		g("clap_serve_target_fpr", "Calibrated target FPR (0: none configured).", drift.targetFPR)
-		alerting := 0.0
-		if drift.alert {
-			alerting = 1
-		}
-		g("clap_serve_drift_alerting", "1 while the drift alert condition currently holds.", alerting)
+	if drift := def.drift; drift != nil {
+		c("clap_serve_drift_alerts_total", "Drift alert excursions since start.", tot.alerts)
+		g("clap_serve_drift", "Largest relative quantile shift of the live score distribution vs. the calibration reference.", drift.Drift)
+		g("clap_serve_operating_fpr", "Estimated fraction of recent scores at or above the operating threshold.", drift.OperatingFPR)
+		g("clap_serve_target_fpr", "Calibrated target FPR (0: none configured).", drift.TargetFPR)
+		g("clap_serve_drift_alerting", "1 while the drift alert condition currently holds.", alerting(drift))
 	}
 	if cascade.present {
 		c("clap_serve_cascade_evaluated_total", "Connections routed through the cascade's cheap screen.", cascade.evaluated)
@@ -238,10 +215,10 @@ func (m *metrics) writeProm(w io.Writer, queueDepth, queueCap, inFlight int, thr
 
 	fmt.Fprintf(w, "# HELP clap_serve_model_info Current model (value is the reload generation).\n")
 	fmt.Fprintf(w, "# TYPE clap_serve_model_info gauge\n")
-	fmt.Fprintf(w, "clap_serve_model_info{tag=\"%s\"} %d\n", promLabel(tag), generation)
+	fmt.Fprintf(w, "clap_serve_model_info{tag=\"%s\"} %d\n", promLabel(def.tag), def.generation)
 
-	if len(tenants) > 0 {
-		m.writeTenants(w, tenants)
+	if perTenant {
+		writeTenants(w, tenants)
 	}
 
 	// Per-source accounting, sorted for a stable exposition.
@@ -295,11 +272,15 @@ func (m *metrics) writeProm(w io.Writer, queueDepth, queueCap, inFlight int, thr
 		}
 	}
 
-	// Stage latency histograms.
+	// Stage latency histograms: the bucket-wise sum of the tenants'.
 	name := "clap_serve_stage_latency_seconds"
 	fmt.Fprintf(w, "# HELP %s Per-stage latency through the scoring stream.\n# TYPE %s histogram\n", name, name)
-	for si, h := range m.stages {
-		writeHistSeries(w, name, fmt.Sprintf("stage=%q,", stageNames[si]), h)
+	for si, stage := range stageNames {
+		hs := make([]*obs.Histogram, len(tenants))
+		for i, t := range tenants {
+			hs[i] = t.stages[si]
+		}
+		writeHistSeries(w, name, fmt.Sprintf("stage=%q,", stage), hs...)
 	}
 
 	// Tracing-only distributions (the histograms exist only with tracing
@@ -316,14 +297,26 @@ func (m *metrics) writeProm(w io.Writer, queueDepth, queueCap, inFlight int, thr
 	}
 }
 
-// writeHistSeries renders one histogram's bucket/sum/count series. labels
-// is everything inside the braces before le — e.g. `stage="queue",` —
-// or "" for an unlabeled histogram.
-func writeHistSeries(w io.Writer, name, labels string, h *obs.Histogram) {
-	counts, sum, total := h.Snapshot()
+// writeHistSeries renders the bucket/sum/count series of the bucket-wise
+// sum of hs, which share their bounds. labels is everything inside the
+// braces before le — e.g. `stage="queue",` — or "" for an unlabeled
+// histogram.
+func writeHistSeries(w io.Writer, name, labels string, hs ...*obs.Histogram) {
+	bounds := hs[0].Bounds()
+	buckets := make([]uint64, len(bounds))
+	var sum float64
+	var total uint64
+	for _, h := range hs {
+		c, s, n := h.Snapshot()
+		for i := range buckets {
+			buckets[i] += c[i]
+		}
+		sum += s
+		total += n
+	}
 	cum := uint64(0)
-	for i, b := range h.Bounds() {
-		cum += counts[i]
+	for i, b := range bounds {
+		cum += buckets[i]
 		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, labels, trimFloat(b), cum)
 	}
 	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, total)
@@ -337,9 +330,9 @@ func writeHistSeries(w io.Writer, name, labels string, h *obs.Histogram) {
 	fmt.Fprintf(w, "%s_count{%s} %d\n", name, bare, total)
 }
 
-// writeTenants renders the per-tenant series (multi-tenant mode only).
-// Label values pass through promLabel — tenant names are operator input.
-func (m *metrics) writeTenants(w io.Writer, tenants []tenantSample) {
+// writeTenants renders the tenant-labelled series. Label values pass
+// through promLabel — tenant names are operator input.
+func writeTenants(w io.Writer, tenants []tenantSample) {
 	counter := func(name, help string, get func(tenantSample) uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
 		for _, t := range tenants {
@@ -367,40 +360,32 @@ func (m *metrics) writeTenants(w io.Writer, tenants []tenantSample) {
 		fmt.Fprintf(w, "clap_serve_tenant_model_info{tenant=\"%s\",tag=\"%s\"} %d\n", promLabel(t.name), promLabel(t.tag), t.generation)
 	}
 
-	// Per-tenant stage latency histograms (PR 7 exported only aggregate
-	// stage latencies; one tenant's stalls were invisible next to a fast
-	// neighbour's volume).
+	// Per-tenant stage latency histograms: one tenant's stalls stay
+	// visible next to a fast neighbour's volume.
 	histName := "clap_serve_tenant_stage_latency_seconds"
 	fmt.Fprintf(w, "# HELP %s Per-stage latency through the scoring stream, by tenant.\n# TYPE %s histogram\n", histName, histName)
 	for _, t := range tenants {
 		for si, h := range t.stages {
-			if h == nil {
-				continue
-			}
 			writeHistSeries(w, histName, fmt.Sprintf("tenant=\"%s\",stage=%q,", promLabel(t.name), stageNames[si]), h)
 		}
 	}
 
 	// Drift, per tenant (each tenant monitors against its own reference).
-	if anyDrift := func() bool {
-		for _, t := range tenants {
-			if t.drift.enabled {
-				return true
-			}
-		}
-		return false
-	}(); anyDrift {
+	if tenants[0].drift != nil {
 		counter("clap_serve_tenant_drift_alerts_total", "Tenant drift alert excursions.", func(t tenantSample) uint64 { return t.alerts })
-		gauge("clap_serve_tenant_drift", "Tenant's largest relative quantile shift vs. its calibration reference.", func(t tenantSample) float64 { return t.drift.drift })
-		gauge("clap_serve_tenant_operating_fpr", "Tenant's estimated fraction of recent scores at or above its threshold.", func(t tenantSample) float64 { return t.drift.operatingFPR })
-		gauge("clap_serve_tenant_target_fpr", "Tenant's calibrated target FPR (0: none configured).", func(t tenantSample) float64 { return t.drift.targetFPR })
-		gauge("clap_serve_tenant_drift_alerting", "1 while the tenant's drift alert condition currently holds.", func(t tenantSample) float64 {
-			if t.drift.alert {
-				return 1
-			}
-			return 0
-		})
+		gauge("clap_serve_tenant_drift", "Tenant's largest relative quantile shift vs. its calibration reference.", func(t tenantSample) float64 { return t.drift.Drift })
+		gauge("clap_serve_tenant_operating_fpr", "Tenant's estimated fraction of recent scores at or above its threshold.", func(t tenantSample) float64 { return t.drift.OperatingFPR })
+		gauge("clap_serve_tenant_target_fpr", "Tenant's calibrated target FPR (0: none configured).", func(t tenantSample) float64 { return t.drift.TargetFPR })
+		gauge("clap_serve_tenant_drift_alerting", "1 while the tenant's drift alert condition currently holds.", func(t tenantSample) float64 { return alerting(t.drift) })
 	}
+}
+
+// alerting renders the drift alert latch as a gauge value.
+func alerting(st *DriftStatus) float64 {
+	if st.Alert {
+		return 1
+	}
+	return 0
 }
 
 // trimFloat renders a bucket bound the Prometheus way (no exponent for

@@ -23,9 +23,11 @@
 // the owning tenant's atomically-published (model, threshold) pair, and
 // cross-tenant micro-batching keeps the batched engine full even when
 // each tenant alone is lightly loaded. Config's top-level fields define
-// the implicit "default" tenant (single-tenant deployments behave
-// exactly as before); Config.Tenants adds the rest. The ops API scopes
-// by ?tenant= and lists tenants at /v1/tenants.
+// the implicit "default" tenant; Config.Tenants adds the rest. A
+// single-tenant daemon is a tenant list of length one, served by the
+// same code, and tenant-shaped keys and labels appear on its surface
+// only when more than one tenant is configured. The ops API scopes by
+// ?tenant= and lists tenants at /v1/tenants.
 //
 // See DESIGN.md §7 for the architecture diagram and endpoint table, and
 // §11 for multi-tenant serving.
@@ -123,14 +125,11 @@ type Config struct {
 	DriftWindows   int
 	DriftMaxShift  float64
 	DriftFPRFactor float64
-	// OnDriftAlert observes the DEFAULT tenant's drift alerts (fired once
-	// per excursion, on the emit goroutine) — the hook the single-tenant
-	// CLI uses to push drift lines into the alert log. Named tenants'
-	// alerts go to OnTenantDriftAlert.
-	OnDriftAlert func(DriftStatus)
-	// OnTenantDriftAlert observes every tenant's drift alerts with the
-	// tenant name (fired on the emit goroutine).
-	OnTenantDriftAlert func(tenantName string, st DriftStatus)
+	// OnDriftAlert observes every tenant's drift alerts, fired once per
+	// excursion on the emit goroutine — the hook the CLI uses to push
+	// drift lines into the alert log. tenant is the tenant's connection
+	// tag, as in Result.Conn.Tenant: "" for the default tenant.
+	OnDriftAlert func(tenant string, st DriftStatus)
 
 	// IdleFlush, when positive, is applied to every registered source
 	// that supports a configurable idle-flush window
@@ -171,12 +170,9 @@ type Config struct {
 
 	// OnResult, if set, observes every scored result on the emit
 	// goroutine — the hook the CLI uses for alert sinks and tests use for
-	// score capture.
+	// score capture. Result.Conn.Tenant names the owning tenant ("" for
+	// the default one).
 	OnResult func(clap.Result)
-	// OnTenantResult is OnResult with the owning tenant's name — the
-	// multi-tenant CLI routes each tenant's alerts to its own dedup log
-	// through it.
-	OnTenantResult func(tenantName string, r clap.Result)
 
 	// Logf receives operational log lines (nil: silent).
 	Logf func(format string, args ...any)
@@ -216,8 +212,8 @@ type FlaggedConn struct {
 	TopWindows []int     `json:"top_windows,omitempty"`
 	Attack     string    `json:"attack,omitempty"`
 	Time       time.Time `json:"time"`
-	// Tenant names the owning tenant in multi-tenant mode (omitted in
-	// single-tenant deployments, keeping the JSON shape unchanged).
+	// Tenant names the owning tenant while more than one is configured
+	// (omitted otherwise; see Server.tenantKey).
 	Tenant string `json:"tenant,omitempty"`
 	// Provenance is the verdict's full decision record, attached when
 	// tracing is armed (Config.TraceSample > 0; omitted otherwise, keeping
@@ -235,12 +231,6 @@ type DriftStatus = calib.Status
 type Server struct {
 	cfg  Config
 	logf func(string, ...any)
-
-	// hot and monitor alias the default tenant's handle and drift
-	// monitor (kept as fields because the single-tenant surface — and
-	// its tests — address them directly).
-	hot     *backend.Hot
-	monitor *calib.Monitor
 
 	pipe   *clap.Pipeline
 	stream *clap.PipelineStream
@@ -282,8 +272,8 @@ type tenantState struct {
 	// tracer holds the tenant's decision ring and deep-trace store
 	// (nil while tracing is disabled).
 	tracer *obs.Tracer
-	// stageHist are the tenant's queue/score/emit latency histograms,
-	// observed and rendered only in multi-tenant mode.
+	// stageHist are the tenant's queue/score/emit latency histograms;
+	// the daemon-wide clap_serve_stage_latency_seconds is their sum.
 	stageHist [3]*obs.Histogram
 }
 
@@ -354,8 +344,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.hot = def.Hot
-	s.monitor = def.Monitor
 	for _, tc := range cfg.Tenants {
 		if tc.Name == "" || tc.Name == DefaultTenant {
 			return nil, fmt.Errorf("serve: tenant name %q is reserved (the default tenant is configured by the top-level fields)", tc.Name)
@@ -380,13 +368,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Batch > 0 {
 		opts = append(opts, clap.WithBatchSize(cfg.Batch))
 	}
-	// Calibration (source or snapshot) resolves at Start, where its
-	// outcome seeds each tenant's hot (model, threshold) pair and drift
-	// monitor reference; only the default tenant's fixed threshold
-	// configures the pipeline directly.
-	if cfg.Calibration == nil && cfg.Threshold > 0 {
-		opts = append(opts, clap.WithThreshold(cfg.Threshold))
-	}
+	// Thresholds live only in each tenant's hot (model, threshold) pair,
+	// installed at Start (resolveCalibration): the stream's resolver pins
+	// every connection to its tenant's pair, so the pipeline carries none.
 	s.pipe, err = clap.NewPipeline(opts...)
 	if err != nil {
 		return nil, err
@@ -453,17 +437,25 @@ func (s *Server) addTenant(tc TenantConfig) (*tenantState, error) {
 	return t, nil
 }
 
-// multiTenant reports whether any named tenants are configured — the
-// gate that keeps single-tenant output (metrics, JSON shapes, log
-// lines) byte-identical to the pre-tenant daemon.
+// multiTenant reports whether any named tenants are configured. The
+// surface consults it only through tenantKey (JSON) and /metrics (the
+// tenant-labelled series), so the single-tenant rule lives in one place.
 func (s *Server) multiTenant() bool { return len(s.tenants) > 1 }
+
+// tenantKey is the one surface rule for JSON: bodies and flagged entries
+// name their tenant only while more than one tenant is configured, so
+// the single-tenant surface carries no tenant keys. It returns the name
+// to carry, or "" to leave the key out.
+func (s *Server) tenantKey(t *tenantState) string {
+	if !s.multiTenant() {
+		return ""
+	}
+	return t.Name
+}
 
 // tenantOf resolves a connection's tenant tag ("": the default tenant).
 func (s *Server) tenantOf(name string) *tenantState {
-	if name == "" {
-		return s.tenants[0]
-	}
-	if t, ok := s.byName[name]; ok {
+	if t, ok := s.tenantByName(name); ok {
 		return t
 	}
 	return s.tenants[0]
@@ -479,35 +471,22 @@ func (s *Server) tenantByName(name string) (*tenantState, bool) {
 	return t, ok
 }
 
-// Tenants lists the configured tenant names, default first.
-func (s *Server) Tenants() []string {
-	out := make([]string, len(s.tenants))
-	for i, t := range s.tenants {
-		out[i] = t.Name
-	}
-	return out
-}
-
-// AddSource registers a live source for the default tenant. Must be
-// called before Start. A configured IdleFlush is applied to sources that
-// support it, so the half-open flush window is a per-source serving knob
-// rather than whatever constant the source was built with.
+// AddSource registers a live source for the default tenant: the ""
+// case of AddTenantSource.
 func (s *Server) AddSource(src clap.ServeSource) {
-	s.addSource(s.tenants[0], src)
+	_ = s.AddTenantSource("", src) // "" always resolves: no error
 }
 
 // AddTenantSource registers a live source delivering into the named
-// tenant ("" is the default tenant). Must be called before Start.
+// tenant ("" is the default tenant). Must be called before Start. A
+// configured IdleFlush is applied to sources that support it, so the
+// half-open flush window is a per-source serving knob rather than
+// whatever constant the source was built with.
 func (s *Server) AddTenantSource(name string, src clap.ServeSource) error {
 	t, ok := s.tenantByName(name)
 	if !ok {
 		return fmt.Errorf("serve: unknown tenant %q", name)
 	}
-	s.addSource(t, src)
-	return nil
-}
-
-func (s *Server) addSource(t *tenantState, src clap.ServeSource) {
 	if s.cfg.IdleFlush > 0 {
 		if f, ok := src.(clap.IdleFlushable); ok {
 			f.SetIdleFlush(s.cfg.IdleFlush)
@@ -520,6 +499,7 @@ func (s *Server) addSource(t *tenantState, src clap.ServeSource) {
 	s.sources = append(s.sources, serveSource{src: src, stats: st, owner: t})
 	s.stats = append(s.stats, st)
 	t.srcs = append(t.srcs, st)
+	return nil
 }
 
 // Start opens the scoring stream (running threshold calibration if
@@ -547,8 +527,9 @@ func (s *Server) Start(ctx context.Context) error {
 		return err
 	}
 	s.stream = stream
+	def := s.tenants[0]
 	s.logf("serving %s (threshold %.6f, %d workers, batch %d)",
-		s.hot.Describe(), stream.Threshold(), s.pipe.Engine().Workers(), s.pipe.BatchSize())
+		def.Hot.Describe(), def.Threshold(), s.pipe.Engine().Workers(), s.pipe.BatchSize())
 	for _, t := range s.tenants[1:] {
 		s.logf("tenant %s: serving %s (threshold %.6f)", t.Name, t.Hot.Describe(), t.Threshold())
 	}
@@ -811,126 +792,115 @@ func (s *Server) deliverFunc(ctx context.Context, st *srcCounters, t *tenantStat
 	}
 }
 
-// emit consumes ordered results on the stream's emitter goroutine.
+// emit consumes ordered results on the stream's emitter goroutine. The
+// tenant's counters move in observe, which runs next.
 func (s *Server) emit(r clap.Result) {
 	s.lastResult = r
 	t := s.tenantOf(r.Conn.Tenant)
 	t.Release()
-	t.Scored.Add(1)
-	t.Packets.Add(uint64(r.Conn.Len()))
 	if t.Monitor != nil {
 		// Off the hot scoring path: the sketch insert rides the single
 		// emit goroutine, not the pool workers. A window rotation that
 		// newly trips the drift condition fires the alert hook once.
 		if st := t.Monitor.Observe(r.Score, t.Threshold()); st != nil {
-			s.driftAlert(t, *st)
+			s.driftAlert(t, r.Conn.Tenant, *st)
 		}
 	}
-	if r.Flagged {
-		t.Flagged.Add(1)
-		// With tracing armed the flagged-ring insert moves to observe,
-		// which runs next on this same goroutine — the entry then carries
-		// the COMPLETED provenance record (Seq, latencies, timestamp)
-		// instead of a half-filled one.
-		if r.Prov == nil {
-			fc := FlaggedConn{
-				Key:        r.Conn.Key.String(),
-				Score:      r.Score,
-				PeakWindow: r.PeakWindow,
-				TopWindows: r.TopWindows,
-				Attack:     r.Conn.AttackName,
-				Time:       time.Now(),
-			}
-			if s.multiTenant() {
-				fc.Tenant = t.Name
-			}
-			t.flagged.Add(fc)
-		}
+	// With tracing armed the flagged-ring insert moves to observe, which
+	// runs next on this same goroutine — the entry then carries the
+	// COMPLETED provenance record (Seq, latencies, timestamp) instead of
+	// a half-filled one.
+	if r.Flagged && r.Prov == nil {
+		t.flagged.Add(s.flaggedEntry(t, r, nil))
 	}
 	if s.cfg.OnResult != nil {
 		s.cfg.OnResult(r)
 	}
-	if s.cfg.OnTenantResult != nil {
-		s.cfg.OnTenantResult(t.Name, r)
+}
+
+// flaggedEntry builds the /v1/flagged entry of a flagged result; d is its
+// completed provenance record, nil while tracing is off.
+func (s *Server) flaggedEntry(t *tenantState, r clap.Result, d *obs.Decision) FlaggedConn {
+	fc := FlaggedConn{
+		Score:      r.Score,
+		PeakWindow: r.PeakWindow,
+		TopWindows: r.TopWindows,
+		Attack:     r.Conn.AttackName,
+		Tenant:     s.tenantKey(t),
+		Provenance: d,
 	}
+	if d != nil {
+		fc.Key, fc.Time = d.Key, d.Time
+	} else {
+		fc.Key, fc.Time = r.Conn.Key.String(), time.Now()
+	}
+	return fc
 }
 
 // driftAlert reacts to a tenant's newly tripped drift condition: count
-// it, log it, and hand it to the configured alert hooks (the CLI routes
-// them into the dedup alert log).
-func (s *Server) driftAlert(t *tenantState, st DriftStatus) {
-	s.metrics.driftAlerts.Add(1)
+// it, log it, and hand it to the alert hook (the CLI routes it into the
+// dedup alert log). tag is the tenant's connection tag.
+func (s *Server) driftAlert(t *tenantState, tag string, st DriftStatus) {
 	t.DriftAlerts.Add(1)
 	s.logf("%sDRIFT ALERT: %s (drift=%.4f, operating FPR %.4f vs target %.4f) — recalibrate via POST /v1/reload {\"calibration\": ...}",
 		t.logPrefix(), st.Reason, st.Drift, st.OperatingFPR, st.TargetFPR)
-	if s.cfg.OnDriftAlert != nil && t.Name == DefaultTenant {
-		s.cfg.OnDriftAlert(st)
-	}
-	if s.cfg.OnTenantDriftAlert != nil {
-		s.cfg.OnTenantDriftAlert(t.Name, st)
+	if s.cfg.OnDriftAlert != nil {
+		s.cfg.OnDriftAlert(tag, st)
 	}
 }
 
 // DriftStatus evaluates the default tenant's drift statistics right now
 // (ok=false when drift monitoring is disabled).
 func (s *Server) DriftStatus() (DriftStatus, bool) {
-	if s.monitor == nil {
+	t := s.tenants[0]
+	if t.Monitor == nil {
 		return DriftStatus{}, false
 	}
-	return s.monitor.Status(s.Threshold()), true
+	return t.Monitor.Status(t.Threshold()), true
 }
 
-// observe feeds the stream's stage latencies into the metrics and, with
-// tracing armed, completes and publishes the connection's provenance
-// record. It runs on the emitter goroutine right after this connection's
-// emit, so the verdict recorded there and the latencies land together —
-// and a record only becomes visible to /v1/trace, /v1/explain and
-// /v1/flagged once it is complete.
+// observe feeds the stream's stage latencies into the tenant's
+// histograms, with tracing armed completes and publishes the
+// connection's provenance record, and then counts the connection. It
+// runs on the emitter goroutine right after this connection's emit, so
+// the verdict recorded there and the latencies land together — a record
+// only becomes visible to /v1/trace, /v1/explain and /v1/flagged once it
+// is complete, and a reader that sees a connection counted also sees its
+// latencies.
 func (s *Server) observe(c *clap.Connection, st clap.StreamStats) {
 	r := s.lastResult
 	s.lastResult = clap.Result{}
-	s.metrics.observeConn(c.Len(), r.Flagged, st.QueueWait, st.Score, st.EmitWait)
 	t := s.tenantOf(c.Tenant)
-	if s.multiTenant() {
-		t.stageHist[stageQueue].Observe(st.QueueWait.Seconds())
-		t.stageHist[stageScore].Observe(st.Score.Seconds())
-		t.stageHist[stageEmit].Observe(st.EmitWait.Seconds())
+	t.stageHist[stageQueue].Observe(st.QueueWait.Seconds())
+	t.stageHist[stageScore].Observe(st.Score.Seconds())
+	t.stageHist[stageEmit].Observe(st.EmitWait.Seconds())
+	if d := r.Prov; d != nil {
+		d.Seq = st.Seq
+		d.QueueWaitNS = st.QueueWait.Nanoseconds()
+		d.ScoreNS = st.Score.Nanoseconds()
+		d.EmitWaitNS = st.EmitWait.Nanoseconds()
+		d.Time = time.Now()
+		if d.BatchFill > 0 {
+			s.metrics.batchFill.Observe(d.BatchFill)
+		}
+		t.tracer.Record(*d)
+		if r.Flagged || d.Sampled {
+			t.tracer.RecordTrace(obs.Trace{
+				Decision:   *d,
+				Errors:     r.Errors,
+				TopWindows: r.TopWindows,
+				PeakWindow: r.PeakWindow,
+			})
+		}
+		if r.Flagged {
+			t.flagged.Add(s.flaggedEntry(t, r, d))
+		}
 	}
-	d := r.Prov
-	if d == nil {
-		return
-	}
-	d.Seq = st.Seq
-	d.QueueWaitNS = st.QueueWait.Nanoseconds()
-	d.ScoreNS = st.Score.Nanoseconds()
-	d.EmitWaitNS = st.EmitWait.Nanoseconds()
-	d.Time = time.Now()
-	if d.BatchFill > 0 {
-		s.metrics.batchFill.Observe(d.BatchFill)
-	}
-	t.tracer.Record(*d)
-	if r.Flagged || d.Sampled {
-		t.tracer.RecordTrace(obs.Trace{
-			Decision:   *d,
-			Errors:     r.Errors,
-			TopWindows: r.TopWindows,
-			PeakWindow: r.PeakWindow,
-		})
-	}
+	s.metrics.observeRate(c.Len())
+	t.Scored.Add(1)
+	t.Packets.Add(uint64(c.Len()))
 	if r.Flagged {
-		fc := FlaggedConn{
-			Key:        d.Key,
-			Score:      r.Score,
-			PeakWindow: r.PeakWindow,
-			TopWindows: r.TopWindows,
-			Attack:     c.AttackName,
-			Time:       d.Time,
-			Provenance: d,
-		}
-		if s.multiTenant() {
-			fc.Tenant = t.Name
-		}
-		t.flagged.Add(fc)
+		t.Flagged.Add(1)
 	}
 }
 
@@ -946,24 +916,15 @@ func (s *Server) Flagged(n int) []FlaggedConn {
 	// Stable: equal timestamps keep ring (insertion) order, so the
 	// single-tenant view is exactly the ring's.
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
-	if n > 0 && len(out) > n {
-		out = out[len(out)-n:]
-	}
-	return out
+	return lastN(out, n)
 }
 
-// FlaggedTenant returns one tenant's recent flagged connections, oldest
-// first, capped at n (n <= 0: all retained).
-func (s *Server) FlaggedTenant(name string, n int) ([]FlaggedConn, error) {
-	t, ok := s.tenantByName(name)
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown tenant %q", name)
+// lastN caps xs to its n most recent (last) elements; n <= 0 keeps all.
+func lastN[T any](xs []T, n int) []T {
+	if n > 0 && len(xs) > n {
+		return xs[len(xs)-n:]
 	}
-	out := t.flagged.Snapshot()
-	if n > 0 && len(out) > n {
-		out = out[len(out)-n:]
-	}
-	return out, nil
+	return xs
 }
 
 // streamOrNil returns the scoring stream, or nil before Start — the ops
@@ -975,38 +936,17 @@ func (s *Server) streamOrNil() *clap.PipelineStream {
 	return s.stream
 }
 
-// Threshold reports the default tenant's live operating threshold (0
-// before Start).
-func (s *Server) Threshold() float64 {
-	st := s.streamOrNil()
-	if st == nil {
-		return 0
-	}
-	return st.Threshold()
-}
+// Threshold reports the default tenant's operating threshold (0 while
+// none is installed: before Start, or score-only).
+func (s *Server) Threshold() float64 { return s.tenants[0].Threshold() }
 
-// SetThreshold adjusts the default tenant's live operating threshold.
-func (s *Server) SetThreshold(th float64) error {
-	st := s.streamOrNil()
-	if st == nil {
-		return errors.New("serve: not started")
-	}
-	if err := st.SetThreshold(th); err != nil {
-		return err
-	}
-	s.logf("threshold set to %.6f", th)
-	return nil
-}
-
-// SetTenantThreshold adjusts one tenant's live operating threshold ("":
-// the default tenant).
-func (s *Server) SetTenantThreshold(name string, th float64) error {
+// SetThreshold adjusts a tenant's live operating threshold ("": the
+// default tenant). Before Start it installs the threshold Start then
+// keeps, unless the tenant's calibration or fixed Threshold replaces it.
+func (s *Server) SetThreshold(name string, th float64) error {
 	t, ok := s.tenantByName(name)
 	if !ok {
 		return fmt.Errorf("serve: unknown tenant %q", name)
-	}
-	if t.Name == DefaultTenant {
-		return s.SetThreshold(th)
 	}
 	if err := t.Hot.SetThreshold(th); err != nil {
 		return err
@@ -1052,44 +992,28 @@ type ReloadResult struct {
 	CalibrationConns int
 }
 
-// Reload hot-swaps the default tenant's serving model from a model file
-// written with SaveBackend (any registered backend tag — the tagged
-// header picks the decoder), keeping the current threshold. path ""
-// falls back to the configured ModelPath. The swap is atomic: in-flight
+// Reload hot-swaps a tenant's serving model ("": the default tenant) —
+// the full /v1/reload contract. The model file may carry any registered
+// backend tag (the tagged header picks the decoder); req.Path "" falls
+// back to the tenant's ModelPath. The swap is atomic: in-flight
 // connections finish on the model that picked them up, later ones score
 // on the new model, and a failed load leaves the current model serving.
-func (s *Server) Reload(path string) (before, after ReloadInfo, err error) {
-	res, err := s.ReloadWith(ReloadRequest{Path: path})
-	if err != nil {
-		return before, after, err
-	}
-	return res.Old, res.New, nil
-}
-
-// ReloadWith is Reload plus optional atomic recalibration (the full
-// /v1/reload contract), against the default tenant. With a Calibration
-// source the incoming model's threshold is derived first — from a benign
+// Without a req.Calibration source the current threshold is kept; with
+// one, the incoming model's threshold is derived first — from a benign
 // pcap scored with that model, or from the live score sketch — and model
-// and threshold are then published in one hot-pair transaction; the
+// and threshold are then published in one hot-pair transaction, the
 // drift monitor rebases on the new reference distribution and the
-// persisted calibration snapshot (if configured) is rewritten.
-func (s *Server) ReloadWith(req ReloadRequest) (ReloadResult, error) {
-	return s.reloadTenant(s.tenants[0], req)
-}
-
-// ReloadTenant is ReloadWith scoped to one tenant ("": the default).
-// Tenants reload independently: only the named tenant's pair handle,
-// monitor, and calibration snapshot move; every other tenant's verdicts
-// are untouched.
-func (s *Server) ReloadTenant(name string, req ReloadRequest) (ReloadResult, error) {
+// persisted calibration snapshot (if configured) is rewritten. Tenants
+// reload independently: every other tenant's verdicts are untouched.
+func (s *Server) Reload(name string, req ReloadRequest) (ReloadResult, error) {
 	t, ok := s.tenantByName(name)
 	if !ok {
 		return ReloadResult{}, fmt.Errorf("serve: unknown tenant %q", name)
 	}
-	return s.reloadTenant(t, req)
+	return s.reload(t, req)
 }
 
-func (s *Server) reloadTenant(t *tenantState, req ReloadRequest) (res ReloadResult, err error) {
+func (s *Server) reload(t *tenantState, req ReloadRequest) (res ReloadResult, err error) {
 	t.ReloadMu.Lock()
 	defer t.ReloadMu.Unlock()
 
@@ -1188,7 +1112,6 @@ func (s *Server) reloadTenant(t *tenantState, req ReloadRequest) (res ReloadResu
 	}
 
 	if !keepModel {
-		s.metrics.reloads.Add(1)
 		t.Reloads.Add(1)
 	}
 	_, newTh, _ := t.Hot.CurrentPair()
@@ -1229,10 +1152,30 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			return err
 		}
 	}
-	s.logf("shutdown complete: %d connections scored, %d flagged",
-		s.metrics.connsScored.Load(), s.metrics.flagged.Load())
+	tot := s.totals()
+	s.logf("shutdown complete: %d connections scored, %d flagged", tot.scored, tot.flagged)
 	return nil
 }
 
-// Scored reports the total connections scored so far.
-func (s *Server) Scored() uint64 { return s.metrics.connsScored.Load() }
+// Scored reports the total connections scored so far, over every tenant.
+func (s *Server) Scored() uint64 { return s.totals().scored }
+
+// counts reads the tenant's counters.
+func (t *tenantState) counts() counts {
+	return counts{
+		scored:  t.Scored.Load(),
+		packets: t.Packets.Load(),
+		flagged: t.Flagged.Load(),
+		reloads: t.Reloads.Load(),
+		alerts:  t.DriftAlerts.Load(),
+	}
+}
+
+// totals sums every tenant's counters: the daemon-wide view.
+func (s *Server) totals() counts {
+	var c counts
+	for _, t := range s.tenants {
+		c.add(t.counts())
+	}
+	return c
+}

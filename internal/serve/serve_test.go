@@ -443,7 +443,7 @@ func TestServeReloadWhileScoring(t *testing.T) {
 	paths := []string{b1Model, clapModel}
 	reloads := 0
 	for srv.Scored() < n {
-		if _, _, err := srv.Reload(paths[reloads%2]); err != nil {
+		if _, err := srv.Reload("", ReloadRequest{Path: paths[reloads%2]}); err != nil {
 			t.Fatalf("reload %d: %v", reloads, err)
 		}
 		reloads++
@@ -567,8 +567,11 @@ func TestServeHandlerBeforeStart(t *testing.T) {
 	if srv.Threshold() != 0 {
 		t.Fatalf("Threshold before Start = %v, want 0", srv.Threshold())
 	}
-	if err := srv.SetThreshold(0.1); err == nil {
-		t.Fatal("SetThreshold before Start succeeded")
+	// The default tenant's threshold lives in its hot pair like every
+	// tenant's, so one set before Start is installed there (Start keeps
+	// it: nothing in this config calibrates or fixes another).
+	if err := srv.SetThreshold("", 0.1); err != nil || srv.Threshold() != 0.1 {
+		t.Fatalf("SetThreshold before Start: err=%v, threshold %v, want 0.1", err, srv.Threshold())
 	}
 }
 
@@ -594,14 +597,14 @@ func TestServeReloadRejectsBadModel(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not a model"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.Reload(bad); err == nil {
+	if _, err := srv.Reload("", ReloadRequest{Path: bad}); err == nil {
 		t.Fatal("reload of a corrupt model succeeded")
 	}
-	if srv.hot.Tag() != clap.BackendCLAP || srv.hot.Generation() != 0 {
+	if srv.tenants[0].Hot.Tag() != clap.BackendCLAP || srv.tenants[0].Hot.Generation() != 0 {
 		t.Fatalf("failed reload disturbed the live model: tag=%s gen=%d",
-			srv.hot.Tag(), srv.hot.Generation())
+			srv.tenants[0].Hot.Tag(), srv.tenants[0].Hot.Generation())
 	}
-	if _, _, err := srv.Reload("/definitely/not/here.model"); err == nil {
+	if _, err := srv.Reload("", ReloadRequest{Path: "/definitely/not/here.model"}); err == nil {
 		t.Fatal("reload of a missing file succeeded")
 	}
 }
@@ -694,7 +697,7 @@ func TestServeCascadeMetricsAndStage2Reload(t *testing.T) {
 
 	// Stage-2-only reload: the incoming file holds a bare clap model, the
 	// live cascade's expensive tag. The graft keeps the screen and state.
-	escBefore, set := srv.hot.Current().(*backend.Cascade).Escalation()
+	escBefore, set := srv.tenants[0].Hot.Current().(*backend.Cascade).Escalation()
 	if !set {
 		t.Fatal("serving cascade lost its escalation threshold")
 	}
@@ -714,9 +717,9 @@ func TestServeCascadeMetricsAndStage2Reload(t *testing.T) {
 	if reload.Old.Tag != clap.BackendCascade || reload.New.Tag != clap.BackendCascade {
 		t.Fatalf("stage-2 reload swapped the cascade away: %s -> %s", reload.Old.Tag, reload.New.Tag)
 	}
-	grafted, ok := srv.hot.Current().(*backend.Cascade)
+	grafted, ok := srv.tenants[0].Hot.Current().(*backend.Cascade)
 	if !ok {
-		t.Fatalf("after stage-2 reload the live backend is %q, want a cascade", srv.hot.Tag())
+		t.Fatalf("after stage-2 reload the live backend is %q, want a cascade", srv.tenants[0].Hot.Tag())
 	}
 	if escAfter, set := grafted.Escalation(); !set || escAfter != escBefore {
 		t.Fatalf("graft moved the escalation threshold: %v -> %v (set=%v)", escBefore, escAfter, set)
@@ -724,8 +727,8 @@ func TestServeCascadeMetricsAndStage2Reload(t *testing.T) {
 	if ev, _ := grafted.EscalationCounts(); ev != soakN {
 		t.Fatalf("graft reset the escalation counters: evaluated %d, want %d", ev, soakN)
 	}
-	if srv.hot.Generation() != 1 {
-		t.Fatalf("generation after stage-2 reload = %d, want 1", srv.hot.Generation())
+	if srv.tenants[0].Hot.Generation() != 1 {
+		t.Fatalf("generation after stage-2 reload = %d, want 1", srv.tenants[0].Hot.Generation())
 	}
 
 	// A bare model of a non-stage-2 tag is a full swap: the cascade (and

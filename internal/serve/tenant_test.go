@@ -176,8 +176,9 @@ func TestServeTenantReloadAtomicity(t *testing.T) {
 		QueueDepth:  16,
 		DriftWindow: -1,
 		TraceSample: 1, // every verdict carries provenance under the soak
-		OnTenantResult: func(name string, r clap.Result) {
-			if name == DefaultTenant {
+		OnResult: func(r clap.Result) {
+			name := r.Conn.Tenant
+			if name == "" {
 				return
 			}
 			mu.Lock()
@@ -483,10 +484,10 @@ func TestServeTenantAPIScoping(t *testing.T) {
 		close(tc.src.ch)
 	}
 	// Named tenants need a threshold too: install fixed ones.
-	if err := srv.SetTenantThreshold("a", 0.0001); err != nil {
+	if err := srv.SetThreshold("a", 0.0001); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.SetTenantThreshold("b", 0.0001); err != nil {
+	if err := srv.SetThreshold("b", 0.0001); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Start(context.Background()); err != nil {

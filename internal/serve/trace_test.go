@@ -614,10 +614,10 @@ func TestServeMetricsStrictExposition(t *testing.T) {
 		DriftWindow: -1,
 		TraceSample: 1,
 	}, tenant.Quota{}, tenant.Quota{})
-	if err := srv2.SetTenantThreshold("a", 0.5); err != nil {
+	if err := srv2.SetThreshold("a", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv2.SetTenantThreshold("b", 0.5); err != nil {
+	if err := srv2.SetThreshold("b", 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv2.Start(context.Background()); err != nil {
