@@ -496,7 +496,7 @@ func BenchmarkBackendThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benignS1 := s.Eng.ScoreBackend(s.Backends[backend.TagBaseline1], s.Data.TestBenign)
+	benignS1 := s.Eng.ScoresBatched(s.Backends[backend.TagBaseline1], s.Data.TestBenign)
 	if err := cascade.SetEscalation(metrics.ThresholdAtFPR(benignS1, backend.DefaultEscalateFPR)); err != nil {
 		b.Fatal(err)
 	}

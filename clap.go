@@ -140,7 +140,7 @@
 // connections ride one matrix-matrix autoencoder pass instead of one
 // matrix-vector pass each — ≥2× single-core throughput for CLAP with
 // bit-identical scores (DESIGN.md §8). WithBatchSize (or the CLIs'
-// -batch flag) tunes the micro-batch size; 1 disables batching.
+// -batch flag) tunes the micro-batch size; 1 scores each window alone.
 //
 // When CLAP's accuracy is needed at closer to Baseline #1's throughput,
 // tier the two (DESIGN.md §10): a cascade screens every connection with

@@ -37,7 +37,7 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "emit JSON lines instead of the text report")
 		workers     = flag.Int("workers", 0, "scoring workers (0: all cores)")
 		shards      = flag.Int("shards", 0, "assembly shards (0: same as workers)")
-		batch       = flag.Int("batch", 0, "inference micro-batch size (0: default 24; 1: unbatched)")
+		batch       = flag.Int("batch", 0, "inference micro-batch size (0: default 24; 1: each window alone)")
 		escalateFPR = flag.Float64("escalate-fpr", 0,
 			"cascade models: override the persisted escalate-FPR (takes effect at -calibrate)")
 	)

@@ -92,17 +92,6 @@ type BatchRecycler interface {
 	RecycleWindows(wins [][]float64)
 }
 
-// StageCalibrator is an optional Backend capability for composite
-// backends whose internal routing carries thresholds of its own (the
-// cascade's escalation threshold). Calibration layers invoke it with the
-// benign corpus before deriving the composite's end-to-end operating
-// threshold, so one corpus calibrates every tier. scorer scores a corpus
-// with one constituent backend — callers pass their batched engine pass
-// so stage calibration rides the same kernels as everything else.
-type StageCalibrator interface {
-	CalibrateStages(benign []*flow.Connection, scorer func(Backend, []*flow.Connection) []float64) error
-}
-
 // Factory creates and decodes one backend family.
 type Factory struct {
 	// Doc is a one-line description shown by CLI -backend listings.

@@ -226,97 +226,60 @@ func (b *Cascade) Train(benign []*flow.Connection, logf Logf) error {
 	return nil
 }
 
-// cascadeBatch is the micro-batch size the cascade's internal stage
-// scoring uses on batch-capable stages (mirrors engine.DefaultBatch; the
-// engine package cannot be imported here without a cycle). Batch splits
-// never change bits — only throughput.
-const cascadeBatch = 24
-
-// stageSeries computes one stage's window-error series, riding the batched
-// kernels when the stage has them — bit-identical to stage.WindowErrors
-// either way (the BatchScorer contract).
-func stageSeries(s Backend, c *flow.Connection) []float64 {
-	bs, ok := s.(BatchScorer)
-	if !ok {
-		return s.WindowErrors(c)
-	}
-	wins := bs.Windows(c)
-	if len(wins) == 0 {
-		return []float64{}
-	}
-	errs := make([]float64, 0, len(wins))
-	for lo := 0; lo < len(wins); lo += cascadeBatch {
-		hi := lo + cascadeBatch
-		if hi > len(wins) {
-			hi = len(wins)
-		}
-		errs = append(errs, bs.ScoreWindows(wins[lo:hi])...)
-	}
-	if rec, ok := bs.(BatchRecycler); ok {
-		rec.RecycleWindows(wins)
-	}
-	return errs
-}
-
-// WindowErrors implements Backend. The escalation decision lives here and
-// only here: the first stage screens the connection, and iff its verdict
-// reaches the escalation threshold (or no threshold is calibrated yet)
-// the second stage re-scores it — returning a series bit-identical to
-// running the second stage alone. Summarize then reduces whichever series
-// came back, so ScoreConn == Summarize(WindowErrors(c)) holds by
-// construction for any stage pairing.
-//
-// A screened series is reported as its margin below the escalation
-// threshold: every window error is shifted down by the threshold, so the
-// screened verdict reduces to a negative score (stage-1 score minus
-// threshold). Stage error magnitudes are non-negative, which puts every
-// screened connection strictly below every escalated one on the combined
-// scale — the routed score is a single-threshold ranking statistic even
-// though the two stages score on unrelated scales, and the end-to-end
-// operating threshold calibrated over routed scores lands inside the
-// escalated (second-stage) range whenever the detection FPR target is
-// tighter than the escalation budget.
+// WindowErrors implements Backend: the first stage screens the
+// connection, Route decides, and iff the connection escalates the second
+// stage re-scores it — returning a series bit-identical to running the
+// second stage alone. Summarize then reduces whichever series came back,
+// so ScoreConn == Summarize(WindowErrors(c)) holds by construction for any
+// stage pairing. This is the serial composition; the engine's micro-batcher
+// runs the same two stages around the same Route in batches.
 func (b *Cascade) WindowErrors(c *flow.Connection) []float64 {
 	errs, _, _ := b.WindowErrorsRouted(c)
 	return errs
 }
 
-// WindowErrorsRouted is WindowErrors plus the routing attribution a
-// provenance record captures: whether the verdict escalated to the
-// expensive stage, and the stage-1 margin — the stage-1 score minus the
-// escalation threshold (negative for screened verdicts; the raw stage-1
-// score while the cascade is uncalibrated and everything escalates).
-// The returned series is the same one WindowErrors would produce, bit
-// for bit.
+// WindowErrorsRouted is WindowErrors plus the routing attribution Route
+// reports: whether the verdict escalated to the expensive stage, and the
+// stage-1 margin.
 func (b *Cascade) WindowErrorsRouted(c *flow.Connection) (errs []float64, escalated bool, stage1Margin float64) {
-	e1 := stageSeries(b.s1, c)
-	b.stats.evaluated.Add(1)
-	if th, set := b.Escalation(); set {
-		score, _ := b.s1.Summarize(e1)
-		if score < th {
-			for i := range e1 {
-				e1[i] -= th
-			}
-			return e1, false, score - th
-		}
-		b.stats.escalated.Add(1)
-		return stageSeries(b.s2, c), true, score - th
+	errs = b.s1.WindowErrors(c)
+	if escalated, stage1Margin = b.Route(errs); escalated {
+		errs = b.s2.WindowErrors(c)
 	}
+	return errs, escalated, stage1Margin
+}
+
+// Route settles one connection from its first-stage series e1 and counts
+// it; the escalation decision lives here and only here. Iff the stage-1
+// score reaches the escalation threshold (or none is calibrated yet) the
+// connection escalates, and the caller replaces e1 with the second
+// stage's series. Otherwise it is screened: e1, every window error shifted
+// down by the threshold, is the verdict's series, and reduces to a
+// negative score (stage-1 score minus threshold). Stage error magnitudes
+// are non-negative, so every screened connection ranks strictly below
+// every escalated one — the routed score is a single-threshold ranking
+// statistic although the stages score on unrelated scales, and an
+// operating threshold calibrated over routed scores lands in the escalated
+// range whenever the detection FPR target is tighter than the escalation
+// budget. stage1Margin is the stage-1 score minus the threshold (the raw
+// stage-1 score while uncalibrated).
+func (b *Cascade) Route(e1 []float64) (escalated bool, stage1Margin float64) {
+	b.stats.evaluated.Add(1)
 	score, _ := b.s1.Summarize(e1)
+	th, set := b.Escalation()
+	if !set {
+		b.stats.escalated.Add(1)
+		return true, score
+	}
+	if score < th {
+		for i := range e1 {
+			e1[i] -= th
+		}
+		return false, score - th
+	}
 	b.stats.escalated.Add(1)
-	return stageSeries(b.s2, c), true, score
+	return true, score - th
 }
-
-// Router is implemented by composite backends that can attribute a
-// verdict to the internal stage that settled it. The streaming scorer
-// routes through it when provenance capture is on, so a decision record
-// says not just the score but WHICH stage produced it and by what
-// margin.
-type Router interface {
-	WindowErrorsRouted(c *flow.Connection) (errs []float64, escalated bool, stage1Margin float64)
-}
-
-var _ Router = (*Cascade)(nil)
 
 // ScoreConn implements Backend.
 func (b *Cascade) ScoreConn(c *flow.Connection) float64 {

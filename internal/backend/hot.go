@@ -42,8 +42,6 @@ type hotModel struct {
 	hasTh bool
 }
 
-var _ PairHandle = (*Hot)(nil)
-
 // NewHot wraps a trained backend in a reload-safe handle.
 func NewHot(b Backend) (*Hot, error) {
 	if b == nil {
@@ -176,38 +174,3 @@ func (h *Hot) ScoreConn(c *flow.Connection) float64      { return h.Current().Sc
 func (h *Hot) WindowErrors(c *flow.Connection) []float64 { return h.Current().WindowErrors(c) }
 func (h *Hot) Summarize(errs []float64) (float64, int)   { return h.Current().Summarize(errs) }
 func (h *Hot) Save(w io.Writer) error                    { return h.Current().Save(w) }
-
-// Snapshotter is implemented by backends that hand out a pinned model for
-// multi-call consistency; the Pipeline snapshots through it so one
-// connection is never scored half by the old model and half by the new.
-type Snapshotter interface {
-	Current() Backend
-}
-
-// PairHandle extends Snapshotter for handles that publish the model and
-// its operating threshold as one atomic pair. The serving stream pins
-// both through CurrentPair for each connection, so a hot recalibration
-// can never mix an old threshold with a new model (or the reverse) within
-// one verdict.
-type PairHandle interface {
-	Snapshotter
-	// CurrentPair returns the live (model, threshold) pair; ok is false
-	// while no threshold has been installed.
-	CurrentPair() (b Backend, th float64, ok bool)
-	// SetThreshold atomically installs a threshold for the current model.
-	SetThreshold(th float64) error
-}
-
-// GenPairHandle extends PairHandle for handles that also publish the
-// model's reload generation in the same atomic value — what provenance
-// capture pins (model, threshold, generation) through. Hot implements
-// it.
-type GenPairHandle interface {
-	PairHandle
-	// CurrentPairGen returns the live (model, threshold, generation)
-	// triple in one consistent view; b and gen are valid even when ok
-	// (threshold installed) is false.
-	CurrentPairGen() (b Backend, th float64, gen uint64, ok bool)
-}
-
-var _ GenPairHandle = (*Hot)(nil)

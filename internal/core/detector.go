@@ -28,6 +28,10 @@ type Detector struct {
 	Profile *features.Profile
 	RNN     *nn.GRUClassifier
 	AE      *nn.Autoencoder
+
+	// windows and scratch recycle the batched scoring path's buffers: what
+	// StackedProfilesBatched returns, and what never leaves it.
+	windows, scratch slabPool
 }
 
 // ErrNoTrainingData is returned when Train receives no usable connections.
@@ -182,29 +186,25 @@ func trainAE(stacked [][]float64, cfg Config, rng *rand.Rand, restart int, logf 
 	return ae, epochLoss
 }
 
-// windowPool and scratchPool recycle the batched scoring path's buffers: a
-// connection's feature vectors, its context profiles and its stacked
-// windows, each a flat float64 backing with the row headers carved over
-// it. At ~3KB per window plus 51 floats per packet, allocating them fresh
-// per connection makes the garbage collector a measurable fraction of the
-// hot path; the pools keep steady-state batched scoring allocating per
-// connection only what escapes to the caller. Only the batched path uses
-// them — its buffers have a clear release point — while the serial path
-// keeps plain allocations, since its windows escape to callers
-// indefinitely (training, forensics).
+// The batched scoring path recycles its buffers — a connection's feature
+// vectors, its context profiles and its stacked windows, each a flat
+// float64 backing with the row headers carved over it — through two
+// slabPools per detector. At ~3KB per window plus 51 floats per packet,
+// allocating them fresh per connection makes the garbage collector a
+// measurable fraction of the hot path; the pools keep steady-state batched
+// scoring allocating per connection only what escapes to the caller. Only
+// the batched path uses them — its buffers have a clear release point —
+// while the serial path keeps plain allocations, since its windows escape
+// to callers indefinitely (training, forensics).
 //
 // Two pools because the buffers live differently. What
-// StackedProfilesBatched returns is out until the engine / pipeline
-// recycles it after scoring, dozens of connections' worth at a time, and is
-// the largest buffer of the three; the vectors and profiles behind it are
-// a seventh to a third of its size and go back before the producer
-// returns. In one pool the small short-lived requests keep taking the
-// large buffers, and every window request that then finds a small one
+// StackedProfilesBatched returns (windows) is out until the engine's
+// micro-batcher recycles it once the connection's last window is scored,
+// and is the largest buffer of the three; the vectors and profiles behind
+// it (scratch) are a seventh to a third of its size and go back before the
+// producer returns. In one pool the small short-lived requests keep taking
+// the large buffers, and every window request that then finds a small one
 // allocates another large one: file-clap's peak RSS was 17 MB higher.
-var (
-	windowPool  sync.Pool // results: out from StackedProfilesBatched / Windows to RecycleStacked
-	scratchPool sync.Pool // intermediates: never leave the producer
-)
 
 // slab is one pooled buffer: a flat backing and row headers to carve over
 // it. Both are handed out empty, with at least the capacity asked for.
@@ -213,9 +213,73 @@ type slab struct {
 	rows [][]float64
 }
 
+// slabPool is a bounded free list of slabs. Unlike a sync.Pool it hands
+// out the slab that fits the request (get) and keeps its slabs across
+// garbage collections; a sync.Pool hands out whichever slab it holds, and
+// one that comes back too small is regrown and its backing dropped. The
+// list keeps at most keepSlabs slabs and no slab above keepFloats values,
+// so a huge connection's buffer is still left to the GC. The zero value is
+// ready.
+type slabPool struct {
+	mu   sync.Mutex
+	free []*slab
+}
+
+const (
+	keepSlabs  = 32
+	keepFloats = 1 << 20 // 8 MB: stacked windows of a 3 000-packet connection
+)
+
+// get takes the free slab that holds n values most tightly or, when none
+// is large enough, the smallest, which the caller regrows; nil when there
+// is none. Taking by size matters because one pool serves requests of
+// different sizes in a fixed order — a connection's vectors, then its
+// wider profiles — and the last slab returned is seldom the one that fits.
+func (p *slabPool) get(n int) *slab {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	best := -1
+	for i, s := range p.free {
+		if best < 0 {
+			best = i
+			continue
+		}
+		c, b := cap(s.data), cap(p.free[best].data)
+		if (c >= n) != (b >= n) {
+			if c >= n {
+				best = i
+			}
+		} else if c < b {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	last := len(p.free) - 1
+	s := p.free[best]
+	p.free[best] = p.free[last]
+	p.free[last] = nil
+	p.free = p.free[:last]
+	return s
+}
+
+// put returns a slab to the list, unless the list is full or the slab is
+// too large to keep.
+func (p *slabPool) put(s *slab) {
+	if cap(s.data) > keepFloats {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < keepSlabs {
+		p.free = append(p.free, s)
+	}
+}
+
 // getSlab takes a slab with room for n values in rows rows from pool.
-func getSlab(pool *sync.Pool, n, rows int) *slab {
-	s, _ := pool.Get().(*slab)
+func getSlab(pool *slabPool, n, rows int) *slab {
+	s := pool.get(n)
 	if s == nil {
 		s = &slab{}
 	}
@@ -256,9 +320,10 @@ func (d *Detector) contextProfiles(vecs [][]float64, batched bool, ps *slab) [][
 	if d.Cfg.UseUpdateGates || d.Cfg.UseResetGates {
 		if batched {
 			// Pooled gate buffers: the gates are copied into the profile
-			// rows below, so the backing is released before returning.
+			// rows below, so the backing is released before returning. The
+			// batched pass reads each vector's RNN prefix in place.
 			var release func()
-			gz, gr, release = d.RNN.ForwardGatesBatchPooled(features.RNNInputs(vecs))
+			gz, gr, release = d.RNN.ForwardGatesBatchPooled(vecs)
 			defer release()
 		} else {
 			gz, gr = d.RNN.ForwardGates(features.RNNInputs(vecs))
@@ -349,7 +414,7 @@ func (d *Detector) StackedProfiles(c *flow.Connection) [][]float64 {
 func (d *Detector) stackPooled(profs [][]float64, t int) [][]float64 {
 	width := len(profs[0])
 	if len(profs) < t {
-		ws := getSlab(&windowPool, t*width, 1)
+		ws := getSlab(&d.windows, t*width, 1)
 		for pad := 0; pad < t-len(profs); pad++ {
 			ws.data = append(ws.data, profs[0]...)
 		}
@@ -359,7 +424,7 @@ func (d *Detector) stackPooled(profs [][]float64, t int) [][]float64 {
 		return append(ws.rows, ws.data)
 	}
 	n := len(profs) - t + 1
-	ws := getSlab(&windowPool, n*t*width, n)
+	ws := getSlab(&d.windows, n*t*width, n)
 	for i := 0; i+t <= len(profs); i++ {
 		start := len(ws.data)
 		for _, p := range profs[i : i+t] {
@@ -383,25 +448,25 @@ func (d *Detector) StackedProfilesBatched(c *flow.Connection) [][]float64 {
 	if n == 0 {
 		return nil
 	}
-	fs := getSlab(&scratchPool, n*features.NumPacket, n)
+	fs := getSlab(&d.scratch, n*features.NumPacket, n)
 	vecs := d.Profile.VectorizeInto(c, fs.data[:n*features.NumPacket], fs.rows[:n])
 	// Without stacking the profiles are the windows, so their slab is a
 	// result; otherwise it is one more intermediate.
 	t := d.Cfg.StackLength
-	pool := &scratchPool
+	pool := &d.scratch
 	if t <= 1 {
-		pool = &windowPool
+		pool = &d.windows
 	}
 	ps := getSlab(pool, n*d.Cfg.ProfileWidth(), n)
 	profs := d.contextProfiles(vecs, true, ps)
-	scratchPool.Put(fs)
+	d.scratch.put(fs)
 	if t <= 1 {
 		// The profiles are the windows; their buffer is recycled by
 		// RecycleStacked, not here.
 		return profs
 	}
 	wins := d.stackPooled(profs, t)
-	scratchPool.Put(ps)
+	d.scratch.put(ps)
 	return wins
 }
 
@@ -412,7 +477,7 @@ func (d *Detector) RecycleStacked(wins [][]float64) {
 	if len(wins) == 0 {
 		return
 	}
-	windowPool.Put(&slab{data: wins[0][:0], rows: wins})
+	d.windows.put(&slab{data: wins[0][:0], rows: wins})
 }
 
 // WindowErrors runs the autoencoder over every stacked profile and returns

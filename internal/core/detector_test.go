@@ -298,3 +298,22 @@ func TestDetectorString(t *testing.T) {
 		t.Error("String should describe the detector")
 	}
 }
+
+// TestSlabPoolTakesTightestFit: a request takes the free slab that holds
+// it most tightly, or the smallest when none does, so a connection's
+// vectors and its wider profiles, drawn from one pool in turn, each find
+// a slab that fits instead of regrowing whichever came back last.
+func TestSlabPoolTakesTightestFit(t *testing.T) {
+	var p slabPool
+	for _, n := range []int{10, 100, 50} {
+		p.put(&slab{data: make([]float64, 0, n)})
+	}
+	for _, tc := range []struct{ n, want int }{{40, 50}, {200, 10}, {5, 100}} {
+		if got := cap(p.get(tc.n).data); got != tc.want {
+			t.Fatalf("get(%d) took a slab of %d, want %d", tc.n, got, tc.want)
+		}
+	}
+	if s := p.get(1); s != nil {
+		t.Fatalf("empty pool handed out a slab of %d", cap(s.data))
+	}
+}

@@ -13,12 +13,11 @@
 // back into exact capture order (the order flow.Assemble would have
 // produced serially).
 //
-// For backends exposing the backend.BatchScorer capability the engine also
-// batches inference itself: WindowErrorsBatched pools the stacked windows
-// of many queued connections into micro-batches (Options.Batch windows per
-// batch) so the autoencoder runs one matrix-matrix pass per batch instead
-// of one matrix-vector pass per window — same bits, a fraction of the
-// wall clock.
+// For backends with the backend.BatchScorer capability one micro-batcher
+// (batch.go), shared by Run, streams and both cascade stages, pools the
+// windows of consecutive connections into batches of Options.Batch, each
+// one matrix-matrix inference pass — same bits, a fraction of the wall
+// clock.
 //
 // The zero-config entry point is Default(); New lets callers pin worker,
 // shard and micro-batch counts. An Engine holds no per-call state and is
@@ -40,10 +39,11 @@ import (
 // DefaultBatch is the micro-batch size batched scoring defaults to —
 // tuned by BenchmarkBackendThroughput: the pkts/s curve is flat from ~6
 // windows up, so the knob mostly trades cache residency against batch
-// fill. 24 keeps one batch's activations L2-resident, is a whole number
+// fill. 24 keeps one batch's activations L2-resident and is a whole number
 // of blocks on both MulMat kernels (three 8-lane AVX2 panels with no
-// padded lanes, four 6-lane blocks on the portable one), and still fills
-// well from a single average connection in stream mode.
+// padded lanes, four 6-lane blocks on the portable one). Batches fill
+// across connections in Run and in streams alike: a worker runs a
+// part-filled batch only when it runs out of connections to add.
 const DefaultBatch = 24
 
 // minChunk is the smallest per-worker share of a ParallelFor that pays
@@ -65,7 +65,7 @@ type Options struct {
 	Shards int
 	// Batch is the micro-batch size for backends implementing
 	// backend.BatchScorer: how many windows ride one batched inference
-	// pass. <= 0 selects DefaultBatch; 1 disables batching.
+	// pass. <= 0 selects DefaultBatch; 1 scores each window alone.
 	Batch int
 }
 
@@ -102,7 +102,7 @@ func (e *Engine) Workers() int { return e.workers }
 // Shards reports the configured assembly shard count.
 func (e *Engine) Shards() int { return e.shards }
 
-// Batch reports the configured micro-batch size (1: batching disabled).
+// Batch reports the configured micro-batch size.
 func (e *Engine) Batch() int { return e.batch }
 
 // ParallelFor runs fn(i) for every i in [0, n) across the worker pool. Work
@@ -118,40 +118,30 @@ func (e *Engine) ParallelFor(n int, fn func(i int)) {
 	e.parallelFor(n, minChunk, fn)
 }
 
-// parallelForWide is ParallelFor without the small-n serial fallback, for
-// coarse-grained items (assembly shards, micro-batches) where one item is
-// itself a large unit of work worth its own goroutine.
-func (e *Engine) parallelForWide(n int, fn func(i int)) {
-	e.parallelFor(n, 1, fn)
-}
-
 func (e *Engine) parallelFor(n, minPer int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := e.workers
-	if w > n/minPer {
-		w = n / minPer
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
+	var cursor atomic.Int64
+	e.spread(n/minPer, func() {
+		for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
 			fn(i)
 		}
+	})
+}
+
+// spread runs work on min(workers, most) goroutines and waits for them,
+// or runs it once on the caller when that is one or fewer. work claims its
+// items from a cursor it shares with its other calls.
+func (e *Engine) spread(most int, work func()) {
+	w := min(e.workers, most)
+	if w <= 1 {
+		work()
 		return
 	}
-	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for k := 0; k < w; k++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			work()
 		}()
 	}
 	wg.Wait()
@@ -166,117 +156,34 @@ func (e *Engine) MapFloat(conns []*flow.Connection, score func(*flow.Connection)
 	return out
 }
 
-// ScoreBackend scores every connection with an arbitrary detection backend
-// across the pool, in input order. The backend must be trained (its
-// scoring path is required to be concurrency-safe by the Backend contract).
-func (e *Engine) ScoreBackend(b backend.Backend, conns []*flow.Connection) []float64 {
-	return e.MapFloat(conns, b.ScoreConn)
-}
-
-// WindowErrorsBackend computes each connection's per-window anomaly series
-// with an arbitrary backend, in input order. One series plus the backend's
-// Summarize is a full scoring pass without re-running inference.
-func (e *Engine) WindowErrorsBackend(b backend.Backend, conns []*flow.Connection) [][]float64 {
-	out := make([][]float64, len(conns))
-	e.ParallelFor(len(conns), func(i int) { out[i] = b.WindowErrors(conns[i]) })
-	return out
-}
-
-// batchGroup is how many connections one micro-batching group holds: the
-// group's windows are materialized together, so the group bounds resident
-// memory while staying large enough to fill many batches per barrier.
-func (e *Engine) batchGroup() int {
-	g := 8 * e.workers
-	if g < 64 {
-		g = 64
-	}
-	return g
-}
-
-// WindowErrorsBatched computes every connection's per-window anomaly
-// series like WindowErrorsBackend, but — when the backend implements
-// backend.BatchScorer and the engine's batch size is > 1 — amortized:
-// window production (stage (b)) fans out per connection, the produced
-// windows are pooled ACROSS connections into micro-batches of the
-// engine's batch size, and each batch runs as one matrix-matrix inference
-// pass on the pool. Connections are processed in bounded groups so a huge
-// capture never holds every window resident at once.
-//
-// Results are slot-indexed and bit-identical to the unbatched serial path
-// at any worker, shard or batch size: batch boundaries only split the
-// window list, and the BatchScorer contract pins every split to the same
-// bits. Backends without the capability fall back to WindowErrorsBackend.
+// WindowErrorsBatched computes each connection's per-window anomaly series
+// with any backend, in input order; the series plus the backend's
+// Summarize is a full scoring pass. Each pool worker claims connections
+// in order from a shared cursor and scores them through its own
+// micro-batcher, so windows pool ACROSS connections into full batches and
+// each worker runs one part-filled batch at the end. Results are
+// bit-identical to the serial path at any worker, shard or batch size.
 func (e *Engine) WindowErrorsBatched(b backend.Backend, conns []*flow.Connection) [][]float64 {
-	bs, ok := b.(backend.BatchScorer)
-	if !ok || e.batch <= 1 {
-		return e.WindowErrorsBackend(b, conns)
-	}
 	out := make([][]float64, len(conns))
-	group := e.batchGroup()
-	for lo := 0; lo < len(conns); lo += group {
-		hi := lo + group
-		if hi > len(conns) {
-			hi = len(conns)
+	var next atomic.Int64
+	stats := new(batchStats)
+	e.spread(len(conns)/minChunk, func() {
+		s := newScorer(e.batch, stats, func(i int, _ *flow.Connection, o Outcome) { out[i] = o.Errs })
+		s.use(b)
+		for i := int(next.Add(1)) - 1; i < len(conns); i = int(next.Add(1)) - 1 {
+			s.add(i, conns[i])
 		}
-		e.windowErrorsGroup(bs, conns[lo:hi], out[lo:hi])
-	}
+		s.flush()
+	})
 	return out
 }
 
-// windowErrorsGroup scores one bounded group of connections through the
-// micro-batched path.
-func (e *Engine) windowErrorsGroup(bs backend.BatchScorer, conns []*flow.Connection, out [][]float64) {
-	wins := make([][][]float64, len(conns))
-	e.ParallelFor(len(conns), func(i int) { wins[i] = bs.Windows(conns[i]) })
-	e.scoreWindowSets(bs, wins, out)
-}
-
-// scoreWindowSets flattens produced window sets, runs the pooled
-// micro-batch inference pass across the pool, carves each connection's
-// series from one flat error buffer, and hands pooled window buffers back
-// to the backend.
-func (e *Engine) scoreWindowSets(bs backend.BatchScorer, wins [][][]float64, out [][]float64) {
-	total := 0
-	for _, w := range wins {
-		total += len(w)
-	}
-	flat := make([][]float64, 0, total)
-	for _, w := range wins {
-		flat = append(flat, w...)
-	}
-	errsFlat := make([]float64, total)
-	nb := (total + e.batch - 1) / e.batch
-	score := func(k int) {
-		blo := k * e.batch
-		bhi := blo + e.batch
-		if bhi > total {
-			bhi = total
-		}
-		copy(errsFlat[blo:bhi], bs.ScoreWindows(flat[blo:bhi]))
-	}
-	e.parallelForWide(nb, score)
-
-	at := 0
-	for i, w := range wins {
-		out[i] = errsFlat[at : at+len(w) : at+len(w)]
-		at += len(w)
-	}
-	// All scores are in; hand pooled window buffers back to the backend.
-	if rec, ok := bs.(backend.BatchRecycler); ok {
-		for _, w := range wins {
-			rec.RecycleWindows(w)
-		}
-	}
-}
-
-// ScoresBatched returns the scalar adversarial score per connection like
-// ScoreBackend, but through the micro-batched window path; the Backend
-// contract pins Summarize(WindowErrors(c)) == ScoreConn(c) bit for bit,
-// so scores are identical to the serial path at any batch size.
+// ScoresBatched returns each connection's scalar adversarial score with
+// any trained backend, in input order, through the micro-batched window
+// path; the Backend contract pins Summarize(WindowErrors(c)) ==
+// ScoreConn(c) bit for bit, so scores are identical to the serial path at
+// any batch size.
 func (e *Engine) ScoresBatched(b backend.Backend, conns []*flow.Connection) []float64 {
-	if _, ok := b.(backend.BatchScorer); !ok || e.batch <= 1 {
-		return e.ScoreBackend(b, conns)
-	}
 	errsAll := e.WindowErrorsBatched(b, conns)
 	out := make([]float64, len(conns))
 	for i, errs := range errsAll {
@@ -365,7 +272,8 @@ func (e *Engine) Assemble(pkts []*packet.Packet) []*flow.Connection {
 		parts[s] = append(parts[s], p)
 	}
 	assembled := make([][]*flow.Connection, shards)
-	e.parallelForWide(shards, func(i int) { assembled[i] = flow.Assemble(parts[i]) })
+	// A shard is a large unit of work: no small-n serial fallback.
+	e.parallelFor(shards, 1, func(i int) { assembled[i] = flow.Assemble(parts[i]) })
 
 	// Merge back to capture order without indexing every packet: map only
 	// each connection's first packet (#connections entries, not #packets),

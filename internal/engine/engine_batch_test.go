@@ -3,12 +3,13 @@ package engine
 // Determinism tests for the micro-batched scoring path: batched window
 // errors and scores must be bit-identical to the unbatched serial path at
 // every worker × batch combination, including batch sizes that straddle
-// connection boundaries and the group bound.
+// connection boundaries.
 
 import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"clap/internal/backend"
@@ -19,7 +20,7 @@ import (
 func TestWindowErrorsBatchedBitIdentity(t *testing.T) {
 	det := tinyDetector(t)
 	b := backend.FromDetector(det)
-	conns := mixedCorpus(t, 70, 13) // spans the 64-connection batch group
+	conns := mixedCorpus(t, 70, 13)
 
 	wantErrs := make([][]float64, len(conns))
 	wantScore := make([]float64, len(conns))
@@ -181,9 +182,9 @@ func gateFreeBackend(t *testing.T) *backend.CLAP {
 
 // TestLockstepCascadeGroupPath pins the composite route through the
 // engine: with roughly half the ragged corpus escalated, the cascade's
-// per-connection series and its escalation counters from
-// WindowErrorsBatched match per-connection routing exactly, at every
-// worker count, and ScoresBatched matches ScoreConn.
+// per-connection series and its escalation counters — from
+// WindowErrorsBatched and from a stream — match per-connection routing
+// exactly, at every worker count, and ScoresBatched matches ScoreConn.
 func TestLockstepCascadeGroupPath(t *testing.T) {
 	s2 := backend.FromDetector(tinyDetector(t))
 	s1 := gateFreeBackend(t)
@@ -223,6 +224,30 @@ func TestLockstepCascadeGroupPath(t *testing.T) {
 		if gotEval != wantEval || gotEsc != wantEsc {
 			t.Fatalf("workers=%d: engine path counted %d/%d, routed path %d/%d",
 				workers, gotEsc, gotEval, wantEsc, wantEval)
+		}
+
+		casc.ResetEscalationCounts()
+		var streamed [][]float64
+		var escalated atomic.Uint64
+		s := NewStreamOf(eng,
+			func(*flow.Connection) (backend.Backend, []float64) { return casc, nil },
+			func(_ *flow.Connection, _ backend.Backend, errs *[]float64, o Outcome) {
+				if o.Escalated {
+					escalated.Add(1)
+				}
+				*errs = o.Errs
+			},
+			func(_ *flow.Connection, errs []float64) { streamed = append(streamed, errs) },
+			StreamHooks{})
+		for _, c := range conns {
+			s.Submit(c)
+		}
+		s.Close()
+		assertSeriesEqual(t, "cascade stream workers="+strconv.Itoa(workers), streamed, want)
+		gotEval, gotEsc = casc.EscalationCounts()
+		if gotEval != wantEval || gotEsc != wantEsc || escalated.Load() != wantEsc {
+			t.Fatalf("workers=%d: stream counted %d/%d (%d outcomes escalated), routed path %d/%d",
+				workers, gotEsc, gotEval, escalated.Load(), wantEsc, wantEval)
 		}
 	}
 

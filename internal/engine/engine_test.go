@@ -90,7 +90,7 @@ func sameScore(t *testing.T, label string, i int, got, want core.Score) {
 // mixed benign/adversarial corpus are bit-identical to the serial path, in
 // the same order, at 1, 4 and 8 workers — full Score values fanned out
 // with ParallelFor, the scalar scores MapFloat gives the evaluation code,
-// and the window-error series WindowErrorsBackend gives the pipeline.
+// and the window-error series WindowErrorsBatched gives the pipeline.
 func TestScoreAllDeterminism(t *testing.T) {
 	det := tinyDetector(t)
 	b := backend.FromDetector(det)
@@ -117,14 +117,14 @@ func TestScoreAllDeterminism(t *testing.T) {
 				t.Fatalf("workers=%d: MapFloat[%d] = %v, want %v", workers, i, adv[i], want[i].Adversarial)
 			}
 		}
-		errs := eng.WindowErrorsBackend(b, conns)
+		errs := eng.WindowErrorsBatched(b, conns)
 		for i := range errs {
 			if len(errs[i]) != len(want[i].Errors) {
-				t.Fatalf("workers=%d: WindowErrorsBackend[%d] length mismatch", workers, i)
+				t.Fatalf("workers=%d: WindowErrorsBatched[%d] length mismatch", workers, i)
 			}
 			for w := range errs[i] {
 				if errs[i][w] != want[i].Errors[w] {
-					t.Fatalf("workers=%d: WindowErrorsBackend[%d][%d] = %v, want %v", workers, i, w, errs[i][w], want[i].Errors[w])
+					t.Fatalf("workers=%d: WindowErrorsBatched[%d][%d] = %v, want %v", workers, i, w, errs[i][w], want[i].Errors[w])
 				}
 			}
 		}
@@ -266,8 +266,8 @@ func TestScoreBackendMatchesSerial(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 8} {
 		eng := New(Options{Workers: workers})
-		got := eng.ScoreBackend(b, conns)
-		gotErrs := eng.WindowErrorsBackend(b, conns)
+		got := eng.ScoresBatched(b, conns)
+		gotErrs := eng.WindowErrorsBatched(b, conns)
 		for i := range conns {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: conn %d score %v != serial %v", workers, i, got[i], want[i])

@@ -4,22 +4,23 @@ import (
 	"sync"
 	"time"
 
+	"clap/internal/backend"
 	"clap/internal/flow"
 )
 
 // StreamOf is the engine's online-deployment mode (Figure 3), generalized
 // over the per-connection result type: connections are submitted as they
-// close, scored by the worker pool, and emitted strictly in submission
-// order — so a live monitor behind a DPI keeps deterministic, replayable
-// alert logs even though scoring runs concurrently. T is whatever the
-// score function produces: a core.Score for CLAP, a scalar for Kitsune, or
-// a pipeline Result for the backend-agnostic facade.
+// close, scored by the worker pool through the micro-batcher Run uses, and
+// emitted strictly in submission order — so a live monitor behind a DPI
+// keeps deterministic, replayable alert logs even though scoring runs
+// concurrently.
 type StreamOf[T any] struct {
 	jobs    chan *streamJob[T]
 	pending chan *streamJob[T]
 	done    chan struct{}
 	wg      sync.WaitGroup
 	hooks   StreamHooks
+	stats   batchStats
 
 	// seq counts submissions. Submit is single-goroutine by contract and
 	// the emitter reads each job's stamped copy, so a plain field works.
@@ -28,6 +29,8 @@ type StreamOf[T any] struct {
 
 type streamJob[T any] struct {
 	c   *flow.Connection
+	b   backend.Backend // the model pin chose
+	r   T
 	out chan T
 	seq uint64
 	// Stage timestamps, populated only when the stream has an Observe
@@ -49,7 +52,7 @@ type StreamStats struct {
 	Seq uint64
 	// QueueWait is Submit → worker pickup.
 	QueueWait time.Duration
-	// Score is the scoring function's runtime.
+	// Score is worker pickup → the connection's result is complete.
 	Score time.Duration
 	// EmitWait is scoring completion → ordered emit (head-of-line wait).
 	EmitWait time.Duration
@@ -63,14 +66,28 @@ type StreamHooks struct {
 	Observe func(*flow.Connection, StreamStats)
 }
 
-// NewStreamOf starts a scoring stream producing results of type T. score
-// runs on pool workers and must be safe for concurrent calls (any trained
-// Backend's scoring methods are); emit is invoked on a single goroutine,
-// one connection at a time, in submission order. hooks instruments the
-// per-stage latencies; the zero value measures nothing. Close the stream
-// to drain and release the workers.
-func NewStreamOf[T any](e *Engine, score func(*flow.Connection) T, emit func(*flow.Connection, T), hooks StreamHooks) *StreamOf[T] {
-	depth := 4 * e.workers
+// NewStreamOf starts a scoring stream producing results of type T. Each
+// worker takes a submitted connection, then each one already queued — it
+// never waits for more, and holds none it is not scoring — and for each
+// calls pin, which picks the model the connection is judged by and starts
+// its result, and adds it to the worker's micro-batcher. A connection
+// pinned to another model (told apart by ==) than the one before it
+// settles the batcher first, so a hot swap or another tenant's model never
+// shares a batch; an empty queue runs the part-filled batch. finish
+// completes each result as soon as its series is ready. pin and finish run
+// on pool workers and must be safe for concurrent calls; emit runs on one
+// goroutine, in submission order. The zero hooks measure nothing. Close
+// the stream to drain and release the workers.
+func NewStreamOf[T any](e *Engine,
+	pin func(*flow.Connection) (backend.Backend, T),
+	finish func(c *flow.Connection, b backend.Backend, r *T, o Outcome),
+	emit func(*flow.Connection, T), hooks StreamHooks) *StreamOf[T] {
+	// The in-flight window: four connections per worker keep the pool
+	// busy, and room for a batch of one-window connections per worker lets
+	// a worker fill its batch without blocking Submit behind connections
+	// it holds — emission is in order, so a held connection holds every
+	// later one in the window.
+	depth := e.workers * (4 + e.batch)
 	s := &StreamOf[T]{
 		jobs:    make(chan *streamJob[T], depth),
 		pending: make(chan *streamJob[T], depth),
@@ -82,15 +99,28 @@ func NewStreamOf[T any](e *Engine, score func(*flow.Connection) T, emit func(*fl
 	for w := 0; w < e.workers; w++ {
 		go func() {
 			defer s.wg.Done()
-			for j := range s.jobs {
-				if observed {
-					j.started = time.Now()
-				}
-				r := score(j.c)
+			sc := newScorer(e.batch, &s.stats, func(j *streamJob[T], c *flow.Connection, o Outcome) {
+				finish(c, j.b, &j.r, o)
 				if observed {
 					j.scored = time.Now()
 				}
-				j.out <- r
+				j.out <- j.r
+			})
+			for j := range s.jobs {
+				for j != nil {
+					if observed {
+						j.started = time.Now()
+					}
+					j.b, j.r = pin(j.c)
+					sc.use(j.b)
+					sc.add(j, j.c)
+					select {
+					case j = <-s.jobs: // nil once the stream is closed
+					default:
+						j = nil
+					}
+				}
+				sc.flush()
 			}
 		}()
 	}
@@ -119,7 +149,7 @@ func NewStreamOf[T any](e *Engine, score func(*flow.Connection) T, emit func(*fl
 }
 
 // Submit queues one connection for scoring. It blocks only when the
-// in-flight window (4× workers) is full. Not safe for concurrent Submit
+// in-flight window (workers × (4 + batch size)) is full. Not safe for concurrent Submit
 // calls from multiple goroutines; the submission order defines the emit
 // order.
 func (s *StreamOf[T]) Submit(c *flow.Connection) {
@@ -136,6 +166,11 @@ func (s *StreamOf[T]) Submit(c *flow.Connection) {
 // emitted — the stream's internal queue depth, surfaced to serving
 // metrics. Safe to call concurrently with Submit and emit.
 func (s *StreamOf[T]) InFlight() int { return len(s.pending) }
+
+// BatchFill reports the mean occupancy of the micro-batches the stream has
+// run: 1 when every batch was full, 0 before any (or when the models score
+// unbatched).
+func (s *StreamOf[T]) BatchFill() float64 { return s.stats.fill() }
 
 // Close drains the stream: it waits until every submitted connection has
 // been scored and emitted, then stops the workers. The stream cannot be

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,11 +11,23 @@ import (
 	"clap/internal/flow"
 )
 
+// scoreStream opens a stream that scores with b and reduces each series
+// with det, emitting core.Scores — the serial Score path's values.
+func scoreStream(eng *Engine, b backend.Backend, det *core.Detector, emit func(*flow.Connection, core.Score), hooks StreamHooks) *StreamOf[core.Score] {
+	return NewStreamOf(eng,
+		func(*flow.Connection) (backend.Backend, core.Score) { return b, core.Score{} },
+		func(_ *flow.Connection, _ backend.Backend, s *core.Score, o Outcome) {
+			*s = det.ScoreFromErrors(o.Errs)
+		},
+		emit, hooks)
+}
+
 // TestStreamOrderedEmission: results must be emitted strictly in
 // submission order with scores identical to the serial path, even though
 // scoring runs on a concurrent pool.
 func TestStreamOrderedEmission(t *testing.T) {
 	det := tinyDetector(t)
+	b := backend.FromDetector(det)
 	conns := mixedCorpus(t, 20, 31)
 	want := make([]core.Score, len(conns))
 	for i, c := range conns {
@@ -24,7 +38,7 @@ func TestStreamOrderedEmission(t *testing.T) {
 		eng := New(Options{Workers: workers})
 		var gotConns []*flow.Connection
 		var gotScores []core.Score
-		stream := NewStreamOf(eng, det.Score, func(c *flow.Connection, s core.Score) {
+		stream := scoreStream(eng, b, det, func(c *flow.Connection, s core.Score) {
 			gotConns = append(gotConns, c)
 			gotScores = append(gotScores, s)
 		}, StreamHooks{})
@@ -53,8 +67,8 @@ func TestStreamBackpressure(t *testing.T) {
 	conns := genConns(10, 41)
 	eng := New(Options{Workers: 2})
 	emitted := 0
-	stream := NewStreamOf(eng, det.Score, func(*flow.Connection, core.Score) { emitted++ }, StreamHooks{})
-	const rounds = 30 // 300 submissions through an 8-deep window
+	stream := scoreStream(eng, backend.FromDetector(det), det, func(*flow.Connection, core.Score) { emitted++ }, StreamHooks{})
+	const rounds = 30 // 300 submissions through a 56-deep window
 	for r := 0; r < rounds; r++ {
 		for _, c := range conns {
 			stream.Submit(c)
@@ -64,6 +78,17 @@ func TestStreamBackpressure(t *testing.T) {
 	if want := rounds * len(conns); emitted != want {
 		t.Fatalf("emitted %d, want %d", emitted, want)
 	}
+}
+
+// slowBackend scores unbatched, each connection no faster than d.
+type slowBackend struct {
+	backend.Backend
+	d time.Duration
+}
+
+func (s slowBackend) WindowErrors(c *flow.Connection) []float64 {
+	time.Sleep(s.d)
+	return s.Backend.WindowErrors(c)
 }
 
 // TestStreamHooksObserveStages: the instrumented stream reports one
@@ -77,13 +102,10 @@ func TestStreamHooksObserveStages(t *testing.T) {
 	var emitted []*flow.Connection
 	var observed []*flow.Connection
 	var stats []StreamStats
-	s := NewStreamOf(eng,
-		func(c *flow.Connection) float64 {
-			// A measurable floor so Score latencies cannot round to zero.
-			time.Sleep(200 * time.Microsecond)
-			return det.Score(c).Adversarial
-		},
-		func(c *flow.Connection, _ float64) { emitted = append(emitted, c) },
+	// A measurable floor so Score latencies cannot round to zero.
+	b := slowBackend{backend.FromDetector(det), 200 * time.Microsecond}
+	s := scoreStream(eng, b, det,
+		func(c *flow.Connection, _ core.Score) { emitted = append(emitted, c) },
 		StreamHooks{Observe: func(c *flow.Connection, st StreamStats) {
 			observed = append(observed, c)
 			stats = append(stats, st)
@@ -115,7 +137,7 @@ func TestStreamHooksObserveStages(t *testing.T) {
 func TestStreamUnhookedSkipsClock(t *testing.T) {
 	det := tinyDetector(t)
 	eng := New(Options{Workers: 2})
-	s := NewStreamOf(eng, det.Score, func(*flow.Connection, core.Score) {}, StreamHooks{})
+	s := scoreStream(eng, backend.FromDetector(det), det, func(*flow.Connection, core.Score) {}, StreamHooks{})
 	for _, c := range genConns(4, 3) {
 		s.Submit(c)
 	}
@@ -142,11 +164,11 @@ func TestStreamOfGenericResultType(t *testing.T) {
 	}
 	var emitted []verdict
 	eng := New(Options{Workers: 4})
-	s := NewStreamOf(eng, func(c *flow.Connection) verdict {
-		return verdict{key: c.Key.String(), score: b.ScoreConn(c)}
-	}, func(_ *flow.Connection, v verdict) {
-		emitted = append(emitted, v)
-	}, StreamHooks{})
+	s := NewStreamOf(eng,
+		func(c *flow.Connection) (backend.Backend, verdict) { return b, verdict{key: c.Key.String()} },
+		func(_ *flow.Connection, b backend.Backend, v *verdict, o Outcome) { v.score, _ = b.Summarize(o.Errs) },
+		func(_ *flow.Connection, v verdict) { emitted = append(emitted, v) },
+		StreamHooks{})
 	for _, c := range conns {
 		s.Submit(c)
 	}
@@ -162,5 +184,128 @@ func TestStreamOfGenericResultType(t *testing.T) {
 		if want := b.ScoreConn(c); emitted[i].score != want {
 			t.Fatalf("slot %d score %v != serial %v", i, emitted[i].score, want)
 		}
+	}
+}
+
+// gatedBackend holds every Windows call — the moment a worker starts on a
+// connection — until the test lets it through, and records how long each
+// connection was held.
+type gatedBackend struct {
+	*backend.CLAP
+	entered chan *flow.Connection
+	pass    chan struct{}
+
+	mu   sync.Mutex
+	hold map[*flow.Connection]time.Duration
+}
+
+func (g *gatedBackend) Windows(c *flow.Connection) [][]float64 {
+	at := time.Now()
+	g.entered <- c
+	<-g.pass
+	g.mu.Lock()
+	g.hold[c] = time.Since(at)
+	g.mu.Unlock()
+	return g.CLAP.Windows(c)
+}
+
+// TestStreamWorkersShareQueuedWork pins the stream's scheduling at 2 and 4
+// workers with a scorer that blocks until released, one call at a time:
+// while connections are queued, every worker holds work at once — a
+// worker that took queued connections into a greedy group would leave the
+// others idle. Emission stays in submission order, scores equal the
+// serial path, and each connection's StreamStats are its own.
+func TestStreamWorkersShareQueuedWork(t *testing.T) {
+	det := tinyDetector(t)
+	for _, workers := range []int{2, 4} {
+		// Long connections fill the batch; short ones ride a part-filled
+		// one into the next connection's windows.
+		conns := genConns(4*workers, int64(60+workers))
+		g := &gatedBackend{
+			CLAP:    backend.FromDetector(det),
+			entered: make(chan *flow.Connection, len(conns)),
+			pass:    make(chan struct{}),
+			hold:    map[*flow.Connection]time.Duration{},
+		}
+		eng := New(Options{Workers: workers, Batch: 8})
+		var emitted []*flow.Connection
+		var scores []core.Score
+		var stats []StreamStats
+		s := scoreStream(eng, g, det,
+			func(c *flow.Connection, sc core.Score) {
+				emitted = append(emitted, c)
+				scores = append(scores, sc)
+			},
+			StreamHooks{Observe: func(_ *flow.Connection, st StreamStats) { stats = append(stats, st) }})
+		for _, c := range conns { // fewer than the in-flight window: none blocks
+			s.Submit(c)
+		}
+		started, released := 0, 0
+		for started < len(conns) {
+			for started-released < workers && started < len(conns) {
+				select {
+				case <-g.entered:
+					started++
+				case <-time.After(5 * time.Second):
+					t.Fatalf("workers=%d: %d of %d workers hold work while %d connections wait",
+						workers, started-released, workers, len(conns)-started)
+				}
+			}
+			if started < len(conns) {
+				g.pass <- struct{}{}
+				released++
+			}
+		}
+		close(g.pass)
+		s.Close()
+
+		if len(emitted) != len(conns) || len(stats) != len(conns) {
+			t.Fatalf("workers=%d: emitted %d, observed %d of %d", workers, len(emitted), len(stats), len(conns))
+		}
+		for i, c := range conns {
+			if emitted[i] != c {
+				t.Fatalf("workers=%d: emission order broken at %d", workers, i)
+			}
+			sameScore(t, "gated stream", i, scores[i], det.Score(c))
+			st := stats[i]
+			if st.Seq != uint64(i+1) {
+				t.Fatalf("workers=%d: conn %d carries Seq %d", workers, i, st.Seq)
+			}
+			if st.QueueWait < 0 || st.EmitWait < 0 || st.Score < g.hold[c] {
+				t.Fatalf("workers=%d: conn %d stats %+v do not cover its own %v hold", workers, i, st, g.hold[c])
+			}
+		}
+	}
+}
+
+// TestStreamBatchesOneModelAtATime: connections pinned to two models whose
+// windows differ in width (the clap detector and the gate-free one) ride
+// the same workers' batchers, interleaved; each is scored wholly by its
+// own model, bit for bit, because a batch never mixes the two.
+func TestStreamBatchesOneModelAtATime(t *testing.T) {
+	clapB := backend.FromDetector(tinyDetector(t))
+	freeB := gateFreeBackend(t)
+	conns := mixedCorpus(t, 24, 19)
+	model := map[*flow.Connection]backend.Backend{}
+	want := make([][]float64, len(conns))
+	for i, c := range conns {
+		model[c] = clapB
+		if i%3 == 0 {
+			model[c] = freeB
+		}
+		want[i] = model[c].WindowErrors(c)
+	}
+	for _, workers := range []int{1, 4} {
+		var got [][]float64
+		s := NewStreamOf(New(Options{Workers: workers, Batch: 24}),
+			func(c *flow.Connection) (backend.Backend, []float64) { return model[c], nil },
+			func(_ *flow.Connection, _ backend.Backend, errs *[]float64, o Outcome) { *errs = o.Errs },
+			func(_ *flow.Connection, errs []float64) { got = append(got, errs) },
+			StreamHooks{})
+		for _, c := range conns {
+			s.Submit(c)
+		}
+		s.Close()
+		assertSeriesEqual(t, "two models, workers="+strconv.Itoa(workers), got, want)
 	}
 }

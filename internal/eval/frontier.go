@@ -106,7 +106,7 @@ func (s *Suite) CascadeFrontier(fprs []float64) (*Frontier, error) {
 
 	// The escalation threshold calibrates on the benign test split's
 	// stage-1 scores — held out from training, like a deployment would.
-	benignS1 := eng.ScoreBackend(s1, s.Data.TestBenign)
+	benignS1 := eng.ScoresBatched(s1, s.Data.TestBenign)
 
 	// Per-strategy stage scores, computed once and composed per point.
 	type stratScores struct {
@@ -123,8 +123,8 @@ func (s *Suite) CascadeFrontier(fprs []float64) (*Frontier, error) {
 		}
 		ss := stratScores{
 			name:  st.Name,
-			advS1: eng.ScoreBackend(s1, conns),
-			advS2: eng.ScoreBackend(s2, conns),
+			advS1: eng.ScoresBatched(s1, conns),
+			advS2: eng.ScoresBatched(s2, conns),
 		}
 		for _, bi := range srcs {
 			ss.pairS1 = append(ss.pairS1, s.Base[backend.TagBaseline1][bi])

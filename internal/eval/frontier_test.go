@@ -123,7 +123,7 @@ func TestCascadeFrontier(t *testing.T) {
 
 	// Threshold derivation matches the fixed ThresholdAtFPR on the same
 	// stage-1 benign scores.
-	benignS1 := s.engineOrDefault().ScoreBackend(s1, s.Data.TestBenign)
+	benignS1 := s.engineOrDefault().ScoresBatched(s1, s.Data.TestBenign)
 	if want := metrics.ThresholdAtFPR(benignS1, def.EscalateFPR); def.Threshold != want {
 		t.Fatalf("frontier threshold %v != ThresholdAtFPR %v", def.Threshold, want)
 	}

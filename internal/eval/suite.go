@@ -224,7 +224,7 @@ func BuildSuite(o Options, logf core.Logf) (*Suite, error) {
 		len(s.Data.AdvBase), s.Eng.Workers())
 	s.Base = map[string][]float64{}
 	for _, tag := range s.Tags() {
-		s.Base[tag] = s.Eng.ScoreBackend(s.Backends[tag], s.Data.AdvBase)
+		s.Base[tag] = s.Eng.ScoresBatched(s.Backends[tag], s.Data.AdvBase)
 	}
 	return s, nil
 }

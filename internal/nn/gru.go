@@ -29,9 +29,21 @@ type GRUClassifier struct {
 	Wh, Uh, Bh *Tensor
 	Wo, Bo     *Tensor
 
-	// gateBufs pools ForwardGatesBatchPooled backings; the zero value is
-	// ready, keeping struct-literal construction sites working unchanged.
+	// gateBufs pools ForwardGatesBatchPooled workspaces (*gateBuf); the
+	// zero value is ready, keeping struct-literal construction sites
+	// working unchanged.
 	gateBufs sync.Pool
+}
+
+// gateBuf is one pooled ForwardGatesBatchPooled workspace: the flat
+// backing every per-call buffer is carved from, the Z/R row headers handed
+// to the caller, and the release func that returns the workspace, made once
+// when the workspace is. A call that finds one in the pool allocates
+// nothing.
+type gateBuf struct {
+	backing []float64
+	z, r    [][]float64
+	release func()
 }
 
 // NewGRUClassifier builds a Xavier-initialised model.
@@ -167,35 +179,46 @@ func (m *GRUClassifier) ForwardGates(seq [][]float64) (Z, R [][]float64) {
 // arithmetic matches step() exactly, so Z and R are bit-identical to
 // ForwardGates(seq) at any sequence length.
 //
-// Z and R are carved from a pooled backing buffer: call release (always
+// The three hidden-state products Uz·h, Ur·h and Uh·(r⊙h) run on the AVX2
+// panel kernel where the build has it and Hidden is a whole number of
+// panels (mulHidden); MulVec, their oracle, runs them everywhere else.
+//
+// A step may be wider than In — a full feature vector, say: its first In
+// values are the input, so callers need no narrowing view of their rows.
+//
+// Z and R are carved from a pooled workspace: call release (always
 // non-nil) once they have been consumed, and do not read them afterwards.
-// The pooling removes the ~(In+5·Hidden)·T float64 allocation per call
-// from the scoring hot path. All other scratch state is per-call;
-// concurrent calls on one model are safe.
+// A call that reuses a workspace allocates nothing. Concurrent calls on
+// one model are safe.
 func (m *GRUClassifier) ForwardGatesBatchPooled(seq [][]float64) (Z, R [][]float64, release func()) {
 	T := len(seq)
 	H := m.Hidden
+	panels := recurOnPanels(H)
 	need := T*(m.In+5*H) + 5*H
-	var backing []float64
-	if v := m.gateBufs.Get(); v != nil {
-		if b := *(v.(*[]float64)); cap(b) >= need {
-			backing = b[:need]
-		}
+	if panels {
+		need += 3 * H * H
 	}
-	if backing == nil {
-		backing = make([]float64, need)
+	gb, _ := m.gateBufs.Get().(*gateBuf)
+	if gb == nil {
+		gb = &gateBuf{}
+		gb.release = func() { m.gateBufs.Put(gb) }
 	}
-	release = func() { m.gateBufs.Put(&backing) }
-	Z = make([][]float64, T)
-	R = make([][]float64, T)
+	if cap(gb.backing) < need {
+		gb.backing = make([]float64, need)
+	}
+	if cap(gb.z) < T {
+		gb.z, gb.r = make([][]float64, T), make([][]float64, T)
+	}
+	Z, R = gb.z[:T], gb.r[:T]
 	if T == 0 {
-		return Z, R, release
+		return Z, R, gb.release
 	}
 	// The backing holds every per-call buffer: the flattened inputs, the
-	// three hoisted projections, the gate outputs, and the recurrence
-	// scratch. A pooled backing may hold stale values — every region is
-	// fully written or explicitly cleared before its first read.
-	x, rest := backing[:T*m.In], backing[T*m.In:]
+	// three hoisted projections, the gate outputs, the recurrence scratch
+	// and, on the panel kernel, the transposed U matrices. A pooled backing
+	// may hold stale values — every region is fully written or explicitly
+	// cleared before its first read.
+	x, rest := gb.backing[:T*m.In], gb.backing[T*m.In:need]
 	az, rest := rest[:T*H], rest[T*H:]
 	ar, rest := rest[:T*H], rest[T*H:]
 	ah, rest := rest[:T*H], rest[T*H:]
@@ -204,15 +227,23 @@ func (m *GRUClassifier) ForwardGatesBatchPooled(seq [][]float64) (Z, R [][]float
 	hPrev, rest := rest[:H], rest[H:]
 	h, rest := rest[:H], rest[H:]
 	c, rest := rest[:H], rest[H:]
-	tmp, rh := rest[:H], rest[H:2*H]
+	tmp, rest := rest[:H], rest[H:]
+	rh, rest := rest[:H], rest[H:]
+	var uzT, urT, uhT []float64
+	if panels {
+		uzT, urT, uhT = rest[:H*H], rest[H*H:2*H*H], rest[2*H*H:]
+		transpose(m.Uz, uzT)
+		transpose(m.Ur, urT)
+		transpose(m.Uh, uhT)
+	}
 	// hPrev is the only buffer read before it is written (h_0 = 0); a
 	// pooled backing may carry a previous call's values.
 	clear(hPrev)
 	for t, v := range seq {
-		if len(v) != m.In {
-			panic(fmt.Sprintf("nn: ForwardGatesBatchPooled step width %d, want %d", len(v), m.In))
+		if len(v) < m.In {
+			panic(fmt.Sprintf("nn: ForwardGatesBatchPooled step width %d, want at least %d", len(v), m.In))
 		}
-		copy(x[t*m.In:(t+1)*m.In], v)
+		copy(x[t*m.In:(t+1)*m.In], v[:m.In])
 	}
 	m.Wz.MulMat(x, T, az)
 	m.Wr.MulMat(x, T, ar)
@@ -220,18 +251,18 @@ func (m *GRUClassifier) ForwardGatesBatchPooled(seq [][]float64) (Z, R [][]float
 	for t := 0; t < T; t++ {
 		z := zbuf[t*H : (t+1)*H]
 		r := rbuf[t*H : (t+1)*H]
-		m.Uz.MulVec(hPrev, tmp)
+		mulHidden(m.Uz, uzT, hPrev, tmp)
 		for i := range z {
 			z[i] = sigmoid(az[t*H+i] + tmp[i] + m.Bz.W[i])
 		}
-		m.Ur.MulVec(hPrev, tmp)
+		mulHidden(m.Ur, urT, hPrev, tmp)
 		for i := range r {
 			r[i] = sigmoid(ar[t*H+i] + tmp[i] + m.Br.W[i])
 		}
 		for i := range rh {
 			rh[i] = r[i] * hPrev[i]
 		}
-		m.Uh.MulVec(rh, tmp)
+		mulHidden(m.Uh, uhT, rh, tmp)
 		for i := range c {
 			c[i] = math.Tanh(ah[t*H+i] + tmp[i] + m.Bh.W[i])
 		}
@@ -241,7 +272,28 @@ func (m *GRUClassifier) ForwardGatesBatchPooled(seq [][]float64) (Z, R [][]float
 		Z[t], R[t] = z, r
 		hPrev, h = h, hPrev
 	}
-	return Z, R, release
+	return Z, R, gb.release
+}
+
+// transpose writes uᵀ into uT: uT[j*R+i] = u[i][j].
+func transpose(u *Tensor, uT []float64) {
+	for i := 0; i < u.R; i++ {
+		for j, v := range u.W[i*u.C : (i+1)*u.C] {
+			uT[j*u.R+i] = v
+		}
+	}
+}
+
+// mulHidden computes out = U·h for a square recurrence matrix U: on the
+// panel kernel from U's transpose uT when recurOnPanels(U.R) (mulRecur),
+// through MulVec otherwise. Either way each element is MulVec's sum term
+// for term, so the gates are the same bits on both.
+func mulHidden(u *Tensor, uT, h, out []float64) {
+	if uT == nil {
+		u.MulVec(h, out)
+		return
+	}
+	mulRecur(uT, h, out)
 }
 
 // Loss computes the mean cross-entropy of a forward pass against labels.

@@ -110,6 +110,28 @@ func mulPanels(t *Tensor, xT []float64, ld int, outT []float64) {
 	}
 }
 
+// recurOnPanels reports whether the GRU recurrence of a hidden size runs on
+// the panel kernel: with AVX2, and when the hidden size is a whole number
+// of panels.
+func recurOnPanels(hidden int) bool { return useAVX2 && hidden > 0 && hidden%panelLanes == 0 }
+
+// mulRecur computes out = U·h for a square U given as its transpose uT
+// (uT[j*H+i] = U[i][j]) on the panel kernel, with the roles of MulMat
+// swapped: h is the single weight row (r = 1) and the lanes carry output
+// neurons, eight per panel. Lane i sums h[j]·U[i][j] for j ascending from
+// +0, a rounded VMULPD product added by VADDPD — MulVec's sum term for
+// term. The product's operands are in the other order (h·U, not U·h),
+// which can only change which payload a NaN times a NaN keeps.
+func mulRecur(uT, h, out []float64) {
+	H := len(h)
+	if !recurOnPanels(H) || len(uT) != H*H || len(out) != H {
+		panic(fmt.Sprintf("nn: mulRecur hidden %d, transpose %d, out %d", H, len(uT), len(out)))
+	}
+	for p := 0; p < H; p += panelLanes {
+		mulPanelAVX2(&h[0], 1, H, &uT[p], H, &out[p])
+	}
+}
+
 // errorsPanels is ErrorsBatch on the panel kernel, with the activations
 // kept feature-major (act[i*ld+b]) from the input copy to the L1 sum so
 // that no layer transposes. It reports false, having done nothing, when the

@@ -9,3 +9,9 @@ func Kernel() string { return "go" }
 func (t *Tensor) mulMat(x []float64, n int, out []float64) { t.mulMatGo(x, n, out) }
 
 func (ae *Autoencoder) errorsPanels(xs [][]float64, out []float64) bool { return false }
+
+// recurOnPanels is false without the panel kernel: the GRU recurrence runs
+// on MulVec, and mulRecur is never called.
+func recurOnPanels(hidden int) bool { return false }
+
+func mulRecur(uT, h, out []float64) { panic("nn: mulRecur without the panel kernel") }

@@ -184,6 +184,54 @@ func TestErrorsBatchTable6BitIdentity(t *testing.T) {
 	}
 }
 
+// TestRecurrenceKernelMatchesMulVec holds the GRU's hidden-state product
+// (mulHidden: the panel kernel from Uᵀ where recurOnPanels says so, MulVec
+// otherwise) to MulVec bit for bit, over signed zeros, denormals, ±Inf and
+// ulp neighbours. Hidden sizes that are whole panels take the panels on an
+// AVX2 build; 12 is not, and takes MulVec, like every size under purego.
+func TestRecurrenceKernelMatchesMulVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	vals := append([]float64{math.Inf(1), math.Inf(-1)}, awkward...)
+	pick := func() float64 {
+		if rng.Intn(3) == 0 {
+			return rng.NormFloat64()
+		}
+		return vals[rng.Intn(len(vals))]
+	}
+	for _, H := range []int{8, 16, 32, 40, 12} {
+		if want := Kernel() == "avx2" && H%8 == 0; recurOnPanels(H) != want {
+			t.Fatalf("H=%d: recurOnPanels = %v on kernel %q", H, !want, Kernel())
+		}
+		u := NewTensor(H, H)
+		h := make([]float64, H)
+		want, got := make([]float64, H), make([]float64, H)
+		for rep := 0; rep < 200; rep++ {
+			for i := range u.W {
+				u.W[i] = pick()
+			}
+			for i := range h {
+				h[i] = pick()
+			}
+			var uT []float64
+			if recurOnPanels(H) {
+				uT = make([]float64, H*H)
+				transpose(u, uT)
+			}
+			u.MulVec(h, want)
+			for i := range got {
+				got[i] = math.Float64frombits(0x7ff8dead0000beef) // a stale value must not survive
+			}
+			mulHidden(u, uT, h, got)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("H=%d rep %d: element %d = %v (%#x), MulVec %v (%#x)",
+						H, rep, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 // fuzzFloats reads data as little-endian float64s, mapping NaN patterns to
 // finite values (see the package comment above) and falling back to the
 // awkward table when data holds less than one value.

@@ -11,6 +11,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"clap/internal/allocbudget"
 )
 
 func randVecs(n, w int, rng *rand.Rand) [][]float64 {
@@ -121,28 +123,49 @@ func TestErrorsBatchWidthPanics(t *testing.T) {
 	ae.ErrorsBatch([][]float64{make([]float64, 5)})
 }
 
+// TestForwardGatesBatchBitIdentity runs a hidden size the recurrence
+// panels cannot take (6, MulVec) and one they can (16), and steps wider
+// than In, whose first In values are the input.
 func TestForwardGatesBatchBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m := NewGRUClassifier(8, 6, 3, rng)
-	for _, T := range []int{0, 1, 2, 3, 4, 5, 11, 32} {
-		seq := randVecs(T, 8, rng)
-		wantZ, wantR := m.ForwardGates(seq)
-		gotZ, gotR, release := m.ForwardGatesBatchPooled(seq)
-		if len(gotZ) != len(wantZ) || len(gotR) != len(wantR) {
-			t.Fatalf("T=%d: batched lengths (%d,%d), unbatched (%d,%d)", T, len(gotZ), len(gotR), len(wantZ), len(wantR))
-		}
-		for ts := 0; ts < T; ts++ {
-			for i := range wantZ[ts] {
-				if gotZ[ts][i] != wantZ[ts][i] {
-					t.Fatalf("T=%d: Z[%d][%d] = %v, unbatched %v", T, ts, i, gotZ[ts][i], wantZ[ts][i])
-				}
-				if gotR[ts][i] != wantR[ts][i] {
-					t.Fatalf("T=%d: R[%d][%d] = %v, unbatched %v", T, ts, i, gotR[ts][i], wantR[ts][i])
+	for _, hidden := range []int{6, 16} {
+		m := NewGRUClassifier(8, hidden, 3, rng)
+		for _, T := range []int{0, 1, 2, 3, 4, 5, 11, 32} {
+			seq := randVecs(T, 8, rng)
+			wantZ, wantR := m.ForwardGates(seq)
+			wide := make([][]float64, T)
+			for ts, v := range seq {
+				wide[ts] = append(append([]float64(nil), v...), 1e300, -1)
+			}
+			gotZ, gotR, release := m.ForwardGatesBatchPooled(wide)
+			if len(gotZ) != len(wantZ) || len(gotR) != len(wantR) {
+				t.Fatalf("H=%d T=%d: batched lengths (%d,%d), unbatched (%d,%d)", hidden, T, len(gotZ), len(gotR), len(wantZ), len(wantR))
+			}
+			for ts := 0; ts < T; ts++ {
+				for i := range wantZ[ts] {
+					if gotZ[ts][i] != wantZ[ts][i] {
+						t.Fatalf("H=%d T=%d: Z[%d][%d] = %v, unbatched %v", hidden, T, ts, i, gotZ[ts][i], wantZ[ts][i])
+					}
+					if gotR[ts][i] != wantR[ts][i] {
+						t.Fatalf("H=%d T=%d: R[%d][%d] = %v, unbatched %v", hidden, T, ts, i, gotR[ts][i], wantR[ts][i])
+					}
 				}
 			}
+			release()
 		}
-		release()
 	}
+}
+
+// TestAllocBudgetForwardGatesBatchPooled: once a workspace is in the pool,
+// a call allocates nothing — backing, row headers and release func
+// included.
+func TestAllocBudgetForwardGatesBatchPooled(t *testing.T) {
+	m := NewGRUClassifier(8, 16, 3, rand.New(rand.NewSource(5)))
+	seq := randVecs(9, 8, rand.New(rand.NewSource(6)))
+	allocbudget.AtMost(t, 0, func() {
+		_, _, release := m.ForwardGatesBatchPooled(seq)
+		release()
+	})
 }
 
 // TestForwardGatesBatchPooledBitIdentity exercises the pooled variant

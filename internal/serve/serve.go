@@ -73,8 +73,8 @@ type Config struct {
 	Workers, Shards int
 
 	// Batch is the micro-batch size for batched inference on capable
-	// backends (0: the bench-tuned default of 24; 1: unbatched). Scores
-	// are bit-identical at any batch size.
+	// backends (0: the bench-tuned default of 24; 1: each window alone).
+	// Scores are bit-identical at any batch size.
 	Batch int
 
 	// Threshold fixes the operating threshold; Calibration+FPR derive it

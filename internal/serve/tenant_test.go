@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -392,32 +393,42 @@ func TestServeSingleTenantCompat(t *testing.T) {
 	}
 }
 
-// TestServeTenantBatchFillParity: four lightly-loaded tenants sharing
-// the engine must batch across tenant boundaries — the shared stream's
-// batch fill on the same aggregate load stays within 10% of a
-// single-tenant run.
+// TestServeTenantBatchFillParity: four lightly-loaded tenants sharing one
+// model instance — sharing the engine — batch across tenant boundaries:
+// the shared stream's batch fill on the same aggregate load stays within
+// 10% of a single-tenant run. Tenants with model instances of their own
+// never share a batch: each of their verdicts equals its own model's
+// serial score bit for bit.
 func TestServeTenantBatchFillParity(t *testing.T) {
-	clapModel, _ := fixture(t)
+	clapModel, b1Model := fixture(t)
 	const perTenant, tenantsN = 20, 4
 	total := perTenant * tenantsN
 
-	run := func(tenantsMode bool) float64 {
+	// run serves the aggregate load as the default tenant alone (models
+	// nil) or spread over one tenant per model, and returns the stream's
+	// batch fill and every verdict.
+	run := func(models []clap.Backend) (float64, []clap.Result) {
+		var mu sync.Mutex
+		var results []clap.Result
 		cfg := Config{
 			Backend:     loadModel(t, clapModel),
 			Threshold:   0.5,
 			QueueDepth:  256,
 			Batch:       8,
 			DriftWindow: -1,
+			OnResult: func(r clap.Result) {
+				mu.Lock()
+				results = append(results, r)
+				mu.Unlock()
+			},
 		}
 		names := []string{""}
-		if tenantsMode {
+		if models != nil {
 			names = names[:0]
-			for i := 0; i < tenantsN; i++ {
+			for i, m := range models {
 				name := fmt.Sprintf("t%d", i)
 				names = append(names, name)
-				cfg.Tenants = append(cfg.Tenants, TenantConfig{
-					Name: name, Backend: loadModel(t, clapModel), Threshold: 0.5,
-				})
+				cfg.Tenants = append(cfg.Tenants, TenantConfig{Name: name, Backend: m, Threshold: 0.5})
 			}
 		}
 		srv, err := New(cfg)
@@ -430,7 +441,7 @@ func TestServeTenantBatchFillParity(t *testing.T) {
 			// Pre-fill and close before Start so ingest dumps the whole
 			// load back-to-back in both modes.
 			share := conns
-			if tenantsMode {
+			if models != nil {
 				share = conns[i*perTenant : (i+1)*perTenant]
 			}
 			for _, c := range share {
@@ -451,16 +462,40 @@ func TestServeTenantBatchFillParity(t *testing.T) {
 		if err := srv.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return fill
+		mu.Lock()
+		defer mu.Unlock()
+		return fill, results
 	}
 
-	single := run(false)
-	multi := run(true)
+	single, _ := run(nil)
+	shared := loadModel(t, clapModel)
+	multi, _ := run([]clap.Backend{shared, shared, shared, shared})
 	if single <= 0 || multi <= 0 {
 		t.Fatalf("batch fill must be positive: single=%v multi=%v", single, multi)
 	}
 	if diff := (multi - single) / single; diff < -0.10 {
 		t.Fatalf("cross-tenant batch fill %.3f regressed more than 10%% below single-tenant %.3f", multi, single)
+	}
+
+	// Distinct instances, and of two kinds whose windows differ in width:
+	// a batch that mixed them could not even run.
+	own := make([]clap.Backend, tenantsN)
+	for i := range own {
+		own[i] = loadModel(t, []string{clapModel, b1Model}[i%2])
+	}
+	_, results := run(own)
+	if len(results) != total {
+		t.Fatalf("distinct instances: %d verdicts, want %d", len(results), total)
+	}
+	for _, r := range results {
+		var i int
+		if _, err := fmt.Sscanf(r.Conn.Tenant, "t%d", &i); err != nil {
+			t.Fatalf("verdict for unknown tenant %q", r.Conn.Tenant)
+		}
+		want := own[i].(*clap.CLAPBackend).Detector().Score(r.Conn).Adversarial
+		if math.Float64bits(r.Score) != math.Float64bits(want) {
+			t.Fatalf("tenant %s: verdict %v, its own model's serial score %v", r.Conn.Tenant, r.Score, want)
+		}
 	}
 }
 

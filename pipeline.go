@@ -33,7 +33,7 @@ import (
 // with the batch-scoring capability (CLAP, Baseline #1) the engine pools
 // stacked windows across connections into micro-batches and runs each as
 // one matrix-matrix inference pass, changing the wall clock but never the
-// bits (WithBatchSize tunes it; 1 disables).
+// bits (WithBatchSize tunes it).
 type Pipeline struct {
 	backend Backend
 	eng     *Engine
@@ -137,11 +137,12 @@ func validThreshold(who string, th float64) error {
 }
 
 // WithBatchSize sets how many stacked-profile windows ride one batched
-// inference pass for backends with the batch-scoring capability (micro-
-// batches pool windows across connections in Run; streams batch within
-// each connection). Omit the option for the bench-tuned default (24); 1
-// disables batching; non-positive sizes are rejected by NewPipeline.
-// Scores are bit-identical at any batch size — only throughput changes.
+// inference pass for backends with the batch-scoring capability. Micro-
+// batches pool the windows of consecutive connections, in Run and in
+// streams alike (a stream worker batches the connections it finds queued).
+// Omit the option for the bench-tuned default (24); 1 scores each window
+// alone; non-positive sizes are rejected by NewPipeline. Scores are
+// bit-identical at any batch size — only throughput changes.
 func WithBatchSize(n int) PipelineOption {
 	return func(p *Pipeline) {
 		if n < 1 {
@@ -244,7 +245,7 @@ func NewPipeline(opts ...PipelineOption) (*Pipeline, error) {
 	return p, nil
 }
 
-// BatchSize reports the pipeline's micro-batch size (1: batching disabled).
+// BatchSize reports the pipeline's micro-batch size.
 func (p *Pipeline) BatchSize() int { return p.batch }
 
 // Backend returns the pipeline's detection backend.
@@ -255,8 +256,8 @@ func (p *Pipeline) Backend() Backend { return p.backend }
 // never split a single connection's WindowErrors/Summarize pair across two
 // models; for plain backends it is the backend itself.
 func (p *Pipeline) snapshot() Backend {
-	if s, ok := p.backend.(backend.Snapshotter); ok {
-		return s.Current()
+	if h, ok := p.backend.(*HotBackend); ok {
+		return h.Current()
 	}
 	return p.backend
 }
@@ -366,14 +367,12 @@ func (p *Pipeline) CalibrateBackend(b Backend, fpr float64, src Source) (*Calibr
 	if len(benign) == 0 {
 		return nil, errors.New("clap: calibration source produced no connections")
 	}
-	// Composite backends (the cascade) calibrate their internal stage
-	// thresholds from the same corpus first, so the end-to-end scoring
-	// below sees the routing that will serve.
-	if sc, ok := b.(backend.StageCalibrator); ok {
-		err := sc.CalibrateStages(benign, func(stage Backend, conns []*Connection) []float64 {
-			return p.eng.ScoresBatched(stage, conns)
-		})
-		if err != nil {
+	// A cascade calibrates its escalation threshold from the same corpus
+	// first, so the end-to-end scoring below sees the routing that will
+	// serve.
+	casc, _ := b.(*backend.Cascade)
+	if casc != nil {
+		if err := casc.CalibrateStages(benign, p.eng.ScoresBatched); err != nil {
 			return nil, fmt.Errorf("clap: calibrating stages: %w", err)
 		}
 	}
@@ -395,10 +394,10 @@ func (p *Pipeline) CalibrateBackend(b Backend, fpr float64, src Source) (*Calibr
 	// the operating threshold below zero — flagging traffic the verdict
 	// stage never examined. Catch the misconfiguration with its cause
 	// rather than letting Validate reject the bare negative number.
-	if ef, ok := b.(interface{ EscalateFPR() float64 }); ok && cal.Threshold < 0 {
+	if casc != nil && cal.Threshold < 0 {
 		return nil, fmt.Errorf(
 			"clap: Calibrate(%v): detection FPR target exceeds the cascade's escalation budget %v — the threshold would flag screened connections the verdict stage never scored; raise -escalate-fpr to at least the detection FPR, or lower -fpr",
-			fpr, ef.EscalateFPR())
+			fpr, casc.EscalateFPR())
 	}
 	if err := cal.Validate(); err != nil {
 		return nil, err
@@ -406,8 +405,8 @@ func (p *Pipeline) CalibrateBackend(b Backend, fpr float64, src Source) (*Calibr
 	// Calibration scored the corpus through the backend; scrub any
 	// escalation counters it inflated so serving metrics reflect served
 	// traffic only.
-	if rc, ok := b.(interface{ ResetEscalationCounts() }); ok {
-		rc.ResetEscalationCounts()
+	if casc != nil {
+		casc.ResetEscalationCounts()
 	}
 	return cal, nil
 }
@@ -490,33 +489,29 @@ func (p *Pipeline) Run(src Source, sinks ...Sink) (*RunSummary, error) {
 // scored wholly by whichever model is current at its pickup — the serving
 // substrate for clap-serve.
 type PipelineStream struct {
-	inner     *engine.StreamOf[Result]
+	inner     *engine.StreamOf[verdict]
 	threshold atomic.Uint64 // math.Float64bits
 
-	// pair is non-nil when the backend is a reload-safe handle publishing
-	// (model, threshold) pairs (backend.Hot). While the handle carries a
-	// threshold, scoring pins model and threshold in ONE atomic load and
-	// SetThreshold/Threshold route through the handle — so an atomic
-	// recalibration (SwapPair) can never judge a connection with a
-	// crossed (model, threshold) pairing. Without an installed pair
-	// threshold the stream's own atomic governs, as before.
-	pair backend.PairHandle
+	// pair is the backend when it is a reload-safe handle. While it
+	// carries a threshold, scoring pins model and threshold in ONE atomic
+	// load and SetThreshold/Threshold route through it — so an atomic
+	// recalibration (SwapPair) can never judge a connection with a crossed
+	// (model, threshold) pairing.
+	pair *HotBackend
 
-	// resolve, when set (NewStreamResolved), picks the pair handle for
-	// EACH connection — multi-tenant serving resolves the owning
-	// tenant's handle here, so one shared stream scores every tenant's
-	// traffic while each verdict pins its own tenant's (model,
-	// threshold) with the same single atomic load the global pair path
-	// uses. A nil return falls back to the stream's own pair/threshold.
-	resolve func(*Connection) backend.PairHandle
+	// resolve, when set (NewStreamResolved), picks the handle for EACH
+	// connection — the owning tenant's, so one shared stream scores every
+	// tenant's traffic while each verdict pins its own tenant's pair. A
+	// nil return falls back to the stream's own pair/threshold.
+	resolve func(*Connection) *HotBackend
+}
 
-	// Batched-scoring occupancy accounting: windows actually scored vs.
-	// the slots the micro-batches they rode had — the serving layer's
-	// clap_serve_batch_fill gauge. batchSeq numbers the batched inference
-	// runs so provenance records can cite which one carried a verdict.
-	batchWindows atomic.Uint64
-	batchSlots   atomic.Uint64
-	batchSeq     atomic.Uint64
+// verdict is a streamed connection's Result in the making: the threshold
+// pinned together with its model, then the Result itself (with its
+// provenance record started at pin time on provenance-armed streams).
+type verdict struct {
+	th float64
+	r  Result
 }
 
 // StreamHooks instruments a pipeline stream with per-stage latencies; see
@@ -548,166 +543,108 @@ func (p *Pipeline) NewStreamResolved(resolve func(*Connection) *HotBackend, emit
 	if resolve == nil {
 		return nil, errors.New("clap: NewStreamResolved needs a resolver (use NewStream)")
 	}
-	return p.newStream(func(c *Connection) backend.PairHandle {
-		if h := resolve(c); h != nil {
-			return h
-		}
-		return nil
-	}, emit, hooks)
+	return p.newStream(resolve, emit, hooks)
 }
 
-func (p *Pipeline) newStream(resolve func(*Connection) backend.PairHandle, emit func(Result), hooks []StreamHooks) (*PipelineStream, error) {
+func (p *Pipeline) newStream(resolve func(*Connection) *HotBackend, emit func(Result), hooks []StreamHooks) (*PipelineStream, error) {
 	th, _, _, err := p.calibrate(p.snapshot())
 	if err != nil {
 		return nil, err
 	}
 	s := &PipelineStream{resolve: resolve}
-	s.pair, _ = p.backend.(backend.PairHandle)
+	s.pair, _ = p.backend.(*HotBackend)
 	s.threshold.Store(math.Float64bits(th))
 	var h StreamHooks
 	if len(hooks) > 0 {
 		h = hooks[0]
 	}
 	s.inner = engine.NewStreamOf(p.eng,
-		func(c *Connection) Result { return s.score(p, c) },
-		func(_ *Connection, r Result) { emit(r) }, h)
+		func(c *Connection) (Backend, verdict) { return s.start(p, c) },
+		func(c *Connection, b Backend, v *verdict, o engine.Outcome) { v.r = p.finish(b, c, v, o) },
+		func(_ *Connection, v verdict) { emit(v.r) }, h)
 	return s, nil
 }
 
-// score scores one streamed connection under the (model, threshold,
-// generation) triple pin resolves for it.
-func (s *PipelineStream) score(p *Pipeline, c *Connection) Result {
+// start pins the (model, threshold, generation) a streamed connection is
+// judged by. On a provenance-armed stream it also starts the verdict's
+// decision record right here, on the worker that pinned the pair — the
+// same view no concurrent reload can split.
+func (s *PipelineStream) start(p *Pipeline, c *Connection) (Backend, verdict) {
 	b, th, gen := s.pin(p, c)
+	v := verdict{th: th}
+	if p.prov {
+		v.r.Prov = &obs.Decision{
+			Key:        c.Key.String(),
+			Tenant:     c.Tenant,
+			Source:     c.Source,
+			Attack:     c.AttackName,
+			Model:      b.Tag(),
+			Generation: gen,
+			Threshold:  th,
+			Sampled:    c.TraceSampled,
+			WindowSpan: b.WindowSpan(),
+		}
+	}
+	return b, v
+}
+
+// finish judges a streamed connection from its batcher outcome under the
+// pinned model and threshold, and completes the scoring side of its
+// decision record: the cascade stage that settled it, and the micro-batch
+// that scored its last window.
+func (p *Pipeline) finish(b Backend, c *Connection, v *verdict, o engine.Outcome) Result {
 	// Streams keep the historical threshold-0 = score-only contract:
 	// SetThreshold(0) reverts to score-only, so thSet stays false here.
-	if !p.prov {
-		return p.resultFor(b, c, s.windowErrors(b, c, p.batch, nil), th, false)
+	r := p.resultFor(b, c, o.Errs, v.th, false)
+	d := v.r.Prov
+	if d == nil {
+		return r
 	}
-	// Provenance-armed path: bind the verdict to the pinned pair right
-	// here, on the worker that pinned it — the same (model, threshold,
-	// generation) view no concurrent reload can split.
-	d := &obs.Decision{
-		Key:        c.Key.String(),
-		Tenant:     c.Tenant,
-		Source:     c.Source,
-		Attack:     c.AttackName,
-		Model:      b.Tag(),
-		Generation: gen,
-		Threshold:  th,
-		Sampled:    c.TraceSampled,
-		WindowSpan: b.WindowSpan(),
-	}
-	var errs []float64
-	if rb, ok := b.(backend.Router); ok {
-		// Cascades route internally; capture which stage settled the
-		// verdict and by what stage-1 margin. The series is bit-identical
-		// to WindowErrors — routed scoring IS the plain scoring path.
-		var escalated bool
-		errs, escalated, d.Stage1Margin = rb.WindowErrorsRouted(c)
-		if escalated {
+	if _, routed := b.(*backend.Cascade); routed {
+		d.Stage, d.Stage1Margin = obs.StageScreened, o.Stage1Margin
+		if o.Escalated {
 			d.Stage = obs.StageEscalated
-		} else {
-			d.Stage = obs.StageScreened
 		}
-	} else {
-		errs = s.windowErrors(b, c, p.batch, d)
 	}
-	r := p.resultFor(b, c, errs, th, false)
+	d.BatchID, d.BatchFill = o.BatchID, o.BatchFill
 	d.Score, d.Flagged = r.Score, r.Flagged
 	if c.TraceSampled && r.Errors == nil {
 		// Head-sampled deep trace: retain the series (and localization)
 		// even for unflagged verdicts, so /v1/explain can reconstruct
 		// them without re-scoring.
 		if p.topN > 0 {
-			r.TopWindows = core.TopWindows(errs, p.topN)
+			r.TopWindows = core.TopWindows(o.Errs, p.topN)
 		}
-		r.Errors = errs
+		r.Errors = o.Errs
 	}
 	r.Prov = d
 	return r
 }
 
-// windowErrors computes one streamed connection's anomaly series, riding
-// the batched kernels (chunked at the pipeline's batch size) when the
-// model supports them — bit-identical to the unbatched path either way.
-// Scoring runs on pool workers concurrently; the accounting is atomic.
-// When d is non-nil (provenance-armed streams), the verdict's batch
-// placement — run id and slot occupancy — is recorded on it.
-func (s *PipelineStream) windowErrors(b Backend, c *Connection, batch int, d *obs.Decision) []float64 {
-	bs, ok := b.(backend.BatchScorer)
-	if !ok || batch <= 1 {
-		return b.WindowErrors(c)
-	}
-	wins := bs.Windows(c)
-	if len(wins) == 0 {
-		return []float64{}
-	}
-	errs := make([]float64, 0, len(wins))
-	for lo := 0; lo < len(wins); lo += batch {
-		hi := lo + batch
-		if hi > len(wins) {
-			hi = len(wins)
-		}
-		errs = append(errs, bs.ScoreWindows(wins[lo:hi])...)
-	}
-	if rec, ok := bs.(backend.BatchRecycler); ok {
-		rec.RecycleWindows(wins)
-	}
-	nb := (len(wins) + batch - 1) / batch
-	s.batchWindows.Add(uint64(len(wins)))
-	s.batchSlots.Add(uint64(nb * batch))
-	if d != nil {
-		d.BatchID = s.batchSeq.Add(1)
-		d.BatchFill = float64(len(wins)) / float64(nb*batch)
-	}
-	return errs
-}
-
-// BatchFill reports the mean occupancy of the batched inference passes
-// this stream has run: 1 means every micro-batch was full, lower values
-// mean short connections are padding out batches. 0 before any batched
-// scoring (or with batching disabled).
-func (s *PipelineStream) BatchFill() float64 {
-	slots := s.batchSlots.Load()
-	if slots == 0 {
-		return 0
-	}
-	return float64(s.batchWindows.Load()) / float64(slots)
-}
+// BatchFill reports the mean occupancy of the micro-batches this stream
+// has run: 1 means every batch was full, lower values mean part-filled
+// batches. 0 before any batched scoring.
+func (s *PipelineStream) BatchFill() float64 { return s.inner.BatchFill() }
 
 // pin resolves the (model, threshold, generation) a connection is judged
-// with: one atomic load from the connection's resolved pair handle (the
-// owning tenant's, under NewStreamResolved), else from the stream's own
-// pair handle when it carries a threshold, otherwise the model snapshot
-// plus the stream's own atomic threshold. A resolved handle without an
-// installed threshold scores threshold-free (score-only) rather than
-// borrowing another handle's threshold. The generation rides the same
-// single load as the pair, so provenance can bind all three without a
-// second read a racing reload could land between; handles that don't
-// publish a generation report 0.
+// with, in one atomic load: from the connection's resolved handle (the
+// owning tenant's, under NewStreamResolved; score-only while it has no
+// threshold), else from the stream's own handle when it carries a
+// threshold, otherwise the model snapshot plus the stream's own threshold
+// at generation 0.
 func (s *PipelineStream) pin(p *Pipeline, c *Connection) (Backend, float64, uint64) {
 	if s.resolve != nil {
 		if h := s.resolve(c); h != nil {
-			if g, ok := h.(backend.GenPairHandle); ok {
-				b, th, gen, hasTh := g.CurrentPairGen()
-				if !hasTh {
-					th = 0
-				}
-				return b, th, gen
+			b, th, gen, hasTh := h.CurrentPairGen()
+			if !hasTh {
+				th = 0
 			}
-			if b, th, ok := h.CurrentPair(); ok {
-				return b, th, 0
-			}
-			return h.Current(), 0, 0
+			return b, th, gen
 		}
 	}
 	if s.pair != nil {
-		if g, ok := s.pair.(backend.GenPairHandle); ok {
-			if b, th, gen, hasTh := g.CurrentPairGen(); hasTh {
-				return b, th, gen
-			}
-		} else if b, th, ok := s.pair.CurrentPair(); ok {
-			return b, th, 0
+		if b, th, gen, hasTh := s.pair.CurrentPairGen(); hasTh {
+			return b, th, gen
 		}
 	}
 	return p.snapshot(), math.Float64frombits(s.threshold.Load()), 0

@@ -3,6 +3,7 @@ package clap
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -141,7 +142,7 @@ func TestPipelineBitIdenticalAcrossBatchSizes(t *testing.T) {
 				}
 			}
 
-			// Streaming mode batches within each connection; same bits.
+			// Streaming mode batches across queued connections; same bits.
 			var streamed []float64
 			s, err := p.NewStream(func(r Result) { streamed = append(streamed, r.Score) })
 			if err != nil {
@@ -158,10 +159,10 @@ func TestPipelineBitIdenticalAcrossBatchSizes(t *testing.T) {
 				}
 			}
 			fill := s.BatchFill()
-			if batch == 1 && fill != 0 {
-				t.Fatalf("batch=1: BatchFill = %v, want 0 (unbatched)", fill)
+			if batch == 1 && fill != 1 {
+				t.Fatalf("batch=1: BatchFill = %v, want 1 (one window per batch)", fill)
 			}
-			if batch > 1 && (fill <= 0 || fill > 1) {
+			if fill <= 0 || fill > 1 {
 				t.Fatalf("batch=%d: BatchFill = %v, want in (0, 1]", batch, fill)
 			}
 		}
@@ -271,36 +272,73 @@ func TestPipelineJSONSink(t *testing.T) {
 	}
 }
 
-func TestPipelineStreamMatchesRun(t *testing.T) {
-	bk := pipelineBackend(t)
-	p, err := NewPipeline(WithBackend(bk), WithThresholdFPR(0.25, TrafficGen(80, 1)))
+// streamBackends are the two scoring shapes a stream batches: one model,
+// and the cascade whose two stages batch separately around its routing.
+func streamBackends(t *testing.T) map[string]Backend {
+	t.Helper()
+	cascade, err := NewCascade(cascadeStage1(t), pipelineBackend(t), 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := p.Run(suspectSource())
-	if err != nil {
-		t.Fatal(err)
-	}
+	return map[string]Backend{"clap": pipelineBackend(t), "cascade": cascade}
+}
 
-	conns, _, _ := suspectSource().Connections(p.Engine())
-	var streamed []Result
-	s, err := p.NewStream(func(r Result) { streamed = append(streamed, r) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Threshold() != sum.Threshold {
-		t.Fatalf("stream threshold %v != run threshold %v", s.Threshold(), sum.Threshold)
-	}
-	for _, c := range conns {
-		s.Submit(c)
-	}
-	s.Close()
-	if len(streamed) != len(sum.Results) {
-		t.Fatalf("streamed %d results, run produced %d", len(streamed), len(sum.Results))
-	}
-	for i := range streamed {
-		if streamed[i].Score != sum.Results[i].Score || streamed[i].Flagged != sum.Results[i].Flagged {
-			t.Fatalf("stream result %d diverged from batch run", i)
+// TestPipelineStreamMatchesRun: for clap and the cascade, at batch
+// {1, 3, 24} × workers {1, 4}, a stream emits in submission order the same
+// verdicts and window-error series as Run over the same connections.
+func TestPipelineStreamMatchesRun(t *testing.T) {
+	for name, bk := range streamBackends(t) {
+		calP, err := NewPipeline(WithBackend(bk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal, err := calP.Calibrate(0.25, TrafficGen(80, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			for _, batch := range []int{1, 3, 24} {
+				label := fmt.Sprintf("%s workers=%d batch=%d", name, workers, batch)
+				p, err := NewPipeline(WithBackend(bk), WithCalibration(cal), WithWorkers(workers),
+					WithBatchSize(batch), WithWindowErrors(true))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum, err := p.Run(suspectSource())
+				if err != nil {
+					t.Fatal(err)
+				}
+				conns, _, _ := suspectSource().Connections(p.Engine())
+				var streamed []Result
+				s, err := p.NewStream(func(r Result) { streamed = append(streamed, r) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.Threshold() != sum.Threshold {
+					t.Fatalf("%s: stream threshold %v != run threshold %v", label, s.Threshold(), sum.Threshold)
+				}
+				for _, c := range conns {
+					s.Submit(c)
+				}
+				s.Close()
+				if len(streamed) != len(sum.Results) {
+					t.Fatalf("%s: streamed %d results, run produced %d", label, len(streamed), len(sum.Results))
+				}
+				for i, r := range streamed {
+					want := sum.Results[i]
+					if r.Conn != conns[i] {
+						t.Fatalf("%s: result %d out of submission order", label, i)
+					}
+					if r.Score != want.Score || r.Flagged != want.Flagged || len(r.Errors) != len(want.Errors) {
+						t.Fatalf("%s: stream result %d diverged from batch run", label, i)
+					}
+					for w := range r.Errors {
+						if r.Errors[w] != want.Errors[w] {
+							t.Fatalf("%s: stream result %d window %d diverged from batch run", label, i, w)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -600,19 +638,12 @@ func TestPipelineHotBackendStream(t *testing.T) {
 	}
 }
 
-// TestPipelineStreamLockstepHotSwap: with four stream workers scoring
-// concurrently, a mid-stream hot swap still scores every connection wholly
-// by one model.
+// TestPipelineStreamLockstepHotSwap: for clap and the cascade, at batch
+// {1, 3, 24} × workers {1, 4}, a mid-stream hot swap still scores every
+// connection wholly by one model — the batcher never puts two models'
+// windows in one batch: the connections submitted before the swap by the
+// first, those after it by the second.
 func TestPipelineStreamLockstepHotSwap(t *testing.T) {
-	bk := pipelineBackend(t)
-	hot, err := NewHotBackend(bk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPipeline(WithBackend(hot), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
 	b2, err := NewBackend(BackendBaseline1)
 	if err != nil {
 		t.Fatal(err)
@@ -622,28 +653,62 @@ func TestPipelineStreamLockstepHotSwap(t *testing.T) {
 	if err := b2.Train(GenerateBenign(30, 2), func(string, ...any) {}); err != nil {
 		t.Fatal(err)
 	}
-	conns := GenerateBenign(12, 55)
-	var scores []float64
-	s, err := p.NewStream(func(r Result) { scores = append(scores, r.Score) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range conns {
-		if i == len(conns)/2 {
-			if _, err := hot.Swap(b2); err != nil {
+	conns := GenerateBenign(40, 55)
+	for name, bk := range streamBackends(t) {
+		next := b2
+		if name == "cascade" {
+			if next, err = NewCascade(cascadeStage1(t), b2, 0.3); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s.Submit(c)
-	}
-	s.Close()
-	if len(scores) != len(conns) {
-		t.Fatalf("emitted %d results, want %d", len(scores), len(conns))
-	}
-	for i, c := range conns {
-		s1, s2 := bk.ScoreConn(c), b2.ScoreConn(c)
-		if scores[i] != s1 && scores[i] != s2 {
-			t.Fatalf("conn %d score %v matches neither model (%v / %v)", i, scores[i], s1, s2)
+		for _, workers := range []int{1, 4} {
+			for _, batch := range []int{1, 3, 24} {
+				label := fmt.Sprintf("%s workers=%d batch=%d", name, workers, batch)
+				hot, err := NewHotBackend(bk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := NewPipeline(WithBackend(hot), WithWorkers(workers), WithBatchSize(batch))
+				if err != nil {
+					t.Fatal(err)
+				}
+				swapAt := len(conns) / 2
+				var scores []float64
+				firstHalf := make(chan struct{})
+				s, err := p.NewStream(func(r Result) {
+					if scores = append(scores, r.Score); len(scores) == swapAt {
+						close(firstHalf)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, c := range conns {
+					if i == swapAt {
+						// The connections before the swap are judged
+						// before the second model goes in.
+						<-firstHalf
+						if _, err := hot.Swap(next); err != nil {
+							t.Fatal(err)
+						}
+					}
+					s.Submit(c)
+				}
+				s.Close()
+				if len(scores) != len(conns) {
+					t.Fatalf("%s: emitted %d results, want %d", label, len(scores), len(conns))
+				}
+				for i, c := range conns {
+					first, second := bk.ScoreConn(c), next.ScoreConn(c)
+					want := second
+					if i < swapAt {
+						want = first
+					}
+					if scores[i] != want {
+						t.Fatalf("%s: conn %d scored %v, want %v (models: %v / %v)", label, i, scores[i], want, first, second)
+					}
+				}
+			}
 		}
 	}
 }
