@@ -201,8 +201,9 @@ func (ae *Autoencoder) getBatchScratch(rows int) *batchScratch {
 // the CPU has it (errorsPanels, kernel_amd64.go), through Tensor.MulMat
 // on row-major activations otherwise. Element k is bit-identical to
 // Error(xs[k]) at any batch size on either path — both kernels preserve
-// MulVec's per-element arithmetic and the bias/tanh/L1 arithmetic is
-// applied in the same per-element order as the unbatched path. Scratch
+// MulVec's per-element arithmetic, the bias/tanh/L1 arithmetic is applied
+// in the same per-element order as the unbatched path, and the panel
+// path's vector tanh (tanhs) is math.Tanh's bits. Scratch
 // buffers are pooled; like Error/Errors, ErrorsBatch is safe for
 // concurrent use on a trained (no longer mutating) model.
 func (ae *Autoencoder) ErrorsBatch(xs [][]float64) []float64 {

@@ -182,6 +182,10 @@ func (m *GRUClassifier) ForwardGates(seq [][]float64) (Z, R [][]float64) {
 // The three hidden-state products Uz·h, Ur·h and Uh·(r⊙h) run on the AVX2
 // panel kernel where the build has it and Hidden is a whole number of
 // panels (mulHidden); MulVec, their oracle, runs them everywhere else.
+// The gates' sigmoids and the candidate's tanh run on the AVX2 activation
+// kernels over each step's complete pre-activation sums (sigmoids, tanhs),
+// which compute the scalar sigmoid's and math.Tanh's bits; step keeps the
+// scalar functions as their oracle.
 //
 // A step may be wider than In — a full feature vector, say: its first In
 // values are the input, so callers need no narrowing view of their rows.
@@ -253,19 +257,25 @@ func (m *GRUClassifier) ForwardGatesBatchPooled(seq [][]float64) (Z, R [][]float
 		r := rbuf[t*H : (t+1)*H]
 		mulHidden(m.Uz, uzT, hPrev, tmp)
 		for i := range z {
-			z[i] = sigmoid(az[t*H+i] + tmp[i] + m.Bz.W[i])
+			z[i] = az[t*H+i] + tmp[i] + m.Bz.W[i]
 		}
+		sigmoids(z)
 		mulHidden(m.Ur, urT, hPrev, tmp)
 		for i := range r {
-			r[i] = sigmoid(ar[t*H+i] + tmp[i] + m.Br.W[i])
+			r[i] = ar[t*H+i] + tmp[i] + m.Br.W[i]
 		}
+		sigmoids(r)
 		for i := range rh {
 			rh[i] = r[i] * hPrev[i]
 		}
 		mulHidden(m.Uh, uhT, rh, tmp)
 		for i := range c {
-			c[i] = math.Tanh(ah[t*H+i] + tmp[i] + m.Bh.W[i])
+			c[i] = ah[t*H+i] + tmp[i] + m.Bh.W[i]
 		}
+		// The sums are complete before the kernel sees them, so it adds
+		// no bias (−0): adding a +0 bias would turn a −0 sum into +0 and
+		// flip tanh(−0).
+		tanhs(c, negZero)
 		for i := range h {
 			h[i] = (1-z[i])*hPrev[i] + z[i]*c[i]
 		}

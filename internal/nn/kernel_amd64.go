@@ -8,16 +8,31 @@ import (
 	"sync"
 )
 
-// The AVX2 kernel under MulMat. Lanes carry batch rows, not output
-// neurons: the batch is laid out feature-major (xT[j*ld+b]) in panels of
-// eight rows, and every lane of a panel runs MulVec's own sum — a rounded
-// VMULPD product added by VADDPD, j ascending, never an FMA — so the bits
-// are MulVec's at any batch size. The weights are read in place, one
-// broadcast per element: there is no packed or transposed copy to go stale
-// when training mutates Tensor.W.
+// The AVX2 kernels: the panels under MulMat, and the activations on them.
+//
+// Panels. Lanes carry batch rows, not output neurons: the batch is laid
+// out feature-major (xT[j*ld+b]) in panels of eight rows, and every lane
+// of a panel runs MulVec's own sum — a rounded VMULPD product added by
+// VADDPD, j ascending, never an FMA — so the bits are MulVec's at any
+// batch size. The weights are read in place, one broadcast per element:
+// there is no packed or transposed copy to go stale when training mutates
+// Tensor.W.
+//
+// Activations. tanhAVX2 and sigmoidAVX2 compute math.Tanh and sigmoid
+// four lanes at a time with math.tanh's own arithmetic around archExp's
+// FMA path (math/exp_amd64.s), inlined op for op, so every lane is the
+// scalar function's bits. FMA is allowed here, unlike under MulMat,
+// because it is what the reference itself runs: math.Exp fuses on every
+// CPU with AVX and FMA. They run where the CPU has AVX2 and FMA; without
+// FMA, math.Exp takes its unfused path, so the activations stay on the Go
+// loops (tanhsGo, sigmoidsGo).
 
 // hasAVX2 reports whether the CPU and the OS support AVX2 (kernel_amd64.s).
 func hasAVX2() bool
+
+// hasFMA reports whether the CPU has FMA3; ask only after hasAVX2
+// (kernel_amd64.s).
+func hasFMA() bool
 
 // mulPanelAVX2 computes one 8-lane panel: outT[i*ld+l] = Σ_j w[i*c+j] ·
 // xT[j*ld+l] for l in [0,8), i in [0,r). c ≥ 1 (kernel_amd64.s).
@@ -25,7 +40,55 @@ func hasAVX2() bool
 //go:noescape
 func mulPanelAVX2(w *float64, r, c int, xT *float64, ld int, outT *float64)
 
-var useAVX2 = hasAVX2()
+// tanhAVX2 sets x[i] = math.Tanh(x[i] + bias) for i in [0,n), n a
+// multiple of 4 (kernel_amd64.s).
+//
+//go:noescape
+func tanhAVX2(x *float64, n int, bias float64)
+
+// sigmoidAVX2 sets x[i] = sigmoid(x[i]) for i in [0,n), n a multiple of
+// 4, stopping at the first group of four holding a NaN or an |x| > 708;
+// it returns where it stopped (kernel_amd64.s).
+//
+//go:noescape
+func sigmoidAVX2(x *float64, n int) int
+
+var (
+	useAVX2    = hasAVX2()
+	useActAVX2 = useAVX2 && hasFMA()
+)
+
+// tanhs sets v[i] = math.Tanh(v[i] + bias), bit for bit: on tanhAVX2 four
+// lanes at a time where the CPU has AVX2 and FMA, with math.Tanh for the
+// len(v)%4 left over and everywhere else. A bias of −0 adds nothing
+// (x + −0 is x for every x, −0 included).
+func tanhs(v []float64, bias float64) {
+	n := 0
+	if useActAVX2 {
+		n = len(v) &^ 3
+		if n > 0 {
+			tanhAVX2(&v[0], n, bias)
+		}
+	}
+	tanhsGo(v[n:], bias)
+}
+
+// sigmoids sets v[i] = sigmoid(v[i]), bit for bit: on sigmoidAVX2 where
+// the CPU has AVX2 and FMA, with the scalar sigmoid for the groups of four
+// the kernel leaves (a NaN or an |x| > 708), the len(v)%4 left over, and
+// everywhere else.
+func sigmoids(v []float64) {
+	if useActAVX2 {
+		for len(v) >= 4 {
+			v = v[sigmoidAVX2(&v[0], len(v)&^3):]
+			if len(v) >= 4 { // the kernel stopped at this group
+				sigmoidsGo(v[:4])
+				v = v[4:]
+			}
+		}
+	}
+	sigmoidsGo(v)
+}
 
 const (
 	// panelLanes is the panel width: two ymm registers of batch rows.
@@ -135,11 +198,14 @@ func mulRecur(uT, h, out []float64) {
 // errorsPanels is ErrorsBatch on the panel kernel, with the activations
 // kept feature-major (act[i*ld+b]) from the input copy to the L1 sum so
 // that no layer transposes. It reports false, having done nothing, when the
-// batch belongs on the portable path. The bias/tanh and L1 expressions are
-// ErrorsBatch's own, applied to each window in the same element order, so
-// the errors are bit-identical to Error at any batch size. Pad lanes hold
-// zeros throughout (no bias is added to them) and are never read back.
-// out must arrive zeroed: the L1 sums accumulate in it.
+// batch belongs on the portable path. The bias and L1 expressions are
+// ErrorsBatch's own and the tanh is math.Tanh's bits (tanhs), applied to
+// each window in the same element order, so the errors are bit-identical
+// to Error at any batch size. Bias and tanh run over whole panels, so the
+// activation kernel has no scalar tail: pad lanes start as zeros and then
+// carry whatever the layers make of them (tanh(bias) after the first);
+// lanes never mix, and pad lanes are never read back. out must arrive
+// zeroed: the L1 sums accumulate in it.
 func (ae *Autoencoder) errorsPanels(xs [][]float64, out []float64) bool {
 	n := len(xs)
 	if !useAVX2 || n < panelMinBatch {
@@ -161,11 +227,9 @@ func (ae *Autoencoder) errorsPanels(xs [][]float64, out []float64) bool {
 		r := l.W.R
 		mulPanels(l.W, cur[:width*ld], ld, nxt[:r*ld])
 		for i, bv := range l.B.W[:r] {
-			o := nxt[i*ld : i*ld+n]
+			o := nxt[i*ld : i*ld+ld]
 			if l.Tanh {
-				for b := range o {
-					o[b] = math.Tanh(o[b] + bv)
-				}
+				tanhs(o, bv)
 			} else {
 				for b := range o {
 					o[b] += bv

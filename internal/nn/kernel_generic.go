@@ -15,3 +15,10 @@ func (ae *Autoencoder) errorsPanels(xs [][]float64, out []float64) bool { return
 func recurOnPanels(hidden int) bool { return false }
 
 func mulRecur(uT, h, out []float64) { panic("nn: mulRecur without the panel kernel") }
+
+// Without the AVX2 kernels the activations are the Go loops (tensor.go).
+const useActAVX2 = false
+
+func tanhs(v []float64, bias float64) { tanhsGo(v, bias) }
+
+func sigmoids(v []float64) { sigmoidsGo(v) }

@@ -182,6 +182,62 @@ func TestErrorsBatchTable6BitIdentity(t *testing.T) {
 	for n := len(xs); n >= 1; n-- {
 		check(n)
 	}
+
+	// The Xavier model's tanh inputs rarely leave math.tanh's rational
+	// branch (|v| < 0.625). Scaled weights and random biases drive them
+	// through the exp branch and past saturation (|v| > 0.5·MAXLOG), so
+	// the batched activations meet the serial math.Tanh on every branch.
+	var branches [3]int
+	for _, scale := range []float64{4, 30} {
+		sae := NewAutoencoder(ae.Sizes, rng)
+		for _, l := range sae.Layers {
+			for i := range l.W.W {
+				l.W.W[i] *= scale
+			}
+			for i := range l.B.W {
+				l.B.W[i] = scale * rng.NormFloat64()
+			}
+		}
+		for i, x := range xs {
+			want[i] = sae.Error(x)
+			acts := sae.forward(x)
+			for k, l := range sae.Layers {
+				if l.Tanh {
+					pre := make([]float64, l.W.R)
+					l.W.MulVec(acts[k], pre)
+					for j, v := range pre {
+						branches[tanhBranch(v+l.B.W[j])]++
+					}
+				}
+			}
+		}
+		for n := 1; n <= len(xs); n++ {
+			for lo := 0; lo+n <= len(xs); lo += n {
+				for k, e := range sae.ErrorsBatch(xs[lo : lo+n]) {
+					if math.Float64bits(e) != math.Float64bits(want[lo+k]) {
+						t.Fatalf("weights ×%v, batch %d: window %d error %v, serial %v", scale, n, lo+k, e, want[lo+k])
+					}
+				}
+			}
+		}
+	}
+	for b, c := range branches {
+		if c == 0 {
+			t.Fatalf("no tanh input on branch %d (rational, exp, saturated): %v", b, branches)
+		}
+	}
+}
+
+// tanhBranch names math.tanh's branch for v: 0 rational (including ±0 and
+// NaN), 1 exp, 2 saturated.
+func tanhBranch(v float64) int {
+	switch z := math.Abs(v); {
+	case z > halfMaxLog:
+		return 2
+	case z >= 0.625:
+		return 1
+	}
+	return 0
 }
 
 // TestRecurrenceKernelMatchesMulVec holds the GRU's hidden-state product

@@ -8,6 +8,7 @@ package nn
 // sides of the 4-lane blocking.
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -188,6 +189,69 @@ func TestForwardGatesBatchPooledBitIdentity(t *testing.T) {
 			}
 			release()
 		}
+	}
+
+	// Table 6's GRU (input and hidden 32) with scaled weights and random
+	// biases: the candidate's tanh inputs cover math.tanh's rational, exp
+	// and saturated branches, and the gates' sigmoid inputs reach past
+	// |x| = 708, where the sigmoid kernel leaves a group to the scalar
+	// sigmoid.
+	var tanhIn [3]int
+	var wideGates int
+	for _, scale := range []float64{8, 40, 600} {
+		g := NewGRUClassifier(32, 32, 3, rng)
+		for _, p := range g.Params() {
+			for i := range p.W {
+				p.W[i] *= scale
+			}
+		}
+		for _, b := range []*Tensor{g.Bz, g.Br, g.Bh} {
+			for i := range b.W {
+				b.W[i] = scale * rng.NormFloat64()
+			}
+		}
+		for rep := 0; rep < 2; rep++ {
+			seq := randVecs(40, 32, rng)
+			wantZ, wantR := g.ForwardGates(seq)
+			gotZ, gotR, release := g.ForwardGatesBatchPooled(seq)
+			for ts := range seq {
+				for i := range wantZ[ts] {
+					if math.Float64bits(gotZ[ts][i]) != math.Float64bits(wantZ[ts][i]) ||
+						math.Float64bits(gotR[ts][i]) != math.Float64bits(wantR[ts][i]) {
+						t.Fatalf("weights ×%v rep %d: pooled gates diverged at step %d unit %d", scale, rep, ts, i)
+					}
+				}
+			}
+			release()
+			st := g.Forward(seq)
+			hPrev := make([]float64, 32)
+			az, tz := make([]float64, 32), make([]float64, 32)
+			ah, th, rh := make([]float64, 32), make([]float64, 32), make([]float64, 32)
+			for ts, x := range seq {
+				g.Wz.MulVec(x, az)
+				g.Uz.MulVec(hPrev, tz)
+				for i := range rh {
+					rh[i] = st.R[ts][i] * hPrev[i]
+				}
+				g.Wh.MulVec(x, ah)
+				g.Uh.MulVec(rh, th)
+				for i := range ah {
+					tanhIn[tanhBranch(ah[i]+th[i]+g.Bh.W[i])]++
+					if math.Abs(az[i]+tz[i]+g.Bz.W[i]) > 708 {
+						wideGates++
+					}
+				}
+				hPrev = st.H[ts]
+			}
+		}
+	}
+	for b, c := range tanhIn {
+		if c == 0 {
+			t.Fatalf("no candidate tanh input on branch %d (rational, exp, saturated): %v", b, tanhIn)
+		}
+	}
+	if wideGates == 0 {
+		t.Fatal("no update-gate input past |x| = 708")
 	}
 }
 

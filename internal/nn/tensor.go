@@ -2,8 +2,9 @@
 // classifier that exposes its per-step gate activations (the inter-packet
 // context carrier, §3.3(a)-(b)), a deep autoencoder trained with L1 loss
 // (§3.3(c)), and the Adam optimiser, all in pure Go on float64 — except
-// one AVX2 assembly kernel under MulMat on amd64 (kernel_amd64.s), which
-// computes the same bits as the Go kernel it stands in for.
+// the AVX2 assembly on amd64 (kernel_amd64.s): one panel kernel under
+// MulMat, and tanh/sigmoid kernels under the batched inference paths, each
+// computing the same bits as the Go code it stands in for.
 //
 // Everything is deterministic given the caller-supplied *rand.Rand.
 // Training is single-threaded unless stated otherwise; the inference paths
@@ -221,6 +222,25 @@ func sigmoid(x float64) float64 {
 	}
 	z := math.Exp(x)
 	return z / (1 + z)
+}
+
+// negZero is the bias tanhs takes to add nothing.
+var negZero = math.Copysign(0, -1)
+
+// tanhsGo sets v[i] = math.Tanh(v[i] + bias): tanhs without the AVX2
+// kernel, and its tail.
+func tanhsGo(v []float64, bias float64) {
+	for i, x := range v {
+		v[i] = math.Tanh(x + bias)
+	}
+}
+
+// sigmoidsGo sets v[i] = sigmoid(v[i]): sigmoids without the AVX2 kernel,
+// and what the kernel leaves.
+func sigmoidsGo(v []float64) {
+	for i, x := range v {
+		v[i] = sigmoid(x)
+	}
 }
 
 // Softmax writes the softmax of logits into out (stable form).
