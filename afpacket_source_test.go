@@ -254,6 +254,53 @@ func TestAFPacketStreamTeardownJoinsHarvest(t *testing.T) {
 	}
 }
 
+// quietRing serves its blocks and then stays quiet until the capture is
+// cancelled, as a kernel ring on an idle link does.
+type quietRing struct{ afpacket.Ring }
+
+func (r quietRing) NextBlock(ctx context.Context) ([]byte, func(), error) {
+	block, release, err := r.Ring.NextBlock(ctx)
+	if err == io.EOF {
+		<-ctx.Done()
+	}
+	return block, release, err
+}
+
+// TestAFPacketPartialBlockOnQuietRing: the harvest hands a short ring
+// block's packets over before it waits for the next block, so a flow in
+// the last block before the link goes quiet is idle-flushed, not held.
+func TestAFPacketPartialBlockOnQuietRing(t *testing.T) {
+	want := GenerateBenign(1, 7)
+	blocks := framePackets(t, flow.Flatten(want), 1000)
+	if len(blocks) != 1 || want[0].Len() >= ingestBlockLen {
+		t.Fatalf("fixture: %d blocks of a %d-packet flow, want one short block", len(blocks), want[0].Len())
+	}
+	src := &afpacketSource{
+		name: "afpacket:quiet",
+		cfg:  fastLive.withDefaults(),
+		open: func() (afpacket.Ring, error) { return quietRing{afpacket.NewSyntheticRing(blocks...)}, nil },
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	got := make(chan *Connection, 4)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		src.Stream(ctx, func(c *Connection) { got <- c })
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	select {
+	case c := <-got:
+		if c.Key != want[0].Key || c.Len() != want[0].Len() {
+			t.Fatalf("delivered %v with %d packets, want %v with %d", c.Key, c.Len(), want[0].Key, want[0].Len())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the flow was not delivered while the ring was quiet: its partial block was never handed off")
+	}
+}
+
 // TestAFPacketConfigZeroValueRunsSolo pins the zero-value safety of the
 // public config: fanout group 0 is a real PACKET_FANOUT id, so a caller
 // who never asked for sharding must not silently join it.

@@ -7,9 +7,9 @@ import (
 )
 
 // Assembler is the incremental form of Assemble for live capture: packets
-// are fed one at a time as they arrive and finished connections are emitted
-// through a callback, so a long-running ingest loop never holds the whole
-// capture in memory. The grouping rules are identical to Assemble — same
+// are fed as they arrive, singly or in blocks, and finished connections
+// are emitted through a callback, so a long-running ingest loop never
+// holds the whole capture in memory. The grouping rules are identical to Assemble — same
 // client orientation, same port-reuse handling — and a Feed-everything-
 // then-Flush run emits exactly the slice Assemble would have returned, in
 // the same order.
@@ -54,9 +54,20 @@ func NewAssembler(emit func(*Connection)) *Assembler {
 	return &Assembler{emit: emit, active: make(map[Key]*asmSlot), now: time.Now}
 }
 
-// Feed appends one capture-ordered packet, emitting any connection the
-// packet completes (budget fill or port reuse after close).
-func (a *Assembler) Feed(p *packet.Packet) {
+// Feed appends capture-ordered packets, emitting any connection a packet
+// completes (budget fill or port reuse after close). Feeding a block at
+// once emits exactly what feeding its packets one by one would, in the
+// same order; the only difference is the clock, read once per call, so
+// every packet of the block carries the same idle-flush stamp. The slice
+// itself is not retained.
+func (a *Assembler) Feed(pkts ...*packet.Packet) {
+	now := a.now()
+	for _, p := range pkts {
+		a.feed(p, now)
+	}
+}
+
+func (a *Assembler) feed(p *packet.Packet, now time.Time) {
 	k := keyOf(p)
 	var s *asmSlot
 	var dir Direction
@@ -78,7 +89,7 @@ func (a *Assembler) Feed(p *packet.Packet) {
 		dir = ClientToServer
 	}
 	s.conn.Append(p, dir)
-	s.lastFeed = a.now()
+	s.lastFeed = now
 	switch {
 	case p.TCP.Flags.Has(packet.RST):
 		s.closed = true

@@ -103,6 +103,60 @@ func TestAssemblerMatchesAssemble(t *testing.T) {
 	}
 }
 
+// TestAssemblerBlockFeedMatchesPerPacket is the block contract live
+// sources rely on: Feed(block...) emits the same connections, in the same
+// order and by the end of the same packet, as feeding the block's packets
+// one call at a time. The corpus adds a port reuse to the equivalence
+// fixture; block sizes 1, 7 and 256 put connection boundaries, the reuse
+// split and (under budget 5) MaxPackets cuts across and inside blocks.
+func TestAssemblerBlockFeedMatchesPerPacket(t *testing.T) {
+	pkts := append(testCapture(), connPackets(4001, 2, "fin", 0)...)
+	pkts = append(pkts, connPackets(4001, 3, "rst", time.Second)...)
+	for _, budget := range []int{0, 5} {
+		var want []*Connection
+		ref := NewAssembler(func(c *Connection) { want = append(want, c) })
+		ref.MaxPackets = budget
+		emittedAfter := make([]int, len(pkts))
+		for i, p := range pkts {
+			ref.Feed(p)
+			emittedAfter[i] = len(want)
+		}
+		ref.Flush()
+		if budget > 0 && emittedAfter[len(pkts)-1] < 3 {
+			t.Fatalf("budget %d cut only %d connections before Flush; the fixture should cut more", budget, emittedAfter[len(pkts)-1])
+		}
+
+		for _, size := range []int{1, 7, 256} {
+			var got []*Connection
+			a := NewAssembler(func(c *Connection) { got = append(got, c) })
+			a.MaxPackets = budget
+			for lo := 0; lo < len(pkts); lo += size {
+				hi := min(lo+size, len(pkts))
+				a.Feed(pkts[lo:hi]...)
+				if len(got) != emittedAfter[hi-1] {
+					t.Fatalf("budget %d, block %d: %d connections out after packet %d, per-packet feed had %d",
+						budget, size, len(got), hi-1, emittedAfter[hi-1])
+				}
+			}
+			a.Flush()
+			if len(got) != len(want) {
+				t.Fatalf("budget %d, block %d: %d connections, per-packet feed %d", budget, size, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Key != want[i].Key || len(got[i].Packets) != len(want[i].Packets) {
+					t.Fatalf("budget %d, block %d, conn %d: %v with %d packets, want %v with %d",
+						budget, size, i, got[i].Key, len(got[i].Packets), want[i].Key, len(want[i].Packets))
+				}
+				for j := range want[i].Packets {
+					if got[i].Packets[j] != want[i].Packets[j] || got[i].Dirs[j] != want[i].Dirs[j] {
+						t.Fatalf("budget %d, block %d, conn %d packet %d: mismatch", budget, size, i, j)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestAssemblerBudget cuts long connections at the packet budget.
 func TestAssemblerBudget(t *testing.T) {
 	pkts := testCapture()

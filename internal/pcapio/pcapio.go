@@ -169,6 +169,21 @@ func (r *Reader) next(reuse bool) (Record, error) {
 	return rec, nil
 }
 
+// NextBuffered reports whether the next record, header and body, is
+// wholly in the read buffer, so that reading it cannot touch the
+// underlying reader and therefore cannot block on it. It peeks at the
+// record header's capture length without consuming anything. A live
+// ingest loop uses it to hand off what it has decoded before a read that
+// might wait on a quiet feed.
+func (r *Reader) NextBuffered() bool {
+	n := r.r.Buffered()
+	if n < len(r.hdr) {
+		return false
+	}
+	hdr, _ := r.r.Peek(len(r.hdr)) // within Buffered: Peek does not read
+	return uint64(n) >= uint64(len(r.hdr))+uint64(r.order.Uint32(hdr[8:12]))
+}
+
 // ReadPacket reads the next record and decodes it: the packet with its
 // capture timestamp, or nil for a record that is not a decodable TCP/IPv4
 // packet (non-IP frames, other protocols, and the junk real backbone traces

@@ -259,65 +259,168 @@ func (s *followSource) Stream(ctx context.Context, deliver func(*Connection)) (i
 	return streamPCAPRecords(ctx, s.r, s.cfg, deliver)
 }
 
-// recOrErr is one parsed unit of a live feed: a decoded packet, a
-// skipped (undecodable or non-IPv4) record, or a terminal error.
-type recOrErr struct {
-	p    *packet.Packet
-	skip bool
-	err  error
+// Live sources hand decoded packets to the assembly loop in blocks: one
+// channel handoff and one clock read per block, not per packet.
+const (
+	// ingestBlockLen is the most records one block carries.
+	ingestBlockLen = 256
+	// ingestQueue is how many blocks may wait for the assembly loop. With
+	// the block the reader is filling and the one being fed, at most
+	// (ingestQueue+2)·ingestBlockLen = 1 536 decoded packets are in
+	// flight between a live source and its assembler.
+	ingestQueue = 4
+)
+
+// recBlock is one handoff of a live feed: decoded packets in capture
+// order, the count of records that could not be decoded (non-IPv4 or
+// not TCP), and on the feed's last block the error that ended it.
+type recBlock struct {
+	pkts    []*packet.Packet
+	skipped int
+	err     error
+}
+
+// ingest is the block handoff from a live source's reader goroutine to
+// assembleRecords. The reader sends the block it is filling when it is
+// full and before any read that could block, so a quiet feed never
+// strands decoded packets. Every send gives up once ctx is done, so a
+// reader whose consumer has returned exits instead of parking. Fed blocks
+// come back cleared through a free list; a stream allocates its few
+// blocks once.
+type ingest struct {
+	ctx  context.Context
+	full chan *recBlock
+	free chan *recBlock
+	cur  *recBlock // the reader's block being filled; nil after a send
+}
+
+func newIngest(ctx context.Context) *ingest {
+	return &ingest{
+		ctx:  ctx,
+		full: make(chan *recBlock, ingestQueue),
+		free: make(chan *recBlock, ingestQueue+2), // every block a stream can have
+	}
+}
+
+// add appends one record — a decoded packet, or nil for a skipped one —
+// and sends the block once it is full. It reports false when the reader
+// must stop: ctx is done.
+func (in *ingest) add(p *packet.Packet) bool {
+	if in.cur == nil {
+		select {
+		case in.cur = <-in.free:
+		default:
+			in.cur = &recBlock{pkts: make([]*packet.Packet, 0, ingestBlockLen)}
+		}
+	}
+	if p == nil {
+		in.cur.skipped++
+	} else {
+		in.cur.pkts = append(in.cur.pkts, p)
+	}
+	if len(in.cur.pkts)+in.cur.skipped < ingestBlockLen {
+		return true
+	}
+	return in.send()
+}
+
+// send hands the block being filled, if any, to the assembly loop. It
+// reports false when ctx is done; the block is then dropped.
+func (in *ingest) send() bool {
+	if in.cur == nil {
+		return true
+	}
+	if in.ctx.Err() != nil {
+		// Checked first: select picks among ready cases at random, and a
+		// reader on a never-blocking feed must stop at its next block.
+		return false
+	}
+	select {
+	case in.full <- in.cur:
+		in.cur = nil
+		return true
+	case <-in.ctx.Done():
+		return false
+	}
+}
+
+// fail sends the partial block with the error that ended the feed.
+func (in *ingest) fail(err error) {
+	if in.cur == nil {
+		in.cur = &recBlock{}
+	}
+	in.cur.err = err
+	in.send()
+}
+
+// recycle clears a fed block, so it pins no packets, and offers it back
+// to the reader.
+func (in *ingest) recycle(b *recBlock) {
+	clear(b.pkts)
+	*b = recBlock{pkts: b.pkts[:0]}
+	select {
+	case in.free <- b:
+	default:
+	}
 }
 
 // streamPCAPRecords is the pcap ingest front half: a reader goroutine
-// decodes records (it may block on a quiet feed) into a recOrErr channel
-// consumed by the shared assembly loop. When the byte stream resyncs
-// (errResync from a rotated tail), the goroutine restarts the pcap
-// reader at the new global header; the assembler is untouched, so
-// connections spanning the rotation survive.
+// decodes records (it may block on a quiet feed) into blocks consumed by
+// the shared assembly loop. When the byte stream resyncs (errResync from
+// a rotated tail), the goroutine restarts the pcap reader at the new
+// global header; the assembler is untouched, so connections spanning the
+// rotation survive.
 //
-// On cancellation with a reader that never unblocks (a pipe with no
-// writer), the reader goroutine lingers until the underlying Read
-// returns; the stream itself ends promptly.
+// On cancellation the reader goroutine exits at its next handoff. Only a
+// Read that never returns (a pipe with no writer) keeps it, until that
+// Read returns; the stream itself ends promptly.
 func streamPCAPRecords(ctx context.Context, r io.Reader, cfg LiveConfig, deliver func(*Connection)) (int, error) {
-	recs := make(chan recOrErr, 64)
+	in := newIngest(ctx)
 	go func() {
-		defer close(recs)
+		defer close(in.full)
 		for {
 			rd, err := pcapio.NewReader(r)
+			if errors.Is(err, errResync) {
+				continue
+			}
 			if err != nil {
-				if errors.Is(err, errResync) {
-					continue
-				}
-				recs <- recOrErr{err: err}
+				in.fail(err)
 				return
 			}
-			resync := false
-			for !resync {
+			for {
+				// Hand off what is decoded before a read that could wait.
+				if !rd.NextBuffered() && !in.send() {
+					return
+				}
 				p, err := rd.ReadPacket()
 				if err == io.EOF {
+					in.send()
 					return
 				}
 				if errors.Is(err, errResync) {
-					resync = true
-					continue
+					break // only a Read resyncs, and the block went before it
 				}
 				if err != nil {
-					recs <- recOrErr{err: err}
+					in.fail(err)
 					return
 				}
-				recs <- recOrErr{p: p, skip: p == nil}
+				if !in.add(p) {
+					return
+				}
 			}
 		}
 	}()
-	return assembleRecords(ctx, recs, cfg, deliver)
+	return assembleRecords(ctx, in, cfg, deliver)
 }
 
 // assembleRecords is the shared live assembly loop, common to every
 // packet-granular source (pcap tail/follow and the AF_PACKET ring): it
-// feeds the incremental assembler, flushes idle connections on a ticker
-// even while the feed is silent, and flushes everything at end of
-// stream. Sharing this loop is what makes "bit-identical to the pcap
-// path" a structural property of a new source rather than a test hope.
-func assembleRecords(ctx context.Context, recs <-chan recOrErr, cfg LiveConfig, deliver func(*Connection)) (int, error) {
+// feeds the incremental assembler a block at a time, flushes idle
+// connections on a ticker even while the feed is silent, and flushes
+// everything at end of stream. Sharing this loop is what makes
+// "bit-identical to the pcap path" a structural property of a new source
+// rather than a test hope.
+func assembleRecords(ctx context.Context, in *ingest, cfg LiveConfig, deliver func(*Connection)) (int, error) {
 	asm := flow.NewAssembler(deliver)
 	asm.MaxPackets = cfg.MaxPackets
 	var flush <-chan time.Time
@@ -332,25 +435,24 @@ func assembleRecords(ctx context.Context, recs <-chan recOrErr, cfg LiveConfig, 
 		case <-ctx.Done():
 			asm.Flush()
 			return skipped, nil
-		case ro, ok := <-recs:
+		case b, ok := <-in.full:
 			if !ok {
 				asm.Flush()
 				return skipped, nil
 			}
-			if ro.err != nil {
+			asm.Feed(b.pkts...)
+			skipped += b.skipped
+			err := b.err
+			in.recycle(b)
+			if err != nil {
 				asm.Flush()
 				if ctx.Err() != nil {
 					// A header or record truncated by cancellation
 					// mid-read is not a corrupt capture.
 					return skipped, nil
 				}
-				return skipped, ro.err
+				return skipped, err
 			}
-			if ro.skip {
-				skipped++
-				continue
-			}
-			asm.Feed(ro.p)
 		case <-flush:
 			asm.FlushIdle(cfg.IdleFlush)
 		}
@@ -470,18 +572,18 @@ func (s *afpacketSource) Stream(ctx context.Context, deliver func(*Connection)) 
 	s.mu.Unlock()
 
 	hctx, cancel := context.WithCancel(ctx)
-	recs := make(chan recOrErr, 64)
+	in := newIngest(hctx)
 	// Teardown order is load-bearing: the harvest goroutine walks frame
 	// bytes that alias the mmap'd ring, so the mapping must outlive it.
 	// On any return — cancellation included, where assembleRecords bails
-	// while the goroutine may be mid-ParseBlock or blocked sending into
-	// recs — cancel the harvest context, then drain recs until the
-	// goroutine closes it (NextBlock reports io.EOF once its context is
-	// done, so the drain terminates and unblocks any stuck send), and
-	// only then detach the ring from Stats scrapes and munmap it.
+	// while the goroutine may be mid-ParseBlock — cancel the harvest
+	// context, then drain the block channel until the goroutine closes it
+	// (its sends give up and NextBlock reports io.EOF once the context is
+	// done, so the join terminates), and only then detach the ring from
+	// Stats scrapes and munmap it.
 	defer func() {
 		cancel()
-		for range recs {
+		for range in.full {
 		}
 		s.mu.Lock()
 		s.ring = nil
@@ -489,40 +591,52 @@ func (s *afpacketSource) Stream(ctx context.Context, deliver func(*Connection)) 
 		ring.Close()
 	}()
 	go func() {
-		defer close(recs)
+		defer close(in.full)
 		for {
 			block, release, err := ring.NextBlock(hctx)
 			if err == io.EOF {
 				return
 			}
 			if err != nil {
-				recs <- recOrErr{err: err}
+				in.fail(err)
 				return
 			}
 			// Frames alias the block; packet.Decode copies everything it
 			// keeps, so the block can be released after the walk.
+			ok := true
 			_, perr := afpacket.ParseBlock(block, func(f afpacket.Frame) {
-				ip, ok := afpacket.IPv4Payload(f.Data)
-				if !ok {
-					recs <- recOrErr{skip: true}
-					return
+				if ok {
+					ok = in.add(decodeFrame(f))
 				}
-				p, derr := packet.Decode(ip)
-				if derr != nil {
-					recs <- recOrErr{skip: true}
-					return
-				}
-				p.Timestamp = f.Timestamp
-				recs <- recOrErr{p: p}
 			})
 			release()
 			if perr != nil {
-				recs <- recOrErr{err: perr}
+				in.fail(perr)
+				return
+			}
+			// The rest of the ring block goes now: NextBlock may wait.
+			if !ok || !in.send() {
 				return
 			}
 		}
 	}()
-	return assembleRecords(ctx, recs, s.cfg, deliver)
+	return assembleRecords(ctx, in, s.cfg, deliver)
+}
+
+// decodeFrame decodes a captured Ethernet frame into a packet stamped
+// with its capture time, or nil for a frame that is not TCP/IPv4 — the
+// records the pcap path skips.
+func decodeFrame(f afpacket.Frame) *packet.Packet {
+	ip, ok := afpacket.IPv4Payload(f.Data)
+	if !ok {
+		return nil
+	}
+	p, err := packet.Decode(ip)
+	if err != nil {
+		return nil
+	}
+	p.Timestamp = f.Timestamp
+	return p
 }
 
 // SoakConfig tunes the synthetic soak source.

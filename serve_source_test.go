@@ -7,6 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -350,6 +353,93 @@ func TestMaxPacketsUnbounded(t *testing.T) {
 	}
 	if got := conns[0].Len() + conns[1].Len(); got != pkts {
 		t.Fatalf("segments carry %d packets, want %d", got, pkts)
+	}
+}
+
+// pcapReaders counts the live pcap reader goroutines.
+func pcapReaders() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by clap.streamPCAPRecords")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n atomic.Int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestFollowPCAPCancelStopsReader: once Stream returns on cancellation,
+// the reader goroutine must exit too, even with most of the capture still
+// unread. Nothing drains the handoff after the assembly loop returns, so
+// a reader that blocks on a send parks forever, holding the reader and
+// every packet it decoded. A small packet budget makes the first delivery
+// come at once; the stream is cancelled there.
+func TestFollowPCAPCancelStopsReader(t *testing.T) {
+	capture := longConnCapture(t, 20000)
+	before := pcapReaders()
+	cfg := fastLive
+	cfg.MaxPackets = 8
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := &countingReader{r: bytes.NewReader(capture)}
+	if _, err := FollowPCAP("mem", r, cfg).Stream(ctx, func(*Connection) { cancel() }); err != nil {
+		t.Fatalf("Stream: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for pcapReaders() > before {
+		if time.Now().After(deadline) {
+			t.Fatal("the pcap reader goroutine is still running 5 s after Stream returned")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if read := r.n.Load(); read >= int64(len(capture)) {
+		t.Fatalf("the reader read all %d bytes; it should have stopped at cancellation", read)
+	}
+}
+
+// TestFollowPCAPPartialBlockOnQuietFeed: packets decoded before the feed
+// goes quiet reach the assembler although their block is far from full.
+// The pipe carries the global header, one flow's packets and the first
+// bytes of one more record, then stays open: only the handoff before a
+// read that blocks can pass the flow on, and the idle flush delivers it.
+func TestFollowPCAPPartialBlockOnQuietFeed(t *testing.T) {
+	const k = 12
+	head := longConnCapture(t, k)
+	whole := longConnCapture(t, k+1)
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	go pw.Write(whole[:len(head)+5])
+
+	ctx, cancel := context.WithCancel(context.Background())
+	got := make(chan *Connection, 4)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		FollowPCAP("quiet", pr, fastLive).Stream(ctx, func(c *Connection) { got <- c })
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	select {
+	case c := <-got:
+		if c.Len() != k {
+			t.Fatalf("delivered a connection of %d packets, want %d", c.Len(), k)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the flow was not delivered while the feed was quiet: its partial block was never handed off")
 	}
 }
 
