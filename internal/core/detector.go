@@ -218,11 +218,12 @@ type slab struct {
 // garbage collections; a sync.Pool hands out whichever slab it holds, and
 // one that comes back too small is regrown and its backing dropped. The
 // list keeps at most keepSlabs slabs and no slab above keepFloats values,
-// so a huge connection's buffer is still left to the GC. The zero value is
+// so a huge connection's buffer is still left to the GC. It keeps slabs
+// by value, so handing one back allocates nothing. The zero value is
 // ready.
 type slabPool struct {
 	mu   sync.Mutex
-	free []*slab
+	free []slab
 }
 
 const (
@@ -231,20 +232,21 @@ const (
 )
 
 // get takes the free slab that holds n values most tightly or, when none
-// is large enough, the smallest, which the caller regrows; nil when there
-// is none. Taking by size matters because one pool serves requests of
-// different sizes in a fixed order — a connection's vectors, then its
-// wider profiles — and the last slab returned is seldom the one that fits.
-func (p *slabPool) get(n int) *slab {
+// is large enough, the smallest, which the caller regrows; the zero slab
+// when there is none. Taking by size matters because one pool serves
+// requests of different sizes in a fixed order — a connection's vectors,
+// then its wider profiles — and the last slab returned is seldom the one
+// that fits.
+func (p *slabPool) get(n int) slab {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	best := -1
-	for i, s := range p.free {
+	for i := range p.free {
 		if best < 0 {
 			best = i
 			continue
 		}
-		c, b := cap(s.data), cap(p.free[best].data)
+		c, b := cap(p.free[i].data), cap(p.free[best].data)
 		if (c >= n) != (b >= n) {
 			if c >= n {
 				best = i
@@ -254,19 +256,19 @@ func (p *slabPool) get(n int) *slab {
 		}
 	}
 	if best < 0 {
-		return nil
+		return slab{}
 	}
 	last := len(p.free) - 1
 	s := p.free[best]
 	p.free[best] = p.free[last]
-	p.free[last] = nil
+	p.free[last] = slab{}
 	p.free = p.free[:last]
 	return s
 }
 
 // put returns a slab to the list, unless the list is full or the slab is
 // too large to keep.
-func (p *slabPool) put(s *slab) {
+func (p *slabPool) put(s slab) {
 	if cap(s.data) > keepFloats {
 		return
 	}
@@ -278,11 +280,8 @@ func (p *slabPool) put(s *slab) {
 }
 
 // getSlab takes a slab with room for n values in rows rows from pool.
-func getSlab(pool *slabPool, n, rows int) *slab {
+func getSlab(pool *slabPool, n, rows int) slab {
 	s := pool.get(n)
-	if s == nil {
-		s = &slab{}
-	}
 	if cap(s.data) < n {
 		s.data = make([]float64, 0, n)
 	}
@@ -458,7 +457,7 @@ func (d *Detector) StackedProfilesBatched(c *flow.Connection) [][]float64 {
 		pool = &d.windows
 	}
 	ps := getSlab(pool, n*d.Cfg.ProfileWidth(), n)
-	profs := d.contextProfiles(vecs, true, ps)
+	profs := d.contextProfiles(vecs, true, &ps)
 	d.scratch.put(fs)
 	if t <= 1 {
 		// The profiles are the windows; their buffer is recycled by
@@ -477,7 +476,7 @@ func (d *Detector) RecycleStacked(wins [][]float64) {
 	if len(wins) == 0 {
 		return
 	}
-	d.windows.put(&slab{data: wins[0][:0], rows: wins})
+	d.windows.put(slab{data: wins[0][:0], rows: wins})
 }
 
 // WindowErrors runs the autoencoder over every stacked profile and returns

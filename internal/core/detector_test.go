@@ -306,14 +306,14 @@ func TestDetectorString(t *testing.T) {
 func TestSlabPoolTakesTightestFit(t *testing.T) {
 	var p slabPool
 	for _, n := range []int{10, 100, 50} {
-		p.put(&slab{data: make([]float64, 0, n)})
+		p.put(slab{data: make([]float64, 0, n)})
 	}
 	for _, tc := range []struct{ n, want int }{{40, 50}, {200, 10}, {5, 100}} {
 		if got := cap(p.get(tc.n).data); got != tc.want {
 			t.Fatalf("get(%d) took a slab of %d, want %d", tc.n, got, tc.want)
 		}
 	}
-	if s := p.get(1); s != nil {
+	if s := p.get(1); s.data != nil {
 		t.Fatalf("empty pool handed out a slab of %d", cap(s.data))
 	}
 }

@@ -7,7 +7,6 @@ package engine
 
 import (
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -186,25 +185,10 @@ func gateFreeBackend(t *testing.T) *backend.CLAP {
 // WindowErrorsBatched and from a stream — match per-connection routing
 // exactly, at every worker count, and ScoresBatched matches ScoreConn.
 func TestLockstepCascadeGroupPath(t *testing.T) {
-	s2 := backend.FromDetector(tinyDetector(t))
-	s1 := gateFreeBackend(t)
-	casc, err := backend.NewCascade(s1, s2, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	conns := raggedCorpus(t, 40, 17)
-
 	// Escalate roughly half the corpus: pin the escalation threshold to
 	// the median stage-1 score so both branches of the routing run.
-	s1Scores := make([]float64, 0, len(conns))
-	for _, c := range conns {
-		s1Scores = append(s1Scores, s1.ScoreConn(c))
-	}
-	sorted := append([]float64(nil), s1Scores...)
-	sort.Float64s(sorted)
-	if err := casc.SetEscalation(sorted[len(sorted)/2]); err != nil {
-		t.Fatal(err)
-	}
+	casc := testCascade(t, 0.1, 0, conns, 0.5)
 
 	want := make([][]float64, len(conns))
 	for i, c := range conns {
@@ -229,7 +213,7 @@ func TestLockstepCascadeGroupPath(t *testing.T) {
 		casc.ResetEscalationCounts()
 		var streamed [][]float64
 		var escalated atomic.Uint64
-		s := NewStreamOf(eng,
+		s := NewStreamOf(eng, casc,
 			func(*flow.Connection) (backend.Backend, []float64) { return casc, nil },
 			func(_ *flow.Connection, _ backend.Backend, errs *[]float64, o Outcome) {
 				if o.Escalated {

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clap/internal/backend"
@@ -22,17 +24,26 @@ type StreamOf[T any] struct {
 	hooks   StreamHooks
 	stats   batchStats
 
+	// The in-flight window (see Submit): Submit admits a connection while
+	// fewer than maxConns connections or fewer than room packets are in
+	// flight. The emitter releases a connection's share after its emit
+	// and drops a token in freed, which a blocked Submit waits on.
+	maxConns, room  int64
+	inConns, inPkts atomic.Int64
+	freed           chan struct{}
+
 	// seq counts submissions. Submit is single-goroutine by contract and
 	// the emitter reads each job's stamped copy, so a plain field works.
 	seq uint64
 }
 
 type streamJob[T any] struct {
-	c   *flow.Connection
-	b   backend.Backend // the model pin chose
-	r   T
-	out chan T
-	seq uint64
+	c    *flow.Connection
+	b    backend.Backend // the model pin chose
+	r    T
+	out  chan T
+	seq  uint64
+	pkts int64 // the connection's share of the window's packet room
 	// Stage timestamps, populated only when the stream has an Observe
 	// hook so the unobserved hot path never touches the clock.
 	submitted time.Time
@@ -66,6 +77,26 @@ type StreamHooks struct {
 	Observe func(*flow.Connection, StreamStats)
 }
 
+// maxPacketRoom caps a stream's packet room (see Submit), so a cascade
+// with a tiny escalation budget cannot overflow the sum or open an
+// unbounded window: 32 768 packets, about 12 MB of decoded traffic.
+const maxPacketRoom = 1 << 15
+
+// packetRoom is the in-flight packet room of a stream opened on model b:
+// for a cascade, enough screened packets that each worker's stage-2 lane
+// can fill one batch at the budgeted escalation rate,
+// workers × span × ⌈batch / EscalateFPR⌉ capped at maxPacketRoom, since a
+// connection of n packets yields at least n/span stage-2 windows; for any
+// other model, none.
+func packetRoom(b backend.Backend, workers, batch int) int64 {
+	c, ok := b.(*backend.Cascade)
+	if !ok {
+		return 0
+	}
+	per := float64(c.WindowSpan()) * math.Ceil(float64(batch)/c.EscalateFPR())
+	return int64(min(float64(workers)*per, maxPacketRoom))
+}
+
 // NewStreamOf starts a scoring stream producing results of type T. Each
 // worker takes a submitted connection, then each one already queued — it
 // never waits for more, and holds none it is not scoring — and for each
@@ -76,24 +107,27 @@ type StreamHooks struct {
 // shares a batch; an empty queue runs the part-filled batch. finish
 // completes each result as soon as its series is ready. pin and finish run
 // on pool workers and must be safe for concurrent calls; emit runs on one
-// goroutine, in submission order. The zero hooks measure nothing. Close
-// the stream to drain and release the workers.
-func NewStreamOf[T any](e *Engine,
+// goroutine, in submission order. open is the model the stream opens
+// with: it sizes the in-flight window (see Submit) for the stream's
+// lifetime, whatever pin later returns. The zero hooks measure nothing.
+// Close the stream to drain and release the workers.
+func NewStreamOf[T any](e *Engine, open backend.Backend,
 	pin func(*flow.Connection) (backend.Backend, T),
 	finish func(c *flow.Connection, b backend.Backend, r *T, o Outcome),
 	emit func(*flow.Connection, T), hooks StreamHooks) *StreamOf[T] {
-	// The in-flight window: four connections per worker keep the pool
-	// busy, and room for a batch of one-window connections per worker lets
-	// a worker fill its batch without blocking Submit behind connections
-	// it holds — emission is in order, so a held connection holds every
-	// later one in the window.
-	depth := e.workers * (4 + e.batch)
 	s := &StreamOf[T]{
-		jobs:    make(chan *streamJob[T], depth),
-		pending: make(chan *streamJob[T], depth),
-		done:    make(chan struct{}),
-		hooks:   hooks,
+		done:     make(chan struct{}),
+		hooks:    hooks,
+		maxConns: int64(e.workers * (4 + e.batch)),
+		room:     packetRoom(open, e.workers, e.batch),
+		freed:    make(chan struct{}, 1),
 	}
+	// Every in-flight connection counts at least one packet, so the window
+	// never holds more than max(maxConns, room) connections: with that
+	// capacity neither queue blocks, and admission is the only bound.
+	depth := max(s.maxConns, s.room)
+	s.jobs = make(chan *streamJob[T], depth)
+	s.pending = make(chan *streamJob[T], depth)
 	observed := hooks.Observe != nil
 	s.wg.Add(e.workers)
 	for w := 0; w < e.workers; w++ {
@@ -134,6 +168,12 @@ func NewStreamOf[T any](e *Engine,
 				emitAt = time.Now()
 			}
 			emit(j.c, r)
+			s.inConns.Add(-1)
+			s.inPkts.Add(-j.pkts)
+			select {
+			case s.freed <- struct{}{}:
+			default: // a token is already waiting
+			}
 			if observed {
 				hooks.Observe(j.c, StreamStats{
 					Seq:       j.seq,
@@ -148,13 +188,25 @@ func NewStreamOf[T any](e *Engine,
 	return s
 }
 
-// Submit queues one connection for scoring. It blocks only when the
-// in-flight window (workers × (4 + batch size)) is full. Not safe for concurrent Submit
-// calls from multiple goroutines; the submission order defines the emit
-// order.
+// Submit queues one connection for scoring. It blocks only while the
+// in-flight window is full, which is when workers × (4 + batch size)
+// connections and the stream's packet room are both taken. The
+// connection bound keeps the pool busy and holds a batch of one-window
+// connections per worker. The packet room, zero unless the stream opened
+// on a cascade, lets a worker's stage-2 lane fill its batch: emission is
+// in order, so a connection held there holds every later one in the
+// window. At worst the window holds the connection bound's connections,
+// plus the room's packets, plus one connection. Not safe for concurrent
+// Submit calls from multiple goroutines; the submission order defines the
+// emit order.
 func (s *StreamOf[T]) Submit(c *flow.Connection) {
+	for s.inConns.Load() >= s.maxConns && s.inPkts.Load() >= s.room {
+		<-s.freed
+	}
 	s.seq++
-	j := &streamJob[T]{c: c, out: make(chan T, 1), seq: s.seq}
+	j := &streamJob[T]{c: c, out: make(chan T, 1), seq: s.seq, pkts: int64(max(len(c.Packets), 1))}
+	s.inConns.Add(1)
+	s.inPkts.Add(j.pkts)
 	if s.hooks.Observe != nil {
 		j.submitted = time.Now()
 	}
@@ -165,7 +217,7 @@ func (s *StreamOf[T]) Submit(c *flow.Connection) {
 // InFlight reports how many submitted connections have not yet been
 // emitted — the stream's internal queue depth, surfaced to serving
 // metrics. Safe to call concurrently with Submit and emit.
-func (s *StreamOf[T]) InFlight() int { return len(s.pending) }
+func (s *StreamOf[T]) InFlight() int { return int(s.inConns.Load()) }
 
 // BatchFill reports the mean occupancy of the micro-batches the stream has
 // run: 1 when every batch was full, 0 before any (or when the models score

@@ -547,7 +547,8 @@ func (p *Pipeline) NewStreamResolved(resolve func(*Connection) *HotBackend, emit
 }
 
 func (p *Pipeline) newStream(resolve func(*Connection) *HotBackend, emit func(Result), hooks []StreamHooks) (*PipelineStream, error) {
-	th, _, _, err := p.calibrate(p.snapshot())
+	open := p.snapshot()
+	th, _, _, err := p.calibrate(open)
 	if err != nil {
 		return nil, err
 	}
@@ -558,7 +559,7 @@ func (p *Pipeline) newStream(resolve func(*Connection) *HotBackend, emit func(Re
 	if len(hooks) > 0 {
 		h = hooks[0]
 	}
-	s.inner = engine.NewStreamOf(p.eng,
+	s.inner = engine.NewStreamOf(p.eng, open,
 		func(c *Connection) (Backend, verdict) { return s.start(p, c) },
 		func(c *Connection, b Backend, v *verdict, o engine.Outcome) { v.r = p.finish(b, c, v, o) },
 		func(_ *Connection, v verdict) { emit(v.r) }, h)
