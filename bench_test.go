@@ -102,35 +102,34 @@ func BenchmarkTable2_ContextBreakdown(b *testing.B) {
 	}
 }
 
-// --- Table 3: processing throughput, CLAP vs Kitsune. The benchmark loop
-// itself is the measurement (packets/second on one core).
+// --- Table 3: processing throughput, CLAP vs Kitsune, scored as deployed:
+// through the batched engine. The benchmark loop itself is the measurement
+// (packets/second on one worker).
 func BenchmarkTable3_ThroughputCLAP(b *testing.B) {
 	s, _ := fixture(b)
 	conns := advCorpus(s)
-	th := s.MeasureThroughputCLAP(conns)
-	kth := s.MeasureThroughputKitsune(conns)
-	printSection("table3", eval.Table3(th, kth, s.MeasureThroughputEngine(conns)))
-	pkts := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := conns[i%len(conns)]
-		_ = s.CLAP.Score(c)
-		pkts += c.Len()
-	}
-	b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")
+	printSection("table3", eval.Table3(s, conns))
+	benchOneWorker(b, s.Backends[backend.TagCLAP], conns)
 }
 
 func BenchmarkTable3_ThroughputKitsune(b *testing.B) {
 	s, _ := fixture(b)
-	conns := advCorpus(s)
+	benchOneWorker(b, s.Backends[backend.TagKitsune], advCorpus(s))
+}
+
+// benchOneWorker times one-worker batched scoring of the whole corpus per
+// iteration and reports pkts/s.
+func benchOneWorker(b *testing.B, bk backend.Backend, conns []*flow.Connection) {
+	eng := engine.New(engine.Options{Workers: 1})
 	pkts := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := conns[i%len(conns)]
-		_ = s.Kit.ScoreConnection(c)
+	for _, c := range conns {
 		pkts += c.Len()
 	}
-	b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = eng.ScoresBatched(bk, conns)
+	}
+	b.ReportMetric(float64(pkts*b.N)/b.Elapsed().Seconds(), "pkts/s")
 }
 
 // --- Table 4: dataset statistics.
@@ -149,7 +148,7 @@ func BenchmarkTable5_RNNAccuracy(b *testing.B) {
 	printSection("table5", eval.Table5(s))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = s.CLAP.RNNAccuracy(s.Data.TestBenign[:4])
+		_, _ = s.Eng.RNNAccuracy(s.CLAP, s.Data.TestBenign[:4])
 	}
 }
 
@@ -191,9 +190,10 @@ func BenchmarkFigure6_ErrorTrend(b *testing.B) {
 	if len(conns) == 0 {
 		b.Skip("no adversarial connections")
 	}
+	clapB := s.Backends[backend.TagCLAP]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.CLAP.Score(conns[i%len(conns)])
+		_ = clapB.ScoreConn(conns[i%len(conns)])
 	}
 }
 
@@ -204,10 +204,7 @@ func figureDetectionBench(b *testing.B, num int, src attacks.Source) {
 	sub := attacks.BySource(src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conns := s.Data.Adv[sub[i%len(sub)].Name]
-		for _, c := range conns {
-			_ = s.CLAP.Score(c)
-		}
+		_ = s.Eng.ScoresBatched(s.Backends[backend.TagCLAP], s.Data.Adv[sub[i%len(sub)].Name])
 	}
 }
 
@@ -226,8 +223,8 @@ func figureLocalizationBench(b *testing.B, num int, src attacks.Source) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		conns := s.Data.Adv[sub[i%len(sub)].Name]
-		for _, c := range conns {
-			_ = s.CLAP.LocalizationHit(c, 5)
+		for k, errs := range s.Eng.WindowErrorsBatched(s.Backends[backend.TagCLAP], conns) {
+			_ = s.CLAP.LocalizationHitErrors(conns[k], errs, 5)
 		}
 	}
 }
@@ -280,9 +277,10 @@ func ablationBench(b *testing.B, label string, mutate func(*core.Config)) {
 	auc := s.EvaluateDetector(det, eval.AblationStrategies)
 	printSection("ablation-"+label, eval.AblationReport(label, base, auc))
 	conns := s.Data.Adv[eval.AblationStrategies[0]]
+	variant := backend.FromDetector(det)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = det.Score(conns[i%len(conns)])
+		_ = variant.ScoreConn(conns[i%len(conns)])
 	}
 }
 
@@ -321,49 +319,10 @@ func BenchmarkAblation_ScoreMetric(b *testing.B) {
 	printSection("ablation-score-metric", fmt.Sprintf(
 		"Ablation score-metric: localize-and-estimate=%.3f max=%.3f mean=%.3f\n", loc, max, mean))
 	conns := s.Data.Adv[eval.AblationStrategies[0]]
+	clapB := s.Backends[backend.TagCLAP]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.CLAP.WindowErrors(conns[i%len(conns)])
-	}
-}
-
-// --- Engine: the parallel scoring path against the serial baseline. Each
-// iteration scores the full mixed benign+adversarial corpus; sub-benchmark
-// names carry the worker count, so
-//
-//	go test -bench BenchmarkEngineScore -benchtime=5x
-//
-// prints the serial-vs-parallel pkts/s table directly. Scores are
-// bit-identical across all variants (see internal/engine tests); only
-// wall-clock changes. On a single-core host the parallel variants track the
-// serial path (the engine adds no meaningful overhead); the speedup scales
-// with available cores.
-func BenchmarkEngineScore(b *testing.B) {
-	s, _ := fixture(b)
-	conns := append(append([]*flow.Connection{}, s.Data.TestBenign...), advCorpus(s)...)
-	var pkts int
-	for _, c := range conns {
-		pkts += c.Len()
-	}
-
-	b.Run("serial", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, c := range conns {
-				_ = s.CLAP.Score(c)
-			}
-		}
-		b.ReportMetric(float64(pkts*b.N)/b.Elapsed().Seconds(), "pkts/s")
-	})
-	for _, workers := range []int{1, 4, 8} {
-		eng := engine.New(engine.Options{Workers: workers})
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = eng.MapFloat(conns, func(c *flow.Connection) float64 { return s.CLAP.Score(c).Adversarial })
-			}
-			b.ReportMetric(float64(pkts*b.N)/b.Elapsed().Seconds(), "pkts/s")
-		})
+		_ = backend.WindowErrors(clapB, conns[i%len(conns)])
 	}
 }
 
@@ -437,11 +396,10 @@ func recordBenchSample(backendTag string, workers, batch int, pktsPerSec float64
 
 // BenchmarkBackendThroughput measures scoring throughput (pkts/s) for
 // each registered backend across worker counts and micro-batch sizes,
-// recording the samples into BENCH_pr9.json. batch=1 is the unbatched path
-// (comparable to the BENCH_pr3 snapshot); larger batches run the
-// micro-batched matrix-matrix kernels on capable backends (scores are
-// bit-identical on every variant — see the engine and pipeline
-// determinism tests). Sub-benchmark names carry backend, workers and
+// recording the samples into BENCH_pr9.json. batch=1 scores each window
+// alone (comparable to the BENCH_pr3 snapshot); larger batches run the
+// micro-batched matrix-matrix kernels (scores are bit-identical on every
+// variant — see the engine and pipeline determinism tests). Sub-benchmark names carry backend, workers and
 // batch, so the text output doubles as the human-readable table.
 func BenchmarkBackendThroughput(b *testing.B) {
 	s, _ := fixture(b)
@@ -457,12 +415,8 @@ func BenchmarkBackendThroughput(b *testing.B) {
 	sort.Strings(tags)
 	for _, tag := range tags {
 		bk := s.Backends[tag]
-		_, batchable := bk.(backend.BatchScorer)
 		for _, workers := range []int{1, 4, 8} {
 			for _, batchN := range []int{1, engine.DefaultBatch, 60} {
-				if batchN > 1 && !batchable {
-					continue // the fallback path is the batch=1 row
-				}
 				eng := engine.New(engine.Options{Workers: workers, Batch: batchN})
 				b.Run(fmt.Sprintf("%s/workers=%d/batch=%d", tag, workers, batchN), func(b *testing.B) {
 					b.ResetTimer()
@@ -520,10 +474,11 @@ func BenchmarkBackendThroughput(b *testing.B) {
 func BenchmarkPipelineScoreConnection(b *testing.B) {
 	s, _ := fixture(b)
 	c := s.Data.TestBenign[0]
+	clapB := s.Backends[backend.TagCLAP]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.CLAP.Score(c)
+		_ = clapB.ScoreConn(c)
 	}
 }
 

@@ -120,27 +120,19 @@
 //	_ = clap.SaveCalibrationFile("clap.model.calib", cal)
 //	p2, _ := clap.NewPipeline(clap.WithBackend(b), clap.WithCalibration(cal))
 //
-// The CLAP-native API remains for direct use:
-//
-//	det, _ := clap.Train(benign, clap.DefaultConfig(), nil)
-//	score := det.Score(suspect)            // adversarial score (§3.3(d))
-//	windows := det.Localize(suspect, 5)    // forensic localization
-//
-// For batch or streaming workloads, route scoring through the parallel
-// engine — results are bit-identical to the serial path at any worker
-// count:
+// Every scoring path — Pipeline.Run, streams, calibration, the CLIs and
+// the evaluation suite — runs the engine's micro-batcher. Outside a
+// Pipeline, score a corpus through an engine directly; results are
+// bit-identical at any worker count:
 //
 //	eng := clap.NewEngine(0) // 0 = all cores
-//	scores := eng.MapFloat(conns, func(c *clap.Connection) float64 {
-//	        return det.Score(c).Adversarial
-//	})
+//	scores := eng.ScoresBatched(b, conns)
 //
-// Scoring through the Pipeline (or clap-detect/clap-serve) also batches
-// inference on capable backends: stacked-profile windows from many
-// connections ride one matrix-matrix autoencoder pass instead of one
-// matrix-vector pass each — ≥2× single-core throughput for CLAP with
-// bit-identical scores (DESIGN.md §8). WithBatchSize (or the CLIs'
-// -batch flag) tunes the micro-batch size; 1 scores each window alone.
+// The batcher pools stacked-profile windows from many connections into
+// one matrix-matrix autoencoder pass instead of one matrix-vector pass
+// each — ≥2× single-core throughput for CLAP with bit-identical scores
+// (DESIGN.md §8). WithBatchSize (or the CLIs' -batch flag) tunes the
+// micro-batch size; 1 scores each window alone.
 //
 // When CLAP's accuracy is needed at closer to Baseline #1's throughput,
 // tier the two (DESIGN.md §10): a cascade screens every connection with

@@ -7,9 +7,9 @@
 // and a tagged persistence header so a saved model knows which decoder
 // reads it back.
 //
-// Registering a new backend is a one-file change: implement Backend,
-// call Register in an init func, and every CLI, the Pipeline facade and
-// the evaluation suite can drive it by tag.
+// Registering a new backend is a one-file change: implement Backend and
+// BatchScorer, call Register in an init func, and every CLI, the Pipeline
+// facade and the evaluation suite can drive it by tag.
 package backend
 
 import (
@@ -35,48 +35,45 @@ type Backend interface {
 	Tag() string
 	// Describe returns a one-line human description of the model.
 	Describe() string
-	// WindowSpan reports how many consecutive packets one entry of
-	// WindowErrors covers (CLAP: the stacking length; per-packet systems: 1).
+	// WindowSpan reports how many consecutive packets one entry of the
+	// window series covers (CLAP: the stacking length; per-packet
+	// systems: 1).
 	WindowSpan() int
 	// Trained reports whether the backend holds a fitted model — the
 	// scoring methods may only be called when it does.
 	Trained() bool
 	// Train fits the backend on benign connections only. logf is never nil.
 	Train(benign []*flow.Connection, logf Logf) error
-	// ScoreConn returns the scalar adversarial score of one connection.
+	// ScoreConn returns the scalar adversarial score of one connection:
+	// Summarize of its WindowErrors series.
 	ScoreConn(c *flow.Connection) float64
-	// WindowErrors returns the per-window anomaly series the score
-	// summarises — the localization substrate (Figure 6's series).
-	WindowErrors(c *flow.Connection) []float64
 	// Summarize reduces a WindowErrors series to the connection score and
 	// the peak window index (-1 when the series is empty). For every
-	// backend, Summarize(WindowErrors(c)) equals ScoreConn(c) bit for bit —
-	// callers holding the series never re-run inference to score.
+	// backend, Summarize(WindowErrors(b, c)) equals ScoreConn(c) bit for
+	// bit — callers holding the series never re-run inference to score.
 	Summarize(errs []float64) (score float64, peak int)
 	// Save writes the trained model payload to w. The registry's Save
 	// frames it with the tagged header; use that for anything on disk.
 	Save(w io.Writer) error
 }
 
-// BatchScorer is an optional Backend capability: splitting WindowErrors
-// into its two halves — producing a connection's model-input windows, and
-// scoring a batch of windows in one amortized pass — so a caller can pool
-// windows from many connections into micro-batches and run each batch as
-// one matrix-matrix inference pass instead of len(batch) matrix-vector
-// passes. The contract mirrors the Summarize/WindowErrors pinning:
-//
-//	ScoreWindows(Windows(c)) == WindowErrors(c)   element-wise, bit for bit,
-//
-// at any batch split of the windows (scoring windows [0:k] and [k:n]
-// separately concatenates to scoring [0:n]). Both methods must be safe for
-// concurrent use on a trained backend, like the rest of the scoring
-// surface.
+// BatchScorer is how every leaf backend computes its window series, in
+// two halves: producing a connection's model-input windows, and scoring a
+// batch of windows in one amortized pass. A caller can so pool windows
+// from many connections into micro-batches and run each batch as one
+// matrix-matrix inference pass instead of len(batch) matrix-vector
+// passes. A connection's series is ScoreWindows(Windows(c)) (see
+// WindowErrors), and it must not depend on the batch split: scoring
+// windows [0:k] and [k:n] separately concatenates, bit for bit, to
+// scoring [0:n]. Both methods must be safe for concurrent use on a
+// trained backend, like the rest of the scoring surface. The composites,
+// Cascade and Hot, do not implement it; they route to leaves that do.
 type BatchScorer interface {
 	// Windows returns the connection's model-input windows — one row per
-	// entry of WindowErrors, in the same order.
+	// entry of the window series, in the same order.
 	Windows(c *flow.Connection) [][]float64
 	// ScoreWindows computes the per-window anomaly values of a batch;
-	// element k is the unbatched anomaly value of wins[k].
+	// element k depends on wins[k] alone.
 	ScoreWindows(wins [][]float64) []float64
 }
 
@@ -90,6 +87,39 @@ type BatchScorer interface {
 type BatchRecycler interface {
 	// RecycleWindows releases one Windows() result back to the pool.
 	RecycleWindows(wins [][]float64)
+}
+
+// WindowErrors returns the per-window anomaly series of one connection
+// under b — what ScoreConn summarises and the localization substrate
+// (Figure 6's series). It is the only per-connection scoring path: a Hot
+// handle scores with its current model, a Cascade screens with its first
+// stage and routes (WindowErrorsRouted), and a leaf runs its batched pair
+// as one batch, recycling the windows. The engine's micro-batcher
+// computes the same series for many connections at once.
+func WindowErrors(b Backend, c *flow.Connection) []float64 {
+	switch m := Live(b).(type) {
+	case *Cascade:
+		errs, _, _ := m.WindowErrorsRouted(c)
+		return errs
+	case BatchScorer:
+		wins := m.Windows(c)
+		errs := m.ScoreWindows(wins)
+		if rec, ok := m.(BatchRecycler); ok {
+			rec.RecycleWindows(wins)
+		}
+		return errs
+	default:
+		panic(fmt.Sprintf("backend: %s scores no windows: a leaf backend must implement BatchScorer", b.Tag()))
+	}
+}
+
+// Live returns the model a scoring call on b runs: a Hot handle's current
+// model, and b itself otherwise.
+func Live(b Backend) Backend {
+	if h, ok := b.(*Hot); ok {
+		return h.Current()
+	}
+	return b
 }
 
 // Factory creates and decodes one backend family.

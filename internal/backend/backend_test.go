@@ -127,7 +127,7 @@ func TestTaggedRoundTripAllAblations(t *testing.T) {
 						t.Fatalf("ablation %v/%v/%v/%d: config changed: %+v", update, reset, amp, stack, got.Cfg)
 					}
 					for i, c := range probe {
-						sameSeries(t, "window errors", got.WindowErrors(c), b.WindowErrors(c))
+						sameSeries(t, "window errors", WindowErrors(got, c), WindowErrors(b, c))
 						if got.ScoreConn(c) != b.ScoreConn(c) {
 							t.Fatalf("ablation %v/%v/%v/%d: conn %d score drifted", update, reset, amp, stack, i)
 						}
@@ -147,7 +147,7 @@ func TestBaseline1TagRoundTrip(t *testing.T) {
 		t.Fatalf("baseline1 loaded as %T", got)
 	}
 	probe := genConns(3, 11)[0]
-	sameSeries(t, "baseline1 errors", got.WindowErrors(probe), b.WindowErrors(probe))
+	sameSeries(t, "baseline1 errors", WindowErrors(got, probe), WindowErrors(b, probe))
 }
 
 func TestKitsuneTagRoundTrip(t *testing.T) {
@@ -162,7 +162,7 @@ func TestKitsuneTagRoundTrip(t *testing.T) {
 	}
 	got := roundTrip(t, b)
 	for _, c := range genConns(4, 13) {
-		sameSeries(t, "kitsune errors", got.WindowErrors(c), b.WindowErrors(c))
+		sameSeries(t, "kitsune errors", WindowErrors(got, c), WindowErrors(b, c))
 		if got.ScoreConn(c) != b.ScoreConn(c) {
 			t.Fatal("kitsune score drifted across round-trip")
 		}
@@ -170,7 +170,7 @@ func TestKitsuneTagRoundTrip(t *testing.T) {
 }
 
 // TestSummarizeMatchesScoreConn pins the Backend contract shared by every
-// implementation: Summarize(WindowErrors(c)) == ScoreConn(c).
+// implementation: Summarize(WindowErrors(b, c)) == ScoreConn(c).
 func TestSummarizeMatchesScoreConn(t *testing.T) {
 	conns := genConns(12, 3)
 	probe := genConns(5, 17)
@@ -186,7 +186,7 @@ func TestSummarizeMatchesScoreConn(t *testing.T) {
 	backends = append(backends, kb)
 	for _, b := range backends {
 		for i, c := range probe {
-			score, _ := b.Summarize(b.WindowErrors(c))
+			score, _ := b.Summarize(WindowErrors(b, c))
 			if got := b.ScoreConn(c); got != score {
 				t.Errorf("%s: conn %d ScoreConn %v != Summarize %v", b.Tag(), i, got, score)
 			}
@@ -215,7 +215,7 @@ func TestLegacyUntaggedLoad(t *testing.T) {
 		t.Fatalf("legacy model loaded under tag %q", b.Tag())
 	}
 	probe := genConns(2, 21)[0]
-	sameSeries(t, "legacy errors", b.WindowErrors(probe), det.WindowErrors(probe))
+	sameSeries(t, "legacy errors", WindowErrors(b, probe), det.WindowErrors(probe))
 }
 
 func TestLoadRejectsUnknownTag(t *testing.T) {

@@ -80,22 +80,32 @@ type Cascade struct {
 }
 
 // NewCascade composes two trained-or-trainable backends into a cascade.
-// Stages must not themselves be cascades (one tier of escalation), and
-// escalateFPR must lie in (0, 1).
+// Both stages must be leaf backends with the batched pair (BatchScorer) —
+// one tier of escalation, no nested cascades — and escalateFPR must lie
+// in (0, 1).
 func NewCascade(stage1, stage2 Backend, escalateFPR float64) (*Cascade, error) {
-	if stage1 == nil || stage2 == nil {
-		return nil, errors.New("backend: cascade needs two stages")
+	if err := cascadeStage(stage1); err != nil {
+		return nil, err
 	}
-	if _, bad := stage1.(*Cascade); bad {
-		return nil, errors.New("backend: cascade stages cannot be cascades")
-	}
-	if _, bad := stage2.(*Cascade); bad {
-		return nil, errors.New("backend: cascade stages cannot be cascades")
+	if err := cascadeStage(stage2); err != nil {
+		return nil, err
 	}
 	if !(escalateFPR > 0 && escalateFPR < 1) { // negation also catches NaN
 		return nil, fmt.Errorf("backend: cascade escalate FPR %v must be in (0, 1)", escalateFPR)
 	}
 	return &Cascade{s1: stage1, s2: stage2, escFPR: escalateFPR, stats: &cascadeStats{}}, nil
+}
+
+// cascadeStage rejects a stage the cascade cannot route to: a nil one, or
+// one without the batched pair — which a Cascade (and a Hot handle) lacks.
+func cascadeStage(s Backend) error {
+	if s == nil {
+		return errors.New("backend: cascade needs two stages")
+	}
+	if _, ok := s.(BatchScorer); !ok {
+		return fmt.Errorf("backend: cascade stage %s is not a leaf backend with batched scoring (a cascade cannot nest)", s.Tag())
+	}
+	return nil
 }
 
 // NewFromSpec instantiates a backend from a CLI -backend value: a plain
@@ -178,11 +188,8 @@ func (b *Cascade) ResetEscalationCounts() {
 // outgoing one did (same family), or the operating threshold needs
 // recalibration; tag equality is the caller's check.
 func (b *Cascade) WithStage2(stage2 Backend) (*Cascade, error) {
-	if stage2 == nil {
-		return nil, errors.New("backend: cascade needs a second stage")
-	}
-	if _, bad := stage2.(*Cascade); bad {
-		return nil, errors.New("backend: cascade stages cannot be cascades")
+	if err := cascadeStage(stage2); err != nil {
+		return nil, err
 	}
 	nb := &Cascade{s1: b.s1, s2: stage2, escFPR: b.escFPR, stats: b.stats}
 	nb.esc.Store(b.esc.Load())
@@ -226,25 +233,18 @@ func (b *Cascade) Train(benign []*flow.Connection, logf Logf) error {
 	return nil
 }
 
-// WindowErrors implements Backend: the first stage screens the
-// connection, Route decides, and iff the connection escalates the second
-// stage re-scores it — returning a series bit-identical to running the
+// WindowErrorsRouted is the cascade's series (what WindowErrors returns
+// for it) plus the routing attribution Route reports. The first stage
+// screens the connection, Route decides, and iff the connection escalates
+// the second stage re-scores it — a series bit-identical to running the
 // second stage alone. Summarize then reduces whichever series came back,
-// so ScoreConn == Summarize(WindowErrors(c)) holds by construction for any
-// stage pairing. This is the serial composition; the engine's micro-batcher
-// runs the same two stages around the same Route in batches.
-func (b *Cascade) WindowErrors(c *flow.Connection) []float64 {
-	errs, _, _ := b.WindowErrorsRouted(c)
-	return errs
-}
-
-// WindowErrorsRouted is WindowErrors plus the routing attribution Route
-// reports: whether the verdict escalated to the expensive stage, and the
-// stage-1 margin.
+// so ScoreConn == Summarize(WindowErrors(b, c)) holds by construction for
+// any stage pairing. The engine's micro-batcher runs the same two stages
+// around the same Route in batches.
 func (b *Cascade) WindowErrorsRouted(c *flow.Connection) (errs []float64, escalated bool, stage1Margin float64) {
-	errs = b.s1.WindowErrors(c)
+	errs = WindowErrors(b.s1, c)
 	if escalated, stage1Margin = b.Route(errs); escalated {
-		errs = b.s2.WindowErrors(c)
+		errs = WindowErrors(b.s2, c)
 	}
 	return errs, escalated, stage1Margin
 }
@@ -283,7 +283,7 @@ func (b *Cascade) Route(e1 []float64) (escalated bool, stage1Margin float64) {
 
 // ScoreConn implements Backend.
 func (b *Cascade) ScoreConn(c *flow.Connection) float64 {
-	score, _ := b.Summarize(b.WindowErrors(c))
+	score, _ := b.Summarize(WindowErrors(b, c))
 	return score
 }
 
@@ -393,13 +393,16 @@ func loadCascade(r io.Reader) (Backend, error) {
 		if n > maxStageBlob {
 			return nil, fmt.Errorf("backend: cascade stage %d payload too large (%d bytes)", i+1, n)
 		}
-		blob := make([]byte, n)
-		if _, err := io.ReadFull(r, blob); err != nil {
-			return nil, fmt.Errorf("backend: cascade stage %d payload: %w", i+1, err)
-		}
-		s, err := Load(bytes.NewReader(blob))
+		// Decode the stage straight off the stream, bounded by its
+		// declared length: allocation follows the bytes present, not the
+		// length the header claims.
+		lr := &io.LimitedReader{R: r, N: int64(n)}
+		s, err := Load(lr)
 		if err != nil {
 			return nil, fmt.Errorf("backend: cascade stage %d: %w", i+1, err)
+		}
+		if _, err := io.Copy(io.Discard, lr); err != nil || lr.N > 0 {
+			return nil, fmt.Errorf("backend: cascade stage %d payload truncated", i+1)
 		}
 		stages[i] = s
 	}

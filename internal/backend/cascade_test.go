@@ -110,7 +110,7 @@ func TestCascadeUncalibratedEscalatesAll(t *testing.T) {
 	c := testCascade(t, conns, 0.25)
 	_, s2 := c.Stages()
 	for i, conn := range probe {
-		sameSeries(t, "uncalibrated series", c.WindowErrors(conn), s2.WindowErrors(conn))
+		sameSeries(t, "uncalibrated series", WindowErrors(c, conn), WindowErrors(s2, conn))
 		if c.ScoreConn(conn) != s2.ScoreConn(conn) {
 			t.Fatalf("conn %d: uncalibrated cascade score differs from stage 2", i)
 		}
@@ -143,11 +143,11 @@ func TestCascadeEscalationRouting(t *testing.T) {
 	wantEscalated := int(0.2 * float64(len(benign))) // floor semantics
 	gotEscalated := 0
 	for _, conn := range benign {
-		e1 := s1.WindowErrors(conn)
+		e1 := WindowErrors(s1, conn)
 		score1, _ := s1.Summarize(e1)
 		if score1 >= esc {
 			gotEscalated++
-			sameSeries(t, "escalated series", c.WindowErrors(conn), s2.WindowErrors(conn))
+			sameSeries(t, "escalated series", WindowErrors(c, conn), WindowErrors(s2, conn))
 			if c.ScoreConn(conn) != s2.ScoreConn(conn) {
 				t.Fatal("escalated connection's score differs from pure stage 2")
 			}
@@ -156,7 +156,7 @@ func TestCascadeEscalationRouting(t *testing.T) {
 			for i := range shifted {
 				shifted[i] -= esc
 			}
-			sameSeries(t, "screened series", c.WindowErrors(conn), shifted)
+			sameSeries(t, "screened series", WindowErrors(c, conn), shifted)
 			if got := c.ScoreConn(conn); len(e1) > 0 && got >= 0 {
 				t.Fatalf("screened connection scored %v, want negative margin below the escalation threshold", got)
 			}
@@ -185,7 +185,7 @@ func TestCascadeSummarizeMatchesScoreConn(t *testing.T) {
 	check := func(label string) {
 		t.Helper()
 		for i, conn := range probe {
-			score, _ := c.Summarize(c.WindowErrors(conn))
+			score, _ := c.Summarize(WindowErrors(c, conn))
 			if got := c.ScoreConn(conn); got != score {
 				t.Fatalf("%s: conn %d ScoreConn %v != Summarize %v", label, i, got, score)
 			}
@@ -225,7 +225,7 @@ func TestCascadeRoundTrip(t *testing.T) {
 		t.Fatalf("escalation drifted: (%v,%v) != (%v,%v)", gotEsc, gotSet, wantEsc, wantSet)
 	}
 	for _, conn := range probe {
-		sameSeries(t, "round-trip series", got.WindowErrors(conn), c.WindowErrors(conn))
+		sameSeries(t, "round-trip series", WindowErrors(got, conn), WindowErrors(c, conn))
 		if got.ScoreConn(conn) != c.ScoreConn(conn) {
 			t.Fatal("round-trip changed a score")
 		}

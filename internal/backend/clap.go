@@ -33,8 +33,8 @@ func init() {
 	})
 }
 
-// CLAP (and therefore Baseline #1) supports batched scoring with pooled,
-// recyclable window buffers.
+// CLAP (and therefore Baseline #1) scores through the batched pair with
+// pooled, recyclable window buffers.
 var (
 	_ BatchScorer   = (*CLAP)(nil)
 	_ BatchRecycler = (*CLAP)(nil)
@@ -104,12 +104,8 @@ func (b *CLAP) Train(benign []*flow.Connection, logf Logf) error {
 
 // ScoreConn implements Backend.
 func (b *CLAP) ScoreConn(c *flow.Connection) float64 {
-	return b.Det.Score(c).Adversarial
-}
-
-// WindowErrors implements Backend.
-func (b *CLAP) WindowErrors(c *flow.Connection) []float64 {
-	return b.Det.WindowErrors(c)
+	score, _ := b.Summarize(WindowErrors(b, c))
+	return score
 }
 
 // Summarize implements Backend via the localize-and-estimate reduction
@@ -128,8 +124,8 @@ func (b *CLAP) Windows(c *flow.Connection) [][]float64 {
 
 // ScoreWindows implements BatchScorer: one batched autoencoder pass over
 // the window stack. Element k is bit-identical to the unbatched
-// reconstruction error of wins[k], so WindowErrors(c) ==
-// ScoreWindows(Windows(c)) bit for bit at any batch split.
+// reconstruction error of wins[k], so the series equals the serial
+// Detector.WindowErrors bit for bit at any batch split.
 func (b *CLAP) ScoreWindows(wins [][]float64) []float64 {
 	return b.Det.AE.ErrorsBatch(wins)
 }

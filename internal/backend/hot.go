@@ -170,7 +170,6 @@ func (h *Hot) Trained() bool    { return h.Current().Trained() }
 func (h *Hot) Train(benign []*flow.Connection, logf Logf) error {
 	return h.Current().Train(benign, logf)
 }
-func (h *Hot) ScoreConn(c *flow.Connection) float64      { return h.Current().ScoreConn(c) }
-func (h *Hot) WindowErrors(c *flow.Connection) []float64 { return h.Current().WindowErrors(c) }
-func (h *Hot) Summarize(errs []float64) (float64, int)   { return h.Current().Summarize(errs) }
-func (h *Hot) Save(w io.Writer) error                    { return h.Current().Save(w) }
+func (h *Hot) ScoreConn(c *flow.Connection) float64    { return h.Current().ScoreConn(c) }
+func (h *Hot) Summarize(errs []float64) (float64, int) { return h.Current().Summarize(errs) }
+func (h *Hot) Save(w io.Writer) error                  { return h.Current().Save(w) }

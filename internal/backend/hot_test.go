@@ -247,7 +247,7 @@ func TestHotConcurrentSwapAndScore(t *testing.T) {
 				for i, c := range probe {
 					// Pin a snapshot: errors and summary must agree.
 					m := h.Current()
-					score, _ := m.Summarize(m.WindowErrors(c))
+					score, _ := m.Summarize(WindowErrors(m, c))
 					if score != wantA[i] && score != wantB[i] {
 						t.Errorf("conn %d: score %v from a mixed model", i, score)
 						return

@@ -16,6 +16,8 @@ func init() {
 	})
 }
 
+var _ BatchScorer = (*Kitsune)(nil)
+
 // Kitsune adapts Baseline #2 — formerly reachable only through the
 // evaluation suite — to the Backend contract, making it a first-class,
 // persistable detector. Mutate Cfg before Train.
@@ -70,16 +72,20 @@ func (b *Kitsune) Train(benign []*flow.Connection, logf Logf) error {
 // ScoreConn implements Backend: the max packet score over a fresh
 // statistics context.
 func (b *Kitsune) ScoreConn(c *flow.Connection) float64 {
-	return b.Kit.ScoreConnection(c)
+	score, _ := b.Summarize(WindowErrors(b, c))
+	return score
 }
 
-// WindowErrors implements Backend: the per-packet score series.
-func (b *Kitsune) WindowErrors(c *flow.Connection) []float64 {
-	return b.Kit.ConnectionErrors(c)
-}
+// Windows implements BatchScorer: the connection's per-packet AfterImage
+// vectors against a fresh statistics context.
+func (b *Kitsune) Windows(c *flow.Connection) [][]float64 { return b.Kit.Windows(c) }
 
-// Summarize implements Backend: max and argmax — the flow-level reduction
-// ScoreConnection applies.
+// ScoreWindows implements BatchScorer: the per-packet anomaly scores of
+// the frozen model.
+func (b *Kitsune) ScoreWindows(wins [][]float64) []float64 { return b.Kit.ScoreWindows(wins) }
+
+// Summarize implements Backend: max and argmax — the conventional
+// flow-level reduction for per-packet IDSs.
 func (b *Kitsune) Summarize(errs []float64) (float64, int) {
 	if len(errs) == 0 {
 		return 0, -1

@@ -19,10 +19,17 @@ import (
 // they were trained under.
 //
 // A trained Detector is safe for concurrent use: the inference methods
-// (Score, WindowErrors, ContextProfiles, StackedProfiles, Localize,
-// LocalizationHit, RNNAccuracy and friends) only read model state — every
-// scratch buffer in the nn forward passes is per-call or pooled. The
-// parallel scoring engine (internal/engine) relies on this contract.
+// (StackedProfilesBatched, ScoreFromErrors, RNNAccuracyConn, the serial
+// oracle chain and friends) only read model state — every scratch buffer
+// in the nn forward passes is per-call or pooled. The parallel scoring
+// engine (internal/engine) relies on this contract.
+//
+// Scoring runs through the batched pair alone: StackedProfilesBatched
+// produces a connection's windows and AE.ErrorsBatch scores them
+// (internal/backend's CLAP adapter). Score, WindowErrors, StackedProfiles,
+// ContextProfiles and stack, with nn's ForwardGates and Errors beneath
+// them, are the serial oracle those are held to bit for bit; no
+// production, evaluation or training code calls them.
 type Detector struct {
 	Cfg     Config
 	Profile *features.Profile
@@ -84,11 +91,13 @@ func Train(benign []*flow.Connection, cfg Config, logf Logf) (*Detector, error) 
 		logf("RNN epoch %d/%d: mean loss %.4f", epoch+1, cfg.RNNEpochs, loss/float64(len(benign)))
 	}
 
-	// Stage (b): benign context profiles.
+	// Stage (b): benign context profiles, stacked into windows on the
+	// batched GRU kernel the scoring path runs.
+	wins := make([][][]float64, len(benign))
 	var stacked [][]float64
-	for i := range benign {
-		profs := d.contextProfiles(vecs[i], false, nil)
-		stacked = append(stacked, d.stack(profs)...)
+	for i, c := range benign {
+		wins[i] = d.StackedProfilesBatched(c)
+		stacked = append(stacked, wins[i]...)
 	}
 	logf("built %d stacked context profiles (width %d)", len(stacked), cfg.ProfileWidth()*cfg.StackLength)
 
@@ -107,9 +116,8 @@ func Train(benign []*flow.Connection, cfg Config, logf Logf) (*Detector, error) 
 		valStart = len(benign) // no validation split needed
 	}
 	var valWindows [][][]float64
-	for i := valStart; i < len(benign); i++ {
-		profs := d.contextProfiles(vecs[i], false, nil)
-		if w := d.stack(profs); len(w) > 0 {
+	for _, w := range wins[valStart:] {
+		if len(w) > 0 {
 			valWindows = append(valWindows, w)
 		}
 	}
@@ -135,9 +143,8 @@ func Train(benign []*flow.Connection, cfg Config, logf Logf) (*Detector, error) 
 // candidate autoencoder over pre-stacked validation windows.
 func benignScoreFloor(d *Detector, ae *nn.Autoencoder, valWindows [][][]float64) float64 {
 	scores := make([]float64, 0, len(valWindows))
-	tmp := &Detector{Cfg: d.Cfg, Profile: d.Profile, RNN: d.RNN, AE: ae}
 	for _, wins := range valWindows {
-		scores = append(scores, tmp.scoreFromErrors(ae.Errors(wins)).Adversarial)
+		scores = append(scores, d.ScoreFromErrors(ae.ErrorsBatch(wins)).Adversarial)
 	}
 	sort.Float64s(scores)
 	return scores[len(scores)*9/10]
@@ -193,9 +200,9 @@ func trainAE(stacked [][]float64, cfg Config, rng *rand.Rand, restart int, logf 
 // allocating them fresh per connection makes the garbage collector a
 // measurable fraction of the hot path; the pools keep steady-state batched
 // scoring allocating per connection only what escapes to the caller. Only
-// the batched path uses them — its buffers have a clear release point —
-// while the serial path keeps plain allocations, since its windows escape
-// to callers indefinitely (training, forensics).
+// the batched path uses them, and the serial oracle keeps plain
+// allocations; a caller that keeps its windows (training) simply never
+// recycles them.
 //
 // Two pools because the buffers live differently. What
 // StackedProfilesBatched returns (windows) is out until the engine's
@@ -303,21 +310,23 @@ func (d *Detector) featWidth() int {
 
 // contextProfiles fuses packet features with the RNN's per-step gate
 // activations (Equation 2): CxtProf = [P_IP, P_TCP, P_amp, G_update,
-// G_reset]. batched selects the batched GRU kernel, which hoists the
-// input projections of the whole sequence into matrix-matrix passes;
-// both kernels produce bit-identical gates. A non-nil slab (room for
-// len(vecs)·ProfileWidth values in len(vecs) rows) is carved into the
-// profile rows instead of a fresh allocation — the batched path passes a
-// pooled one. The rows are copies: vecs is not referenced afterwards.
-func (d *Detector) contextProfiles(vecs [][]float64, batched bool, ps *slab) [][]float64 {
+// G_reset]. A non-nil slab (room for len(vecs)·ProfileWidth values in
+// len(vecs) rows), which the batched path passes from its pool, selects
+// the batched GRU kernel — it hoists the input projections of the whole
+// sequence into matrix-matrix passes — and is carved into the profile
+// rows; nil runs the serial oracle's kernel into fresh rows. Both kernels
+// produce bit-identical gates. The rows are copies: vecs is not
+// referenced afterwards.
+func (d *Detector) contextProfiles(vecs [][]float64, ps *slab) [][]float64 {
 	if len(vecs) == 0 {
 		return nil
 	}
 	// ForwardGates skips the softmax head the scoring path never reads; its
 	// Z/R are bit-identical to the full Forward pass.
+	pooled := ps != nil
 	var gz, gr [][]float64
 	if d.Cfg.UseUpdateGates || d.Cfg.UseResetGates {
-		if batched {
+		if pooled {
 			// Pooled gate buffers: the gates are copied into the profile
 			// rows below, so the backing is released before returning. The
 			// batched pass reads each vector's RNN prefix in place.
@@ -333,7 +342,6 @@ func (d *Detector) contextProfiles(vecs [][]float64, batched bool, ps *slab) [][
 	// be n allocations the GC has to trace on the scoring hot path.
 	// Pooled backings are carved as two-index slices so the buffer can be
 	// recovered from row 0 at recycle time; fresh ones get full-cap rows.
-	pooled := ps != nil
 	if !pooled {
 		ps = &slab{data: make([]float64, 0, len(vecs)*d.Cfg.ProfileWidth()), rows: make([][]float64, 0, len(vecs))}
 	}
@@ -355,17 +363,19 @@ func (d *Detector) contextProfiles(vecs [][]float64, batched bool, ps *slab) [][
 	return ps.rows
 }
 
-// ContextProfiles computes per-packet context profiles for a connection.
+// ContextProfiles computes per-packet context profiles for a connection
+// on the serial GRU kernel — part of the serial oracle (see Detector).
 func (d *Detector) ContextProfiles(c *flow.Connection) [][]float64 {
-	return d.contextProfiles(d.Profile.Vectorize(c), false, nil)
+	return d.contextProfiles(d.Profile.Vectorize(c), nil)
 }
 
 // stack concatenates every StackLength consecutive profiles in a sliding
-// window (n−t+1 windows, §3.3(d)). Connections shorter than the stack
-// length yield a single window left-padded by replicating the first
-// profile: replicated profiles stay on the benign feature manifold, whereas
-// zero blocks would be out-of-distribution by construction and make every
-// short connection look adversarial.
+// window (n−t+1 windows, §3.3(d)); it is the serial oracle of
+// stackPooled. Connections shorter than the stack length yield a single
+// window left-padded by replicating the first profile: replicated
+// profiles stay on the benign feature manifold, whereas zero blocks would
+// be out-of-distribution by construction and make every short connection
+// look adversarial.
 func (d *Detector) stack(profs [][]float64) [][]float64 {
 	t := d.Cfg.StackLength
 	if t <= 1 {
@@ -401,7 +411,7 @@ func (d *Detector) stack(profs [][]float64) [][]float64 {
 }
 
 // StackedProfiles returns the sliding-window stacked profiles of a
-// connection.
+// connection — the serial oracle of StackedProfilesBatched.
 func (d *Detector) StackedProfiles(c *flow.Connection) [][]float64 {
 	return d.stack(d.ContextProfiles(c))
 }
@@ -457,7 +467,7 @@ func (d *Detector) StackedProfilesBatched(c *flow.Connection) [][]float64 {
 		pool = &d.windows
 	}
 	ps := getSlab(pool, n*d.Cfg.ProfileWidth(), n)
-	profs := d.contextProfiles(vecs, true, &ps)
+	profs := d.contextProfiles(vecs, &ps)
 	d.scratch.put(fs)
 	if t <= 1 {
 		// The profiles are the windows; their buffer is recycled by
@@ -480,7 +490,8 @@ func (d *Detector) RecycleStacked(wins [][]float64) {
 }
 
 // WindowErrors runs the autoencoder over every stacked profile and returns
-// the per-window L1 reconstruction errors.
+// the per-window L1 reconstruction errors — the serial oracle of the
+// batched pair (backend.WindowErrors on a CLAP backend).
 func (d *Detector) WindowErrors(c *flow.Connection) []float64 {
 	return d.AE.Errors(d.StackedProfiles(c))
 }
@@ -498,18 +509,15 @@ type Score struct {
 	Errors []float64
 }
 
-// Score runs stage (d) on a connection.
+// Score runs stage (d) on a connection through the serial oracle chain;
+// production scoring summarises the batched series with ScoreFromErrors.
 func (d *Detector) Score(c *flow.Connection) Score {
-	errs := d.WindowErrors(c)
-	return d.scoreFromErrors(errs)
+	return d.ScoreFromErrors(d.WindowErrors(c))
 }
 
-// ScoreFromErrors summarises precomputed window errors into a Score —
-// stage (d) without re-running the inference pipeline, for callers that
-// already hold a connection's WindowErrors.
-func (d *Detector) ScoreFromErrors(errs []float64) Score { return d.scoreFromErrors(errs) }
-
-func (d *Detector) scoreFromErrors(errs []float64) Score {
+// ScoreFromErrors summarises a connection's window errors into a Score —
+// stage (d) without re-running the inference pipeline.
+func (d *Detector) ScoreFromErrors(errs []float64) Score {
 	if len(errs) == 0 {
 		return Score{PeakWindow: -1}
 	}
@@ -550,8 +558,9 @@ func (d *Detector) windowCoversPacket(w, p, n int) bool {
 
 // TopWindows ranks a window-error series and returns the indices of the
 // topN highest-error windows, best first (stable insertion sort, ties
-// broken by window order) — the single ranking implementation behind both
-// the serial forensic path and the backend-agnostic pipeline.
+// broken by window order) — CLAP's forensic localization (§3.3(d)), and
+// the single ranking implementation behind the pipeline and the
+// evaluation's Top-N hit rates.
 func TopWindows(errs []float64, topN int) []int {
 	if len(errs) == 0 {
 		return nil
@@ -571,19 +580,6 @@ func TopWindows(errs []float64, topN int) []int {
 	return idx
 }
 
-// LocalizeErrors ranks precomputed window errors, returning the indices of
-// the topN highest-error windows.
-func (d *Detector) LocalizeErrors(errs []float64, topN int) []int {
-	return TopWindows(errs, topN)
-}
-
-// Localize returns the indices of the topN highest-error windows, each
-// expanded to the packet range it covers — CLAP's forensic output
-// (§3.3(d)).
-func (d *Detector) Localize(c *flow.Connection, topN int) []int {
-	return d.LocalizeErrors(d.WindowErrors(c), topN)
-}
-
 // LocalizationHitErrors implements the paper's Top-N hit criterion on
 // precomputed window errors: do the N highest-error context profiles
 // intersect the actual adversarial packets?
@@ -591,7 +587,7 @@ func (d *Detector) LocalizationHitErrors(c *flow.Connection, errs []float64, top
 	if !c.IsAdversarial() {
 		return false
 	}
-	for _, w := range d.LocalizeErrors(errs, topN) {
+	for _, w := range TopWindows(errs, topN) {
 		for _, a := range c.AdvIdx {
 			if d.windowCoversPacket(w, a, c.Len()) {
 				return true
@@ -601,14 +597,9 @@ func (d *Detector) LocalizationHitErrors(c *flow.Connection, errs []float64, top
 	return false
 }
 
-// LocalizationHit is LocalizationHitErrors over a fresh inference pass.
-func (d *Detector) LocalizationHit(c *flow.Connection, topN int) bool {
-	return d.LocalizationHitErrors(c, d.WindowErrors(c), topN)
-}
-
 // RNNAccuracyConn evaluates stage (a) per label class over one connection —
-// the unit the parallel engine fans out. It returns hit and total counts
-// per class.
+// the unit engine.RNNAccuracy fans out to regenerate Table 5. It returns
+// hit and total counts per class.
 func (d *Detector) RNNAccuracyConn(c *flow.Connection) (hits, totals [tcpstate.NumClasses]int) {
 	vecs := d.Profile.Vectorize(c)
 	if len(vecs) == 0 {
@@ -620,19 +611,6 @@ func (d *Detector) RNNAccuracyConn(c *flow.Connection) (hits, totals [tcpstate.N
 		totals[l.Class()]++
 		if pred[i] == l.Class() {
 			hits[l.Class()]++
-		}
-	}
-	return hits, totals
-}
-
-// RNNAccuracy evaluates stage (a) per label class over a held-out set,
-// regenerating Table 5. It returns hit and total counts per class.
-func (d *Detector) RNNAccuracy(conns []*flow.Connection) (hits, totals [tcpstate.NumClasses]int) {
-	for _, c := range conns {
-		h, t := d.RNNAccuracyConn(c)
-		for cl := 0; cl < tcpstate.NumClasses; cl++ {
-			hits[cl] += h[cl]
-			totals[cl] += t[cl]
 		}
 	}
 	return hits, totals

@@ -35,6 +35,12 @@ func testDetector(t *testing.T) *Detector {
 	return d
 }
 
+// batchedErrors is a connection's window series on the batched pair, the
+// path every caller scores through.
+func batchedErrors(d *Detector, c *flow.Connection) []float64 {
+	return d.AE.ErrorsBatch(d.StackedProfilesBatched(c))
+}
+
 func TestConfigShapesMatchTable6(t *testing.T) {
 	cfg := DefaultConfig()
 	if w := cfg.ProfileWidth(); w != 115 {
@@ -135,8 +141,8 @@ func TestScoreEmptyConnection(t *testing.T) {
 	if s.PeakWindow != -1 || s.Adversarial != 0 {
 		t.Errorf("empty connection score = %+v", s)
 	}
-	if d.Localize(&flow.Connection{}, 3) != nil {
-		t.Error("Localize on empty connection should be nil")
+	if TopWindows(batchedErrors(d, &flow.Connection{}), 3) != nil {
+		t.Error("localization of an empty connection should be nil")
 	}
 }
 
@@ -153,10 +159,10 @@ func TestDetectsMotivatingExample(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var benignScores, advScores []float64
 	for _, c := range testBenign {
-		benignScores = append(benignScores, d.Score(c).Adversarial)
+		benignScores = append(benignScores, d.ScoreFromErrors(batchedErrors(d, c)).Adversarial)
 		cc := c.Clone()
 		if strategy.Apply(cc, rng) {
-			advScores = append(advScores, d.Score(cc).Adversarial)
+			advScores = append(advScores, d.ScoreFromErrors(batchedErrors(d, cc)).Adversarial)
 		}
 	}
 	if len(advScores) < 10 {
@@ -179,7 +185,7 @@ func TestLocalizationFindsInjectedPacket(t *testing.T) {
 			continue
 		}
 		total++
-		if d.LocalizationHit(cc, 5) {
+		if d.LocalizationHitErrors(cc, batchedErrors(d, cc), 5) {
 			hits++
 		}
 	}
@@ -194,18 +200,20 @@ func TestLocalizationFindsInjectedPacket(t *testing.T) {
 func TestLocalizationHitRequiresAdversarial(t *testing.T) {
 	d := testDetector(t)
 	c := benignSet(1, 31)[0]
-	if d.LocalizationHit(c, 5) {
+	if d.LocalizationHitErrors(c, batchedErrors(d, c), 5) {
 		t.Error("benign connection cannot produce a localization hit")
 	}
 }
 
 func TestRNNAccuracyReasonable(t *testing.T) {
 	d := testDetector(t)
-	hits, totals := d.RNNAccuracy(benignSet(40, 888))
 	var h, n int
-	for c := 0; c < len(totals); c++ {
-		h += hits[c]
-		n += totals[c]
+	for _, c := range benignSet(40, 888) {
+		hits, totals := d.RNNAccuracyConn(c)
+		for cl := range totals {
+			h += hits[cl]
+			n += totals[cl]
+		}
 	}
 	if n == 0 {
 		t.Fatal("no labeled packets")
@@ -276,7 +284,7 @@ func TestBaseline1HasNoGateFeatures(t *testing.T) {
 
 func TestScoreWindowAveraging(t *testing.T) {
 	d := testDetector(t)
-	s := d.scoreFromErrors([]float64{0.1, 0.1, 5.0, 0.1, 0.1, 0.1, 0.1})
+	s := d.ScoreFromErrors([]float64{0.1, 0.1, 5.0, 0.1, 0.1, 0.1, 0.1})
 	if s.PeakWindow != 2 {
 		t.Fatalf("peak = %d, want 2", s.PeakWindow)
 	}
@@ -285,7 +293,7 @@ func TestScoreWindowAveraging(t *testing.T) {
 		t.Errorf("adversarial score = %g, want %g (mean over the 5-window)", s.Adversarial, want)
 	}
 	// Peak at the edge: window clips.
-	s = d.scoreFromErrors([]float64{5.0, 0.1, 0.1})
+	s = d.ScoreFromErrors([]float64{5.0, 0.1, 0.1})
 	want = (5.0 + 0.1 + 0.1) / 3
 	if math.Abs(s.Adversarial-want) > 1e-12 {
 		t.Errorf("edge adversarial score = %g, want %g", s.Adversarial, want)

@@ -7,9 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"clap/internal/features"
 	"clap/internal/nn"
+	"clap/internal/tcpstate"
 )
 
 // The detector persists as a single gob stream: config, feature profile,
@@ -69,7 +71,32 @@ func Load(r io.Reader) (*Detector, error) {
 	if d.AE, err = nn.LoadAutoencoder(bytes.NewReader(aeBlob)); err != nil {
 		return nil, err
 	}
+	if err := d.checkShapes(); err != nil {
+		return nil, err
+	}
 	return d, nil
+}
+
+// checkShapes rejects a model whose config disagrees with its networks.
+// Such a file decodes fine but panics at its first score: the GRU's gate
+// blocks and the stacking length size every window, and the autoencoder
+// must take exactly that width. The stacking length is bounded by the
+// autoencoder's input (one value per packet at least), which also keeps
+// the width computation from overflowing.
+func (d *Detector) checkShapes() error {
+	c := d.Cfg
+	switch {
+	case d.RNN.In != features.NumRNN || d.RNN.Classes != tcpstate.NumClasses:
+		return fmt.Errorf("core: RNN maps %d inputs to %d classes, want %d to %d",
+			d.RNN.In, d.RNN.Classes, features.NumRNN, tcpstate.NumClasses)
+	case d.RNN.Hidden != c.RNNHidden:
+		return fmt.Errorf("core: RNN has %d hidden units but the config says %d", d.RNN.Hidden, c.RNNHidden)
+	case c.StackLength < 1 || c.StackLength > d.AE.InputSize():
+		return fmt.Errorf("core: config stack length %d does not fit an autoencoder input of %d", c.StackLength, d.AE.InputSize())
+	case !slices.Equal(d.AE.Sizes, c.AESizes()):
+		return fmt.Errorf("core: autoencoder layers %v, but the config needs %v", d.AE.Sizes, c.AESizes())
+	}
+	return nil
 }
 
 // SaveFile persists the detector to path, creating parent directories.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"clap/internal/backend"
@@ -8,10 +9,10 @@ import (
 )
 
 // Outcome is one connection's result from the micro-batcher: its series
-// (bit-identical to the backend's serial WindowErrors); for a cascade,
-// whether it escalated and its stage-1 margin; and the id and occupancy of
-// the micro-batch that scored its last window (zero when the model scores
-// unbatched).
+// (bit-identical to backend.WindowErrors); for a cascade, whether it
+// escalated and its stage-1 margin; and the id and occupancy of the
+// micro-batch that scored its last window (zero for a connection without
+// windows).
 type Outcome struct {
 	Errs         []float64
 	Escalated    bool
@@ -40,16 +41,14 @@ func (s *batchStats) fill() float64 {
 // on its caller and is reused, so it allocates only the series it hands
 // out and each batch's errors. A batch split only splits the window list,
 // and the backend.BatchScorer contract pins every split to the same bits.
-// A model without the capability scores each connection whole as it is
-// added. K is the caller's handle on a connection.
+// K is the caller's handle on a connection.
 type lane[K any] struct {
 	size  int
 	stats *batchStats
 	done  func(k K, c *flow.Connection, o Outcome)
 
-	b   backend.Backend
-	bs  backend.BatchScorer   // nil: b scores unbatched
-	rec backend.BatchRecycler // nil: b's windows are not pooled
+	bs  backend.BatchScorer
+	rec backend.BatchRecycler // nil: the windows are not pooled
 
 	batch [][]float64  // the filling batch
 	open  []pending[K] // connections with windows in flight, oldest first
@@ -68,11 +67,6 @@ type pending[K any] struct {
 // carries what the caller knows of the connection to done.
 func (l *lane[K]) add(k K, c *flow.Connection, o Outcome) {
 	o.BatchID, o.BatchFill = 0, 0
-	if l.bs == nil {
-		o.Errs = l.b.WindowErrors(c)
-		l.done(k, c, o)
-		return
-	}
 	wins := l.bs.Windows(c)
 	o.Errs = make([]float64, len(wins))
 	if len(wins) == 0 {
@@ -146,22 +140,32 @@ func newScorer[K any](size int, stats *batchStats, out func(k K, c *flow.Connect
 }
 
 // use points the scorer at the model the next connections are scored
-// with. Switching models first settles every connection added under the
-// old one, so two models never share a batch.
+// with (a Hot handle's current one). Switching models first settles every
+// connection added under the old one, so two models never share a batch.
 func (s *scorer[K]) use(b backend.Backend) {
-	if b == s.b {
+	if b = backend.Live(b); b == s.b {
 		return
 	}
 	s.flush()
 	s.b = b
-	s.screen.b = b
 	if s.route, _ = b.(*backend.Cascade); s.route != nil {
-		s.screen.b, s.verdict.b = s.route.Stages()
+		s1, s2 := s.route.Stages()
+		s.screen.use(s1)
+		s.verdict.use(s2)
+		return
 	}
-	for _, l := range []*lane[K]{&s.screen, &s.verdict} {
-		l.bs, _ = l.b.(backend.BatchScorer)
-		l.rec, _ = l.b.(backend.BatchRecycler)
+	s.screen.use(b)
+}
+
+// use points the lane at a leaf model. Every leaf scores through the
+// batched pair; NewCascade holds a cascade's stages to the same rule.
+func (l *lane[K]) use(b backend.Backend) {
+	bs, ok := b.(backend.BatchScorer)
+	if !ok {
+		panic(fmt.Sprintf("engine: backend %q has no batched pair: a leaf backend must implement backend.BatchScorer", b.Tag()))
 	}
+	l.bs = bs
+	l.rec, _ = b.(backend.BatchRecycler)
 }
 
 // add scores c under the caller's handle k.

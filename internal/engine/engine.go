@@ -13,11 +13,11 @@
 // back into exact capture order (the order flow.Assemble would have
 // produced serially).
 //
-// For backends with the backend.BatchScorer capability one micro-batcher
-// (batch.go), shared by Run, streams and both cascade stages, pools the
-// windows of consecutive connections into batches of Options.Batch, each
-// one matrix-matrix inference pass — same bits, a fraction of the wall
-// clock.
+// Every backend scores through one micro-batcher (batch.go), shared by
+// Run, streams, calibration, the evaluation suite and both cascade
+// stages: it pools the windows of consecutive connections into batches of
+// Options.Batch, each one matrix-matrix inference pass — the bits of
+// backend.WindowErrors, a fraction of the wall clock.
 //
 // The zero-config entry point is Default(); New lets callers pin worker,
 // shard and micro-batch counts. An Engine holds no per-call state and is
@@ -63,9 +63,9 @@ type Options struct {
 	Workers int
 	// Shards is the assembly shard count; <= 0 mirrors Workers.
 	Shards int
-	// Batch is the micro-batch size for backends implementing
-	// backend.BatchScorer: how many windows ride one batched inference
-	// pass. <= 0 selects DefaultBatch; 1 scores each window alone.
+	// Batch is the micro-batch size: how many windows ride one batched
+	// inference pass. <= 0 selects DefaultBatch; 1 scores each window
+	// alone.
 	Batch int
 }
 
@@ -147,23 +147,16 @@ func (e *Engine) spread(most int, work func()) {
 	wg.Wait()
 }
 
-// MapFloat evaluates an arbitrary per-connection scalar (e.g. a baseline
-// detector's score function) across the pool, in input order. score must be
-// safe for concurrent calls.
-func (e *Engine) MapFloat(conns []*flow.Connection, score func(*flow.Connection) float64) []float64 {
-	out := make([]float64, len(conns))
-	e.ParallelFor(len(conns), func(i int) { out[i] = score(conns[i]) })
-	return out
-}
-
 // WindowErrorsBatched computes each connection's per-window anomaly series
 // with any backend, in input order; the series plus the backend's
-// Summarize is a full scoring pass. Each pool worker claims connections
-// in order from a shared cursor and scores them through its own
+// Summarize is a full scoring pass. A Hot handle is pinned once, so one
+// model scores the whole corpus. Each pool worker claims connections in
+// order from a shared cursor and scores them through its own
 // micro-batcher, so windows pool ACROSS connections into full batches and
-// each worker runs one part-filled batch at the end. Results are
-// bit-identical to the serial path at any worker, shard or batch size.
+// each worker runs one part-filled batch at the end. Results equal
+// backend.WindowErrors bit for bit at any worker, shard or batch size.
 func (e *Engine) WindowErrorsBatched(b backend.Backend, conns []*flow.Connection) [][]float64 {
+	b = backend.Live(b)
 	out := make([][]float64, len(conns))
 	var next atomic.Int64
 	stats := new(batchStats)
@@ -180,10 +173,10 @@ func (e *Engine) WindowErrorsBatched(b backend.Backend, conns []*flow.Connection
 
 // ScoresBatched returns each connection's scalar adversarial score with
 // any trained backend, in input order, through the micro-batched window
-// path; the Backend contract pins Summarize(WindowErrors(c)) ==
-// ScoreConn(c) bit for bit, so scores are identical to the serial path at
-// any batch size.
+// path; the Backend contract pins Summarize(WindowErrors(b, c)) ==
+// ScoreConn(c) bit for bit, so scores equal ScoreConn at any batch size.
 func (e *Engine) ScoresBatched(b backend.Backend, conns []*flow.Connection) []float64 {
+	b = backend.Live(b)
 	errsAll := e.WindowErrorsBatched(b, conns)
 	out := make([]float64, len(conns))
 	for i, errs := range errsAll {

@@ -1,13 +1,14 @@
 package engine
 
 // Determinism tests for the micro-batched scoring path: batched window
-// errors and scores must be bit-identical to the unbatched serial path at
-// every worker × batch combination, including batch sizes that straddle
-// connection boundaries.
+// errors and scores must be bit-identical to the detector's serial oracle
+// at every worker × batch combination, including batch sizes that
+// straddle connection boundaries.
 
 import (
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -24,8 +25,8 @@ func TestWindowErrorsBatchedBitIdentity(t *testing.T) {
 	wantErrs := make([][]float64, len(conns))
 	wantScore := make([]float64, len(conns))
 	for i, c := range conns {
-		wantErrs[i] = b.WindowErrors(c)
-		wantScore[i] = b.ScoreConn(c)
+		wantErrs[i] = det.WindowErrors(c)
+		wantScore[i] = det.Score(c).Adversarial
 	}
 
 	for _, workers := range []int{1, 4, 8} {
@@ -103,8 +104,8 @@ func TestLockstepBatchedBitIdentity(t *testing.T) {
 	want := make([][]float64, len(conns))
 	wantScore := make([]float64, len(conns))
 	for i, c := range conns {
-		want[i] = b.WindowErrors(c)
-		wantScore[i] = b.ScoreConn(c)
+		want[i] = det.WindowErrors(c)
+		wantScore[i] = det.Score(c).Adversarial
 	}
 
 	for _, workers := range []int{1, 4} {
@@ -129,7 +130,7 @@ func TestLockstepOneConnectionGroup(t *testing.T) {
 	det := tinyDetector(t)
 	b := backend.FromDetector(det)
 	conns := mixedCorpus(t, 5, 3)[:1]
-	want := b.WindowErrors(conns[0])
+	want := det.WindowErrors(conns[0])
 	eng := New(Options{Workers: 4, Batch: 8})
 	got := eng.WindowErrorsBatched(b, conns)
 	assertSeriesEqual(t, "single-conn group", got, [][]float64{want})
@@ -143,7 +144,7 @@ func TestLockstepGateFreeFallsBack(t *testing.T) {
 	conns := mixedCorpus(t, 12, 5)
 	want := make([][]float64, len(conns))
 	for i, c := range conns {
-		want[i] = b.WindowErrors(c)
+		want[i] = b.Det.WindowErrors(c)
 	}
 	eng := New(Options{Workers: 2, Batch: 8})
 	got := eng.WindowErrorsBatched(b, conns)
@@ -192,7 +193,7 @@ func TestLockstepCascadeGroupPath(t *testing.T) {
 
 	want := make([][]float64, len(conns))
 	for i, c := range conns {
-		want[i] = casc.WindowErrors(c)
+		want[i] = backend.WindowErrors(casc, c)
 	}
 	wantEval, wantEsc := casc.EscalationCounts()
 	if wantEsc == 0 || wantEsc == wantEval {
@@ -244,26 +245,32 @@ func TestLockstepCascadeGroupPath(t *testing.T) {
 	}
 }
 
-// TestBatchedFallsBackWithoutCapability: a backend that does not implement
-// BatchScorer must route through the unbatched path unchanged.
-func TestBatchedFallsBackWithoutCapability(t *testing.T) {
-	det := tinyDetector(t)
-	b := noBatch{backend.FromDetector(det)}
-	conns := mixedCorpus(t, 10, 5)
-	eng := New(Options{Workers: 2, Batch: 64})
-	got := eng.ScoresBatched(b, conns)
-	errs := eng.WindowErrorsBatched(b, conns)
-	for i, c := range conns {
-		if want := b.ScoreConn(c); got[i] != want {
-			t.Fatalf("conn %d: fallback score %v != serial %v", i, got[i], want)
-		}
-		want := b.WindowErrors(c)
-		for w := range errs[i] {
-			if errs[i][w] != want[w] {
-				t.Fatalf("conn %d window %d: fallback error diverged", i, w)
-			}
-		}
+// TestCascadeRejectsStageWithoutPair: every leaf backend scores through
+// the batched pair, so there is no unbatched path to fall back to —
+// NewCascade and WithStage2 refuse a stage without the pair, and the
+// engine names the missing capability instead of scoring.
+func TestCascadeRejectsStageWithoutPair(t *testing.T) {
+	b := backend.FromDetector(tinyDetector(t))
+	bare := noBatch{b}
+	if _, err := backend.NewCascade(bare, b, 0.1); err == nil {
+		t.Fatal("NewCascade accepted a stage-1 without the batched pair")
 	}
+	casc, err := backend.NewCascade(b, b, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := backend.NewCascade(b, bare, 0.1); err == nil {
+		t.Fatal("NewCascade accepted a stage-2 without the batched pair")
+	}
+	if _, err := casc.WithStage2(bare); err == nil {
+		t.Fatal("WithStage2 accepted a stage without the batched pair")
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "BatchScorer") {
+			t.Fatalf("engine on a leaf without the pair: panic %q, want one naming BatchScorer", msg)
+		}
+	}()
+	New(Options{Workers: 1}).ScoresBatched(bare, mixedCorpus(t, 2, 5))
 }
 
 // noBatch embeds the CLAP backend but shadows Windows with an

@@ -9,6 +9,7 @@ import (
 	"clap/internal/backend"
 	"clap/internal/core"
 	"clap/internal/flow"
+	"clap/internal/tcpstate"
 	"clap/internal/trafficgen"
 )
 
@@ -89,8 +90,9 @@ func sameScore(t *testing.T, label string, i int, got, want core.Score) {
 // TestScoreAllDeterminism is the tentpole contract: engine scores over a
 // mixed benign/adversarial corpus are bit-identical to the serial path, in
 // the same order, at 1, 4 and 8 workers — full Score values fanned out
-// with ParallelFor, the scalar scores MapFloat gives the evaluation code,
-// and the window-error series WindowErrorsBatched gives the pipeline.
+// with ParallelFor, the scalar scores ScoresBatched gives calibration and
+// the evaluation code, and the window-error series WindowErrorsBatched
+// gives the pipeline.
 func TestScoreAllDeterminism(t *testing.T) {
 	det := tinyDetector(t)
 	b := backend.FromDetector(det)
@@ -108,13 +110,13 @@ func TestScoreAllDeterminism(t *testing.T) {
 		for i := range got {
 			sameScore(t, "ParallelFor", i, got[i], want[i])
 		}
-		adv := eng.MapFloat(conns, func(c *flow.Connection) float64 { return det.Score(c).Adversarial })
+		adv := eng.ScoresBatched(b, conns)
 		if len(adv) != len(want) {
 			t.Fatalf("workers=%d: %d scores for %d connections", workers, len(adv), len(conns))
 		}
 		for i := range adv {
 			if adv[i] != want[i].Adversarial {
-				t.Fatalf("workers=%d: MapFloat[%d] = %v, want %v", workers, i, adv[i], want[i].Adversarial)
+				t.Fatalf("workers=%d: ScoresBatched[%d] = %v, want %v", workers, i, adv[i], want[i].Adversarial)
 			}
 		}
 		errs := eng.WindowErrorsBatched(b, conns)
@@ -132,11 +134,18 @@ func TestScoreAllDeterminism(t *testing.T) {
 }
 
 // TestRNNAccuracyMatchesSerial checks the parallel stage-(a) evaluation
-// against Detector.RNNAccuracy.
+// against a serial sum of Detector.RNNAccuracyConn.
 func TestRNNAccuracyMatchesSerial(t *testing.T) {
 	det := tinyDetector(t)
 	conns := genConns(16, 9)
-	wantH, wantT := det.RNNAccuracy(conns)
+	var wantH, wantT [tcpstate.NumClasses]int
+	for _, c := range conns {
+		h, n := det.RNNAccuracyConn(c)
+		for cl := range h {
+			wantH[cl] += h[cl]
+			wantT[cl] += n[cl]
+		}
+	}
 	for _, workers := range []int{1, 4} {
 		eng := New(Options{Workers: workers})
 		gotH, gotT := eng.RNNAccuracy(det, conns)
@@ -262,7 +271,7 @@ func TestScoreBackendMatchesSerial(t *testing.T) {
 	wantErrs := make([][]float64, len(conns))
 	for i, c := range conns {
 		want[i] = b.ScoreConn(c)
-		wantErrs[i] = b.WindowErrors(c)
+		wantErrs[i] = backend.WindowErrors(b, c)
 	}
 	for _, workers := range []int{1, 4, 8} {
 		eng := New(Options{Workers: workers})

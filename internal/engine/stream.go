@@ -220,8 +220,7 @@ func (s *StreamOf[T]) Submit(c *flow.Connection) {
 func (s *StreamOf[T]) InFlight() int { return int(s.inConns.Load()) }
 
 // BatchFill reports the mean occupancy of the micro-batches the stream has
-// run: 1 when every batch was full, 0 before any (or when the models score
-// unbatched).
+// run: 1 when every batch was full, 0 before any.
 func (s *StreamOf[T]) BatchFill() float64 { return s.stats.fill() }
 
 // Close drains the stream: it waits until every submitted connection has

@@ -325,15 +325,16 @@ func TestStreamPacketRoomCapped(t *testing.T) {
 	}
 }
 
-// slowBackend scores unbatched, each connection no faster than d.
+// slowBackend scores through the CLAP backend's batched pair, producing
+// each connection's windows no faster than d.
 type slowBackend struct {
-	backend.Backend
+	*backend.CLAP
 	d time.Duration
 }
 
-func (s slowBackend) WindowErrors(c *flow.Connection) []float64 {
+func (s slowBackend) Windows(c *flow.Connection) [][]float64 {
 	time.Sleep(s.d)
-	return s.Backend.WindowErrors(c)
+	return s.CLAP.Windows(c)
 }
 
 // TestStreamHooksObserveStages: the instrumented stream reports one
@@ -538,7 +539,7 @@ func TestStreamBatchesOneModelAtATime(t *testing.T) {
 		if i%3 == 0 {
 			model[c] = freeB
 		}
-		want[i] = model[c].WindowErrors(c)
+		want[i] = backend.WindowErrors(model[c], c)
 	}
 	for _, workers := range []int{1, 4} {
 		var got [][]float64

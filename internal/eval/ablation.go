@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"clap/internal/backend"
 	"clap/internal/core"
 	"clap/internal/flow"
 	"clap/internal/metrics"
@@ -43,47 +44,25 @@ func (s *Suite) TrainVariant(mutate func(*core.Config), logf core.Logf) (*core.D
 	return core.Train(s.Data.Train, cfg, logf)
 }
 
-// neededBases collects, in first-use order, the unique carrier-pool indices
-// the named strategies reference — the set of base connections whose scores
-// a paired evaluation needs.
-func (s *Suite) neededBases(names []string) []int {
-	seen := map[int]bool{}
+// meanPairedAUC is the mean paired AUC over the named strategies of a
+// detector whose scores score returns for a corpus, in input order. Each
+// carrier connection the strategies reference is scored once.
+func (s *Suite) meanPairedAUC(names []string, score func([]*flow.Connection) []float64) float64 {
+	base := map[int]float64{}
 	var need []int
+	var carriers []*flow.Connection
 	for _, name := range names {
 		for _, bi := range s.Data.AdvSrc[name] {
-			if !seen[bi] {
-				seen[bi] = true
+			if _, seen := base[bi]; !seen {
+				base[bi] = 0
 				need = append(need, bi)
+				carriers = append(carriers, s.Data.AdvBase[bi])
 			}
 		}
 	}
-	return need
-}
-
-// baseScoreMap scores the carrier-pool connections the named strategies
-// reference, through the engine, returning carrier index -> score.
-func (s *Suite) baseScoreMap(names []string, score func(*flow.Connection) float64) map[int]float64 {
-	need := s.neededBases(names)
-	baseConns := make([]*flow.Connection, len(need))
-	for i, bi := range need {
-		baseConns[i] = s.Data.AdvBase[bi]
+	for i, v := range score(carriers) {
+		base[need[i]] = v
 	}
-	baseVals := s.engineOrDefault().MapFloat(baseConns, score)
-	baseScores := make(map[int]float64, len(need))
-	for i, bi := range need {
-		baseScores[bi] = baseVals[i]
-	}
-	return baseScores
-}
-
-// EvaluateDetector computes the mean paired AUC of an arbitrary detector
-// over the named strategies. Carrier and adversarial corpora are scored
-// through the parallel engine; results are independent of the worker count.
-func (s *Suite) EvaluateDetector(det *core.Detector, names []string) float64 {
-	eng := s.engineOrDefault()
-	score := func(c *flow.Connection) float64 { return det.Score(c).Adversarial }
-	baseScores := s.baseScoreMap(names, score)
-
 	var sum float64
 	var n int
 	for _, name := range names {
@@ -92,10 +71,10 @@ func (s *Suite) EvaluateDetector(det *core.Detector, names []string) float64 {
 		if len(conns) == 0 {
 			continue
 		}
-		adv := eng.MapFloat(conns, score)
+		adv := score(conns)
 		ben := make([]float64, len(conns))
 		for i := range conns {
-			ben[i] = baseScores[srcs[i]]
+			ben[i] = base[srcs[i]]
 		}
 		sum += metrics.AUC(ben, adv)
 		n++
@@ -104,6 +83,17 @@ func (s *Suite) EvaluateDetector(det *core.Detector, names []string) float64 {
 		return 0
 	}
 	return sum / float64(n)
+}
+
+// EvaluateDetector computes the mean paired AUC of an arbitrary detector
+// over the named strategies. Carrier and adversarial corpora are scored
+// through the engine's batcher; results are independent of the worker
+// count.
+func (s *Suite) EvaluateDetector(det *core.Detector, names []string) float64 {
+	eng, b := s.engineOrDefault(), backend.FromDetector(det)
+	return s.meanPairedAUC(names, func(conns []*flow.Connection) []float64 {
+		return eng.ScoresBatched(b, conns)
+	})
 }
 
 // ScoreAggregation is an alternative stage-(d) summarisation for the
@@ -117,8 +107,9 @@ const (
 	AggMean     ScoreAggregation = "mean"
 )
 
-// aggregate reduces window errors to a connection score.
-func aggregate(errs []float64, agg ScoreAggregation, window int) float64 {
+// aggregate reduces window errors to a connection score; det supplies
+// the paper's localize-and-estimate reduction.
+func aggregate(errs []float64, agg ScoreAggregation, det *core.Detector) float64 {
 	if len(errs) == 0 {
 		return 0
 	}
@@ -138,58 +129,22 @@ func aggregate(errs []float64, agg ScoreAggregation, window int) float64 {
 		}
 		return sum / float64(len(errs))
 	default:
-		peak := 0
-		for i, e := range errs {
-			if e > errs[peak] {
-				peak = i
-			}
-		}
-		lo, hi := peak-window/2, peak+window/2+1
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(errs) {
-			hi = len(errs)
-		}
-		var sum float64
-		for _, e := range errs[lo:hi] {
-			sum += e
-		}
-		return sum / float64(hi-lo)
+		return det.ScoreFromErrors(errs).Adversarial
 	}
 }
 
 // EvaluateScoreMetric computes the mean paired AUC of the suite's CLAP
 // detector under an alternative score aggregation, with window errors
-// computed through the parallel engine.
+// computed through the engine's batcher.
 func (s *Suite) EvaluateScoreMetric(agg ScoreAggregation, names []string) float64 {
-	eng := s.engineOrDefault()
-	w := s.Opt.CLAP.ScoreWindow
-	scoreAgg := func(c *flow.Connection) float64 {
-		return aggregate(s.CLAP.WindowErrors(c), agg, w)
-	}
-	baseScores := s.baseScoreMap(names, scoreAgg)
-
-	var sum float64
-	var n int
-	for _, name := range names {
-		conns := s.Data.Adv[name]
-		srcs := s.Data.AdvSrc[name]
-		if len(conns) == 0 {
-			continue
+	eng, b := s.engineOrDefault(), backend.FromDetector(s.CLAP)
+	return s.meanPairedAUC(names, func(conns []*flow.Connection) []float64 {
+		out := make([]float64, len(conns))
+		for i, errs := range eng.WindowErrorsBatched(b, conns) {
+			out[i] = aggregate(errs, agg, s.CLAP)
 		}
-		adv := eng.MapFloat(conns, scoreAgg)
-		ben := make([]float64, len(conns))
-		for i := range conns {
-			ben[i] = baseScores[srcs[i]]
-		}
-		sum += metrics.AUC(ben, adv)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+		return out
+	})
 }
 
 // AblationReport renders a comparison line.

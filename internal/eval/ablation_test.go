@@ -10,18 +10,19 @@ import (
 
 func TestAggregateReductions(t *testing.T) {
 	errs := []float64{0.1, 0.5, 0.2, 0.4}
-	if got := aggregate(errs, AggMax, 5); got != 0.5 {
+	det := &core.Detector{Cfg: core.Config{ScoreWindow: 3}}
+	if got := aggregate(errs, AggMax, det); got != 0.5 {
 		t.Errorf("max = %g", got)
 	}
-	if got := aggregate(errs, AggMean, 5); math.Abs(got-0.3) > 1e-12 {
+	if got := aggregate(errs, AggMean, det); math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("mean = %g", got)
 	}
 	// Localize-and-estimate with window 3 around the peak at index 1:
 	// mean(0.1, 0.5, 0.2).
-	if got := aggregate(errs, AggLocalize, 3); math.Abs(got-(0.1+0.5+0.2)/3) > 1e-12 {
+	if got := aggregate(errs, AggLocalize, det); math.Abs(got-(0.1+0.5+0.2)/3) > 1e-12 {
 		t.Errorf("localize = %g", got)
 	}
-	if got := aggregate(nil, AggMax, 3); got != 0 {
+	if got := aggregate(nil, AggMax, det); got != 0 {
 		t.Errorf("empty aggregate = %g", got)
 	}
 }

@@ -1,11 +1,16 @@
 package eval
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"clap/internal/attacks"
+	"clap/internal/backend"
+	"clap/internal/engine"
+	"clap/internal/flow"
+	"clap/internal/metrics"
 )
 
 // The tiny suite takes a few seconds to train; share it across tests.
@@ -197,14 +202,15 @@ func TestFigure6ShowsSpike(t *testing.T) {
 
 func TestThroughputMeasurement(t *testing.T) {
 	s := suite(t)
-	th := s.MeasureThroughputCLAP(s.Data.TestBenign[:8])
+	eng := engine.New(engine.Options{Workers: 1})
+	th := MeasureThroughput(eng, s.Backends[backend.TagCLAP], s.Data.TestBenign[:8])
 	if th.Packets == 0 || th.Elapsed <= 0 {
 		t.Fatalf("empty throughput measurement: %+v", th)
 	}
 	if th.PacketsPerSecond() <= 0 || th.ConnectionsPerSecond() <= 0 {
 		t.Error("rates must be positive")
 	}
-	kth := s.MeasureThroughputKitsune(s.Data.TestBenign[:8])
+	kth := MeasureThroughput(eng, s.Backends[backend.TagKitsune], s.Data.TestBenign[:8])
 	if kth.Packets != th.Packets {
 		t.Errorf("both detectors should see the same packets: %d vs %d", th.Packets, kth.Packets)
 	}
@@ -219,5 +225,55 @@ func TestStrategySeedStable(t *testing.T) {
 	}
 	if strategySeed(1, "a") == strategySeed(2, "a") {
 		t.Error("strategySeed should differ per base seed")
+	}
+}
+
+// TestEvaluateStrategyMatchesOracles pins the evaluation to the serial
+// oracles bit for bit: for every strategy on the tiny suite, each
+// backend's paired AUC and EER and CLAP's Top-1/3/5 hit rates from the
+// batched EvaluateStrategy equal those computed from per-connection
+// oracle scores — Detector.Score and Detector.WindowErrors for the CLAP
+// family, ScoreConn for Kitsune.
+func TestEvaluateStrategyMatchesOracles(t *testing.T) {
+	s := suite(t)
+	score := map[string]func(c *flow.Connection) float64{
+		backend.TagCLAP:      func(c *flow.Connection) float64 { return s.CLAP.Score(c).Adversarial },
+		backend.TagBaseline1: func(c *flow.Connection) float64 { return s.B1.Score(c).Adversarial },
+		backend.TagKitsune:   s.Backends[backend.TagKitsune].ScoreConn,
+	}
+	same := func(name, what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: %s = %v, oracle %v", name, what, got, want)
+		}
+	}
+	for _, st := range attacks.All() {
+		got := s.EvaluateStrategy(st)
+		conns, srcs := s.Data.Adv[st.Name], s.Data.AdvSrc[st.Name]
+		for tag, f := range score {
+			ben := make([]float64, len(srcs))
+			for i, bi := range srcs {
+				ben[i] = f(s.Data.AdvBase[bi])
+			}
+			adv := make([]float64, len(conns))
+			for i, c := range conns {
+				adv[i] = f(c)
+			}
+			same(st.Name, tag+" AUC", got.AUCByTag[tag], metrics.AUC(ben, adv))
+			same(st.Name, tag+" EER", got.EERByTag[tag], metrics.EER(ben, adv))
+		}
+		var hits [3]int
+		for _, c := range conns {
+			errs := s.CLAP.WindowErrors(c)
+			for k, topN := range []int{1, 3, 5} {
+				if s.CLAP.LocalizationHitErrors(c, errs, topN) {
+					hits[k]++
+				}
+			}
+		}
+		n := float64(len(conns))
+		same(st.Name, "Top-1", got.Top1, float64(hits[0])/n)
+		same(st.Name, "Top-3", got.Top3, float64(hits[1])/n)
+		same(st.Name, "Top-5", got.Top5, float64(hits[2])/n)
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"clap/internal/attacks"
 	"clap/internal/backend"
+	"clap/internal/engine"
 	"clap/internal/flow"
 	"clap/internal/metrics"
 )
@@ -22,8 +22,8 @@ var DefaultFrontierFPRs = []float64{0.01, 0.05, 0.10, 0.25, 0.50}
 
 // FrontierPoint is one operating point of the tiered baseline1→CLAP
 // cascade: the escalation budget, the stage-1 threshold realizing it,
-// detection accuracy with that routing, and measured serial throughput
-// on a benign-heavy corpus.
+// detection accuracy with that routing, and measured one-worker batched
+// throughput on a benign-heavy corpus.
 type FrontierPoint struct {
 	EscalateFPR float64 // target benign escalation fraction
 	Threshold   float64 // stage-1 escalation threshold realizing it
@@ -90,8 +90,8 @@ func (s *Suite) frontierCorpus() (conns []*flow.Connection, benign, attack int) 
 // scores through the routing rule — order-equivalent to scoring through
 // backend.Cascade (escalated scores bit-identical to pure CLAP, pinned
 // by test; screened margins agree up to float rounding of the shift) —
-// and throughput per point is a measured serial pass of the real
-// cascade over the benign-heavy corpus. A nil fprs sweeps
+// and throughput per point is a measured one-worker pass of the real
+// cascade through the engine's batcher over the benign-heavy corpus. A nil fprs sweeps
 // DefaultFrontierFPRs.
 func (s *Suite) CascadeFrontier(fprs []float64) (*Frontier, error) {
 	s1, ok1 := s.Backends[backend.TagBaseline1]
@@ -138,7 +138,7 @@ func (s *Suite) CascadeFrontier(fprs []float64) (*Frontier, error) {
 
 	// route applies the cascade's decision rule to cached stage scores:
 	// below the escalation threshold the screen's verdict stands as its
-	// negative margin below the threshold (mirroring Cascade.WindowErrors'
+	// negative margin below the threshold (mirroring Cascade.Route's
 	// shift, so every screened connection ranks under every escalated
 	// one), otherwise the expensive stage's score — bit-identical to pure
 	// CLAP — is the verdict.
@@ -162,20 +162,10 @@ func (s *Suite) CascadeFrontier(fprs []float64) (*Frontier, error) {
 	}
 
 	corpus, nBenign, nAttack := s.frontierCorpus()
-	serial := func(b backend.Backend) Throughput {
-		th := Throughput{Connections: len(corpus)}
-		start := time.Now()
-		for _, c := range corpus {
-			_ = b.ScoreConn(c)
-			th.Packets += c.Len()
-		}
-		th.Elapsed = time.Since(start)
-		return th
-	}
-
+	one := engine.New(engine.Options{Workers: 1})
 	f := &Frontier{
 		PureAUC: meanAUC(math.Inf(-1)), // escalate everything: pure stage 2
-		Pure:    serial(s2),
+		Pure:    MeasureThroughput(one, s2, corpus),
 		Benign:  nBenign,
 		Attack:  nAttack,
 	}
@@ -196,7 +186,7 @@ func (s *Suite) CascadeFrontier(fprs []float64) (*Frontier, error) {
 			EscalateFPR: fpr,
 			Threshold:   th,
 			AUC:         meanAUC(th),
-			Throughput:  serial(cascade),
+			Throughput:  MeasureThroughput(one, cascade, corpus),
 		}
 		if evaluated, escalated := cascade.EscalationCounts(); evaluated > 0 {
 			pt.EscalatedFraction = float64(escalated) / float64(evaluated)

@@ -77,9 +77,12 @@ func TestCascadeFrontier(t *testing.T) {
 			loss, def.AUC, f.PureAUC)
 	}
 	// The throughput half of the contract: at the default budget the
-	// cascade screens benign-heavy traffic at ≥5× pure CLAP's serial rate
-	// (measured ~51× tiny, ~29× fast — wide margin against CI noise).
-	if speedup := def.Throughput.PacketsPerSecond() / f.Pure.PacketsPerSecond(); speedup < 5 {
+	// cascade screens benign-heavy traffic at ≥5× pure CLAP's rate, both
+	// on the batcher at one worker (measured 17.5× tiny, 11.2× fast). The
+	// race detector instruments the Go screen but not CLAP's assembly
+	// kernels, so under -race the ratio is not a throughput measurement
+	// (it reads about 5×) and is not checked.
+	if speedup := def.Throughput.PacketsPerSecond() / f.Pure.PacketsPerSecond(); speedup < 5 && !raceEnabled {
 		t.Fatalf("default-budget speedup %.2fx, want >= 5x", speedup)
 	}
 
@@ -104,7 +107,7 @@ func TestCascadeFrontier(t *testing.T) {
 		}
 	}
 	for i, c := range probe {
-		e1 := s1.WindowErrors(c)
+		e1 := backend.WindowErrors(s1, c)
 		score1, _ := s1.Summarize(e1)
 		want := s2.ScoreConn(c)
 		if score1 < def.Threshold {

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"clap/internal/attacks"
+	"clap/internal/backend"
+	"clap/internal/engine"
 	"clap/internal/features"
 	"clap/internal/flow"
 	"clap/internal/tcpstate"
@@ -66,61 +68,40 @@ func (t Throughput) ConnectionsPerSecond() float64 {
 	return float64(t.Connections) / t.Elapsed.Seconds()
 }
 
-// MeasureThroughputCLAP times CLAP's full inference pipeline over conns on
-// a single worker — the paper's single-core Table 3 measurement.
-func (s *Suite) MeasureThroughputCLAP(conns []*flow.Connection) Throughput {
+// MeasureThroughput times b scoring conns through eng's micro-batcher,
+// the path Pipeline.Run and clap-serve deploy: Table 3 and Table 9
+// measure it on one worker and on all of them.
+func MeasureThroughput(eng *engine.Engine, b backend.Backend, conns []*flow.Connection) Throughput {
 	th := Throughput{Connections: len(conns)}
-	start := time.Now()
 	for _, c := range conns {
-		_ = s.CLAP.Score(c)
 		th.Packets += c.Len()
 	}
+	start := time.Now()
+	_ = eng.ScoresBatched(b, conns)
 	th.Elapsed = time.Since(start)
 	return th
 }
 
-// MeasureThroughputEngine times the same pipeline through the suite's
-// parallel engine — the deployment-mode counterpart of Table 3.
-func (s *Suite) MeasureThroughputEngine(conns []*flow.Connection) Throughput {
-	th := Throughput{Connections: len(conns)}
-	start := time.Now()
-	_ = s.engineOrDefault().MapFloat(conns, func(c *flow.Connection) float64 { return s.CLAP.Score(c).Adversarial })
-	th.Elapsed = time.Since(start)
-	for _, c := range conns {
-		th.Packets += c.Len()
-	}
-	return th
-}
-
-// MeasureThroughputKitsune times Kitsune's execute phase over conns.
-func (s *Suite) MeasureThroughputKitsune(conns []*flow.Connection) Throughput {
-	th := Throughput{Connections: len(conns)}
-	start := time.Now()
-	for _, c := range conns {
-		_ = s.Kit.ScoreConnection(c)
-		th.Packets += c.Len()
-	}
-	th.Elapsed = time.Since(start)
-	return th
-}
-
-// Table3 renders the throughput comparison (paper Table 3). The paper's
-// measurement is single-core; an optional engine measurement adds an
-// all-cores deployment-mode row in the CLAP column.
-func Table3(clap, kit Throughput, eng ...Throughput) string {
+// Table3 measures and renders the throughput comparison (paper Table 3)
+// over conns: each system scored as deployed, through the batched engine,
+// on one worker (the paper's single-core measurement) and on the suite's
+// engine.
+func Table3(s *Suite, conns []*flow.Connection) string {
+	one, all := engine.New(engine.Options{Workers: 1}), s.engineOrDefault()
+	clapB, kitB := s.Backends[backend.TagCLAP], s.Backends[backend.TagKitsune]
+	clap1, kit1 := MeasureThroughput(one, clapB, conns), MeasureThroughput(one, kitB, conns)
+	clapN, kitN := MeasureThroughput(all, clapB, conns), MeasureThroughput(all, kitB, conns)
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table 3: model processing throughput\n")
+	fmt.Fprintf(&b, "Table 3: model processing throughput (batched engine)\n")
 	fmt.Fprintf(&b, "%-28s %-14s %-14s\n", "Metric", "CLAP", "Kitsune [17]")
-	gain := clap.PacketsPerSecond()/kit.PacketsPerSecond()*100 - 100
+	gain := clap1.PacketsPerSecond()/kit1.PacketsPerSecond()*100 - 100
 	fmt.Fprintf(&b, "%-28s %-14.1f %-14.1f (CLAP %+.1f%%)\n", "Packets/second (1 core)",
-		clap.PacketsPerSecond(), kit.PacketsPerSecond(), gain)
+		clap1.PacketsPerSecond(), kit1.PacketsPerSecond(), gain)
 	fmt.Fprintf(&b, "%-28s %-14.1f %-14.1f\n", "Connections/second (1 core)",
-		clap.ConnectionsPerSecond(), kit.ConnectionsPerSecond())
-	for _, e := range eng {
-		speedup := e.PacketsPerSecond() / clap.PacketsPerSecond()
-		fmt.Fprintf(&b, "%-28s %-14.1f %-14s (%.2fx serial CLAP)\n",
-			"Packets/second (engine)", e.PacketsPerSecond(), "-", speedup)
-	}
+		clap1.ConnectionsPerSecond(), kit1.ConnectionsPerSecond())
+	fmt.Fprintf(&b, "%-28s %-14.1f %-14.1f (CLAP %.2fx one worker)\n",
+		fmt.Sprintf("Packets/second (%d workers)", all.Workers()),
+		clapN.PacketsPerSecond(), kitN.PacketsPerSecond(), clapN.PacketsPerSecond()/clap1.PacketsPerSecond())
 	return b.String()
 }
 
@@ -273,7 +254,7 @@ func Figure6(s *Suite, strategyName string) string {
 		if !st.Apply(cc, rng) {
 			continue
 		}
-		sc := s.CLAP.Score(cc)
+		sc := s.CLAP.ScoreFromErrors(backend.WindowErrors(backend.FromDetector(s.CLAP), cc))
 		fmt.Fprintf(&b, "Figure 6: reconstruction errors across a connection — %s\n", st.Name)
 		fmt.Fprintf(&b, "adversarial packet index: %v, peak window: %d\n", cc.AdvIdx, sc.PeakWindow)
 		max := 0.0
@@ -330,8 +311,7 @@ func FullReport(s *Suite, rs []StrategyResult) string {
 	for _, name := range names {
 		advConns = append(advConns, s.Data.Adv[name]...)
 	}
-	b.WriteString(Table3(s.MeasureThroughputCLAP(advConns), s.MeasureThroughputKitsune(advConns),
-		s.MeasureThroughputEngine(advConns)))
+	b.WriteString(Table3(s, advConns))
 	// Table 9: the tiered-deployment frontier over the same trained models.
 	if f, err := s.CascadeFrontier(nil); err == nil {
 		b.WriteString("\n")

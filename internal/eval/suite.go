@@ -278,66 +278,35 @@ func (s *Suite) EvaluateStrategy(st attacks.Strategy) StrategyResult {
 	if len(conns) == 0 {
 		return res
 	}
-	tags := s.Tags()
-	systems := make([]backend.Backend, len(tags))
-	ben := make([][]float64, len(tags))
-	adv := make([][]float64, len(tags))
-	clapIdx := -1
-	for ti, tag := range tags {
-		systems[ti] = s.Backends[tag]
-		adv[ti] = make([]float64, len(conns))
-		ben[ti] = make([]float64, len(srcs))
-		for i, bi := range srcs {
-			ben[ti][i] = s.Base[tag][bi]
-		}
-		if tag == backend.TagCLAP {
-			clapIdx = ti
-		}
-	}
-	// One parallel pass per strategy: every connection's scores and
-	// localization verdicts are independent, results land in per-index
-	// slots, and the reduction below runs in input order — deterministic at
-	// any worker count.
+	// One batched pass per backend over the strategy's corpus. CLAP's
+	// score and all three localization levels derive from the same window
+	// series.
 	eng := s.engineOrDefault()
-	hits := make([][3]bool, len(conns))
-	eng.ParallelFor(len(conns), func(i int) {
-		c := conns[i]
-		for ti, b := range systems {
-			if ti == clapIdx && s.CLAP != nil {
-				// One CLAP inference pass per connection: score and all
-				// three localization levels derive from the same window
-				// errors.
-				errs := s.CLAP.WindowErrors(c)
-				adv[ti][i] = s.CLAP.ScoreFromErrors(errs).Adversarial
-				hits[i] = [3]bool{
-					s.CLAP.LocalizationHitErrors(c, errs, 1),
-					s.CLAP.LocalizationHitErrors(c, errs, 3),
-					s.CLAP.LocalizationHitErrors(c, errs, 5),
-				}
+	var hits [3]int
+	for _, tag := range s.Tags() {
+		b := s.Backends[tag]
+		ben := make([]float64, len(srcs))
+		for i, bi := range srcs {
+			ben[i] = s.Base[tag][bi]
+		}
+		adv := make([]float64, len(conns))
+		for i, errs := range eng.WindowErrorsBatched(b, conns) {
+			adv[i], _ = b.Summarize(errs)
+			if tag != backend.TagCLAP || s.CLAP == nil {
 				continue
 			}
-			adv[ti][i] = b.ScoreConn(c)
+			for k, topN := range []int{1, 3, 5} {
+				if s.CLAP.LocalizationHitErrors(conns[i], errs, topN) {
+					hits[k]++
+				}
+			}
 		}
-	})
-	var hit1, hit3, hit5 int
-	for _, h := range hits {
-		if h[0] {
-			hit1++
-		}
-		if h[1] {
-			hit3++
-		}
-		if h[2] {
-			hit5++
-		}
-	}
-	for ti, tag := range tags {
-		res.AUCByTag[tag] = metrics.AUC(ben[ti], adv[ti])
-		res.EERByTag[tag] = metrics.EER(ben[ti], adv[ti])
+		res.AUCByTag[tag] = metrics.AUC(ben, adv)
+		res.EERByTag[tag] = metrics.EER(ben, adv)
 	}
 	res.flatten()
 	n := float64(len(conns))
-	res.Top1, res.Top3, res.Top5 = float64(hit1)/n, float64(hit3)/n, float64(hit5)/n
+	res.Top1, res.Top3, res.Top5 = float64(hits[0])/n, float64(hits[1])/n, float64(hits[2])/n
 	return res
 }
 

@@ -39,13 +39,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// Kitsune is the assembled baseline: extractor, feature map, ensemble and
-// output autoencoder. It is trained online over a benign packet stream and
-// then frozen for execution, exactly like the original system's
-// FM-grace/AD-grace/execute phases.
+// Kitsune is the assembled baseline: feature map, ensemble and output
+// autoencoder over AfterImage features. It is trained online over a
+// benign packet stream and then frozen for execution, exactly like the
+// original system's FM-grace/AD-grace/execute phases.
 type Kitsune struct {
 	cfg Config
-	ext *Extractor
 
 	clusters [][]int // feature indices per ensemble autoencoder
 	ensemble []*nn.Autoencoder
@@ -68,7 +67,7 @@ func New(cfg Config) *Kitsune {
 	if cfg.HiddenRatio <= 0 {
 		cfg.HiddenRatio = 0.75
 	}
-	k := &Kitsune{cfg: cfg, ext: NewExtractor(cfg.Lambdas)}
+	k := &Kitsune{cfg: cfg}
 	k.min = make([]float64, NumFeatures)
 	k.max = make([]float64, NumFeatures)
 	for i := range k.min {
@@ -90,9 +89,10 @@ func (k *Kitsune) Clusters() [][]int { return k.clusters }
 // ensemble.
 func (k *Kitsune) Train(pkts []*packet.Packet) {
 	rng := rand.New(rand.NewSource(k.cfg.Seed))
+	ext := NewExtractor(k.cfg.Lambdas)
 	var fmWindow [][]float64
 	for _, p := range pkts {
-		v := k.ext.Update(p)
+		v := ext.Update(p)
 		k.observeMinMax(v)
 		if k.ensemble == nil {
 			fmWindow = append(fmWindow, v)
@@ -325,49 +325,32 @@ func (k *Kitsune) trainVector(v []float64) {
 	k.output.TrainBatch([][]float64{errs}, k.outOpt, 5)
 }
 
-// ScorePacket runs the execute phase for one packet in streaming mode:
-// statistics update on the shared extractor, ensemble reconstruction,
-// output-layer anomaly score.
-func (k *Kitsune) ScorePacket(p *packet.Packet) float64 {
-	return k.scoreWith(k.ext, p)
-}
-
-func (k *Kitsune) scoreWith(ext *Extractor, p *packet.Packet) float64 {
-	v := ext.Update(p)
-	norm := k.normalize(v)
-	errs := k.normalizeErrs(k.ensembleErrors(norm))
-	return k.output.Error(errs)
-}
-
-// ConnectionErrors returns the per-packet anomaly-score series of a
-// connection against a fresh statistics context — the Kitsune analogue of
-// CLAP's per-window reconstruction errors, and the substrate
-// ScoreConnection reduces with max. Safe for concurrent use on a frozen
-// model, like ScoreConnection.
-func (k *Kitsune) ConnectionErrors(c *flow.Connection) []float64 {
+// Windows returns the per-packet AfterImage vectors of a connection
+// against a fresh statistics context — the model inputs ScoreWindows
+// scores. The connection is replayed into its own extractor (models and
+// normalisation stay shared and frozen) so that repeatedly scoring
+// overlapping corpora, as the per-strategy evaluation does, cannot
+// contaminate the damped statistics with replayed traffic. Because the
+// per-call extractor is the only mutable state, Windows is safe for
+// concurrent use.
+func (k *Kitsune) Windows(c *flow.Connection) [][]float64 {
 	ext := NewExtractor(k.cfg.Lambdas)
-	out := make([]float64, c.Len())
+	out := make([][]float64, len(c.Packets))
 	for i, p := range c.Packets {
-		out[i] = k.scoreWith(ext, p)
+		out[i] = ext.Update(p)
 	}
 	return out
 }
 
-// ScoreConnection scores one connection as the maximum packet score, the
-// conventional flow-level reduction for per-packet IDSs. The connection is
-// scored against a fresh statistics context (models and normalisation stay
-// shared and frozen) so that repeatedly scoring overlapping corpora — as
-// the per-strategy evaluation does — cannot contaminate the damped
-// statistics with replayed traffic. Because the per-call extractor is the
-// only mutable state, ScoreConnection on a trained (frozen) model is safe
-// for concurrent use and the parallel engine fans it out alongside CLAP.
-func (k *Kitsune) ScoreConnection(c *flow.Connection) float64 {
-	ext := NewExtractor(k.cfg.Lambdas)
-	var max float64
-	for _, p := range c.Packets {
-		if s := k.scoreWith(ext, p); s > max {
-			max = s
-		}
+// ScoreWindows runs the execute phase over a batch of AfterImage vectors:
+// normalisation, ensemble reconstruction, then the output layer's anomaly
+// score, one per vector — the Kitsune analogue of CLAP's per-window
+// reconstruction errors. Element k depends on wins[k] alone. Safe for
+// concurrent use on a trained (frozen) model.
+func (k *Kitsune) ScoreWindows(wins [][]float64) []float64 {
+	out := make([]float64, len(wins))
+	for i, v := range wins {
+		out[i] = k.output.Error(k.normalizeErrs(k.ensembleErrors(k.normalize(v))))
 	}
-	return max
+	return out
 }

@@ -16,6 +16,35 @@ func trainStream(n int, seed int64) []*packet.Packet {
 	return trafficgen.GeneratePackets(cfg)
 }
 
+// connErrors is a connection's per-packet series through the batched
+// pair, the one scoring path.
+func connErrors(k *Kitsune, c *flow.Connection) []float64 { return k.ScoreWindows(k.Windows(c)) }
+
+// connScore is the flow-level reduction of connErrors: the max packet
+// score (0 for an empty connection).
+func connScore(k *Kitsune, c *flow.Connection) float64 {
+	var m float64
+	for _, e := range connErrors(k, c) {
+		if e > m {
+			m = e
+		}
+	}
+	return m
+}
+
+// oracleErrors is the per-packet execute loop the batched pair replaced,
+// kept as its oracle: one extractor update, normalisation, ensemble and
+// output layer per packet.
+func oracleErrors(k *Kitsune, c *flow.Connection) []float64 {
+	ext := NewExtractor(k.cfg.Lambdas)
+	out := make([]float64, c.Len())
+	for i, p := range c.Packets {
+		norm := k.normalize(ext.Update(p))
+		out[i] = k.output.Error(k.normalizeErrs(k.ensembleErrors(norm)))
+	}
+	return out
+}
+
 func TestIncStatDecay(t *testing.T) {
 	s := incStat{lambda: 1}
 	s.insert(0, 10)
@@ -110,7 +139,7 @@ func TestScoresAreFiniteAndFrozen(t *testing.T) {
 	cfg := trafficgen.DefaultConfig(10)
 	cfg.Seed = 99
 	for _, c := range trafficgen.Generate(cfg) {
-		s := k.ScoreConnection(c)
+		s := connScore(k, c)
 		if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
 			t.Fatalf("bad connection score %g", s)
 		}
@@ -130,7 +159,7 @@ func TestKitsuneDetectsVolumeAnomaly(t *testing.T) {
 	benign := trafficgen.Generate(cfg)
 	var benignMax float64
 	for _, c := range benign {
-		if s := k.ScoreConnection(c); s > benignMax {
+		if s := connScore(k, c); s > benignMax {
 			benignMax = s
 		}
 	}
@@ -145,7 +174,7 @@ func TestKitsuneDetectsVolumeAnomaly(t *testing.T) {
 			Seq(uint32(i)).Flags(packet.SYN).Time(ts.Add(time.Duration(i) * 40 * time.Microsecond)).Build()
 		flood.Append(p, flow.ClientToServer)
 	}
-	floodScore := k.ScoreConnection(flood)
+	floodScore := connScore(k, flood)
 	if floodScore <= benignMax {
 		t.Errorf("flood score %g not above benign max %g", floodScore, benignMax)
 	}
@@ -160,7 +189,7 @@ func TestShortStreamStillTrains(t *testing.T) {
 	cfg := trafficgen.DefaultConfig(3)
 	cfg.Seed = 11
 	for _, c := range trafficgen.Generate(cfg) {
-		if s := k.ScoreConnection(c); math.IsNaN(s) {
+		if s := connScore(k, c); math.IsNaN(s) {
 			t.Fatal("NaN score after short training")
 		}
 	}

@@ -13,9 +13,8 @@ import (
 // learned feature map, the frozen normalisation bounds, and the ensemble
 // and output autoencoders framed as byte blobs (the same framing rationale
 // as core's persistence: a gob decoder may read ahead on the underlying
-// reader). Extractor statistics are deliberately not persisted —
-// ScoreConnection builds a fresh statistics context per connection, and a
-// loaded model starts streaming mode from an empty one.
+// reader). Extractor statistics are deliberately not persisted: Windows
+// builds a fresh statistics context per connection.
 
 type kitSnap struct {
 	Cfg      Config
@@ -87,7 +86,37 @@ func Load(r io.Reader) (*Kitsune, error) {
 	}
 	k.output = out
 	k.frozen = true
+	if err := k.checkShapes(); err != nil {
+		return nil, err
+	}
 	return k, nil
+}
+
+// checkShapes rejects a snapshot whose parts disagree with each other or
+// with the AfterImage vector: such a model decodes fine and then panics
+// at its first score.
+func (k *Kitsune) checkShapes() error {
+	m := len(k.ensemble)
+	switch {
+	case len(k.cfg.Lambdas) > len(DefaultLambdas):
+		return fmt.Errorf("kitsune: %d decay horizons overflow the %d-feature vector", len(k.cfg.Lambdas), NumFeatures)
+	case len(k.min) != NumFeatures || len(k.max) != NumFeatures:
+		return fmt.Errorf("kitsune: normalisation bounds for %d and %d features, want %d", len(k.min), len(k.max), NumFeatures)
+	case len(k.outMin) != m || len(k.outMax) != m || k.output.InputSize() != m:
+		return fmt.Errorf("kitsune: output layer takes %d inputs with %d and %d bounds, want %d",
+			k.output.InputSize(), len(k.outMin), len(k.outMax), m)
+	}
+	for i, cl := range k.clusters {
+		if k.ensemble[i].InputSize() != len(cl) {
+			return fmt.Errorf("kitsune: ensemble member %d takes %d inputs for a %d-feature cluster", i, k.ensemble[i].InputSize(), len(cl))
+		}
+		for _, f := range cl {
+			if f < 0 || f >= NumFeatures {
+				return fmt.Errorf("kitsune: cluster %d names feature %d of %d", i, f, NumFeatures)
+			}
+		}
+	}
+	return nil
 }
 
 // Config returns the configuration the model was built with.

@@ -2,9 +2,12 @@ package kitsune
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"clap/internal/attacks"
 	"clap/internal/flow"
 	"clap/internal/trafficgen"
 )
@@ -35,11 +38,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	gen := trafficgen.DefaultConfig(6)
 	gen.Seed = 11
 	for i, c := range trafficgen.Generate(gen) {
-		want := k.ScoreConnection(c)
-		if s := got.ScoreConnection(c); s != want {
+		want := connScore(k, c)
+		if s := connScore(got, c); s != want {
 			t.Fatalf("conn %d: loaded score %v != original %v", i, s, want)
 		}
-		we, ge := k.ConnectionErrors(c), got.ConnectionErrors(c)
+		we, ge := connErrors(k, c), connErrors(got, c)
 		for j := range we {
 			if we[j] != ge[j] {
 				t.Fatalf("conn %d packet %d: error series diverged", i, j)
@@ -61,29 +64,51 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestConnectionErrorsMatchScore(t *testing.T) {
+// TestScoreWindowsMatchesPacketLoop: the batched pair's series equals the
+// per-packet execute loop bit for bit, on benign connections, on attack
+// connections and on an empty one, whole and split into batches.
+func TestScoreWindowsMatchesPacketLoop(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FMWindow = 300
 	k := New(cfg)
 	k.Train(trainStream(60, 5))
-	gen := trafficgen.DefaultConfig(5)
+	gen := trafficgen.DefaultConfig(8)
 	gen.Seed = 23
-	for _, c := range trafficgen.Generate(gen) {
-		errs := k.ConnectionErrors(c)
-		if len(errs) != c.Len() {
-			t.Fatalf("%d errors for %d packets", len(errs), c.Len())
-		}
-		max := 0.0
-		for _, e := range errs {
-			if e > max {
-				max = e
+	conns := trafficgen.Generate(gen)
+	rng := rand.New(rand.NewSource(7))
+	for _, st := range attacks.All()[:20] {
+		for _, c := range conns {
+			if cc := c.Clone(); st.Apply(cc, rng) {
+				conns = append(conns, cc)
+				break
 			}
 		}
-		if got := k.ScoreConnection(c); got != max {
-			t.Fatalf("ScoreConnection %v != max packet error %v", got, max)
+	}
+	conns = append(conns, &flow.Connection{})
+	attacked := 0
+	for i, c := range conns {
+		if c.IsAdversarial() {
+			attacked++
+		}
+		want := oracleErrors(k, c)
+		wins := k.Windows(c)
+		if len(wins) != c.Len() {
+			t.Fatalf("conn %d: %d windows for %d packets", i, len(wins), c.Len())
+		}
+		half := len(wins) / 2
+		split := append(k.ScoreWindows(wins[:half]), k.ScoreWindows(wins[half:])...)
+		for name, got := range map[string][]float64{"whole": k.ScoreWindows(wins), "split": split} {
+			if len(got) != len(want) {
+				t.Fatalf("conn %d %s: %d errors, want %d", i, name, len(got), len(want))
+			}
+			for j := range got {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("conn %d %s packet %d: %v, want %v", i, name, j, got[j], want[j])
+				}
+			}
 		}
 	}
-	if errs := k.ConnectionErrors(&flow.Connection{}); len(errs) != 0 {
-		t.Fatalf("empty connection produced %d errors", len(errs))
+	if attacked == 0 {
+		t.Fatal("no attack connection covered")
 	}
 }

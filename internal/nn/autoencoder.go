@@ -153,7 +153,9 @@ func (ae *Autoencoder) Error(x []float64) float64 {
 }
 
 // Errors computes reconstruction errors for a batch, reusing one scratch
-// set across the whole batch. Safe for concurrent use like Error.
+// set across the whole batch. Safe for concurrent use like Error. It is
+// the serial oracle of ErrorsBatch, which scoring and training run; no
+// production, evaluation or training code calls it.
 func (ae *Autoencoder) Errors(xs [][]float64) []float64 {
 	out := make([]float64, len(xs))
 	s := ae.getScratch()

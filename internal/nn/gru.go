@@ -146,12 +146,14 @@ func (m *GRUClassifier) Forward(seq [][]float64) *GRUStates {
 }
 
 // ForwardGates runs the recurrence computing only the per-step update and
-// reset gate activations — the scoring-path variant of Forward. Stage (b)
+// reset gate activations — the gates-only variant of Forward. Stage (b)
 // harvests z_t and r_t but never reads the softmax head, so the output
 // multiply and per-step probability/candidate/state retention are skipped.
 // Both paths run the same step method, so the returned Z and R are
 // bit-identical to Forward(seq).Z/.R. All scratch state is per-call;
-// concurrent ForwardGates calls on one model are safe.
+// concurrent ForwardGates calls on one model are safe. It is the serial
+// oracle of ForwardGatesBatchPooled, which scoring and training run; no
+// production, evaluation or training code calls it.
 func (m *GRUClassifier) ForwardGates(seq [][]float64) (Z, R [][]float64) {
 	T := len(seq)
 	Z = make([][]float64, T)

@@ -100,8 +100,9 @@ func SaveAutoencoder(w io.Writer, ae *Autoencoder) error {
 }
 
 // LoadAutoencoder reads an autoencoder written by SaveAutoencoder,
-// validating the layer chain (at least input+output) and every restored
-// tensor's dimensions against the snapshot's Sizes.
+// validating the layer chain (at least input+output, the output as wide
+// as the input it reconstructs) and every restored tensor's dimensions
+// against the snapshot's Sizes.
 func LoadAutoencoder(r io.Reader) (*Autoencoder, error) {
 	var s aeSnap
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
@@ -109,6 +110,9 @@ func LoadAutoencoder(r io.Reader) (*Autoencoder, error) {
 	}
 	if len(s.Sizes) < 2 {
 		return nil, fmt.Errorf("nn: autoencoder snapshot declares %d layer sizes, want at least 2", len(s.Sizes))
+	}
+	if in, out := s.Sizes[0], s.Sizes[len(s.Sizes)-1]; in != out {
+		return nil, fmt.Errorf("nn: autoencoder snapshot reconstructs %d values from %d inputs", out, in)
 	}
 	for i, sz := range s.Sizes {
 		if sz < 1 {

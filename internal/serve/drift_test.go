@@ -20,11 +20,11 @@ import (
 
 // scaledBackend multiplies an inner model's anomaly scores by a constant
 // — the test's stand-in for a silent score-scale drift (the deployed
-// model's behaviour changing without any operator action). Summarize
-// delegates: the reduction is homogeneous, so scaled window errors
-// summarize to the scaled connection score and the Backend contract
-// holds. The wrapper deliberately hides the batch-scoring capability, so
-// the unbatched WindowErrors path (the one it scales) is always used.
+// model's behaviour changing without any operator action). It scores
+// through the inner model's batched pair and scales what ScoreWindows
+// returns. Summarize delegates: the reduction is homogeneous, so scaled
+// window errors summarize to the scaled connection score and the Backend
+// contract holds.
 type scaledBackend struct {
 	inner  clap.Backend
 	factor float64
@@ -38,10 +38,14 @@ func (s *scaledBackend) Train(benign []*clap.Connection, logf backend.Logf) erro
 	return s.inner.Train(benign, logf)
 }
 func (s *scaledBackend) ScoreConn(c *clap.Connection) float64 {
-	return s.factor * s.inner.ScoreConn(c)
+	score, _ := s.Summarize(backend.WindowErrors(s, c))
+	return score
 }
-func (s *scaledBackend) WindowErrors(c *clap.Connection) []float64 {
-	errs := s.inner.WindowErrors(c)
+func (s *scaledBackend) Windows(c *clap.Connection) [][]float64 {
+	return s.inner.(backend.BatchScorer).Windows(c)
+}
+func (s *scaledBackend) ScoreWindows(wins [][]float64) []float64 {
+	errs := s.inner.(backend.BatchScorer).ScoreWindows(wins)
 	for i := range errs {
 		errs[i] *= s.factor
 	}

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"clap"
+	"clap/internal/backend"
 	"clap/internal/nn"
 	"clap/internal/tenant"
 )
@@ -166,7 +167,7 @@ func TestServeTraceExplainByteIdentity(t *testing.T) {
 
 		// The acceptance bar: the retained series is byte-identical to
 		// offline re-scoring with the recorded model.
-		offline := model.WindowErrors(c)
+		offline := backend.WindowErrors(model, c)
 		if len(eb.Trace.Errors) != len(offline) {
 			t.Fatalf("explain %s: %d windows, offline %d", key, len(eb.Trace.Errors), len(offline))
 		}
