@@ -213,6 +213,12 @@ type (
 	// family implements: CLAP, Baseline #1, Kitsune, and anything
 	// registered since.
 	Backend = backend.Backend
+	// BatchScorer is the batched pair every leaf backend scores through:
+	// Windows produces a connection's model inputs, ScoreWindows scores a
+	// batch of them. A Backend implemented outside this module must
+	// implement it too; NewPipeline and NewHotBackend refuse one that
+	// does not.
+	BatchScorer = backend.BatchScorer
 	// HotBackend is a reload-safe backend handle: scoring delegates to the
 	// current model behind an atomic pointer, and Swap replaces it in
 	// place — the substrate of clap-serve's hot model reload.

@@ -109,7 +109,24 @@ func WindowErrors(b Backend, c *flow.Connection) []float64 {
 		}
 		return errs
 	default:
-		panic(fmt.Sprintf("backend: %s scores no windows: a leaf backend must implement BatchScorer", b.Tag()))
+		panic(Scorable(b))
+	}
+}
+
+// Scorable reports whether b can score connections: a Cascade (whose
+// stages NewCascade holds to the batched pair), a leaf implementing
+// BatchScorer, or a Hot handle whose current model is one of those.
+// Constructors that accept a Backend check it up front, so a model
+// without the pair is refused there rather than panicking on a scoring
+// goroutine.
+func Scorable(b Backend) error {
+	switch m := Live(b).(type) {
+	case nil:
+		return fmt.Errorf("backend: no model to score with")
+	case *Cascade, BatchScorer:
+		return nil
+	default:
+		return fmt.Errorf("backend: %s scores no windows: a leaf backend must implement BatchScorer", m.Tag())
 	}
 }
 

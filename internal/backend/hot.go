@@ -42,13 +42,16 @@ type hotModel struct {
 	hasTh bool
 }
 
-// NewHot wraps a trained backend in a reload-safe handle.
+// NewHot wraps a trained, scorable backend in a reload-safe handle.
 func NewHot(b Backend) (*Hot, error) {
 	if b == nil {
 		return nil, errors.New("backend: hot handle needs a backend")
 	}
 	if !b.Trained() {
 		return nil, errors.New("backend: hot handle refuses an untrained backend")
+	}
+	if err := Scorable(b); err != nil {
+		return nil, err
 	}
 	h := &Hot{}
 	h.cur.Store(&hotModel{b: b, gen: 0})
@@ -63,10 +66,11 @@ func (h *Hot) Current() Backend { return h.cur.Load().b }
 func (h *Hot) Generation() uint64 { return h.cur.Load().gen }
 
 // Swap atomically replaces the live model and returns the previous one.
-// Untrained or nil replacements are rejected without disturbing the
-// current model, so a failed reload can never take the service down. The
-// (model, generation) pair is published in one CAS, so concurrent swaps
-// always leave the newest generation holding the model that won. An
+// Untrained, nil or unscorable (see Scorable) replacements are rejected
+// without disturbing the current model, so a failed reload can never take
+// the service down. The (model, generation) pair is published in one CAS,
+// so concurrent swaps always leave the newest generation holding the
+// model that won. An
 // installed threshold is carried over unchanged — the legacy
 // reload-then-recalibrate flow; use SwapPair to replace both at once.
 func (h *Hot) Swap(b Backend) (prev Backend, err error) {
@@ -147,7 +151,7 @@ func swappable(b Backend) error {
 	if !b.Trained() {
 		return errors.New("backend: hot swap refuses an untrained backend")
 	}
-	return nil
+	return Scorable(b)
 }
 
 // validPairThreshold mirrors the facade's threshold gate: finite and

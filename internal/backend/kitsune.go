@@ -76,12 +76,12 @@ func (b *Kitsune) ScoreConn(c *flow.Connection) float64 {
 	return score
 }
 
-// Windows implements BatchScorer: the connection's per-packet AfterImage
-// vectors against a fresh statistics context.
+// Windows implements BatchScorer: per packet, the ensemble's normalised
+// errors over its AfterImage vector, against a fresh statistics context.
 func (b *Kitsune) Windows(c *flow.Connection) [][]float64 { return b.Kit.Windows(c) }
 
-// ScoreWindows implements BatchScorer: the per-packet anomaly scores of
-// the frozen model.
+// ScoreWindows implements BatchScorer: the output layer's per-packet
+// anomaly scores.
 func (b *Kitsune) ScoreWindows(wins [][]float64) []float64 { return b.Kit.ScoreWindows(wins) }
 
 // Summarize implements Backend: max and argmax — the conventional

@@ -325,32 +325,36 @@ func (k *Kitsune) trainVector(v []float64) {
 	k.output.TrainBatch([][]float64{errs}, k.outOpt, 5)
 }
 
-// Windows returns the per-packet AfterImage vectors of a connection
-// against a fresh statistics context — the model inputs ScoreWindows
-// scores. The connection is replayed into its own extractor (models and
-// normalisation stay shared and frozen) so that repeatedly scoring
-// overlapping corpora, as the per-strategy evaluation does, cannot
-// contaminate the damped statistics with replayed traffic. Because the
-// per-call extractor is the only mutable state, Windows is safe for
-// concurrent use.
+// Windows returns a connection's per-packet windows: each packet's
+// AfterImage vector, normalised and reconstructed by the ensemble, as the
+// vector of normalised ensemble errors the output layer reads — one
+// float per ensemble member. ScoreWindows runs that output layer, as
+// CLAP's runs its autoencoder over windows its GRU built. Keeping the
+// ensemble's errors rather than the 100-feature vectors keeps a long
+// connection's resident windows small. The connection is replayed into a
+// fresh extractor (models and normalisation stay shared and frozen) so
+// that repeatedly scoring overlapping corpora, as the per-strategy
+// evaluation does, cannot contaminate the damped statistics with
+// replayed traffic. Because the per-call extractor is the only mutable
+// state, Windows is safe for concurrent use on a trained (frozen) model.
 func (k *Kitsune) Windows(c *flow.Connection) [][]float64 {
 	ext := NewExtractor(k.cfg.Lambdas)
 	out := make([][]float64, len(c.Packets))
 	for i, p := range c.Packets {
-		out[i] = ext.Update(p)
+		out[i] = k.normalizeErrs(k.ensembleErrors(k.normalize(ext.Update(p))))
 	}
 	return out
 }
 
-// ScoreWindows runs the execute phase over a batch of AfterImage vectors:
-// normalisation, ensemble reconstruction, then the output layer's anomaly
-// score, one per vector — the Kitsune analogue of CLAP's per-window
+// ScoreWindows runs the output layer over a batch of windows: each
+// packet's anomaly score is the output autoencoder's reconstruction error
+// of its ensemble errors — the Kitsune analogue of CLAP's per-window
 // reconstruction errors. Element k depends on wins[k] alone. Safe for
-// concurrent use on a trained (frozen) model.
+// concurrent use on a trained model.
 func (k *Kitsune) ScoreWindows(wins [][]float64) []float64 {
 	out := make([]float64, len(wins))
 	for i, v := range wins {
-		out[i] = k.output.Error(k.normalizeErrs(k.ensembleErrors(k.normalize(v))))
+		out[i] = k.output.Error(v)
 	}
 	return out
 }

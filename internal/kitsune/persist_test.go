@@ -66,7 +66,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 // TestScoreWindowsMatchesPacketLoop: the batched pair's series equals the
 // per-packet execute loop bit for bit, on benign connections, on attack
-// connections and on an empty one, whole and split into batches.
+// connections and on an empty one, whole and split into batches, and each
+// window is one float per ensemble member.
 func TestScoreWindowsMatchesPacketLoop(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FMWindow = 300
@@ -94,6 +95,13 @@ func TestScoreWindowsMatchesPacketLoop(t *testing.T) {
 		wins := k.Windows(c)
 		if len(wins) != c.Len() {
 			t.Fatalf("conn %d: %d windows for %d packets", i, len(wins), c.Len())
+		}
+		// A window is the ensemble's error vector, not the 100-feature
+		// AfterImage vector: what a long connection keeps resident.
+		for j, w := range wins {
+			if len(w) != k.EnsembleSize() {
+				t.Fatalf("conn %d window %d: %d wide, want the ensemble's %d", i, j, len(w), k.EnsembleSize())
+			}
 		}
 		half := len(wins) / 2
 		split := append(k.ScoreWindows(wins[:half]), k.ScoreWindows(wins[half:])...)

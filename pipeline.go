@@ -63,7 +63,8 @@ func (p *Pipeline) fail(format string, args ...any) {
 }
 
 // WithBackend selects the detection backend. Required; the backend must be
-// trained (or freshly loaded) before Run.
+// trained (or freshly loaded) before Run, and a leaf backend must
+// implement BatchScorer.
 func WithBackend(b Backend) PipelineOption { return func(p *Pipeline) { p.backend = b } }
 
 // WithCascade selects a tiered cascade backend: cheap screens every
@@ -220,9 +221,10 @@ func WithWindowErrors(keep bool) PipelineOption { return func(p *Pipeline) { p.k
 func WithProvenance(on bool) PipelineOption { return func(p *Pipeline) { p.prov = on } }
 
 // NewPipeline builds a pipeline over a backend. It fails without one,
-// fails on an untrained one — scoring through an untrained backend would
-// otherwise panic on a pool goroutine — and fails on any invalid option
-// value rather than silently coercing it.
+// fails on an untrained one or a leaf without the batched pair
+// (BatchScorer) — scoring through either would otherwise panic on a pool
+// goroutine — and fails on any invalid option value rather than silently
+// coercing it.
 func NewPipeline(opts ...PipelineOption) (*Pipeline, error) {
 	p := &Pipeline{topN: 5}
 	for _, o := range opts {
@@ -236,6 +238,9 @@ func NewPipeline(opts ...PipelineOption) (*Pipeline, error) {
 	}
 	if !p.backend.Trained() {
 		return nil, fmt.Errorf("clap: backend %q is not trained (Train it or load a model first)", p.backend.Tag())
+	}
+	if err := backend.Scorable(p.backend); err != nil {
+		return nil, fmt.Errorf("clap: %w", err)
 	}
 	if p.cal != nil && p.cal.Tag != p.backend.Tag() {
 		return nil, fmt.Errorf("clap: calibration snapshot is for backend %q, pipeline runs %q", p.cal.Tag, p.backend.Tag())
@@ -255,12 +260,7 @@ func (p *Pipeline) Backend() Backend { return p.backend }
 // HotBackend handle this resolves the live model once, so a hot swap can
 // never split a single connection's WindowErrors/Summarize pair across two
 // models; for plain backends it is the backend itself.
-func (p *Pipeline) snapshot() Backend {
-	if h, ok := p.backend.(*HotBackend); ok {
-		return h.Current()
-	}
-	return p.backend
-}
+func (p *Pipeline) snapshot() Backend { return backend.Live(p.backend) }
 
 // Engine returns the pipeline's scoring engine (for Source implementations
 // and ad-hoc scoring alongside a Run).

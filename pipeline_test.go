@@ -726,6 +726,44 @@ func TestPipelineNeedsBackend(t *testing.T) {
 	}
 }
 
+// pairless is a Backend written against the public contract alone: it
+// embeds a trained model but shadows Windows, so it is not a BatchScorer.
+type pairless struct{ *CLAPBackend }
+
+func (pairless) Windows() {}
+
+// TestPipelineRefusesBackendWithoutPair: a leaf without the batched pair
+// has no way to score, so every constructor that takes a Backend refuses
+// it with an error naming BatchScorer — rather than accepting it and
+// panicking on the first Run's worker goroutine.
+func TestPipelineRefusesBackendWithoutPair(t *testing.T) {
+	var _ BatchScorer = (*CLAPBackend)(nil) // the requirement is nameable
+	good := pipelineBackend(t)
+	bare := pairless{good.(*CLAPBackend)}
+	if _, err := NewPipeline(WithBackend(bare)); err == nil || !strings.Contains(err.Error(), "BatchScorer") {
+		t.Fatalf("NewPipeline on a backend without the pair: err = %v", err)
+	}
+	if _, err := NewHotBackend(bare); err == nil || !strings.Contains(err.Error(), "BatchScorer") {
+		t.Fatalf("NewHotBackend on a backend without the pair: err = %v", err)
+	}
+	hot, err := NewHotBackend(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hot.Swap(bare); err == nil {
+		t.Fatal("Swap installed a backend without the pair")
+	}
+	if _, err := hot.SwapPair(bare, 1); err == nil {
+		t.Fatal("SwapPair installed a backend without the pair")
+	}
+	if hot.Current() != good {
+		t.Fatal("a refused swap replaced the live model")
+	}
+	if _, err := NewPipeline(WithBackend(hot)); err != nil {
+		t.Fatalf("NewPipeline on a hot handle over a scorable model: %v", err)
+	}
+}
+
 // TestPipelineKitsuneBackend runs the whole pipeline over the promoted
 // Kitsune backend — the point of the redesign: nothing but WithBackend
 // changes.
