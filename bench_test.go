@@ -114,7 +114,7 @@ func BenchmarkTable3_ThroughputCLAP(b *testing.B) {
 
 func BenchmarkTable3_ThroughputKitsune(b *testing.B) {
 	s, _ := fixture(b)
-	benchOneWorker(b, s.Backends[backend.TagKitsune], advCorpus(s))
+	benchOneWorker(b, s.Backends[eval.TagKitsune], advCorpus(s))
 }
 
 // benchOneWorker times one-worker batched scoring of the whole corpus per
@@ -346,8 +346,8 @@ func BenchmarkEngineAssemble(b *testing.B) {
 	}
 }
 
-// --- Backend throughput trajectory: pkts/s for every registered backend
-// across worker counts and micro-batch sizes, written to BENCH_pr9.json so
+// --- Backend throughput trajectory: pkts/s for every compared backend
+// across worker counts, written to BENCH_pr9.json so
 // CI uploads a machine-readable benchmark artifact per PR (the BENCH
 // trajectory) and cmd/bench-gate can compare it against the committed
 // snapshot and hold the within-artifact cascade/clap ratio floor.
@@ -367,11 +367,11 @@ type benchSample struct {
 	PktsPerSec float64 `json:"pkts_per_sec"`
 }
 
-func recordBenchSample(backendTag string, workers, batch int, pktsPerSec float64) {
+func recordBenchSample(backendTag string, workers int, pktsPerSec float64) {
 	benchTrajectory.Lock()
 	defer benchTrajectory.Unlock()
-	key := fmt.Sprintf("%s/%03d/%05d", backendTag, workers, batch)
-	benchTrajectory.samples[key] = benchSample{Backend: backendTag, Workers: workers, Batch: batch, PktsPerSec: pktsPerSec}
+	key := fmt.Sprintf("%s/%03d", backendTag, workers)
+	benchTrajectory.samples[key] = benchSample{Backend: backendTag, Workers: workers, Batch: engine.DefaultBatch, PktsPerSec: pktsPerSec}
 
 	keys := make([]string, 0, len(benchTrajectory.samples))
 	for k := range benchTrajectory.samples {
@@ -395,12 +395,10 @@ func recordBenchSample(backendTag string, workers, batch int, pktsPerSec float64
 }
 
 // BenchmarkBackendThroughput measures scoring throughput (pkts/s) for
-// each registered backend across worker counts and micro-batch sizes,
-// recording the samples into BENCH_pr9.json. batch=1 scores each window
-// alone (comparable to the BENCH_pr3 snapshot); larger batches run the
-// micro-batched matrix-matrix kernels (scores are bit-identical on every
-// variant — see the engine and pipeline determinism tests). Sub-benchmark names carry backend, workers and
-// batch, so the text output doubles as the human-readable table.
+// each compared backend across worker counts, through the engine's
+// micro-batcher at its constant batch size, recording the samples into
+// BENCH_pr9.json. Sub-benchmark names carry backend and workers, so the
+// text output doubles as the human-readable table.
 func BenchmarkBackendThroughput(b *testing.B) {
 	s, _ := fixture(b)
 	conns := append(append([]*flow.Connection{}, s.Data.TestBenign...), advCorpus(s)...)
@@ -416,18 +414,16 @@ func BenchmarkBackendThroughput(b *testing.B) {
 	for _, tag := range tags {
 		bk := s.Backends[tag]
 		for _, workers := range []int{1, 4, 8} {
-			for _, batchN := range []int{1, engine.DefaultBatch, 60} {
-				eng := engine.New(engine.Options{Workers: workers, Batch: batchN})
-				b.Run(fmt.Sprintf("%s/workers=%d/batch=%d", tag, workers, batchN), func(b *testing.B) {
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						_ = eng.ScoresBatched(bk, conns)
-					}
-					rate := float64(pkts*b.N) / b.Elapsed().Seconds()
-					b.ReportMetric(rate, "pkts/s")
-					recordBenchSample(tag, workers, batchN, rate)
-				})
-			}
+			eng := engine.New(engine.Options{Workers: workers})
+			b.Run(fmt.Sprintf("%s/workers=%d", tag, workers), func(b *testing.B) {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = eng.ScoresBatched(bk, conns)
+				}
+				rate := float64(pkts*b.N) / b.Elapsed().Seconds()
+				b.ReportMetric(rate, "pkts/s")
+				recordBenchSample(tag, workers, rate)
+			})
 		}
 	}
 
@@ -455,15 +451,15 @@ func BenchmarkBackendThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 8} {
-		eng := engine.New(engine.Options{Workers: workers, Batch: engine.DefaultBatch})
-		b.Run(fmt.Sprintf("cascade/workers=%d/batch=1", workers), func(b *testing.B) {
+		eng := engine.New(engine.Options{Workers: workers})
+		b.Run(fmt.Sprintf("cascade/workers=%d", workers), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = eng.ScoresBatched(cascade, heavy)
 			}
 			rate := float64(heavyPkts*b.N) / b.Elapsed().Seconds()
 			b.ReportMetric(rate, "pkts/s")
-			recordBenchSample(backend.TagCascade, workers, 1, rate)
+			recordBenchSample(backend.TagCascade, workers, rate)
 		})
 	}
 }

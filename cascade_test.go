@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"clap/internal/engine"
 )
 
 var (
@@ -35,7 +37,7 @@ func cascadeStage1(t *testing.T) Backend {
 }
 
 // TestCascadePipelineDeterminism is the tentpole's bit-identity contract:
-// across batch {1,24} × workers {1,4}, every escalated connection's score
+// at workers {1,4}, every escalated connection's score
 // through the cascade pipeline equals the pure-CLAP pipeline's score for
 // that connection bit for bit, and non-escalated connections reduce the
 // cheap stage's series. A Run and a stream over the same corpus leave the
@@ -77,69 +79,68 @@ func TestCascadePipelineDeterminism(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		for _, batch := range []int{1, 24} {
-			t.Run(fmt.Sprintf("w%d_b%d", workers, batch), func(t *testing.T) {
-				p, err := NewPipeline(
-					WithBackend(cascade),
-					WithWorkers(workers),
-					WithBatchSize(batch),
-				)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cascade.ResetEscalationCounts()
-				sum, err := p.Run(probe())
-				if err != nil {
-					t.Fatal(err)
-				}
-				runEval, runEsc := cascade.EscalationCounts()
-				if len(sum.Results) != len(pureSum.Results) {
-					t.Fatalf("%d results, want %d", len(sum.Results), len(pureSum.Results))
-				}
-				escalated := 0
-				for i, r := range sum.Results {
-					if s1Score := s1.ScoreConn(r.Conn); s1Score >= esc {
-						escalated++
-						if r.Score != pureSum.Results[i].Score {
-							t.Fatalf("escalated conn %d: cascade score %v != pure clap %v",
-								i, r.Score, pureSum.Results[i].Score)
-						}
-					} else if r.Score >= 0 {
-						// Screened connections carry the cheap stage's verdict
-						// as a negative margin below the escalation threshold —
-						// strictly under every escalated (non-negative) clap
-						// score. A non-negative score here means mis-routing.
-						t.Fatalf("screened conn %d scored %v, want negative margin", i, r.Score)
+		// The subtest names carry the batch size the run uses: the
+		// engine's constant.
+		t.Run(fmt.Sprintf("w%d_b%d", workers, engine.DefaultBatch), func(t *testing.T) {
+			p, err := NewPipeline(
+				WithBackend(cascade),
+				WithWorkers(workers),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cascade.ResetEscalationCounts()
+			sum, err := p.Run(probe())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runEval, runEsc := cascade.EscalationCounts()
+			if len(sum.Results) != len(pureSum.Results) {
+				t.Fatalf("%d results, want %d", len(sum.Results), len(pureSum.Results))
+			}
+			escalated := 0
+			for i, r := range sum.Results {
+				if s1Score := s1.ScoreConn(r.Conn); s1Score >= esc {
+					escalated++
+					if r.Score != pureSum.Results[i].Score {
+						t.Fatalf("escalated conn %d: cascade score %v != pure clap %v",
+							i, r.Score, pureSum.Results[i].Score)
 					}
+				} else if r.Score >= 0 {
+					// Screened connections carry the cheap stage's verdict
+					// as a negative margin below the escalation threshold —
+					// strictly under every escalated (non-negative) clap
+					// score. A non-negative score here means mis-routing.
+					t.Fatalf("screened conn %d scored %v, want negative margin", i, r.Score)
 				}
-				if escalated == 0 {
-					t.Fatal("probe corpus escalated nothing; determinism not exercised")
-				}
-				if runEval != uint64(len(sum.Results)) || runEsc != uint64(escalated) {
-					t.Fatalf("run counted %d/%d escalated, routing %d/%d",
-						runEsc, runEval, escalated, len(sum.Results))
-				}
+			}
+			if escalated == 0 {
+				t.Fatal("probe corpus escalated nothing; determinism not exercised")
+			}
+			if runEval != uint64(len(sum.Results)) || runEsc != uint64(escalated) {
+				t.Fatalf("run counted %d/%d escalated, routing %d/%d",
+					runEsc, runEval, escalated, len(sum.Results))
+			}
 
-				cascade.ResetEscalationCounts()
-				var streamed []Result
-				s, err := p.NewStream(func(r Result) { streamed = append(streamed, r) })
-				if err != nil {
-					t.Fatal(err)
+			cascade.ResetEscalationCounts()
+			var streamed []Result
+			s, err := p.NewStream(func(r Result) { streamed = append(streamed, r) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range sum.Results {
+				s.Submit(r.Conn)
+			}
+			s.Close()
+			for i, r := range streamed {
+				if r.Score != sum.Results[i].Score {
+					t.Fatalf("stream conn %d: score %v != run %v", i, r.Score, sum.Results[i].Score)
 				}
-				for _, r := range sum.Results {
-					s.Submit(r.Conn)
-				}
-				s.Close()
-				for i, r := range streamed {
-					if r.Score != sum.Results[i].Score {
-						t.Fatalf("stream conn %d: score %v != run %v", i, r.Score, sum.Results[i].Score)
-					}
-				}
-				if ev, es := cascade.EscalationCounts(); ev != runEval || es != runEsc {
-					t.Fatalf("stream counted %d/%d escalated, run %d/%d", es, ev, runEsc, runEval)
-				}
-			})
-		}
+			}
+			if ev, es := cascade.EscalationCounts(); ev != runEval || es != runEsc {
+				t.Fatalf("stream counted %d/%d escalated, run %d/%d", es, ev, runEsc, runEval)
+			}
+		})
 	}
 }
 

@@ -26,15 +26,15 @@
 //	internal/core       the CLAP pipeline
 //	internal/backend    detection contract + named backend registry
 //	internal/engine     sharded worker-pool scoring engine
-//	internal/kitsune    Baseline #2 (ensemble-AE IDS), a first-class backend
+//	internal/kitsune    Baseline #2 (ensemble-AE IDS), an evaluation baseline
 //	internal/metrics    AUC/EER/Top-N
 //	internal/eval       experiment harness (tables & figures)
 //	internal/serve      clap-serve: the always-on online detection daemon
 //
-// Quickstart — train any registered backend (clap, baseline1, kitsune) and
-// deploy it through the backend-agnostic Pipeline:
+// Quickstart — train any registered backend (clap, baseline1) and deploy
+// it through the backend-agnostic Pipeline:
 //
-//	b, _ := clap.NewBackend("clap")         // or "baseline1", "kitsune"
+//	b, _ := clap.NewBackend("clap")         // or "baseline1"
 //	_ = b.Train(clap.GenerateBenign(500, 1), func(string, ...any) {})
 //	p, _ := clap.NewPipeline(
 //	        clap.WithBackend(b),
@@ -131,8 +131,8 @@
 // The batcher pools stacked-profile windows from many connections into
 // one matrix-matrix autoencoder pass instead of one matrix-vector pass
 // each — ≥2× single-core throughput for CLAP with bit-identical scores
-// (DESIGN.md §8). WithBatchSize (or the CLIs' -batch flag) tunes the
-// micro-batch size; 1 scores each window alone.
+// (DESIGN.md §8). The micro-batch size is a bench-tuned constant (24),
+// not a setting.
 //
 // When CLAP's accuracy is needed at closer to Baseline #1's throughput,
 // tier the two (DESIGN.md §10): a cascade screens every connection with
@@ -172,7 +172,6 @@ import (
 	"clap/internal/dpi"
 	"clap/internal/engine"
 	"clap/internal/flow"
-	"clap/internal/kitsune"
 	"clap/internal/metrics"
 	"clap/internal/obs"
 	"clap/internal/pcapio"
@@ -210,7 +209,7 @@ type (
 	// through NewEngineOpts.
 	EngineOptions = engine.Options
 	// Backend is the backend-agnostic detection contract every detector
-	// family implements: CLAP, Baseline #1, Kitsune, and anything
+	// family implements: CLAP, Baseline #1, the cascade, and anything
 	// registered since.
 	Backend = backend.Backend
 	// BatchScorer is the batched pair every leaf backend scores through:
@@ -226,14 +225,10 @@ type (
 	// CLAPBackend adapts the core CLAP/Baseline #1 pipeline family to the
 	// Backend contract; mutate Cfg before Train.
 	CLAPBackend = backend.CLAP
-	// KitsuneBackend adapts Baseline #2 to the Backend contract.
-	KitsuneBackend = backend.Kitsune
 	// CascadeBackend tiers two backends: a cheap screening stage and an
 	// expensive stage that re-scores only the suspicious tail, with
 	// bit-identical expensive-stage verdicts (DESIGN.md §10).
 	CascadeBackend = backend.Cascade
-	// KitsuneConfig tunes the Kitsune backend.
-	KitsuneConfig = kitsune.Config
 	// Calibration is a frozen calibration outcome: the operating threshold
 	// derived at a target FPR plus the benign-score reference distribution
 	// it came from — produced by Pipeline.Calibrate, persisted alongside
@@ -260,7 +255,6 @@ type (
 const (
 	BackendCLAP      = backend.TagCLAP
 	BackendBaseline1 = backend.TagBaseline1
-	BackendKitsune   = backend.TagKitsune
 	BackendCascade   = backend.TagCascade
 )
 

@@ -1,17 +1,17 @@
 // Command clap-detect scores a (suspicious) pcap capture with a persisted
-// detection model — CLAP, Baseline #1 or Kitsune; the tagged model header
-// selects the backend automatically. Per-connection adversarial scores,
-// verdicts against a threshold, and Top-N localization of the most
-// suspicious packets cover the online-detector and forensic deployment
-// modes of §3.2. Assembly and scoring run through the backend-agnostic
-// pipeline over the sharded parallel engine; scores are bit-identical at
-// any worker count.
+// detection model — CLAP, Baseline #1 or a cascade of them; the tagged
+// model header selects the backend automatically. Per-connection
+// adversarial scores, verdicts against a threshold, and Top-N localization
+// of the most suspicious packets cover the online-detector and forensic
+// deployment modes of §3.2. Assembly and scoring run through the
+// backend-agnostic pipeline over the sharded parallel engine; scores are
+// bit-identical at any worker count.
 //
 // Usage:
 //
 //	clap-detect -in suspect.pcap -model clap.model -threshold 0.08 -top 5
 //	clap-detect -in suspect.pcap -model clap.model -calibrate benign.pcap -fpr 0.01
-//	clap-detect -in suspect.pcap -model kit.model -workers 8 -all
+//	clap-detect -in suspect.pcap -model b1.model -workers 8 -all
 //	clap-detect -in suspect.pcap -model clap.model -json | jq .score
 package main
 
@@ -37,7 +37,6 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "emit JSON lines instead of the text report")
 		workers     = flag.Int("workers", 0, "scoring workers (0: all cores)")
 		shards      = flag.Int("shards", 0, "assembly shards (0: same as workers)")
-		batch       = flag.Int("batch", 0, "inference micro-batch size (0: default 24; 1: each window alone)")
 		escalateFPR = flag.Float64("escalate-fpr", 0,
 			"cascade models: override the persisted escalate-FPR (takes effect at -calibrate)")
 	)
@@ -71,9 +70,6 @@ func main() {
 	}
 	if *shards > 0 {
 		opts = append(opts, clap.WithShards(*shards))
-	}
-	if *batch > 0 {
-		opts = append(opts, clap.WithBatchSize(*batch))
 	}
 	if *calibrate != "" {
 		opts = append(opts, clap.WithThresholdFPR(*fpr, clap.PCAPFile(*calibrate)))

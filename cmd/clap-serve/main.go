@@ -263,7 +263,6 @@ func main() {
 		top     = flag.Int("top", 5, "Top-N windows to localize per flagged connection (negative: disable localization)")
 		workers = flag.Int("workers", 0, "scoring workers (0: all cores)")
 		shards  = flag.Int("shards", 0, "assembly shards (0: same as workers)")
-		batch   = flag.Int("batch", 0, "inference micro-batch size (0: default 24; 1: each window alone)")
 		queue   = flag.Int("queue", 256, "ingest queue depth")
 		shed    = flag.Bool("shed", false, "drop connections at a full queue instead of backpressuring sources")
 
@@ -361,7 +360,6 @@ func main() {
 		Addr:           *addr,
 		Workers:        *workers,
 		Shards:         *shards,
-		Batch:          *batch,
 		Threshold:      *threshold,
 		TopN:           *top,
 		QueueDepth:     *queue,

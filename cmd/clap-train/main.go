@@ -1,13 +1,12 @@
 // Command clap-train trains a detection backend from a benign pcap capture
 // and persists it (with the tagged backend header) to disk. Any registered
-// backend works: CLAP, the context-agnostic Baseline #1, or the Kitsune
-// ensemble-AE IDS.
+// backend works: CLAP, the context-agnostic Baseline #1, or a cascade of
+// the two.
 //
 // Usage:
 //
 //	clap-train -in benign.pcap -model clap.model -rnn-epochs 14 -ae-epochs 30
 //	clap-train -in benign.pcap -model b1.model -backend baseline1
-//	clap-train -in benign.pcap -model kit.model -backend kitsune
 //	clap-train -in benign.pcap -model tier.model \
 //	        -backend cascade:baseline1+clap -escalate-fpr 0.05
 package main
@@ -33,23 +32,13 @@ func main() {
 		aeEpochs    = flag.Int("ae-epochs", 30, "autoencoder training epochs (clap/baseline1)")
 		escalateFPR = flag.Float64("escalate-fpr", 0.05,
 			"cascade backends: target fraction of benign traffic escalated to the expensive stage")
-		baseline1 = flag.Bool("baseline1", false, "deprecated: same as -backend baseline1")
-		quiet     = flag.Bool("quiet", false, "suppress progress output")
+		quiet = flag.Bool("quiet", false, "suppress progress output")
 	)
 	flag.Parse()
 	if *in == "" {
 		log.Fatal("need -in (generate one with trafficgen)")
 	}
 	tag := *backendTag
-	if *baseline1 {
-		backendSet := false
-		flag.Visit(func(f *flag.Flag) { backendSet = backendSet || f.Name == "backend" })
-		if backendSet && tag != clap.BackendBaseline1 {
-			log.Fatalf("-baseline1 conflicts with -backend %s", tag)
-		}
-		tag = clap.BackendBaseline1
-	}
-
 	b, err := clap.NewBackendSpec(tag)
 	if err != nil {
 		log.Fatal(err)
@@ -63,8 +52,6 @@ func main() {
 			bk.Cfg.Seed = *seed
 			bk.Cfg.RNNEpochs = *rnnEpochs
 			bk.Cfg.AEEpochs = *aeEpochs
-		case *clap.KitsuneBackend:
-			bk.Cfg.Seed = *seed
 		case *clap.CascadeBackend:
 			if err := bk.SetEscalateFPR(*escalateFPR); err != nil {
 				log.Fatal(err)

@@ -1,7 +1,7 @@
 // Quickstart: train a detection backend on benign traffic, inject one
 // evasion attack, and detect it through the backend-agnostic Pipeline —
 // the README's 60-second tour of the public API. Swap the backend tag for
-// "baseline1" or "kitsune" and the rest of the program is unchanged.
+// "baseline1" and the rest of the program is unchanged.
 package main
 
 import (

@@ -11,7 +11,7 @@ import (
 
 func ts(sec, nsec int64) time.Time { return time.Unix(sec, nsec) }
 
-func buildFrames(t *testing.T, frames ...[]byte) []byte {
+func buildFrames(t testing.TB, frames ...[]byte) []byte {
 	t.Helper()
 	b := NewBlockBuilder()
 	for i, f := range frames {

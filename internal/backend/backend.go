@@ -1,9 +1,10 @@
 // Package backend defines the detection contract every detector family in
 // this repository implements, plus the named registry that makes backends
 // swappable behind one interface. The paper compares CLAP against two
-// baselines (a temporal-context-agnostic CLAP and Kitsune); deploying any
-// of them — or a future fourth system — through the same pipeline requires
-// exactly what this package provides: a uniform Train/Score/Save surface,
+// baselines: a temporal-context-agnostic CLAP, registered here, and
+// Kitsune, which only the evaluation suite runs. Deploying a model — or a
+// future fourth system — through the same pipeline requires exactly what
+// this package provides: a uniform Train/Score/Save surface,
 // and a tagged persistence header so a saved model knows which decoder
 // reads it back.
 //

@@ -37,7 +37,10 @@ func randomDetector(cfg core.Config, conns []*flow.Connection, seed int64) *core
 
 func TestRegistryHasAllThreeBackends(t *testing.T) {
 	tags := Tags()
-	for _, want := range []string{TagCLAP, TagBaseline1, TagKitsune} {
+	if got := strings.Join(tags, ","); got != "baseline1,cascade,clap" {
+		t.Fatalf("Tags() = %v, want exactly [baseline1 cascade clap]", tags)
+	}
+	for _, want := range []string{TagCLAP, TagBaseline1} {
 		found := false
 		for _, tag := range tags {
 			if tag == want {
@@ -150,23 +153,29 @@ func TestBaseline1TagRoundTrip(t *testing.T) {
 	sameSeries(t, "baseline1 errors", WindowErrors(got, probe), WindowErrors(b, probe))
 }
 
-func TestKitsuneTagRoundTrip(t *testing.T) {
-	b, err := New(TagKitsune)
-	if err != nil {
+// TestKitsuneTagRetired: Kitsune is an evaluation baseline, not a
+// registered backend, so a kitsune-tagged model stream is refused as an
+// unknown backend, by name.
+func TestKitsuneTagRetired(t *testing.T) {
+	_, err := Load(bytes.NewReader(kitsuneTagged(t)))
+	if err == nil || !strings.Contains(err.Error(), `unknown backend "kitsune"`) {
+		t.Fatalf("Load of a kitsune-tagged stream: %v, want an unknown-backend error naming kitsune", err)
+	}
+	if _, err := New("kitsune"); err == nil {
+		t.Fatal(`New("kitsune") succeeded`)
+	}
+}
+
+// kitsuneTagged is a model stream under the retired kitsune tag: the
+// tagged header around a CLAP payload.
+func kitsuneTagged(t testing.TB) []byte {
+	conns := genConns(12, 3)
+	var payload bytes.Buffer
+	if err := randomDetector(core.DefaultConfig(), conns, 1).Save(&payload); err != nil {
 		t.Fatal(err)
 	}
-	kb := b.(*Kitsune)
-	kb.Cfg.FMWindow = 200 // keep the grace window inside the tiny corpus
-	if err := b.Train(genConns(30, 7), func(string, ...any) {}); err != nil {
-		t.Fatalf("training kitsune: %v", err)
-	}
-	got := roundTrip(t, b)
-	for _, c := range genConns(4, 13) {
-		sameSeries(t, "kitsune errors", WindowErrors(got, c), WindowErrors(b, c))
-		if got.ScoreConn(c) != b.ScoreConn(c) {
-			t.Fatal("kitsune score drifted across round-trip")
-		}
-	}
+	hdr := append(magic[:], headerVersion, byte(len("kitsune")))
+	return append(append(hdr, "kitsune"...), payload.Bytes()...)
 }
 
 // TestSummarizeMatchesScoreConn pins the Backend contract shared by every
@@ -175,15 +184,11 @@ func TestSummarizeMatchesScoreConn(t *testing.T) {
 	conns := genConns(12, 3)
 	probe := genConns(5, 17)
 	cfg := core.DefaultConfig()
+	b1 := core.Baseline1Config()
 	backends := []Backend{
 		&CLAP{tag: TagCLAP, Cfg: cfg, Det: randomDetector(cfg, conns, 1)},
+		&CLAP{tag: TagBaseline1, Cfg: b1, Det: randomDetector(b1, conns, 2)},
 	}
-	kb, _ := New(TagKitsune)
-	kb.(*Kitsune).Cfg.FMWindow = 200
-	if err := kb.Train(conns, func(string, ...any) {}); err != nil {
-		t.Fatal(err)
-	}
-	backends = append(backends, kb)
 	for _, b := range backends {
 		for i, c := range probe {
 			score, _ := b.Summarize(WindowErrors(b, c))
@@ -275,7 +280,7 @@ func TestLoadGarbageFallsBackWithError(t *testing.T) {
 }
 
 func TestSaveRejectsUntrained(t *testing.T) {
-	for _, tag := range []string{TagCLAP, TagKitsune} {
+	for _, tag := range []string{TagCLAP, TagBaseline1} {
 		b, err := New(tag)
 		if err != nil {
 			t.Fatal(err)

@@ -250,32 +250,20 @@ func TestCascadeSaveRejectsUntrained(t *testing.T) {
 
 // TestCascadeTrainNilLogf trains a cascade the way a library caller with no
 // progress sink does. Train used to call the nil Logf itself and panic;
-// the stages below it (kitsune's logs unguarded too) now get a no-op.
+// the stages below it now get a no-op.
 func TestCascadeTrainNilLogf(t *testing.T) {
 	b1cfg, clapCfg := core.Baseline1Config(), core.DefaultConfig()
 	b1cfg.RNNEpochs, b1cfg.AEEpochs = 1, 1
 	clapCfg.RNNEpochs, clapCfg.AEEpochs = 1, 1
-	for _, s1 := range []Backend{
-		&CLAP{tag: TagBaseline1, Cfg: b1cfg},
-		func() Backend {
-			k, err := New(TagKitsune)
-			if err != nil {
-				t.Fatal(err)
-			}
-			k.(*Kitsune).Cfg.FMWindow = 200 // keep the grace window inside the tiny corpus
-			return k
-		}(),
-	} {
-		c, err := NewCascade(s1, &CLAP{tag: TagCLAP, Cfg: clapCfg}, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Train(genConns(12, 5), nil); err != nil {
-			t.Fatalf("%s: %v", c.Describe(), err)
-		}
-		if !c.Trained() {
-			t.Fatalf("%s: not trained after Train(nil)", c.Describe())
-		}
+	c, err := NewCascade(&CLAP{tag: TagBaseline1, Cfg: b1cfg}, &CLAP{tag: TagCLAP, Cfg: clapCfg}, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Train(genConns(12, 5), nil); err != nil {
+		t.Fatalf("%s: %v", c.Describe(), err)
+	}
+	if !c.Trained() {
+		t.Fatalf("%s: not trained after Train(nil)", c.Describe())
 	}
 }
 

@@ -16,8 +16,6 @@ const (
 	// the same pipeline family under Baseline1Config, persisted under its
 	// own tag so a loaded model advertises what it is.
 	TagBaseline1 = "baseline1"
-	// TagKitsune is Baseline #2, the ensemble-autoencoder IDS.
-	TagKitsune = "kitsune"
 )
 
 func init() {

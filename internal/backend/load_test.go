@@ -114,16 +114,12 @@ func smallCLAP(cfg core.Config, conns []*flow.Connection, seed int64) *core.Dete
 
 // FuzzLoad: Load never panics, and any model it returns scores a fixed
 // short connection through WindowErrors without panicking. Seeds are a
-// tagged model of every family plus a legacy untagged stream.
+// tagged model of every family, a stream under the retired kitsune tag
+// and a legacy untagged stream.
 func FuzzLoad(f *testing.F) {
 	conns := genConns(12, 3)
 	clapB := &CLAP{tag: TagCLAP, Cfg: core.DefaultConfig(), Det: smallCLAP(core.DefaultConfig(), conns, 1)}
 	b1 := &CLAP{tag: TagBaseline1, Cfg: core.Baseline1Config(), Det: smallCLAP(core.Baseline1Config(), conns, 2)}
-	kb, _ := New(TagKitsune)
-	kb.(*Kitsune).Cfg.FMWindow = 100
-	if err := kb.Train(conns, func(string, ...any) {}); err != nil {
-		f.Fatal(err)
-	}
 	casc, err := NewCascade(b1, clapB, DefaultEscalateFPR)
 	if err != nil {
 		f.Fatal(err)
@@ -131,13 +127,14 @@ func FuzzLoad(f *testing.F) {
 	if err := casc.SetEscalation(0.5); err != nil {
 		f.Fatal(err)
 	}
-	for _, b := range []Backend{clapB, b1, kb, casc} {
+	for _, b := range []Backend{clapB, b1, casc} {
 		var buf bytes.Buffer
 		if err := Save(&buf, b); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
 	}
+	f.Add(kitsuneTagged(f))
 	var legacy bytes.Buffer
 	if err := clapB.Det.Save(&legacy); err != nil {
 		f.Fatal(err)

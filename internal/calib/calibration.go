@@ -118,9 +118,14 @@ func Load(r io.Reader) (*Calibration, error) {
 	if skLen > maxSketchBytes {
 		return nil, fmt.Errorf("calib: snapshot sketch of %d bytes exceeds the %d limit", skLen, maxSketchBytes)
 	}
-	skBytes := make([]byte, skLen)
-	if _, err := io.ReadFull(r, skBytes); err != nil {
-		return nil, fmt.Errorf("calib: truncated snapshot sketch: %w", err)
+	// Read the sketch as it arrives: a declared length is not an
+	// allocation budget.
+	skBytes, err := io.ReadAll(io.LimitReader(r, int64(skLen)))
+	if err != nil {
+		return nil, fmt.Errorf("calib: reading snapshot sketch: %w", err)
+	}
+	if len(skBytes) != int(skLen) {
+		return nil, fmt.Errorf("calib: truncated snapshot sketch: %d of %d bytes", len(skBytes), skLen)
 	}
 	c.Ref = NewSketch(0, 0)
 	if err := c.Ref.UnmarshalBinary(skBytes); err != nil {

@@ -290,6 +290,9 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// bucketBytes is one serialized bucket: an int32 index and a uint64 count.
+const bucketBytes = 4 + 8
+
 // UnmarshalBinary restores a sketch marshalled by MarshalBinary.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	r := bytes.NewReader(data)
@@ -328,6 +331,14 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	if err := rd(&n); err != nil {
 		return fmt.Errorf("calib: truncated sketch snapshot: %w", err)
+	}
+	// The declared count sizes the map, so hold it to the sketch's own cap
+	// and to the buckets the remaining bytes can hold.
+	if n > maxB {
+		return fmt.Errorf("calib: sketch snapshot holds %d buckets over its cap of %d", n, maxB)
+	}
+	if uint64(n)*bucketBytes > uint64(r.Len()) {
+		return fmt.Errorf("calib: truncated sketch buckets: %d declared, room for %d", n, r.Len()/bucketBytes)
 	}
 	s.buckets = make(map[int]uint64, n)
 	var total uint64 = s.zero

@@ -16,12 +16,12 @@
 // Every backend scores through one micro-batcher (batch.go), shared by
 // Run, streams, calibration, the evaluation suite and both cascade
 // stages: it pools the windows of consecutive connections into batches of
-// Options.Batch, each one matrix-matrix inference pass — the bits of
+// DefaultBatch, each one matrix-matrix inference pass — the bits of
 // backend.WindowErrors, a fraction of the wall clock.
 //
-// The zero-config entry point is Default(); New lets callers pin worker,
-// shard and micro-batch counts. An Engine holds no per-call state and is
-// safe for concurrent use.
+// The zero-config entry point is Default(); New lets callers pin worker
+// and shard counts. An Engine holds no per-call state and is safe for
+// concurrent use.
 package engine
 
 import (
@@ -36,13 +36,13 @@ import (
 	"clap/internal/tcpstate"
 )
 
-// DefaultBatch is the micro-batch size batched scoring defaults to —
-// tuned by BenchmarkBackendThroughput: the pkts/s curve is flat from ~6
-// windows up, so the knob mostly trades cache residency against batch
-// fill. 24 keeps one batch's activations L2-resident and is a whole number
-// of blocks on both MulMat kernels (three 8-lane AVX2 panels with no
-// padded lanes, four 6-lane blocks on the portable one). Batches fill
-// across connections in Run and in streams alike: a worker runs a
+// DefaultBatch is the micro-batch size: how many windows ride one batched
+// inference pass. It is bench-tuned and a constant, not a setting: no
+// benchmark workload runs another size. The pkts/s curve is flat from ~6
+// windows up, and 24 keeps one batch's activations L2-resident and is a
+// whole number of blocks on both MulMat kernels (three 8-lane AVX2 panels
+// with no padded lanes, four 6-lane blocks on the portable one). Batches
+// fill across connections in Run and in streams alike: a worker runs a
 // part-filled batch only when it runs out of connections to add.
 const DefaultBatch = 24
 
@@ -63,17 +63,13 @@ type Options struct {
 	Workers int
 	// Shards is the assembly shard count; <= 0 mirrors Workers.
 	Shards int
-	// Batch is the micro-batch size: how many windows ride one batched
-	// inference pass. <= 0 selects DefaultBatch; 1 scores each window
-	// alone.
-	Batch int
 }
 
 // Engine schedules per-connection work across a worker pool.
 type Engine struct {
 	workers int
 	shards  int
-	batch   int
+	batch   int // DefaultBatch; the package's tests set other sizes
 }
 
 // New builds an engine from options.
@@ -86,11 +82,7 @@ func New(o Options) *Engine {
 	if s <= 0 {
 		s = w
 	}
-	b := o.Batch
-	if b <= 0 {
-		b = DefaultBatch
-	}
-	return &Engine{workers: w, shards: s, batch: b}
+	return &Engine{workers: w, shards: s, batch: DefaultBatch}
 }
 
 // Default returns an engine sized to the machine.
@@ -102,7 +94,7 @@ func (e *Engine) Workers() int { return e.workers }
 // Shards reports the configured assembly shard count.
 func (e *Engine) Shards() int { return e.shards }
 
-// Batch reports the configured micro-batch size.
+// Batch reports the micro-batch size, DefaultBatch.
 func (e *Engine) Batch() int { return e.batch }
 
 // ParallelFor runs fn(i) for every i in [0, n) across the worker pool. Work

@@ -31,7 +31,7 @@ func TestWindowErrorsBatchedBitIdentity(t *testing.T) {
 
 	for _, workers := range []int{1, 4, 8} {
 		for _, batch := range []int{1, 3, 8, 64, 1024} {
-			eng := New(Options{Workers: workers, Batch: batch})
+			eng := newBatched(workers, batch)
 			gotErrs := eng.WindowErrorsBatched(b, conns)
 			gotScore := eng.ScoresBatched(b, conns)
 			for i := range conns {
@@ -110,7 +110,7 @@ func TestLockstepBatchedBitIdentity(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		for _, batch := range []int{3, 24} {
-			eng := New(Options{Workers: workers, Batch: batch})
+			eng := newBatched(workers, batch)
 			got := eng.WindowErrorsBatched(b, conns)
 			label := "workers=" + strconv.Itoa(workers) + " batch=" + strconv.Itoa(batch)
 			assertSeriesEqual(t, label, got, want)
@@ -131,7 +131,7 @@ func TestLockstepOneConnectionGroup(t *testing.T) {
 	b := backend.FromDetector(det)
 	conns := mixedCorpus(t, 5, 3)[:1]
 	want := det.WindowErrors(conns[0])
-	eng := New(Options{Workers: 4, Batch: 8})
+	eng := newBatched(4, 8)
 	got := eng.WindowErrorsBatched(b, conns)
 	assertSeriesEqual(t, "single-conn group", got, [][]float64{want})
 }
@@ -146,7 +146,7 @@ func TestLockstepGateFreeFallsBack(t *testing.T) {
 	for i, c := range conns {
 		want[i] = b.Det.WindowErrors(c)
 	}
-	eng := New(Options{Workers: 2, Batch: 8})
+	eng := newBatched(2, 8)
 	got := eng.WindowErrorsBatched(b, conns)
 	assertSeriesEqual(t, "gate-free", got, want)
 }
@@ -202,7 +202,7 @@ func TestLockstepCascadeGroupPath(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		casc.ResetEscalationCounts()
-		eng := New(Options{Workers: workers, Batch: 8})
+		eng := newBatched(workers, 8)
 		got := eng.WindowErrorsBatched(casc, conns)
 		assertSeriesEqual(t, "cascade workers="+strconv.Itoa(workers), got, want)
 		gotEval, gotEsc := casc.EscalationCounts()
@@ -236,7 +236,7 @@ func TestLockstepCascadeGroupPath(t *testing.T) {
 		}
 	}
 
-	eng := New(Options{Workers: 2, Batch: 8})
+	eng := newBatched(2, 8)
 	gotScores := eng.ScoresBatched(casc, conns)
 	for i, c := range conns {
 		if w := casc.ScoreConn(c); gotScores[i] != w {
@@ -279,12 +279,21 @@ type noBatch struct{ *backend.CLAP }
 
 func (noBatch) Windows() {}
 
+// newBatched is New with a micro-batch size other than DefaultBatch: the
+// bit-identity tests pin the batcher at sizes no caller outside the
+// package can choose.
+func newBatched(workers, batch int) *Engine {
+	e := New(Options{Workers: workers})
+	e.batch = batch
+	return e
+}
+
 func TestEngineBatchDefaults(t *testing.T) {
 	if got := New(Options{}).Batch(); got != DefaultBatch {
 		t.Fatalf("default batch %d, want %d", got, DefaultBatch)
 	}
-	if got := New(Options{Batch: 1}).Batch(); got != 1 {
-		t.Fatalf("explicit batch 1 became %d", got)
+	if got := New(Options{Workers: 3, Shards: 5}).Batch(); got != DefaultBatch {
+		t.Fatalf("batch %d with explicit workers and shards, want %d", got, DefaultBatch)
 	}
 }
 

@@ -211,7 +211,7 @@ func TestStreamCascadeStage2BatchesFill(t *testing.T) {
 	// Escalate a fifth of the traffic against a 5 % budget, and slow the
 	// screen so that the producer stays ahead of the workers.
 	casc := testCascade(t, 0.05, 100*time.Microsecond, conns, 0.8)
-	eng := New(Options{Workers: workers, Batch: batch})
+	eng := newBatched(workers, batch)
 	want := eng.WindowErrorsBatched(casc, conns)
 
 	var mu sync.Mutex
@@ -272,7 +272,7 @@ func TestStreamCascadeLongConnectionsKeepConnectionBound(t *testing.T) {
 		}
 	}
 	casc := testCascade(t, 0.9, 0, long, 0.5)
-	eng := New(Options{Workers: workers, Batch: batch})
+	eng := newBatched(workers, batch)
 	if room := packetRoom(casc, workers, batch); room != 12 { // 2 × 3 × ⌈1 / 0.9⌉
 		t.Fatalf("packet room %d, want 12", room)
 	}
@@ -473,7 +473,7 @@ func TestStreamWorkersShareQueuedWork(t *testing.T) {
 			pass:    make(chan struct{}),
 			hold:    map[*flow.Connection]time.Duration{},
 		}
-		eng := New(Options{Workers: workers, Batch: 8})
+		eng := newBatched(workers, 8)
 		var emitted []*flow.Connection
 		var scores []core.Score
 		var stats []StreamStats
@@ -543,7 +543,7 @@ func TestStreamBatchesOneModelAtATime(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		var got [][]float64
-		s := NewStreamOf(New(Options{Workers: workers, Batch: 24}), clapB,
+		s := NewStreamOf(New(Options{Workers: workers}), clapB,
 			func(c *flow.Connection) (backend.Backend, []float64) { return model[c], nil },
 			func(_ *flow.Connection, _ backend.Backend, errs *[]float64, o Outcome) { *errs = o.Errs },
 			func(_ *flow.Connection, errs []float64) { got = append(got, errs) },

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -210,7 +211,7 @@ func TestThroughputMeasurement(t *testing.T) {
 	if th.PacketsPerSecond() <= 0 || th.ConnectionsPerSecond() <= 0 {
 		t.Error("rates must be positive")
 	}
-	kth := MeasureThroughput(eng, s.Backends[backend.TagKitsune], s.Data.TestBenign[:8])
+	kth := MeasureThroughput(eng, s.Backends[TagKitsune], s.Data.TestBenign[:8])
 	if kth.Packets != th.Packets {
 		t.Errorf("both detectors should see the same packets: %d vs %d", th.Packets, kth.Packets)
 	}
@@ -239,7 +240,7 @@ func TestEvaluateStrategyMatchesOracles(t *testing.T) {
 	score := map[string]func(c *flow.Connection) float64{
 		backend.TagCLAP:      func(c *flow.Connection) float64 { return s.CLAP.Score(c).Adversarial },
 		backend.TagBaseline1: func(c *flow.Connection) float64 { return s.B1.Score(c).Adversarial },
-		backend.TagKitsune:   s.Backends[backend.TagKitsune].ScoreConn,
+		TagKitsune:           s.Backends[TagKitsune].ScoreConn,
 	}
 	same := func(name, what string, got, want float64) {
 		t.Helper()
@@ -275,5 +276,36 @@ func TestEvaluateStrategyMatchesOracles(t *testing.T) {
 		same(st.Name, "Top-1", got.Top1, float64(hits[0])/n)
 		same(st.Name, "Top-3", got.Top3, float64(hits[1])/n)
 		same(st.Name, "Top-5", got.Top5, float64(hits[2])/n)
+	}
+}
+
+// TestKitsuneAdapter: the suite's Kitsune scores through the batched pair
+// like any backend — ScoreConn is Summarize of its window series, one
+// window per packet — and refuses to persist: it is evaluation-only.
+func TestKitsuneAdapter(t *testing.T) {
+	s := suite(t)
+	k := s.Backends[TagKitsune]
+	if err := backend.Scorable(k); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range s.Data.TestBenign[:4] {
+		errs := backend.WindowErrors(k, c)
+		if len(errs) != c.Len() {
+			t.Fatalf("%d errors for %d packets", len(errs), c.Len())
+		}
+		if score, _ := k.Summarize(errs); score != k.ScoreConn(c) {
+			t.Fatalf("ScoreConn %v != Summarize %v", k.ScoreConn(c), score)
+		}
+	}
+	if score, peak := k.Summarize(nil); score != 0 || peak != -1 {
+		t.Errorf("empty series summarized to (%v, %d), want (0, -1)", score, peak)
+	}
+	for _, b := range []backend.Backend{k, &Kitsune{}} {
+		if err := b.Save(io.Discard); err == nil {
+			t.Errorf("%s: Save succeeded", b.Describe())
+		}
+		if err := backend.Save(io.Discard, b); err == nil {
+			t.Errorf("%s: backend.Save succeeded", b.Describe())
+		}
 	}
 }

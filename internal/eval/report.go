@@ -88,7 +88,7 @@ func MeasureThroughput(eng *engine.Engine, b backend.Backend, conns []*flow.Conn
 // engine.
 func Table3(s *Suite, conns []*flow.Connection) string {
 	one, all := engine.New(engine.Options{Workers: 1}), s.engineOrDefault()
-	clapB, kitB := s.Backends[backend.TagCLAP], s.Backends[backend.TagKitsune]
+	clapB, kitB := s.Backends[backend.TagCLAP], s.Backends[TagKitsune]
 	clap1, kit1 := MeasureThroughput(one, clapB, conns), MeasureThroughput(one, kitB, conns)
 	clapN, kitN := MeasureThroughput(all, clapB, conns), MeasureThroughput(all, kitB, conns)
 	var b strings.Builder

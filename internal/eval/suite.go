@@ -143,10 +143,10 @@ type Suite struct {
 	// through. BuildSuite sets it from Options.Workers.
 	Eng *engine.Engine
 
-	// Backends holds the compared systems keyed by registry tag.
-	// BuildSuite constructs all three through the backend registry; adding
-	// a fourth system to the comparison is a registry entry plus an
-	// Options hook, not new suite plumbing.
+	// Backends holds the compared systems keyed by tag: CLAP and
+	// Baseline #1 from the backend registry, and the Kitsune adapter,
+	// which is evaluation-only. Adding a fourth system to the comparison is
+	// one suiteSystems entry, not new suite plumbing.
 	Backends map[string]backend.Backend
 
 	// CLAP, B1 and Kit are typed views of the backends for the analyses
@@ -165,20 +165,19 @@ type Suite struct {
 	TrainTime map[string]time.Duration
 }
 
-// suiteSystems enumerates the compared backends: registry tag plus the
-// profile-configuration hook applied before training.
-func suiteSystems(o Options) []struct {
-	tag   string
-	setup func(backend.Backend)
-} {
-	return []struct {
-		tag   string
-		setup func(backend.Backend)
-	}{
-		{backend.TagCLAP, func(b backend.Backend) { b.(*backend.CLAP).Cfg = o.CLAP }},
-		{backend.TagBaseline1, func(b backend.Backend) { b.(*backend.CLAP).Cfg = o.B1 }},
-		{backend.TagKitsune, func(b backend.Backend) { b.(*backend.Kitsune).Cfg = o.Kit }},
+// suiteSystems returns the compared backends, untrained and configured
+// for the profile.
+func suiteSystems(o Options) ([]backend.Backend, error) {
+	clapB, err := backend.New(backend.TagCLAP)
+	if err != nil {
+		return nil, err
 	}
+	b1, err := backend.New(backend.TagBaseline1)
+	if err != nil {
+		return nil, err
+	}
+	clapB.(*backend.CLAP).Cfg, b1.(*backend.CLAP).Cfg = o.CLAP, o.B1
+	return []backend.Backend{clapB, b1, &Kitsune{Cfg: o.Kit}}, nil
 }
 
 // Tags returns the suite's backend tags in sorted (deterministic) order.
@@ -191,8 +190,7 @@ func (s *Suite) Tags() []string {
 	return tags
 }
 
-// BuildSuite generates data and trains all compared backends through the
-// registry.
+// BuildSuite generates data and trains all compared backends.
 func BuildSuite(o Options, logf core.Logf) (*Suite, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -202,23 +200,23 @@ func BuildSuite(o Options, logf core.Logf) (*Suite, error) {
 	logf("generating dataset (profile %s)...", o.Profile)
 	s.Data = BuildDataset(o)
 
-	for _, sys := range suiteSystems(o) {
-		b, err := backend.New(sys.tag)
-		if err != nil {
-			return nil, err
-		}
-		sys.setup(b)
-		logf("training %s on %d connections...", sys.tag, len(s.Data.Train))
+	systems, err := suiteSystems(o)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range systems {
+		tag := b.Tag()
+		logf("training %s on %d connections...", tag, len(s.Data.Train))
 		start := time.Now()
 		if err := b.Train(s.Data.Train, backend.Logf(logf)); err != nil {
-			return nil, fmt.Errorf("training %s: %w", sys.tag, err)
+			return nil, fmt.Errorf("training %s: %w", tag, err)
 		}
-		s.TrainTime[sys.tag] = time.Since(start)
-		s.Backends[sys.tag] = b
+		s.TrainTime[tag] = time.Since(start)
+		s.Backends[tag] = b
 	}
 	s.CLAP = s.Backends[backend.TagCLAP].(*backend.CLAP).Detector()
 	s.B1 = s.Backends[backend.TagBaseline1].(*backend.CLAP).Detector()
-	s.Kit = s.Backends[backend.TagKitsune].(*backend.Kitsune).Model()
+	s.Kit = s.Backends[TagKitsune].(*Kitsune).Kit
 
 	logf("scoring carrier pool (%d connections, %d workers)...",
 		len(s.Data.AdvBase), s.Eng.Workers())
@@ -261,7 +259,7 @@ type StrategyResult struct {
 func (r *StrategyResult) flatten() {
 	r.AUC, r.EER = r.AUCByTag[backend.TagCLAP], r.EERByTag[backend.TagCLAP]
 	r.AUCB1, r.EERB1 = r.AUCByTag[backend.TagBaseline1], r.EERByTag[backend.TagBaseline1]
-	r.AUCKit, r.EERKit = r.AUCByTag[backend.TagKitsune], r.EERByTag[backend.TagKitsune]
+	r.AUCKit, r.EERKit = r.AUCByTag[TagKitsune], r.EERByTag[TagKitsune]
 }
 
 // EvaluateStrategy scores one strategy's adversarial corpus against every

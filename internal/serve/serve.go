@@ -72,11 +72,6 @@ type Config struct {
 	// Workers/Shards size the scoring engine (0: auto).
 	Workers, Shards int
 
-	// Batch is the micro-batch size for batched inference on capable
-	// backends (0: the bench-tuned default of 24; 1: each window alone).
-	// Scores are bit-identical at any batch size.
-	Batch int
-
 	// Threshold fixes the operating threshold; Calibration+FPR derive it
 	// instead when Calibration is non-nil. Both may later be adjusted
 	// live via /v1/threshold.
@@ -365,9 +360,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Shards > 0 {
 		opts = append(opts, clap.WithShards(cfg.Shards))
 	}
-	if cfg.Batch > 0 {
-		opts = append(opts, clap.WithBatchSize(cfg.Batch))
-	}
 	// Thresholds live only in each tenant's hot (model, threshold) pair,
 	// installed at Start (resolveCalibration): the stream's resolver pins
 	// every connection to its tenant's pair, so the pipeline carries none.
@@ -529,7 +521,7 @@ func (s *Server) Start(ctx context.Context) error {
 	s.stream = stream
 	def := s.tenants[0]
 	s.logf("serving %s (threshold %.6f, %d workers, batch %d)",
-		def.Hot.Describe(), def.Threshold(), s.pipe.Engine().Workers(), s.pipe.BatchSize())
+		def.Hot.Describe(), def.Threshold(), s.pipe.Engine().Workers(), s.pipe.Engine().Batch())
 	for _, t := range s.tenants[1:] {
 		s.logf("tenant %s: serving %s (threshold %.6f)", t.Name, t.Hot.Describe(), t.Threshold())
 	}

@@ -414,7 +414,6 @@ func TestServeTenantBatchFillParity(t *testing.T) {
 			Backend:     loadModel(t, clapModel),
 			Threshold:   0.5,
 			QueueDepth:  256,
-			Batch:       8,
 			DriftWindow: -1,
 			OnResult: func(r clap.Result) {
 				mu.Lock()

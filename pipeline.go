@@ -17,7 +17,7 @@ import (
 // connections, any registered Backend scores them through the sharded
 // parallel engine, and Sinks render the results. The same pipeline serves
 // the online-detector and forensic modes of §3.2 for CLAP, Baseline #1,
-// Kitsune, or any future backend — swap WithBackend and nothing else
+// the cascade, or any future backend — swap WithBackend and nothing else
 // changes.
 //
 //	b, _ := clap.LoadBackendFile("clap.model")
@@ -29,16 +29,15 @@ import (
 //	summary, _ := p.Run(clap.PCAPFile("suspect.pcap"), clap.NewTextReport(os.Stdout, false))
 //
 // Scores produced through a Pipeline are bit-identical to the backend's
-// serial scoring path at any worker, shard or batch count: for backends
-// with the batch-scoring capability (CLAP, Baseline #1) the engine pools
-// stacked windows across connections into micro-batches and runs each as
-// one matrix-matrix inference pass, changing the wall clock but never the
-// bits (WithBatchSize tunes it).
+// serial scoring path at any worker or shard count: every backend scores
+// through the batched pair, and the engine pools windows across
+// connections into micro-batches of engine.DefaultBatch, each one
+// matrix-matrix inference pass — the wall clock changes, never the bits.
 type Pipeline struct {
 	backend Backend
 	eng     *Engine
 
-	workers, shards, batch int
+	workers, shards int
 
 	threshold   float64
 	fpr         float64
@@ -137,23 +136,6 @@ func validThreshold(who string, th float64) error {
 	return nil
 }
 
-// WithBatchSize sets how many stacked-profile windows ride one batched
-// inference pass for backends with the batch-scoring capability. Micro-
-// batches pool the windows of consecutive connections, in Run and in
-// streams alike (a stream worker batches the connections it finds queued).
-// Omit the option for the bench-tuned default (24); 1 scores each window
-// alone; non-positive sizes are rejected by NewPipeline. Scores are
-// bit-identical at any batch size — only throughput changes.
-func WithBatchSize(n int) PipelineOption {
-	return func(p *Pipeline) {
-		if n < 1 {
-			p.fail("clap: WithBatchSize(%d): batch size must be >= 1 (omit the option for the default)", n)
-			return
-		}
-		p.batch = n
-	}
-}
-
 // WithThresholdFPR calibrates the threshold at Run (or NewStream) time:
 // the calibration source is scored with the pipeline's backend and the
 // threshold is picked to keep the false-positive rate on it at or below
@@ -245,13 +227,9 @@ func NewPipeline(opts ...PipelineOption) (*Pipeline, error) {
 	if p.cal != nil && p.cal.Tag != p.backend.Tag() {
 		return nil, fmt.Errorf("clap: calibration snapshot is for backend %q, pipeline runs %q", p.cal.Tag, p.backend.Tag())
 	}
-	p.eng = engine.New(engine.Options{Workers: p.workers, Shards: p.shards, Batch: p.batch})
-	p.batch = p.eng.Batch()
+	p.eng = engine.New(engine.Options{Workers: p.workers, Shards: p.shards})
 	return p, nil
 }
-
-// BatchSize reports the pipeline's micro-batch size.
-func (p *Pipeline) BatchSize() int { return p.batch }
 
 // Backend returns the pipeline's detection backend.
 func (p *Pipeline) Backend() Backend { return p.backend }

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"clap/internal/eval"
+	"clap/internal/kitsune"
 )
 
 // One shared tiny backend for the pipeline tests.
@@ -92,11 +95,12 @@ func TestPipelineBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPipelineBitIdenticalAcrossBatchSizes pins the batched-inference
+// TestPipelineStreamBitIdenticalAcrossWorkers pins the batched-inference
 // contract at the facade: Run and NewStream produce the same scores and
-// window-error series at every batch × worker combination, equal to the
-// serial detector path — batching changes the wall clock, never the bits.
-func TestPipelineBitIdenticalAcrossBatchSizes(t *testing.T) {
+// window-error series at every worker count, equal to the serial detector
+// path — batching changes the wall clock, never the bits. Other batch
+// sizes are the engine's to pin (TestWindowErrorsBatchedBitIdentity).
+func TestPipelineStreamBitIdenticalAcrossWorkers(t *testing.T) {
 	bk := pipelineBackend(t)
 	det := bk.(*CLAPBackend).Detector()
 
@@ -112,59 +116,48 @@ func TestPipelineBitIdenticalAcrossBatchSizes(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		for _, batch := range []int{1, 3, 8, 64} {
-			p, err := NewPipeline(WithBackend(bk), WithWorkers(workers),
-				WithBatchSize(batch), WithWindowErrors(true))
-			if err != nil {
-				t.Fatal(err)
+		p, err := NewPipeline(WithBackend(bk), WithWorkers(workers), WithWindowErrors(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := p.Run(suspectSource())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range sum.Results {
+			if r.Score != wantScores[i] {
+				t.Fatalf("workers=%d: conn %d score %v != serial %v",
+					workers, i, r.Score, wantScores[i])
 			}
-			if p.BatchSize() != batch {
-				t.Fatalf("BatchSize() = %d, want %d", p.BatchSize(), batch)
+			if len(r.Errors) != len(wantErrs[i]) {
+				t.Fatalf("workers=%d: conn %d has %d window errors, serial %d",
+					workers, i, len(r.Errors), len(wantErrs[i]))
 			}
-			sum, err := p.Run(suspectSource())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range sum.Results {
-				if r.Score != wantScores[i] {
-					t.Fatalf("workers=%d batch=%d: conn %d score %v != serial %v",
-						workers, batch, i, r.Score, wantScores[i])
-				}
-				if len(r.Errors) != len(wantErrs[i]) {
-					t.Fatalf("workers=%d batch=%d: conn %d has %d window errors, serial %d",
-						workers, batch, i, len(r.Errors), len(wantErrs[i]))
-				}
-				for w := range r.Errors {
-					if r.Errors[w] != wantErrs[i][w] {
-						t.Fatalf("workers=%d batch=%d: conn %d window %d diverged",
-							workers, batch, i, w)
-					}
+			for w := range r.Errors {
+				if r.Errors[w] != wantErrs[i][w] {
+					t.Fatalf("workers=%d: conn %d window %d diverged", workers, i, w)
 				}
 			}
+		}
 
-			// Streaming mode batches across queued connections; same bits.
-			var streamed []float64
-			s, err := p.NewStream(func(r Result) { streamed = append(streamed, r.Score) })
-			if err != nil {
-				t.Fatal(err)
+		// Streaming mode batches across queued connections; same bits.
+		var streamed []float64
+		s, err := p.NewStream(func(r Result) { streamed = append(streamed, r.Score) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range conns {
+			s.Submit(c)
+		}
+		s.Close()
+		for i, got := range streamed {
+			if got != wantScores[i] {
+				t.Fatalf("workers=%d: streamed conn %d score %v != serial %v",
+					workers, i, got, wantScores[i])
 			}
-			for _, c := range conns {
-				s.Submit(c)
-			}
-			s.Close()
-			for i, got := range streamed {
-				if got != wantScores[i] {
-					t.Fatalf("workers=%d batch=%d: streamed conn %d score %v != serial %v",
-						workers, batch, i, got, wantScores[i])
-				}
-			}
-			fill := s.BatchFill()
-			if batch == 1 && fill != 1 {
-				t.Fatalf("batch=1: BatchFill = %v, want 1 (one window per batch)", fill)
-			}
-			if fill <= 0 || fill > 1 {
-				t.Fatalf("batch=%d: BatchFill = %v, want in (0, 1]", batch, fill)
-			}
+		}
+		if fill := s.BatchFill(); fill <= 0 || fill > 1 {
+			t.Fatalf("workers=%d: BatchFill = %v, want in (0, 1]", workers, fill)
 		}
 	}
 }
@@ -283,9 +276,9 @@ func streamBackends(t *testing.T) map[string]Backend {
 	return map[string]Backend{"clap": pipelineBackend(t), "cascade": cascade}
 }
 
-// TestPipelineStreamMatchesRun: for clap and the cascade, at batch
-// {1, 3, 24} × workers {1, 4}, a stream emits in submission order the same
-// verdicts and window-error series as Run over the same connections.
+// TestPipelineStreamMatchesRun: for clap and the cascade, at workers
+// {1, 4}, a stream emits in submission order the same verdicts and
+// window-error series as Run over the same connections.
 func TestPipelineStreamMatchesRun(t *testing.T) {
 	for name, bk := range streamBackends(t) {
 		calP, err := NewPipeline(WithBackend(bk))
@@ -297,45 +290,43 @@ func TestPipelineStreamMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			for _, batch := range []int{1, 3, 24} {
-				label := fmt.Sprintf("%s workers=%d batch=%d", name, workers, batch)
-				p, err := NewPipeline(WithBackend(bk), WithCalibration(cal), WithWorkers(workers),
-					WithBatchSize(batch), WithWindowErrors(true))
-				if err != nil {
-					t.Fatal(err)
+			label := fmt.Sprintf("%s workers=%d", name, workers)
+			p, err := NewPipeline(WithBackend(bk), WithCalibration(cal), WithWorkers(workers),
+				WithWindowErrors(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := p.Run(suspectSource())
+			if err != nil {
+				t.Fatal(err)
+			}
+			conns, _, _ := suspectSource().Connections(p.Engine())
+			var streamed []Result
+			s, err := p.NewStream(func(r Result) { streamed = append(streamed, r) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Threshold() != sum.Threshold {
+				t.Fatalf("%s: stream threshold %v != run threshold %v", label, s.Threshold(), sum.Threshold)
+			}
+			for _, c := range conns {
+				s.Submit(c)
+			}
+			s.Close()
+			if len(streamed) != len(sum.Results) {
+				t.Fatalf("%s: streamed %d results, run produced %d", label, len(streamed), len(sum.Results))
+			}
+			for i, r := range streamed {
+				want := sum.Results[i]
+				if r.Conn != conns[i] {
+					t.Fatalf("%s: result %d out of submission order", label, i)
 				}
-				sum, err := p.Run(suspectSource())
-				if err != nil {
-					t.Fatal(err)
+				if r.Score != want.Score || r.Flagged != want.Flagged || len(r.Errors) != len(want.Errors) {
+					t.Fatalf("%s: stream result %d diverged from batch run", label, i)
 				}
-				conns, _, _ := suspectSource().Connections(p.Engine())
-				var streamed []Result
-				s, err := p.NewStream(func(r Result) { streamed = append(streamed, r) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s.Threshold() != sum.Threshold {
-					t.Fatalf("%s: stream threshold %v != run threshold %v", label, s.Threshold(), sum.Threshold)
-				}
-				for _, c := range conns {
-					s.Submit(c)
-				}
-				s.Close()
-				if len(streamed) != len(sum.Results) {
-					t.Fatalf("%s: streamed %d results, run produced %d", label, len(streamed), len(sum.Results))
-				}
-				for i, r := range streamed {
-					want := sum.Results[i]
-					if r.Conn != conns[i] {
-						t.Fatalf("%s: result %d out of submission order", label, i)
-					}
-					if r.Score != want.Score || r.Flagged != want.Flagged || len(r.Errors) != len(want.Errors) {
-						t.Fatalf("%s: stream result %d diverged from batch run", label, i)
-					}
-					for w := range r.Errors {
-						if r.Errors[w] != want.Errors[w] {
-							t.Fatalf("%s: stream result %d window %d diverged from batch run", label, i, w)
-						}
+				for w := range r.Errors {
+					if r.Errors[w] != want.Errors[w] {
+						t.Fatalf("%s: stream result %d window %d diverged from batch run", label, i, w)
 					}
 				}
 			}
@@ -348,7 +339,7 @@ func TestPipelineStreamMatchesRun(t *testing.T) {
 // same contract on the one stream and batch path.
 
 // TestPipelineLockstepBitIdentity: Run scores and window-error series at
-// workers {1,4} × batch {3,24} equal the serial detector path.
+// workers {1,4} equal the serial detector path.
 func TestPipelineLockstepBitIdentity(t *testing.T) {
 	bk := pipelineBackend(t)
 	det := bk.(*CLAPBackend).Detector()
@@ -365,29 +356,26 @@ func TestPipelineLockstepBitIdentity(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		for _, batch := range []int{3, 24} {
-			p, err := NewPipeline(WithBackend(bk), WithWorkers(workers),
-				WithBatchSize(batch), WithWindowErrors(true))
-			if err != nil {
-				t.Fatal(err)
+		p, err := NewPipeline(WithBackend(bk), WithWorkers(workers), WithWindowErrors(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := p.Run(suspectSource())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range sum.Results {
+			if r.Score != wantScores[i] {
+				t.Fatalf("workers=%d: conn %d score %v != serial %v",
+					workers, i, r.Score, wantScores[i])
 			}
-			sum, err := p.Run(suspectSource())
-			if err != nil {
-				t.Fatal(err)
+			if len(r.Errors) != len(wantErrs[i]) {
+				t.Fatalf("workers=%d: conn %d has %d window errors, serial %d",
+					workers, i, len(r.Errors), len(wantErrs[i]))
 			}
-			for i, r := range sum.Results {
-				if r.Score != wantScores[i] {
-					t.Fatalf("workers=%d batch=%d: conn %d score %v != serial %v",
-						workers, batch, i, r.Score, wantScores[i])
-				}
-				if len(r.Errors) != len(wantErrs[i]) {
-					t.Fatalf("workers=%d batch=%d: conn %d has %d window errors, serial %d",
-						workers, batch, i, len(r.Errors), len(wantErrs[i]))
-				}
-				for w := range r.Errors {
-					if r.Errors[w] != wantErrs[i][w] {
-						t.Fatalf("workers=%d batch=%d: conn %d window %d diverged", workers, batch, i, w)
-					}
+			for w := range r.Errors {
+				if r.Errors[w] != wantErrs[i][w] {
+					t.Fatalf("workers=%d: conn %d window %d diverged", workers, i, w)
 				}
 			}
 		}
@@ -504,8 +492,6 @@ func TestPipelineOptionValidation(t *testing.T) {
 		{"NaN threshold", WithThreshold(math.NaN()), "threshold must be finite and >= 0"},
 		{"+Inf threshold", WithThreshold(math.Inf(1)), "threshold must be finite and >= 0"},
 		{"-Inf threshold", WithThreshold(math.Inf(-1)), "threshold must be finite and >= 0"},
-		{"zero batch", WithBatchSize(0), "batch size must be >= 1"},
-		{"negative batch", WithBatchSize(-8), "batch size must be >= 1"},
 		{"zero FPR", WithThresholdFPR(0, TrafficGen(5, 1)), "FPR must be in (0, 1)"},
 		{"FPR of one", WithThresholdFPR(1, TrafficGen(5, 1)), "FPR must be in (0, 1)"},
 		{"FPR above one", WithThresholdFPR(1.5, TrafficGen(5, 1)), "FPR must be in (0, 1)"},
@@ -638,8 +624,8 @@ func TestPipelineHotBackendStream(t *testing.T) {
 	}
 }
 
-// TestPipelineStreamLockstepHotSwap: for clap and the cascade, at batch
-// {1, 3, 24} × workers {1, 4}, a mid-stream hot swap still scores every
+// TestPipelineStreamLockstepHotSwap: for clap and the cascade, at workers
+// {1, 4}, a mid-stream hot swap still scores every
 // connection wholly by one model — the batcher never puts two models'
 // windows in one batch: the connections submitted before the swap by the
 // first, those after it by the second.
@@ -662,51 +648,49 @@ func TestPipelineStreamLockstepHotSwap(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 4} {
-			for _, batch := range []int{1, 3, 24} {
-				label := fmt.Sprintf("%s workers=%d batch=%d", name, workers, batch)
-				hot, err := NewHotBackend(bk)
-				if err != nil {
-					t.Fatal(err)
+			label := fmt.Sprintf("%s workers=%d", name, workers)
+			hot, err := NewHotBackend(bk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewPipeline(WithBackend(hot), WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			swapAt := len(conns) / 2
+			var scores []float64
+			firstHalf := make(chan struct{})
+			s, err := p.NewStream(func(r Result) {
+				if scores = append(scores, r.Score); len(scores) == swapAt {
+					close(firstHalf)
 				}
-				p, err := NewPipeline(WithBackend(hot), WithWorkers(workers), WithBatchSize(batch))
-				if err != nil {
-					t.Fatal(err)
-				}
-				swapAt := len(conns) / 2
-				var scores []float64
-				firstHalf := make(chan struct{})
-				s, err := p.NewStream(func(r Result) {
-					if scores = append(scores, r.Score); len(scores) == swapAt {
-						close(firstHalf)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range conns {
+				if i == swapAt {
+					// The connections before the swap are judged
+					// before the second model goes in.
+					<-firstHalf
+					if _, err := hot.Swap(next); err != nil {
+						t.Fatal(err)
 					}
-				})
-				if err != nil {
-					t.Fatal(err)
 				}
-				for i, c := range conns {
-					if i == swapAt {
-						// The connections before the swap are judged
-						// before the second model goes in.
-						<-firstHalf
-						if _, err := hot.Swap(next); err != nil {
-							t.Fatal(err)
-						}
-					}
-					s.Submit(c)
+				s.Submit(c)
+			}
+			s.Close()
+			if len(scores) != len(conns) {
+				t.Fatalf("%s: emitted %d results, want %d", label, len(scores), len(conns))
+			}
+			for i, c := range conns {
+				first, second := bk.ScoreConn(c), next.ScoreConn(c)
+				want := second
+				if i < swapAt {
+					want = first
 				}
-				s.Close()
-				if len(scores) != len(conns) {
-					t.Fatalf("%s: emitted %d results, want %d", label, len(scores), len(conns))
-				}
-				for i, c := range conns {
-					first, second := bk.ScoreConn(c), next.ScoreConn(c)
-					want := second
-					if i < swapAt {
-						want = first
-					}
-					if scores[i] != want {
-						t.Fatalf("%s: conn %d scored %v, want %v (models: %v / %v)", label, i, scores[i], want, first, second)
-					}
+				if scores[i] != want {
+					t.Fatalf("%s: conn %d scored %v, want %v (models: %v / %v)", label, i, scores[i], want, first, second)
 				}
 			}
 		}
@@ -764,15 +748,13 @@ func TestPipelineRefusesBackendWithoutPair(t *testing.T) {
 	}
 }
 
-// TestPipelineKitsuneBackend runs the whole pipeline over the promoted
-// Kitsune backend — the point of the redesign: nothing but WithBackend
-// changes.
+// TestPipelineKitsuneBackend runs the whole pipeline over the evaluation
+// suite's Kitsune adapter: a per-packet (span-1) backend needs nothing but
+// WithBackend.
 func TestPipelineKitsuneBackend(t *testing.T) {
-	b, err := NewBackend(BackendKitsune)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.(*KitsuneBackend).Cfg.FMWindow = 200
+	cfg := kitsune.DefaultConfig()
+	cfg.FMWindow = 200
+	b := &eval.Kitsune{Cfg: cfg}
 	if err := b.Train(GenerateBenign(30, 1), func(string, ...any) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -913,7 +895,7 @@ func TestPipelineCalibrationSnapshot(t *testing.T) {
 	}
 	other := back
 	mismatch := *other
-	mismatch.Tag = "kitsune"
+	mismatch.Tag = BackendBaseline1
 	if _, err := NewPipeline(WithBackend(bk), WithCalibration(&mismatch)); err == nil ||
 		!strings.Contains(err.Error(), "snapshot is for backend") {
 		t.Errorf("tag-mismatched snapshot accepted: %v", err)
