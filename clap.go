@@ -44,13 +44,14 @@
 //	        clap.NewTextReport(os.Stdout, false))
 //
 // For an always-on deployment, clap-serve wraps the same pipeline in a
-// long-running daemon: live ingest (tail a growing pcap, read a pcap
-// pipe, or synthetic soak load), Prometheus metrics, flagged-connection
-// and threshold endpoints, and hot model reload over HTTP or SIGHUP —
-// see DESIGN.md §7. Quickstart:
+// long-running daemon: live ingest from repeatable -source specs
+// (afpacket:IFACE[:fanout-id], tail:PATH for a growing pcap, stdin for a
+// pcap pipe, replay:PATH, or soak:N[:rate[:attack]] synthetic load),
+// Prometheus metrics, flagged-connection and threshold endpoints, and hot
+// model reload over HTTP or SIGHUP — see DESIGN.md §7. Quickstart:
 //
 //	clap-train -in benign.pcap -model clap.model
-//	clap-serve -model clap.model -tail /var/run/capture.pcap \
+//	clap-serve -model clap.model -source tail:/var/run/capture.pcap \
 //	        -calibrate benign.pcap -fpr 0.01 -alerts alerts.log
 //	curl localhost:8080/healthz
 //	curl localhost:8080/metrics
@@ -72,7 +73,7 @@
 // deterministic sample of the rest. -debug-addr adds a private pprof
 // listener. Tracing quickstart:
 //
-//	clap-serve -model clap.model -tail capture.pcap \
+//	clap-serve -model clap.model -source tail:capture.pcap \
 //	        -trace-sample 100 -debug-addr 127.0.0.1:6060
 //	curl localhost:8080/v1/trace?n=10         # recent decision records
 //	curl "localhost:8080/v1/explain?key=1.2.3.4:555%20%3E%205.6.7.8:80"
@@ -83,7 +84,7 @@
 // quota while sharing the batched scoring engine, and the ops API scopes
 // by ?tenant= — see DESIGN.md §11. Multi-tenant quickstart:
 //
-//	clap-serve -model clap.model -tail core.pcap \
+//	clap-serve -model clap.model -source tail:core.pcap \
 //	        -tenant edge=edge.model:0.08 \
 //	        -tenant-source edge=tail:/var/run/edge.pcap \
 //	        -tenant-quota edge=64:200:50
@@ -103,7 +104,7 @@
 // for the incoming model and swaps {model, threshold} in one atomic
 // transaction. Drift-aware serving quickstart:
 //
-//	clap-serve -model clap.model -tail capture.pcap \
+//	clap-serve -model clap.model -source tail:capture.pcap \
 //	        -calibrate benign.pcap -fpr 0.01 \
 //	        -drift-window 256 -drift-max-shift 0.5 -alerts alerts.log
 //	curl localhost:8080/v1/drift                 # shift + operating FPR

@@ -8,17 +8,23 @@
 //
 // Usage:
 //
-//	clap-serve -model clap.model -tail /var/run/capture.pcap
-//	clap-serve -model clap.model -stdin < fifo.pcap
-//	clap-serve -model clap.model -soak 0 -soak-rate 50 -soak-attack 0.2
-//	clap-serve -model clap.model -replay suspect.pcap -calibrate benign.pcap
+//	clap-serve -model clap.model -source tail:/var/run/capture.pcap
+//	clap-serve -model clap.model -source stdin < fifo.pcap
+//	clap-serve -model clap.model -source soak:0:50:0.2
+//	clap-serve -model clap.model -source replay:suspect.pcap -calibrate benign.pcap
+//	clap-serve -model clap.model -source afpacket:eth0:7
+//
+// -source is repeatable. Its forms are afpacket:IFACE[:fanout-id],
+// tail:PATH, stdin (at most once per process), replay:PATH and
+// soak:N[:rate[:attack]] (N 0: unbounded; rate 0: as fast as accepted;
+// -soak-seed seeds every soak source).
 //
 // Multi-tenant serving (DESIGN.md §11): repeatable -tenant flags add
 // named tenants, each with its own model, threshold, calibration and
 // fair-share quota, all sharing one batched scoring engine. -model stays
 // the default tenant, byte-for-byte compatible with single-tenant runs:
 //
-//	clap-serve -model clap.model -tail a.pcap \
+//	clap-serve -model clap.model -source tail:a.pcap \
 //	        -tenant edge=edge.model:0.08 -tenant-source edge=tail:edge.pcap \
 //	        -tenant-quota edge=64:200:50
 //
@@ -58,6 +64,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -133,7 +140,7 @@ func parseQuotaFlag(v string) (string, tenant.Quota, error) {
 // sourceFor builds the ingest source a -source or -tenant-source spec
 // names.
 func sourceFor(spec string, live clap.LiveConfig, soakSeed int64) (clap.ServeSource, error) {
-	kind, arg, _ := strings.Cut(spec, ":")
+	kind, arg, hasArg := strings.Cut(spec, ":")
 	switch kind {
 	case "afpacket":
 		iface, rest, _ := strings.Cut(arg, ":")
@@ -154,6 +161,11 @@ func sourceFor(spec string, live clap.LiveConfig, soakSeed int64) (clap.ServeSou
 			return nil, fmt.Errorf("tail source needs a path (tail:PATH)")
 		}
 		return clap.TailPCAP(arg, live), nil
+	case "stdin":
+		if hasArg {
+			return nil, fmt.Errorf("stdin source takes no argument (stdin)")
+		}
+		return clap.FollowPCAP("stdin", os.Stdin, live), nil
 	case "replay":
 		if arg == "" {
 			return nil, fmt.Errorf("replay source needs a path (replay:PATH)")
@@ -166,22 +178,38 @@ func sourceFor(spec string, live clap.LiveConfig, soakSeed int64) (clap.ServeSou
 			return nil, fmt.Errorf("soak source: want soak:N[:rate[:attack]]")
 		}
 		var err error
-		if sc.Connections, err = strconv.Atoi(parts[0]); err != nil {
-			return nil, fmt.Errorf("soak source: bad connection count %q", parts[0])
+		if sc.Connections, err = strconv.Atoi(parts[0]); err != nil || sc.Connections < 0 {
+			return nil, fmt.Errorf("soak source: bad connection count %q (want 0 for unbounded, or more)", parts[0])
 		}
 		if len(parts) > 1 {
-			if sc.Rate, err = strconv.ParseFloat(parts[1], 64); err != nil {
-				return nil, fmt.Errorf("soak source: bad rate %q", parts[1])
+			if sc.Rate, err = strconv.ParseFloat(parts[1], 64); err != nil || sc.Rate < 0 || math.IsNaN(sc.Rate) || math.IsInf(sc.Rate, 1) {
+				return nil, fmt.Errorf("soak source: bad rate %q (want a finite rate ≥ 0; 0 is as fast as accepted)", parts[1])
 			}
 		}
 		if len(parts) > 2 {
-			if sc.AttackFraction, err = strconv.ParseFloat(parts[2], 64); err != nil {
-				return nil, fmt.Errorf("soak source: bad attack fraction %q", parts[2])
+			if sc.AttackFraction, err = strconv.ParseFloat(parts[2], 64); err != nil || !(sc.AttackFraction >= 0 && sc.AttackFraction <= 1) { // NaN fails both
+				return nil, fmt.Errorf("soak source: bad attack fraction %q (want 0..1)", parts[2])
 			}
 		}
 		return clap.Soak(sc), nil
 	}
-	return nil, fmt.Errorf("unknown source kind %q (want afpacket:IFACE[:fanout-id], tail:PATH, replay:PATH or soak:N[:rate[:attack]])", kind)
+	return nil, fmt.Errorf("unknown source kind %q (want afpacket:IFACE[:fanout-id], tail:PATH, stdin, replay:PATH or soak:N[:rate[:attack]])", kind)
+}
+
+// stdinOnce admits at most one source spec naming stdin: a process has
+// one standard input, and two readers would split its records between
+// them.
+type stdinOnce bool
+
+func (seen *stdinOnce) check(spec string) error {
+	if kind, _, _ := strings.Cut(spec, ":"); kind != "stdin" {
+		return nil
+	}
+	if *seen {
+		return fmt.Errorf("stdin is already a source (name it at most once)")
+	}
+	*seen = true
+	return nil
 }
 
 // checkQuotas rejects a -tenant-quota naming a tenant no -tenant flag
@@ -222,8 +250,9 @@ func (p prefixWriter) Write(b []byte) (int, error) {
 // alerts; the default tenant's lines are unprefixed, a named tenant's
 // start with "tenant=NAME ". Both hooks run on the stream's single emit
 // goroutine, so the sinks need no locking and drift lines interleave
-// line-atomically with alert lines.
-func alertHooks(out io.Writer, tenants []string, window time.Duration, rate int) (func(clap.Result), func(string, serve.DriftStatus)) {
+// line-atomically with alert lines. finish writes each sink's
+// suppressed-alert summary; call it once the stream has drained.
+func alertHooks(out io.Writer, tenants []string, window time.Duration, rate int) (onResult func(clap.Result), onDrift func(string, serve.DriftStatus), finish func()) {
 	// Keyed by connection tag: "" is the default tenant.
 	writers := map[string]io.Writer{"": out}
 	for _, name := range tenants {
@@ -233,20 +262,28 @@ func alertHooks(out io.Writer, tenants []string, window time.Duration, rate int)
 	for tag, w := range writers {
 		sinks[tag] = clap.NewDedupAlertLog(w, window, rate)
 	}
-	onResult := func(r clap.Result) {
+	onResult = func(r clap.Result) {
 		if sink := sinks[r.Conn.Tenant]; sink != nil {
 			if err := sink.Emit(r); err != nil {
 				log.Printf("alert sink: %v", err)
 			}
 		}
 	}
-	onDrift := func(tag string, st serve.DriftStatus) {
+	onDrift = func(tag string, st serve.DriftStatus) {
 		if w := writers[tag]; w != nil {
 			fmt.Fprintf(w, "DRIFT ALERT %s (drift=%.4f operating-fpr=%.4f target-fpr=%.4f over %d scores)\n",
 				st.Reason, st.Drift, st.OperatingFPR, st.TargetFPR, st.LiveCount)
 		}
 	}
-	return onResult, onDrift
+	finish = func() {
+		// The default tenant first, then named tenants in flag order.
+		for _, tag := range append([]string{""}, tenants...) {
+			if err := sinks[tag].Finish(nil); err != nil {
+				log.Printf("alert sink: %v", err)
+			}
+		}
+	}
+	return onResult, onDrift, finish
 }
 
 func main() {
@@ -262,21 +299,13 @@ func main() {
 			"cascade models: override the persisted escalate-FPR (takes effect at -calibrate)")
 		top     = flag.Int("top", 5, "Top-N windows to localize per flagged connection (negative: disable localization)")
 		workers = flag.Int("workers", 0, "scoring workers (0: all cores)")
-		shards  = flag.Int("shards", 0, "assembly shards (0: same as workers)")
 		queue   = flag.Int("queue", 256, "ingest queue depth")
 		shed    = flag.Bool("shed", false, "drop connections at a full queue instead of backpressuring sources")
 
-		tail   = flag.String("tail", "", "follow a growing pcap file")
-		stdin  = flag.Bool("stdin", false, "read pcap records from stdin (a pipe or fifo)")
-		replay = flag.String("replay", "", "replay a recorded pcap once")
-		poll   = flag.Duration("poll", 250*time.Millisecond, "tail poll interval")
-		idle   = flag.Duration("idle-flush", 5*time.Second, "emit live connections idle this long")
-		budget = flag.Int("max-packets", 512, "cut live connections at this packet budget (-1: unbounded)")
-
-		soak       = flag.Int("soak", -1, "soak mode: generate this many synthetic connections (0: unbounded)")
-		soakRate   = flag.Float64("soak-rate", 0, "soak connections per second (0: as fast as accepted)")
-		soakAttack = flag.Float64("soak-attack", 0, "fraction of soak connections carrying an evasion attack")
-		soakSeed   = flag.Int64("soak-seed", 1, "soak determinism seed")
+		poll     = flag.Duration("poll", 250*time.Millisecond, "tail poll interval")
+		idle     = flag.Duration("idle-flush", 5*time.Second, "emit live connections idle this long (0: 5s; negative: never)")
+		budget   = flag.Int("max-packets", 512, "cut live connections at this packet budget (-1: unbounded)")
+		soakSeed = flag.Int64("soak-seed", 1, "determinism seed for every soak:N[:rate[:attack]] source")
 
 		calibFile      = flag.String("calib-file", "", "calibration snapshot path (default <model>.calib; \"off\" disables persistence)")
 		driftWindow    = flag.Int("drift-window", 256, "scores per rolling drift window (0: disable drift monitoring)")
@@ -305,22 +334,23 @@ func main() {
 		tenantFlags = append(tenantFlags, tf)
 		return nil
 	})
+	var stdin stdinOnce
 	var sourceSpecs []string
-	flag.Func("source", "extra ingest source for the default tenant: afpacket:IFACE[:fanout-id] | tail:PATH | replay:PATH | soak:N[:rate[:attack]] (repeatable)", func(v string) error {
+	flag.Func("source", "ingest source for the default tenant: afpacket:IFACE[:fanout-id] | tail:PATH | stdin | replay:PATH | soak:N[:rate[:attack]] (repeatable)", func(v string) error {
 		if v == "" {
 			return fmt.Errorf("-source: empty spec")
 		}
 		sourceSpecs = append(sourceSpecs, v)
-		return nil
+		return stdin.check(v)
 	})
 	var tenantSources []tenantSourceFlag
-	flag.Func("tenant-source", "ingest source for a tenant: name=afpacket:IFACE[:fanout-id] | name=tail:PATH | name=replay:PATH | name=soak:N[:rate[:attack]] (repeatable)", func(v string) error {
+	flag.Func("tenant-source", "ingest source for a tenant: name=afpacket:IFACE[:fanout-id] | name=tail:PATH | name=stdin | name=replay:PATH | name=soak:N[:rate[:attack]] (repeatable)", func(v string) error {
 		name, spec, ok := strings.Cut(v, "=")
 		if !ok || name == "" || spec == "" {
 			return fmt.Errorf("-tenant-source %q: want name=kind:arg", v)
 		}
 		tenantSources = append(tenantSources, tenantSourceFlag{name: name, spec: spec})
-		return nil
+		return stdin.check(spec)
 	})
 	tenantQuotas := map[string]tenant.Quota{}
 	flag.Func("tenant-quota", "fair-share quota for a tenant: name=maxinflight[:rate[:burst]] (repeatable; name may be \"default\")", func(v string) error {
@@ -359,12 +389,10 @@ func main() {
 		ModelPath:      *model,
 		Addr:           *addr,
 		Workers:        *workers,
-		Shards:         *shards,
 		Threshold:      *threshold,
 		TopN:           *top,
 		QueueDepth:     *queue,
 		DropWhenFull:   *shed,
-		IdleFlush:      *idle,
 		DriftWindows:   *driftRing,
 		DriftMaxShift:  *driftMaxShift,
 		DriftFPRFactor: *driftFPRFactor,
@@ -418,6 +446,7 @@ func main() {
 	}
 
 	// Alert sink: flagged results flow through the dedup+rate-limited log.
+	finishAlerts := func() {}
 	if *alerts != "" {
 		out := os.Stdout
 		if *alerts != "-" {
@@ -432,7 +461,7 @@ func main() {
 		for i, tf := range tenantFlags {
 			names[i] = tf.name
 		}
-		cfg.OnResult, cfg.OnDriftAlert = alertHooks(out, names, *alertWindow, *alertRate)
+		cfg.OnResult, cfg.OnDriftAlert, finishAlerts = alertHooks(out, names, *alertWindow, *alertRate)
 	}
 
 	srv, err := serve.New(cfg)
@@ -440,52 +469,25 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// IdleFlush deliberately stays off the LiveConfig here: the serving
-	// layer plumbs cfg.IdleFlush into every compatible source at
-	// AddSource, the per-source knob.
-	live := clap.LiveConfig{MaxPackets: *budget, Poll: *poll}
-	nSources := 0
-	if *tail != "" {
-		srv.AddSource(clap.TailPCAP(*tail, live))
-		nSources++
-	}
-	if *stdin {
-		srv.AddSource(clap.FollowPCAP("stdin", os.Stdin, live))
-		nSources++
-	}
-	if *replay != "" {
-		srv.AddSource(clap.Replay("replay:"+*replay, clap.PCAPFile(*replay)))
-		nSources++
-	}
-	if *soak >= 0 {
-		srv.AddSource(clap.Soak(clap.SoakConfig{
-			Connections:    *soak,
-			Seed:           *soakSeed,
-			Rate:           *soakRate,
-			AttackFraction: *soakAttack,
-		}))
-		nSources++
-	}
+	live := clap.LiveConfig{MaxPackets: *budget, Poll: *poll, IdleFlush: *idle}
 	for _, spec := range sourceSpecs {
 		src, err := sourceFor(spec, live, *soakSeed)
 		if err != nil {
 			log.Fatalf("-source %s: %v", spec, err)
 		}
 		srv.AddSource(src)
-		nSources++
 	}
 	for _, ts := range tenantSources {
 		src, err := sourceFor(ts.spec, live, *soakSeed)
 		if err != nil {
-			log.Fatalf("-tenant-source %s: %v", ts.name, err)
+			log.Fatalf("-tenant-source %s=%s: %v", ts.name, ts.spec, err)
 		}
 		if err := srv.AddTenantSource(ts.name, src); err != nil {
 			log.Fatal(err)
 		}
-		nSources++
 	}
-	if nSources == 0 {
-		log.Fatal("no ingest source: need -source, -tail, -stdin, -replay, -soak or -tenant-source")
+	if len(sourceSpecs)+len(tenantSources) == 0 {
+		log.Fatal("no ingest source: need -source or -tenant-source")
 	}
 
 	if err := srv.Start(context.Background()); err != nil {
@@ -533,6 +535,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("shutdown: %v", err)
 			}
+			finishAlerts()
 			return
 		}
 	}

@@ -26,15 +26,27 @@ var sourceSpecs = []struct {
 	{spec: "afpacket:eth0:70000", errPart: "bad fanout id"},
 	{spec: "afpacket:eth0:-1", errPart: "bad fanout id"},
 	{spec: "tail:/tmp/x.pcap", name: "tail:/tmp/x.pcap"},
+	{spec: "stdin", name: "stdin"},
+	{spec: "stdin:x", errPart: "takes no argument"},
 	{spec: "replay:/tmp/x.pcap", name: "replay:/tmp/x.pcap"},
 	{spec: "soak:5", name: "soak"},
+	{spec: "soak:0:50:0.3", name: "soak"},
+	{spec: "soak:3:0:1", name: "soak"},
+	{spec: "soak:-1", errPart: "bad connection count"},
+	{spec: "soak:3:-5", errPart: "bad rate"},
+	{spec: "soak:3:NaN", errPart: "bad rate"},
+	{spec: "soak:3:+Inf", errPart: "bad rate"},
+	{spec: "soak:3:0:7", errPart: "bad attack fraction"},
+	{spec: "soak:3:0:-0.1", errPart: "bad attack fraction"},
+	{spec: "soak:3:0:NaN", errPart: "bad attack fraction"},
 	{spec: "nonsense:x", errPart: "unknown source kind"},
 }
 
 // TestSourceFor pins the -source/-tenant-source spec grammar, including
-// the afpacket form. Building an afpacket source performs no privileged
-// work — the socket opens at Stream time — so the parse is testable
-// anywhere.
+// the afpacket form and the soak bounds, and that stdin backs at most one
+// source. Building an afpacket or stdin source performs no I/O — the
+// socket opens and stdin is read at Stream time — so the parse is
+// testable anywhere.
 func TestSourceFor(t *testing.T) {
 	live := clap.LiveConfig{Poll: 10 * time.Millisecond}
 	for _, tc := range sourceSpecs {
@@ -52,6 +64,18 @@ func TestSourceFor(t *testing.T) {
 		if !strings.HasPrefix(src.Name(), tc.name) {
 			t.Errorf("sourceFor(%q).Name() = %q, want prefix %q", tc.spec, src.Name(), tc.name)
 		}
+	}
+
+	// One process has one stdin: -source and -tenant-source share one
+	// stdinOnce, which refuses the second spec naming it.
+	var stdin stdinOnce
+	for _, spec := range []string{"tail:/tmp/x.pcap", "stdin", "soak:5"} {
+		if err := stdin.check(spec); err != nil {
+			t.Fatalf("check(%q) before any repeat: %v", spec, err)
+		}
+	}
+	if err := stdin.check("stdin"); err == nil || !strings.Contains(err.Error(), "stdin") {
+		t.Fatalf("second stdin source: err = %v, want it refused", err)
 	}
 }
 
@@ -128,35 +152,38 @@ func alertFixture() ([]clap.Result, serve.DriftStatus) {
 }
 
 // TestAlertHooks pins the alert log's routing. With no named tenants the
-// bytes equal those the daemon wrote before single- and multi-tenant
-// serving shared one alert path; a named tenant's lines carry its tag;
-// and each tenant dedups on its own, so one 5-tuple flagged on two
-// tenants is logged twice.
+// bytes are the single-tenant log, ending in the dedup sink's summary of
+// the repeat it suppressed; a named tenant's lines carry its tag; and
+// each tenant dedups on its own, so one 5-tuple flagged on two tenants is
+// logged twice.
 func TestAlertHooks(t *testing.T) {
 	results, drift := alertFixture()
 	const window, rate = 30 * time.Second, 20
 
 	var single bytes.Buffer
-	onResult, onDrift := alertHooks(&single, nil, window, rate)
+	onResult, onDrift, finish := alertHooks(&single, nil, window, rate)
 	for _, r := range results {
 		onResult(r)
 	}
 	onDrift("", drift)
+	finish()
 	const want = "ALERT 210.129.134.174:55279 > 23.72.164.157:80     score=0.50000 peak-window=2\n" +
 		"ALERT 23.31.121.198:47411 > 104.137.43.48:443      score=0.75000 peak-window=0  (attack: GFW: Injected RST Bad TCP-Checksum/MD5-Option)\n" +
-		"DRIFT ALERT operating FPR 0.2000 outside target 0.0500 x/÷ 3 (drift=0.6250 operating-fpr=0.2000 target-fpr=0.0500 over 64 scores)\n"
+		"DRIFT ALERT operating FPR 0.2000 outside target 0.0500 x/÷ 3 (drift=0.6250 operating-fpr=0.2000 target-fpr=0.0500 over 64 scores)\n" +
+		"(1 alerts suppressed: dedup window 30s, rate cap 20/s)\n"
 	if got := single.String(); got != want {
 		t.Fatalf("single-tenant alert log:\n%q\nwant:\n%q", got, want)
 	}
 
 	var multi bytes.Buffer
-	onResult, onDrift = alertHooks(&multi, []string{"a", "b"}, window, rate)
+	onResult, onDrift, finish = alertHooks(&multi, []string{"a", "b"}, window, rate)
 	for _, name := range []string{"a", "b"} {
 		c := results[0].Conn.Clone()
 		c.Tenant = name
 		onResult(clap.Result{Conn: c, Score: 0.5, PeakWindow: 2, Flagged: true})
 	}
 	onDrift("b", drift)
+	finish() // nothing was suppressed: no summary lines
 	lines := strings.Split(strings.TrimSuffix(multi.String(), "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("two tenants flagging one 5-tuple plus a drift alert wrote %d lines, want 3:\n%s", len(lines), multi.String())

@@ -354,7 +354,7 @@ func TestClapServeDaemon(t *testing.T) {
 	cmd := exec.Command(filepath.Join(tools, "clap-serve"),
 		"-model", clapModel, "-addr", "127.0.0.1:0",
 		"-calibrate", benign, "-fpr", "0.25",
-		"-soak", "40", "-soak-attack", "0.4", "-soak-seed", "8")
+		"-source", "soak:40:0:0.4", "-soak-seed", "8")
 	var logBuf syncBuffer
 	cmd.Stdout = &logBuf
 	cmd.Stderr = &logBuf

@@ -473,39 +473,3 @@ func TestServeReloadCalibrationAtomicity(t *testing.T) {
 			seenA, seenB, reloads)
 	}
 }
-
-// TestServeIdleFlushPlumbing: serve.Config.IdleFlush reaches every
-// registered source that supports the knob, and leaves others alone.
-func TestServeIdleFlushPlumbing(t *testing.T) {
-	clapModel, _ := fixture(t)
-	srv, err := New(Config{
-		Backend:   loadModel(t, clapModel),
-		IdleFlush: 123 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &idleRecordingSource{chanSource: chanSource{name: "rec", ch: make(chan *clap.Connection)}}
-	srv.AddSource(rec)                                                         // IdleFlushable: receives the config value
-	srv.AddSource(&chanSource{name: "plain", ch: make(chan *clap.Connection)}) // not IdleFlushable: no-op
-	if rec.got != 123*time.Millisecond {
-		t.Fatalf("IdleFlush plumbed %v, want 123ms", rec.got)
-	}
-
-	// The built-in live pcap sources implement the knob.
-	for _, src := range []clap.ServeSource{
-		clap.TailPCAP("x.pcap", clap.LiveConfig{}),
-		clap.FollowPCAP("pipe", strings.NewReader(""), clap.LiveConfig{}),
-	} {
-		if _, ok := src.(clap.IdleFlushable); !ok {
-			t.Errorf("%s does not implement IdleFlushable", src.Name())
-		}
-	}
-}
-
-type idleRecordingSource struct {
-	chanSource
-	got time.Duration
-}
-
-func (s *idleRecordingSource) SetIdleFlush(d time.Duration) { s.got = d }

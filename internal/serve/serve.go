@@ -69,8 +69,8 @@ type Config struct {
 	// Empty means no listener — tests drive Handler directly.
 	Addr string
 
-	// Workers/Shards size the scoring engine (0: auto).
-	Workers, Shards int
+	// Workers sizes the scoring engine (0: all cores).
+	Workers int
 
 	// Threshold fixes the operating threshold; Calibration+FPR derive it
 	// instead when Calibration is non-nil. Both may later be adjusted
@@ -125,11 +125,6 @@ type Config struct {
 	// drift lines into the alert log. tenant is the tenant's connection
 	// tag, as in Result.Conn.Tenant: "" for the default tenant.
 	OnDriftAlert func(tenant string, st DriftStatus)
-
-	// IdleFlush, when positive, is applied to every registered source
-	// that supports a configurable idle-flush window
-	// (clap.IdleFlushable) — the per-source half-open flush timeout.
-	IdleFlush time.Duration
 
 	// TopN windows are localized per flagged connection. 0 keeps the
 	// default of 5; a negative value disables localization (the Go
@@ -357,9 +352,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers > 0 {
 		opts = append(opts, clap.WithWorkers(cfg.Workers))
 	}
-	if cfg.Shards > 0 {
-		opts = append(opts, clap.WithShards(cfg.Shards))
-	}
 	// Thresholds live only in each tenant's hot (model, threshold) pair,
 	// installed at Start (resolveCalibration): the stream's resolver pins
 	// every connection to its tenant's pair, so the pipeline carries none.
@@ -470,19 +462,11 @@ func (s *Server) AddSource(src clap.ServeSource) {
 }
 
 // AddTenantSource registers a live source delivering into the named
-// tenant ("" is the default tenant). Must be called before Start. A
-// configured IdleFlush is applied to sources that support it, so the
-// half-open flush window is a per-source serving knob rather than
-// whatever constant the source was built with.
+// tenant ("" is the default tenant). Must be called before Start.
 func (s *Server) AddTenantSource(name string, src clap.ServeSource) error {
 	t, ok := s.tenantByName(name)
 	if !ok {
 		return fmt.Errorf("serve: unknown tenant %q", name)
-	}
-	if s.cfg.IdleFlush > 0 {
-		if f, ok := src.(clap.IdleFlushable); ok {
-			f.SetIdleFlush(s.cfg.IdleFlush)
-		}
 	}
 	st := &srcCounters{name: src.Name()}
 	if rs, ok := src.(clap.RingStatser); ok {

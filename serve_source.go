@@ -48,8 +48,8 @@ type LiveConfig struct {
 	// Negative means unbounded; 0 selects the default of 512.
 	MaxPackets int
 	// IdleFlush emits connections that saw no packet for this long (wall
-	// clock), catching half-open flows and lost teardowns. 0 disables;
-	// default 5s.
+	// clock), catching half-open flows and lost teardowns. 0 selects the
+	// default of 5s; negative disables idle flushing.
 	IdleFlush time.Duration
 	// Poll is how often a tailing source re-checks a quiet file (and how
 	// long an AF_PACKET source waits per block poll). Default 250ms.
@@ -75,17 +75,6 @@ func (c LiveConfig) withDefaults() LiveConfig {
 	return c
 }
 
-// IdleFlushable is implemented by live sources whose idle-flush window —
-// how long a half-open connection may sit silent before its assembled
-// packets are emitted for scoring — can be adjusted after construction.
-// The serving layer applies serve.Config.IdleFlush to every compatible
-// source at registration, replacing the one-global-constant behaviour
-// with a per-source knob (the first step toward the ROADMAP's adaptive
-// per-port timeouts). Adjust only before the source starts streaming.
-type IdleFlushable interface {
-	SetIdleFlush(d time.Duration)
-}
-
 // TailPCAP follows a growing pcap file — the capture file a DPI-side
 // tcpdump keeps appending to. The source waits for the file (and its
 // global header) to appear, then streams records as they are written,
@@ -106,13 +95,6 @@ type tailSource struct {
 }
 
 func (s *tailSource) Name() string { return "tail:" + s.path }
-
-// SetIdleFlush implements IdleFlushable.
-func (s *tailSource) SetIdleFlush(d time.Duration) {
-	if d > 0 {
-		s.cfg.IdleFlush = d
-	}
-}
 
 func (s *tailSource) Stream(ctx context.Context, deliver func(*Connection)) (int, error) {
 	// Wait for the file to exist at all.
@@ -247,13 +229,6 @@ type followSource struct {
 }
 
 func (s *followSource) Name() string { return s.name }
-
-// SetIdleFlush implements IdleFlushable.
-func (s *followSource) SetIdleFlush(d time.Duration) {
-	if d > 0 {
-		s.cfg.IdleFlush = d
-	}
-}
 
 func (s *followSource) Stream(ctx context.Context, deliver func(*Connection)) (int, error) {
 	return streamPCAPRecords(ctx, s.r, s.cfg, deliver)
@@ -536,13 +511,6 @@ type afpacketSource struct {
 
 func (s *afpacketSource) Name() string { return s.name }
 
-// SetIdleFlush implements IdleFlushable.
-func (s *afpacketSource) SetIdleFlush(d time.Duration) {
-	if d > 0 {
-		s.cfg.IdleFlush = d
-	}
-}
-
 // RingStats implements RingStatser while the source is streaming from a
 // ring that exposes kernel counters.
 func (s *afpacketSource) RingStats() (uint64, uint64, bool) {
@@ -652,12 +620,18 @@ type SoakConfig struct {
 	// AttackFraction injects an evasion strategy into this fraction of
 	// connections (0: all benign).
 	AttackFraction float64
-	// Strategies names the evasion strategies to rotate through; empty
-	// selects a default detectable mix.
-	Strategies []string
-	// Batch is the generation granularity (connections per trafficgen
-	// call); default 64.
-	Batch int
+}
+
+// soakBatch is the soak source's generation granularity: connections per
+// trafficgen call, each call under its own derived seed.
+const soakBatch = 64
+
+// soakStrategies is the detectable evasion mix soak attacks rotate
+// through.
+var soakStrategies = []string{
+	"GFW: Injected RST Bad TCP-Checksum/MD5-Option",
+	"Low TTL (Max)",
+	"Injected RST-ACK / Bad TCP Checksum",
 }
 
 // Soak is the load-testing source: an endless stream of synthetic
@@ -665,16 +639,6 @@ type SoakConfig struct {
 // trafficgen soak mode used to exercise a clap-serve deployment without a
 // capture feed. Fully deterministic under cfg.Seed when Rate is 0.
 func Soak(cfg SoakConfig) ServeSource {
-	if cfg.Batch <= 0 {
-		cfg.Batch = 64
-	}
-	if len(cfg.Strategies) == 0 {
-		cfg.Strategies = []string{
-			"GFW: Injected RST Bad TCP-Checksum/MD5-Option",
-			"Low TTL (Max)",
-			"Injected RST-ACK / Bad TCP Checksum",
-		}
-	}
 	return &soakSource{cfg: cfg}
 }
 
@@ -683,8 +647,8 @@ type soakSource struct{ cfg SoakConfig }
 func (s *soakSource) Name() string { return "soak" }
 
 func (s *soakSource) Stream(ctx context.Context, deliver func(*Connection)) (int, error) {
-	strategies := make([]Strategy, 0, len(s.cfg.Strategies))
-	for _, name := range s.cfg.Strategies {
+	strategies := make([]Strategy, 0, len(soakStrategies))
+	for _, name := range soakStrategies {
 		st, ok := attacks.ByName(name)
 		if !ok {
 			return 0, fmt.Errorf("soak: unknown strategy %q", name)
@@ -706,7 +670,7 @@ func (s *soakSource) Stream(ctx context.Context, deliver func(*Connection)) (int
 	}
 	produced := 0
 	for batch := 0; ; batch++ {
-		n := s.cfg.Batch
+		n := soakBatch
 		if s.cfg.Connections > 0 {
 			if remaining := s.cfg.Connections - produced; remaining <= 0 {
 				return 0, nil

@@ -180,7 +180,7 @@ func TestFollowPCAPCountsSkipped(t *testing.T) {
 // TestSoakDeterministic: same seed, same stream — connections, order and
 // attack plan.
 func TestSoakDeterministic(t *testing.T) {
-	cfg := SoakConfig{Connections: 150, Seed: 3, AttackFraction: 0.4, Batch: 40}
+	cfg := SoakConfig{Connections: 150, Seed: 3, AttackFraction: 0.4}
 	a, _ := collectServe(t, Soak(cfg), context.Background())
 	b, _ := collectServe(t, Soak(cfg), context.Background())
 	if len(a) != 150 || len(b) != 150 {
@@ -207,7 +207,7 @@ func TestSoakCancellation(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Soak(SoakConfig{Seed: 1, Batch: 8}).Stream(ctx, func(*Connection) {
+		Soak(SoakConfig{Seed: 1}).Stream(ctx, func(*Connection) {
 			n++
 			if n == 20 {
 				cancel()
@@ -232,12 +232,12 @@ func TestReplaySource(t *testing.T) {
 	}
 }
 
-// TestSetIdleFlushOverridesConstruction: the IdleFlushable knob replaces
-// the idle window a live source was built with. A connection sitting in a
-// still-open pipe is only ever emitted by the idle flush; with the
-// construction-time window at ten minutes and the override at tens of
-// milliseconds, delivery within seconds proves the override took effect.
-func TestSetIdleFlushOverridesConstruction(t *testing.T) {
+// TestLiveIdleFlushEmitsQuietConnections: a live source built with a
+// short LiveConfig.IdleFlush emits a connection that sits in a still-open
+// pipe or a quiet file. Neither feed ends, so only the idle flush can
+// emit it; delivery within seconds proves the window is the one the
+// source was built with, not the 5s default.
+func TestLiveIdleFlushEmitsQuietConnections(t *testing.T) {
 	for _, mk := range []struct {
 		name  string
 		build func(path string, r io.Reader, cfg LiveConfig) ServeSource
@@ -264,14 +264,7 @@ func TestSetIdleFlushOverridesConstruction(t *testing.T) {
 			}()
 			defer pw.Close()
 
-			src := mk.build(path, pr, LiveConfig{Poll: 5 * time.Millisecond, IdleFlush: 10 * time.Minute})
-			fl, ok := src.(IdleFlushable)
-			if !ok {
-				t.Fatalf("%T does not implement IdleFlushable", src)
-			}
-			fl.SetIdleFlush(40 * time.Millisecond)
-			fl.SetIdleFlush(0) // no-op: zero/negative values keep the current window
-
+			src := mk.build(path, pr, LiveConfig{Poll: 5 * time.Millisecond, IdleFlush: 40 * time.Millisecond})
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			got := make(chan *Connection, 4)
@@ -281,8 +274,8 @@ func TestSetIdleFlushOverridesConstruction(t *testing.T) {
 				if c.Key != want[0].Key {
 					t.Fatalf("idle flush delivered %v, want %v", c.Key, want[0].Key)
 				}
-			case <-time.After(15 * time.Second):
-				t.Fatal("connection never idle-flushed: SetIdleFlush did not take effect")
+			case <-time.After(4 * time.Second):
+				t.Fatal("connection never idle-flushed: LiveConfig.IdleFlush did not take effect")
 			}
 		})
 	}
@@ -301,6 +294,22 @@ func TestLiveConfigMaxPacketsSentinel(t *testing.T) {
 	} {
 		if got := (LiveConfig{MaxPackets: tc.in}).withDefaults().MaxPackets; got != tc.want {
 			t.Errorf("withDefaults(MaxPackets: %d) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestLiveConfigIdleFlushSentinel pins the idle-flush contract: 0 selects
+// the 5s default, negative passes through and disables idle flushing (the
+// assembly loop starts its ticker only for a positive window), positive
+// passes through.
+func TestLiveConfigIdleFlushSentinel(t *testing.T) {
+	for _, tc := range []struct{ in, want time.Duration }{
+		{0, 5 * time.Second},
+		{-1, -1},
+		{40 * time.Millisecond, 40 * time.Millisecond},
+	} {
+		if got := (LiveConfig{IdleFlush: tc.in}).withDefaults().IdleFlush; got != tc.want {
+			t.Errorf("withDefaults(IdleFlush: %v) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
 }
