@@ -3,8 +3,8 @@ package clap
 // The benchmark harness regenerates every table and figure of the paper's
 // evaluation (§4) — see DESIGN.md's experiment index. Each benchmark (a)
 // prints the regenerated table/figure once, and (b) times the operation the
-// experiment measures so `go test -bench=. -benchmem` doubles as a
-// performance regression suite.
+// experiment measures. The deployed detector's performance is measured by
+// cmd/clap-bench (BENCHMARK.json), not here.
 //
 // The shared fixture trains CLAP and both baselines once. Scale defaults to
 // the "tiny" profile so the suite stays minutes-fast; set
@@ -12,11 +12,8 @@ package clap
 // numbers (the headline results are recorded in CHANGES.md).
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"sync"
 	"testing"
 
@@ -26,7 +23,6 @@ import (
 	"clap/internal/engine"
 	"clap/internal/eval"
 	"clap/internal/flow"
-	"clap/internal/metrics"
 )
 
 var (
@@ -346,137 +342,7 @@ func BenchmarkEngineAssemble(b *testing.B) {
 	}
 }
 
-// --- Backend throughput trajectory: pkts/s for every compared backend
-// across worker counts, written to BENCH_pr9.json so
-// CI uploads a machine-readable benchmark artifact per PR (the BENCH
-// trajectory) and cmd/bench-gate can compare it against the committed
-// snapshot and hold the within-artifact cascade/clap ratio floor.
-
-// benchTrajectory accumulates BenchmarkBackendThroughput samples; the
-// file is rewritten after every sample so partial bench runs still leave
-// a valid artifact.
-var benchTrajectory = struct {
-	sync.Mutex
-	samples map[string]benchSample
-}{samples: map[string]benchSample{}}
-
-type benchSample struct {
-	Backend    string  `json:"backend"`
-	Workers    int     `json:"workers"`
-	Batch      int     `json:"batch,omitempty"` // 0/absent: unbatched (snapshots older than BENCH_pr4.json)
-	PktsPerSec float64 `json:"pkts_per_sec"`
-}
-
-func recordBenchSample(backendTag string, workers int, pktsPerSec float64) {
-	benchTrajectory.Lock()
-	defer benchTrajectory.Unlock()
-	key := fmt.Sprintf("%s/%03d", backendTag, workers)
-	benchTrajectory.samples[key] = benchSample{Backend: backendTag, Workers: workers, Batch: engine.DefaultBatch, PktsPerSec: pktsPerSec}
-
-	keys := make([]string, 0, len(benchTrajectory.samples))
-	for k := range benchTrajectory.samples {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := struct {
-		PR         int           `json:"pr"`
-		Profile    string        `json:"profile"`
-		GOMAXPROCS int           `json:"gomaxprocs"`
-		Results    []benchSample `json:"results"`
-	}{PR: 9, Profile: string(benchProfile()), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	for _, k := range keys {
-		out.Results = append(out.Results, benchTrajectory.samples[k])
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return
-	}
-	_ = os.WriteFile("BENCH_pr9.json", append(data, '\n'), 0o644)
-}
-
-// BenchmarkBackendThroughput measures scoring throughput (pkts/s) for
-// each compared backend across worker counts, through the engine's
-// micro-batcher at its constant batch size, recording the samples into
-// BENCH_pr9.json. Sub-benchmark names carry backend and workers, so the
-// text output doubles as the human-readable table.
-func BenchmarkBackendThroughput(b *testing.B) {
-	s, _ := fixture(b)
-	conns := append(append([]*flow.Connection{}, s.Data.TestBenign...), advCorpus(s)...)
-	pkts := 0
-	for _, c := range conns {
-		pkts += c.Len()
-	}
-	tags := make([]string, 0, len(s.Backends))
-	for tag := range s.Backends {
-		tags = append(tags, tag)
-	}
-	sort.Strings(tags)
-	for _, tag := range tags {
-		bk := s.Backends[tag]
-		for _, workers := range []int{1, 4, 8} {
-			eng := engine.New(engine.Options{Workers: workers})
-			b.Run(fmt.Sprintf("%s/workers=%d", tag, workers), func(b *testing.B) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = eng.ScoresBatched(bk, conns)
-				}
-				rate := float64(pkts*b.N) / b.Elapsed().Seconds()
-				b.ReportMetric(rate, "pkts/s")
-				recordBenchSample(tag, workers, rate)
-			})
-		}
-	}
-
-	// Cascade: the tiered-deployment row, measured on a benign-heavy mix
-	// (~95% benign) — the traffic profile the cascade exists for. The
-	// escalation threshold calibrates at the default budget on the benign
-	// split's stage-1 scores, like CascadeFrontier.
-	heavy := append(append([]*flow.Connection{}, s.Data.TestBenign...), advCorpus(s)...)
-	nAttack := len(s.Data.TestBenign) / 19
-	if nAttack == 0 {
-		nAttack = 1
-	}
-	heavy = heavy[:len(s.Data.TestBenign)+nAttack]
-	heavyPkts := 0
-	for _, c := range heavy {
-		heavyPkts += c.Len()
-	}
-	cascade, err := backend.NewCascade(
-		s.Backends[backend.TagBaseline1], s.Backends[backend.TagCLAP], backend.DefaultEscalateFPR)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benignS1 := s.Eng.ScoresBatched(s.Backends[backend.TagBaseline1], s.Data.TestBenign)
-	if err := cascade.SetEscalation(metrics.ThresholdAtFPR(benignS1, backend.DefaultEscalateFPR)); err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, 8} {
-		eng := engine.New(engine.Options{Workers: workers})
-		b.Run(fmt.Sprintf("cascade/workers=%d", workers), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = eng.ScoresBatched(cascade, heavy)
-			}
-			rate := float64(heavyPkts*b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(rate, "pkts/s")
-			recordBenchSample(backend.TagCascade, workers, rate)
-		})
-	}
-}
-
-// --- End-to-end pipeline benchmarks (not tied to a table, useful for
-// performance regressions).
-
-func BenchmarkPipelineScoreConnection(b *testing.B) {
-	s, _ := fixture(b)
-	c := s.Data.TestBenign[0]
-	clapB := s.Backends[backend.TagCLAP]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = clapB.ScoreConn(c)
-	}
-}
+// --- End-to-end pipeline benchmarks (not tied to a table).
 
 func BenchmarkPipelineTrainTiny(b *testing.B) {
 	conns := GenerateBenign(20, 1)

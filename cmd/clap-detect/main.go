@@ -44,12 +44,17 @@ func main() {
 	if *in == "" {
 		log.Fatal("need -in")
 	}
+	if *workers < 0 {
+		log.Fatalf("-workers %d: must be >= 0", *workers)
+	}
 
 	b, err := clap.LoadBackendFile(*model)
 	if err != nil {
 		log.Fatalf("loading model: %v", err)
 	}
-	if *escalateFPR > 0 {
+	escalateSet := false
+	flag.Visit(func(f *flag.Flag) { escalateSet = escalateSet || f.Name == "escalate-fpr" })
+	if escalateSet {
 		cb, ok := b.(*clap.CascadeBackend)
 		if !ok {
 			log.Fatalf("-escalate-fpr applies to cascade models; %s is %q", *model, b.Tag())

@@ -29,6 +29,9 @@ func main() {
 		workers = flag.Int("workers", 0, "scoring workers (0: all cores); scores are identical at any count")
 	)
 	flag.Parse()
+	if *workers < 0 {
+		log.Fatalf("-workers %d: must be >= 0", *workers)
+	}
 
 	opts := eval.OptionsFor(eval.Profile(*profile))
 	opts.Seed = *seed

@@ -60,6 +60,16 @@ func run(t *testing.T, dir string, name string, args ...string) string {
 	return string(out)
 }
 
+// runFails runs a tool that must refuse its arguments: it exits non-zero
+// and its output names want.
+func runFails(t *testing.T, dir, want, name string, args ...string) {
+	t.Helper()
+	out, err := exec.Command(filepath.Join(dir, name), args...).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), want) {
+		t.Fatalf("%s %v: err %v, want a failure naming %q:\n%s", name, args, err, want, out)
+	}
+}
+
 func TestCommandWorkflow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -323,6 +333,18 @@ func TestBackendFlagEndToEnd(t *testing.T) {
 		}
 	}
 
+	// A negative worker count is an error, not "all cores".
+	runFails(t, tools, "-workers -2", "clap-detect", "-in", adv, "-model", filepath.Join(work, "clap.model"), "-workers", "-2")
+
+	// -escalate-fpr reaches the cascade's own range check whenever it is
+	// set: a negative or NaN override is refused, not silently ignored.
+	cascade := filepath.Join(work, "cascade.model")
+	run(t, tools, "clap-train", "-in", benign, "-model", cascade,
+		"-backend", "cascade:baseline1+clap", "-rnn-epochs", "2", "-ae-epochs", "3", "-quiet")
+	for _, bad := range []string{"-0.1", "NaN"} {
+		runFails(t, tools, "must be in (0, 1)", "clap-detect", "-in", adv, "-model", cascade, "-escalate-fpr", bad)
+	}
+
 	// Kitsune is an evaluation baseline, not a registered backend.
 	out, err := exec.Command(filepath.Join(tools, "clap-train"), "-in", benign,
 		"-model", filepath.Join(work, "kit.model"), "-backend", "kitsune").CombinedOutput()
@@ -474,6 +496,7 @@ func TestClapEvalTinyProfile(t *testing.T) {
 		t.Skip("integration test")
 	}
 	tools := buildTools(t)
+	runFails(t, tools, "-workers -1", "clap-eval", "-profile", "tiny", "-workers", "-1")
 	report := filepath.Join(t.TempDir(), "report.txt")
 	run(t, tools, "clap-eval", "-profile", "tiny", "-quiet", "-out", report)
 	data, err := os.ReadFile(report)

@@ -931,3 +931,56 @@ func TestSourcesReportSkipped(t *testing.T) {
 		t.Error("unknown strategy should error")
 	}
 }
+
+func TestTrafficGenRejectsNegativeCount(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("TrafficGen(-5) panicked: %v", r)
+		}
+	}()
+	conns, _, err := TrafficGen(-5, 1).Connections(nil)
+	if err == nil || !strings.Contains(err.Error(), "-5") {
+		t.Fatalf("TrafficGen(-5): %d connections, err %v; want an error naming -5", len(conns), err)
+	}
+	if conns, _, err := TrafficGen(0, 1).Connections(nil); err != nil || len(conns) != 0 {
+		t.Fatalf("TrafficGen(0): %d connections, err %v", len(conns), err)
+	}
+}
+
+func TestAttackCorpusValidatesFraction(t *testing.T) {
+	const strategy = "GFW: Injected RST Bad TCP-Checksum/MD5-Option"
+	for _, tc := range []struct {
+		fraction float64
+		ok       bool
+	}{
+		{math.NaN(), false},
+		{-0.1, false},
+		{0, true},
+		{1, true},
+		{1.1, false},
+	} {
+		conns, _, err := AttackCorpus(TrafficGen(20, 1), strategy, tc.fraction, 7).Connections(nil)
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), "[0, 1]") {
+				t.Errorf("fraction %v: err %v, want a range error", tc.fraction, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("fraction %v: %v", tc.fraction, err)
+			continue
+		}
+		attacked := 0
+		for _, c := range conns {
+			if c.AttackName != "" {
+				attacked++
+			}
+		}
+		if tc.fraction == 0 && attacked != 0 {
+			t.Errorf("fraction 0 attacked %d of %d connections", attacked, len(conns))
+		}
+		if tc.fraction == 1 && attacked == 0 {
+			t.Errorf("fraction 1 attacked none of %d connections", len(conns))
+		}
+	}
+}

@@ -65,6 +65,7 @@ func (s pcapStreamSource) Connections(eng *Engine) ([]*Connection, int, error) {
 
 // TrafficGen synthesizes n benign backbone-style connections with a
 // deterministic seed — the stand-in for a MAWI capture (DESIGN.md §1).
+// A negative n is an error at Connections.
 func TrafficGen(n int, seed int64) Source { return trafficGenSource{n: n, seed: seed} }
 
 type trafficGenSource struct {
@@ -73,6 +74,9 @@ type trafficGenSource struct {
 }
 
 func (s trafficGenSource) Connections(*Engine) ([]*Connection, int, error) {
+	if s.n < 0 {
+		return nil, 0, fmt.Errorf("traffic generator: %d connections: must be >= 0", s.n)
+	}
 	return GenerateBenign(s.n, s.seed), 0, nil
 }
 
@@ -85,7 +89,8 @@ func (s connsSource) Connections(*Engine) ([]*Connection, int, error) { return s
 
 // AttackCorpus wraps a base source and injects one evasion strategy into
 // the given fraction of eligible connections (in place, marking them
-// adversarial) — the attack-injected corpus the evaluation scores.
+// adversarial) — the attack-injected corpus the evaluation scores. A
+// fraction outside [0, 1], or NaN, is an error at Connections.
 func AttackCorpus(base Source, strategy string, fraction float64, seed int64) Source {
 	return attackSource{base: base, strategy: strategy, fraction: fraction, seed: seed}
 }
@@ -98,6 +103,9 @@ type attackSource struct {
 }
 
 func (s attackSource) Connections(eng *Engine) ([]*Connection, int, error) {
+	if !(s.fraction >= 0 && s.fraction <= 1) {
+		return nil, 0, fmt.Errorf("attack fraction %v: must be in [0, 1]", s.fraction)
+	}
 	strategy, ok := attacks.ByName(s.strategy)
 	if !ok {
 		return nil, 0, fmt.Errorf("unknown strategy %q", s.strategy)
