@@ -97,7 +97,7 @@
 // and the calibrated threshold silently stops meaning its target FPR.
 // The calibration subsystem (DESIGN.md §9) detects and fixes that.
 // Calibrate freezes a snapshot — threshold plus the benign-score
-// reference distribution as a deterministic quantile Sketch — which
+// reference distribution as a deterministic quantile sketch — which
 // clap-serve persists alongside the model and compares live traffic
 // against, exposing clap_serve_drift / clap_serve_operating_fpr gauges,
 // /v1/drift, and drift alerts; /v1/reload then re-derives the threshold
@@ -202,13 +202,11 @@ type (
 	Strategy = attacks.Strategy
 	// DivergenceResult reports an endhost-vs-DPI behavioural discrepancy.
 	DivergenceResult = dpi.Result
-	// Engine is the sharded worker-pool scoring engine: deterministic
-	// parallel batch scoring, sharded flow assembly, and ordered streaming.
+	// Engine is the worker-pool scoring engine behind every Pipeline:
+	// deterministic micro-batched scoring, flow assembly and ordered
+	// streaming. NewEngine builds one for scoring a corpus outside a
+	// Pipeline.
 	Engine = engine.Engine
-	// EngineOptions pins the engine's worker and shard counts — the same
-	// knobs the CLIs expose (-workers/-shards), available to library users
-	// through NewEngineOpts.
-	EngineOptions = engine.Options
 	// Backend is the backend-agnostic detection contract every detector
 	// family implements: CLAP, Baseline #1, the cascade, and anything
 	// registered since.
@@ -235,10 +233,6 @@ type (
 	// it came from — produced by Pipeline.Calibrate, persisted alongside
 	// the model file, and compared against live traffic by drift monitors.
 	Calibration = calib.Calibration
-	// Sketch is the deterministic streaming quantile sketch behind
-	// calibration references and drift monitoring: identical input order
-	// yields bit-identical quantiles and serialized snapshots.
-	Sketch = calib.Sketch
 	// Decision is one verdict's provenance record: the (model tag,
 	// generation, threshold) binding it was judged under, its cascade
 	// stage and batch placement, ingest attribution, and stream stage
@@ -266,10 +260,6 @@ func NewEngine(workers int) *Engine {
 	return engine.New(engine.Options{Workers: workers})
 }
 
-// NewEngineOpts returns an engine with explicit worker and shard counts —
-// the full option surface the CLIs get.
-func NewEngineOpts(o EngineOptions) *Engine { return engine.New(o) }
-
 // NewBackend instantiates an untrained detection backend by registry tag
 // (see BackendTags).
 func NewBackend(tag string) (Backend, error) { return backend.New(tag) }
@@ -294,27 +284,11 @@ func NewCascade(stage1, stage2 Backend, escalateFPR float64) (*CascadeBackend, e
 // BackendTags lists the registered backend tags.
 func BackendTags() []string { return backend.Tags() }
 
-// BackendDoc returns the one-line description of a registered backend.
-func BackendDoc(tag string) string { return backend.Doc(tag) }
-
-// WrapDetector adapts an already-trained Detector to the Backend contract,
-// so existing CLAP models flow through the Pipeline unchanged.
-func WrapDetector(det *Detector) Backend { return backend.FromDetector(det) }
-
 // NewHotBackend wraps a trained backend in a reload-safe handle. Pass the
 // handle to WithBackend and call Swap to hot-reload the model while a
 // Pipeline stream keeps scoring; each connection is scored wholly by one
 // model, never a mixture.
 func NewHotBackend(b Backend) (*HotBackend, error) { return backend.NewHot(b) }
-
-// SaveBackend writes a trained backend to w with the tagged persistence
-// header, so LoadBackend can dispatch to the right decoder.
-func SaveBackend(w io.Writer, b Backend) error { return backend.Save(w, b) }
-
-// LoadBackend reads a model written by SaveBackend. Models saved before
-// the tagged format existed (plain Detector.Save streams) load as the
-// CLAP backend.
-func LoadBackend(r io.Reader) (Backend, error) { return backend.Load(r) }
 
 // SaveBackendFile persists a trained backend to path, creating parent
 // directories.
@@ -342,10 +316,6 @@ func LoadBackendFile(path string) (Backend, error) {
 	defer f.Close()
 	return backend.Load(f)
 }
-
-// NewSketch returns an empty deterministic score-quantile sketch with the
-// default accuracy (1% relative error, 2048 buckets).
-func NewSketch() *Sketch { return calib.NewSketch(0, 0) }
 
 // SaveCalibrationFile persists a calibration snapshot (threshold +
 // benign-score reference distribution) to path, creating parent

@@ -4,7 +4,7 @@
 // adversarial scores, verdicts against a threshold, and Top-N localization
 // of the most suspicious packets cover the online-detector and forensic
 // deployment modes of §3.2. Assembly and scoring run through the
-// backend-agnostic pipeline over the sharded parallel engine; scores are
+// backend-agnostic pipeline over the parallel engine; scores are
 // bit-identical at any worker count.
 //
 // Usage:
@@ -36,7 +36,6 @@ func main() {
 		all         = flag.Bool("all", false, "print every connection, not only flagged ones")
 		jsonOut     = flag.Bool("json", false, "emit JSON lines instead of the text report")
 		workers     = flag.Int("workers", 0, "scoring workers (0: all cores)")
-		shards      = flag.Int("shards", 0, "assembly shards (0: same as workers)")
 		escalateFPR = flag.Float64("escalate-fpr", 0,
 			"cascade models: override the persisted escalate-FPR (takes effect at -calibrate)")
 	)
@@ -72,9 +71,6 @@ func main() {
 	}
 	if *workers > 0 {
 		opts = append(opts, clap.WithWorkers(*workers))
-	}
-	if *shards > 0 {
-		opts = append(opts, clap.WithShards(*shards))
 	}
 	if *calibrate != "" {
 		opts = append(opts, clap.WithThresholdFPR(*fpr, clap.PCAPFile(*calibrate)))

@@ -32,6 +32,11 @@ func main() {
 	if *workers < 0 {
 		log.Fatalf("-workers %d: must be >= 0", *workers)
 	}
+	switch p := eval.Profile(*profile); p {
+	case eval.ProfileTiny, eval.ProfileFast, eval.ProfileFull:
+	default:
+		log.Fatalf("-profile %q: want tiny, fast or full", p)
+	}
 
 	opts := eval.OptionsFor(eval.Profile(*profile))
 	opts.Seed = *seed

@@ -228,9 +228,9 @@ func checkQuotas(quotas map[string]tenant.Quota, tenants []tenantFlag) error {
 	return nil
 }
 
-// prefixWriter prepends a tenant tag to each alert line. writeAlert and
-// the drift formatter emit one line per Write, so prefixing per call is
-// line-accurate.
+// prefixWriter prepends a tenant tag to each alert line. The alert log
+// and the drift formatter emit one line per Write, so prefixing per call
+// is line-accurate.
 type prefixWriter struct {
 	w      io.Writer
 	prefix string
@@ -373,7 +373,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("loading model: %v", err)
 	}
-	if *escalateFPR > 0 {
+	escalateSet := false
+	flag.Visit(func(f *flag.Flag) { escalateSet = escalateSet || f.Name == "escalate-fpr" })
+	if escalateSet {
 		cb, ok := b.(*clap.CascadeBackend)
 		if !ok {
 			log.Fatalf("-escalate-fpr applies to cascade models; %s is %q", *model, b.Tag())

@@ -38,6 +38,9 @@ func main() {
 	if *in == "" {
 		log.Fatal("need -in (generate one with trafficgen)")
 	}
+	if *rnnEpochs < 1 || *aeEpochs < 1 {
+		log.Fatalf("-rnn-epochs %d, -ae-epochs %d: each must be >= 1", *rnnEpochs, *aeEpochs)
+	}
 	tag := *backendTag
 	b, err := clap.NewBackendSpec(tag)
 	if err != nil {

@@ -26,7 +26,7 @@ var (
 	buildErr  error
 )
 
-// buildTools compiles all five commands once per test run.
+// buildTools compiles the six commands the tests drive once per test run.
 func buildTools(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
@@ -173,7 +173,7 @@ func TestClapDetectEndToEnd(t *testing.T) {
 
 	// Scores out: every connection with -all, one worker — the reference.
 	serial := goRun(t, "./cmd/clap-detect", "-in", adv, "-model", model,
-		"-all", "-workers", "1", "-shards", "1")
+		"-all", "-workers", "1")
 	serialScores := scoreLines(serial)
 	if len(serialScores) < 30 {
 		t.Fatalf("expected >= 30 scored connections, got %d:\n%s", len(serialScores), serial)
@@ -185,7 +185,7 @@ func TestClapDetectEndToEnd(t *testing.T) {
 	// oracle.
 	for _, wk := range []string{"4", "8"} {
 		par := goRun(t, "./cmd/clap-detect", "-in", adv, "-model", model,
-			"-all", "-workers", wk, "-shards", wk)
+			"-all", "-workers", wk)
 		parScores := scoreLines(par)
 		if len(parScores) != len(serialScores) {
 			t.Fatalf("workers=%s: %d scored connections, serial %d",
@@ -240,7 +240,7 @@ func TestClapDetectEndToEnd(t *testing.T) {
 	// The -json sink: one JSON object per connection plus a summary
 	// trailer, deterministic across worker counts.
 	jsonSerial := goRun(t, "./cmd/clap-detect", "-in", adv, "-model", model,
-		"-json", "-workers", "1", "-shards", "1")
+		"-json", "-workers", "1")
 	jsonLines := jsonRecords(t, jsonSerial)
 	if len(jsonLines) == 0 {
 		t.Fatalf("-json emitted no JSON records:\n%s", jsonSerial)
@@ -256,7 +256,7 @@ func TestClapDetectEndToEnd(t *testing.T) {
 		t.Fatalf("-json emitted %d records for %d connections (+1 summary)", len(jsonLines), trailer.Connections)
 	}
 	jsonPar := goRun(t, "./cmd/clap-detect", "-in", adv, "-model", model,
-		"-json", "-workers", "8", "-shards", "8")
+		"-json", "-workers", "8")
 	parLines := jsonRecords(t, jsonPar)
 	if len(parLines) != len(jsonLines) {
 		t.Fatalf("-json emitted %d records at workers=8, %d at workers=1", len(parLines), len(jsonLines))
@@ -343,6 +343,17 @@ func TestBackendFlagEndToEnd(t *testing.T) {
 		"-backend", "cascade:baseline1+clap", "-rnn-epochs", "2", "-ae-epochs", "3", "-quiet")
 	for _, bad := range []string{"-0.1", "NaN"} {
 		runFails(t, tools, "must be in (0, 1)", "clap-detect", "-in", adv, "-model", cascade, "-escalate-fpr", bad)
+		runFails(t, tools, "must be in (0, 1)", "clap-serve", "-model", cascade, "-escalate-fpr", bad)
+	}
+	// clap-serve sizes: a negative count is an error, not a default.
+	runFails(t, tools, "Workers -2", "clap-serve", "-model", filepath.Join(work, "clap.model"), "-workers", "-2")
+
+	// Training needs at least one epoch of each network; fewer would save
+	// an untrained model.
+	runFails(t, tools, "-rnn-epochs -3", "clap-train", "-in", benign, "-model", filepath.Join(work, "untrained.model"),
+		"-rnn-epochs", "-3", "-ae-epochs", "-2")
+	if _, err := os.Stat(filepath.Join(work, "untrained.model")); err == nil {
+		t.Fatal("clap-train saved a model with -rnn-epochs -3")
 	}
 
 	// Kitsune is an evaluation baseline, not a registered backend.
@@ -497,6 +508,10 @@ func TestClapEvalTinyProfile(t *testing.T) {
 	}
 	tools := buildTools(t)
 	runFails(t, tools, "-workers -1", "clap-eval", "-profile", "tiny", "-workers", "-1")
+	// A profile typo is refused before training, not run as "fast".
+	for _, bad := range []string{"ful", "Full"} {
+		runFails(t, tools, "want tiny, fast or full", "clap-eval", "-profile", bad)
+	}
 	report := filepath.Join(t.TempDir(), "report.txt")
 	run(t, tools, "clap-eval", "-profile", "tiny", "-quiet", "-out", report)
 	data, err := os.ReadFile(report)

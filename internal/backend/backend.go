@@ -142,8 +142,6 @@ func Live(b Backend) Backend {
 
 // Factory creates and decodes one backend family.
 type Factory struct {
-	// Doc is a one-line description shown by CLI -backend listings.
-	Doc string
 	// New returns an untrained backend with default configuration.
 	New func() Backend
 	// Load decodes a model payload written by Backend.Save.
@@ -179,13 +177,6 @@ func Tags() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Doc returns the registered one-line description for tag.
-func Doc(tag string) string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return registry[tag].Doc
 }
 
 // New instantiates an untrained backend by tag.

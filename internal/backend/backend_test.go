@@ -50,9 +50,6 @@ func TestRegistryHasAllThreeBackends(t *testing.T) {
 		if !found {
 			t.Errorf("registry missing %q (have %v)", want, tags)
 		}
-		if Doc(want) == "" {
-			t.Errorf("backend %q has no doc line", want)
-		}
 		b, err := New(want)
 		if err != nil {
 			t.Fatalf("New(%q): %v", want, err)

@@ -32,7 +32,6 @@ const (
 
 func init() {
 	Register(TagCascade, Factory{
-		Doc: "Tiered cascade: cheap first stage screens, suspicious tail escalates to the expensive stage (default baseline1+clap)",
 		New: func() Backend {
 			s1, _ := New(TagBaseline1)
 			s2, _ := New(TagCLAP)

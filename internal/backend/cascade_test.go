@@ -36,9 +36,6 @@ func serialScores(b Backend, conns []*flow.Connection) []float64 {
 }
 
 func TestCascadeRegistered(t *testing.T) {
-	if Doc(TagCascade) == "" {
-		t.Error("cascade has no doc line")
-	}
 	b, err := New(TagCascade)
 	if err != nil {
 		t.Fatal(err)

@@ -20,12 +20,10 @@ const (
 
 func init() {
 	Register(TagCLAP, Factory{
-		Doc:  "CLAP: context-learning detector (GRU gates + stacked-profile autoencoder)",
 		New:  func() Backend { return &CLAP{tag: TagCLAP, Cfg: core.DefaultConfig()} },
 		Load: func(r io.Reader) (Backend, error) { return loadCLAP(TagCLAP, r) },
 	})
 	Register(TagBaseline1, Factory{
-		Doc:  "Baseline #1: temporal-context-agnostic CLAP (no gate features, no stacking)",
 		New:  func() Backend { return &CLAP{tag: TagBaseline1, Cfg: core.Baseline1Config()} },
 		Load: func(r io.Reader) (Backend, error) { return loadCLAP(TagBaseline1, r) },
 	})

@@ -286,16 +286,29 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, errors.New("serve: config needs a trained Backend")
 	}
-	if cfg.QueueDepth <= 0 {
+	// Sizes are counts: zero takes the documented default, and a negative
+	// value is a mistake to report rather than another way to say zero.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Workers", cfg.Workers},
+		{"QueueDepth", cfg.QueueDepth},
+		{"FlaggedRing", cfg.FlaggedRing},
+		{"TraceSample", cfg.TraceSample},
+		{"TraceRing", cfg.TraceRing},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("serve: %s %d must be >= 0", f.name, f.v)
+		}
+	}
+	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 256
 	}
-	if cfg.FlaggedRing <= 0 {
+	if cfg.FlaggedRing == 0 {
 		cfg.FlaggedRing = 256
 	}
-	if cfg.TraceSample < 0 {
-		cfg.TraceSample = 0
-	}
-	if cfg.TraceRing <= 0 {
+	if cfg.TraceRing == 0 {
 		cfg.TraceRing = 256
 	}
 	switch {

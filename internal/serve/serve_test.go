@@ -575,6 +575,41 @@ func TestServeHandlerBeforeStart(t *testing.T) {
 	}
 }
 
+// TestServeNewRejectsNegativeSizes: a negative worker count, queue depth,
+// ring size or trace sampling rate fails New, naming the field, instead
+// of quietly becoming that field's default; zero still takes the default.
+func TestServeNewRejectsNegativeSizes(t *testing.T) {
+	clapModel, _ := fixture(t)
+	b := loadModel(t, clapModel)
+	cases := []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Workers", func(c *Config) { c.Workers = -2 }},
+		{"QueueDepth", func(c *Config) { c.QueueDepth = -1 }},
+		{"FlaggedRing", func(c *Config) { c.FlaggedRing = -1 }},
+		{"TraceSample", func(c *Config) { c.TraceSample = -1 }},
+		{"TraceRing", func(c *Config) { c.TraceRing = -5 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := Config{Backend: b}
+			tc.set(&cfg)
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("New with negative %s: err %v, want an error naming it", tc.field, err)
+			}
+		})
+	}
+	srv, err := New(Config{Backend: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.cfg.QueueDepth != 256 || srv.cfg.FlaggedRing != 256 || srv.cfg.TraceRing != 256 {
+		t.Fatalf("zero sizes: queue %d, flagged ring %d, trace ring %d; want the 256 defaults",
+			srv.cfg.QueueDepth, srv.cfg.FlaggedRing, srv.cfg.TraceRing)
+	}
+}
+
 // TestServeReloadRejectsBadModel: a failed reload must leave the current
 // model serving.
 func TestServeReloadRejectsBadModel(t *testing.T) {

@@ -135,37 +135,6 @@ func (j *jsonLines) Finish(sum *RunSummary) error {
 	})
 }
 
-// NewAlertLog writes one line per flagged connection — the deterministic,
-// replayable alert log of the online deployment mode.
-func NewAlertLog(w io.Writer) Sink { return &alertLog{w: w} }
-
-type alertLog struct {
-	w   io.Writer
-	err error
-}
-
-// writeAlert renders the one-line alert format shared by every alert
-// sink, so the batch and serving logs can never drift apart.
-func writeAlert(w io.Writer, r Result) error {
-	truth := ""
-	if r.Conn.AttackName != "" {
-		truth = "  (attack: " + r.Conn.AttackName + ")"
-	}
-	_, err := fmt.Fprintf(w, "ALERT %-44s score=%.5f peak-window=%d%s\n",
-		r.Conn.Key, r.Score, r.PeakWindow, truth)
-	return err
-}
-
-func (a *alertLog) Emit(r Result) error {
-	if !r.Flagged || a.err != nil {
-		return a.err
-	}
-	a.err = writeAlert(a.w, r)
-	return a.err
-}
-
-func (a *alertLog) Finish(*RunSummary) error { return a.err }
-
 // NewDedupAlertLog is the alert log hardened for always-on serving: a
 // flagged connection is written at most once per dedup window per
 // connection key (retransmitted or re-segmented flows re-entering the
@@ -240,7 +209,12 @@ func (a *dedupAlertLog) Emit(r Result) error {
 		}
 		a.seen[key] = now
 	}
-	a.err = writeAlert(a.w, r)
+	truth := ""
+	if r.Conn.AttackName != "" {
+		truth = "  (attack: " + r.Conn.AttackName + ")"
+	}
+	_, a.err = fmt.Fprintf(a.w, "ALERT %-44s score=%.5f peak-window=%d%s\n",
+		r.Conn.Key, r.Score, r.PeakWindow, truth)
 	return a.err
 }
 

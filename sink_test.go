@@ -143,7 +143,6 @@ func TestSinksSurfaceWriterErrors(t *testing.T) {
 		{"text-mid-report", func(w *failingWriter) Sink { return NewTextReport(w, true) }, 2},
 		{"jsonlines-immediate", func(w *failingWriter) Sink { return NewJSONLines(w) }, 0},
 		{"jsonlines-at-summary", func(w *failingWriter) Sink { return NewJSONLines(w) }, 3},
-		{"alertlog", func(w *failingWriter) Sink { return NewAlertLog(w) }, 0},
 		{"dedup-alertlog", func(w *failingWriter) Sink { return NewDedupAlertLog(w, 0, 0) }, 0},
 	}
 	for _, tc := range cases {
@@ -165,7 +164,7 @@ func TestSinkErrorsFailRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("pipe closed")
-	_, err = p.Run(TrafficGen(4, 2), NewAlertLog(&failingWriter{err: boom}))
+	_, err = p.Run(TrafficGen(4, 2), NewDedupAlertLog(&failingWriter{err: boom}, 0, 0))
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "sink") {
 		t.Fatalf("Run err = %v, want a wrapped sink error", err)
 	}
