@@ -37,29 +37,37 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "emit JSON lines instead of the text report")
 		workers     = flag.Int("workers", 0, "scoring workers (0: all cores)")
 		escalateFPR = flag.Float64("escalate-fpr", 0,
-			"cascade models: override the persisted escalate-FPR (takes effect at -calibrate)")
+			"cascade models: override the persisted escalate-FPR (needs -calibrate)")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *in == "" {
 		log.Fatal("need -in")
 	}
 	if *workers < 0 {
 		log.Fatalf("-workers %d: must be >= 0", *workers)
 	}
+	if set["fpr"] && *calibrate == "" {
+		log.Fatalf("-fpr %v: the target of -calibrate, which is not set", *fpr)
+	}
 
 	b, err := clap.LoadBackendFile(*model)
 	if err != nil {
 		log.Fatalf("loading model: %v", err)
 	}
-	escalateSet := false
-	flag.Visit(func(f *flag.Flag) { escalateSet = escalateSet || f.Name == "escalate-fpr" })
-	if escalateSet {
+	if set["escalate-fpr"] {
 		cb, ok := b.(*clap.CascadeBackend)
 		if !ok {
 			log.Fatalf("-escalate-fpr applies to cascade models; %s is %q", *model, b.Tag())
 		}
 		if err := cb.SetEscalateFPR(*escalateFPR); err != nil {
 			log.Fatal(err)
+		}
+		// The target moves the escalation threshold only when -calibrate
+		// recalibrates it; without it no verdict would change.
+		if *calibrate == "" {
+			log.Fatalf("-escalate-fpr %v: takes effect at -calibrate, which is not set", *escalateFPR)
 		}
 	}
 	log.Printf("loaded %s", b.Describe())

@@ -345,6 +345,11 @@ func TestBackendFlagEndToEnd(t *testing.T) {
 		runFails(t, tools, "must be in (0, 1)", "clap-detect", "-in", adv, "-model", cascade, "-escalate-fpr", bad)
 		runFails(t, tools, "must be in (0, 1)", "clap-serve", "-model", cascade, "-escalate-fpr", bad)
 	}
+	// clap-detect reads both FPR targets only when it calibrates, so either
+	// one set without -calibrate is refused rather than dropped.
+	runFails(t, tools, "-calibrate, which is not set", "clap-detect", "-in", adv, "-model", cascade, "-escalate-fpr", "0.2")
+	runFails(t, tools, "-calibrate, which is not set", "clap-detect", "-in", adv, "-model", cascade, "-fpr", "0.05")
+	run(t, tools, "clap-detect", "-in", adv, "-model", cascade, "-calibrate", benign, "-fpr", "0.05", "-escalate-fpr", "0.2")
 	// clap-serve sizes: a negative count is an error, not a default.
 	runFails(t, tools, "Workers -2", "clap-serve", "-model", filepath.Join(work, "clap.model"), "-workers", "-2")
 

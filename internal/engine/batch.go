@@ -73,6 +73,12 @@ func (l *lane[K]) add(k K, c *flow.Connection, o Outcome) {
 		l.done(k, c, o)
 		return
 	}
+	if l.batch == nil {
+		// Made once, at full size: a batch holds at most size windows,
+		// and each connection in open but the one being added has one.
+		l.batch = make([][]float64, 0, l.size)
+		l.open = make([]pending[K], 0, l.size+1)
+	}
 	l.open = append(l.open, pending[K]{k: k, c: c, o: o, wins: wins})
 	for _, w := range wins {
 		l.batch = append(l.batch, w)
@@ -119,10 +125,10 @@ func (l *lane[K]) flush() {
 	l.open = l.open[:rest]
 }
 
-// scorer is the engine's one micro-batch core: Run's workers, stream
-// workers, calibration and both stages of a cascade score through it. For
-// a plain model it is one lane; for a cascade (backend.Cascade) two
-// chained: stage-1 batches, Route as each connection's stage-1 series
+// scorer is the engine's one micro-batch core: WindowErrorsBatched's
+// workers, stream workers, and both stages of a cascade score through
+// it. For a plain model it is one lane; for a cascade (backend.Cascade)
+// two chained: stage-1 batches, Route as each connection's stage-1 series
 // completes, the escalated connections into stage-2 batches. Outcomes go
 // to out as connections complete, in no promised order.
 type scorer[K any] struct {

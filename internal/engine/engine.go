@@ -14,8 +14,8 @@
 // produced serially).
 //
 // Every backend scores through one micro-batcher (batch.go), shared by
-// Run, streams, calibration, the evaluation suite and both cascade
-// stages: it pools the windows of consecutive connections into batches of
+// streams (the pipeline's Run and serving), calibration, the evaluation
+// suite and both cascade stages: it pools the windows of consecutive connections into batches of
 // DefaultBatch, each one matrix-matrix inference pass — the bits of
 // backend.WindowErrors, a fraction of the wall clock.
 //
@@ -42,8 +42,9 @@ import (
 // windows up, and 24 keeps one batch's activations L2-resident and is a
 // whole number of blocks on both MulMat kernels (three 8-lane AVX2 panels
 // with no padded lanes, four 6-lane blocks on the portable one). Batches
-// fill across connections in Run and in streams alike: a worker runs a
-// part-filled batch only when it runs out of connections to add.
+// fill across connections in WindowErrorsBatched and in streams alike: a
+// worker runs a part-filled batch only when it runs out of connections to
+// add.
 const DefaultBatch = 24
 
 // minChunk is the smallest per-worker share of a ParallelFor that pays

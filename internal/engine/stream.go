@@ -12,15 +12,16 @@ import (
 
 // StreamOf is the engine's online-deployment mode (Figure 3), generalized
 // over the per-connection result type: connections are submitted as they
-// close, scored by the worker pool through the micro-batcher Run uses, and
+// close, scored by the worker pool through the engine's micro-batcher, and
 // emitted strictly in submission order — so a live monitor behind a DPI
 // keeps deterministic, replayable alert logs even though scoring runs
 // concurrently.
 type StreamOf[T any] struct {
 	jobs    chan *streamJob[T]
 	pending chan *streamJob[T]
-	done    chan struct{}
-	wg      sync.WaitGroup
+	wake    chan struct{} // a token when the job in waiting turns ready
+	waiting atomic.Pointer[streamJob[T]]
+	wg      sync.WaitGroup // the workers and the emitter
 	hooks   StreamHooks
 	stats   batchStats
 
@@ -35,15 +36,23 @@ type StreamOf[T any] struct {
 	// seq counts submissions. Submit is single-goroutine by contract and
 	// the emitter reads each job's stamped copy, so a plain field works.
 	seq uint64
+	// ring is every job the stream has made, in the order Submit uses
+	// them; next is the one it uses next, last used len(ring) submissions
+	// ago. Only Submit touches them.
+	ring []*streamJob[T]
+	next int
 }
 
+// streamJob carries one connection through the stream. Jobs are reused
+// in turn, and a connection bound's worth is made at once only when the
+// window is deeper than it has ever been (see Submit).
 type streamJob[T any] struct {
-	c    *flow.Connection
-	b    backend.Backend // the model pin chose
-	r    T
-	out  chan T
-	seq  uint64
-	pkts int64 // the connection's share of the window's packet room
+	c     *flow.Connection
+	b     backend.Backend // the model pin chose
+	r     T
+	ready atomic.Bool // r is complete
+	seq   uint64
+	pkts  int64 // the connection's share of the window's packet room
 	// Stage timestamps, populated only when the stream has an Observe
 	// hook so the unobserved hot path never touches the clock.
 	submitted time.Time
@@ -116,10 +125,10 @@ func NewStreamOf[T any](e *Engine, open backend.Backend,
 	finish func(c *flow.Connection, b backend.Backend, r *T, o Outcome),
 	emit func(*flow.Connection, T), hooks StreamHooks) *StreamOf[T] {
 	s := &StreamOf[T]{
-		done:     make(chan struct{}),
 		hooks:    hooks,
 		maxConns: int64(e.workers * (4 + e.batch)),
 		room:     packetRoom(open, e.workers, e.batch),
+		wake:     make(chan struct{}, 1),
 		freed:    make(chan struct{}, 1),
 	}
 	// Every in-flight connection counts at least one packet, so the window
@@ -129,7 +138,7 @@ func NewStreamOf[T any](e *Engine, open backend.Backend,
 	s.jobs = make(chan *streamJob[T], depth)
 	s.pending = make(chan *streamJob[T], depth)
 	observed := hooks.Observe != nil
-	s.wg.Add(e.workers)
+	s.wg.Add(e.workers + 1)
 	for w := 0; w < e.workers; w++ {
 		go func() {
 			defer s.wg.Done()
@@ -138,7 +147,15 @@ func NewStreamOf[T any](e *Engine, open backend.Backend,
 				if observed {
 					j.scored = time.Now()
 				}
-				j.out <- j.r
+				// The emitter publishes the job it waits for before it
+				// checks ready again, so one of the two sees the other.
+				j.ready.Store(true)
+				if s.waiting.Load() == j {
+					select {
+					case s.wake <- struct{}{}:
+					default: // the emitter has a token to wake on
+					}
+				}
 			})
 			for j := range s.jobs {
 				for j != nil {
@@ -159,31 +176,47 @@ func NewStreamOf[T any](e *Engine, open backend.Backend,
 		}()
 	}
 	go func() {
+		defer s.wg.Done()
+		var zero T
 		for j := range s.pending {
-			r := <-j.out
+			if !j.ready.Load() {
+				s.waiting.Store(j)
+				for !j.ready.Load() {
+					<-s.wake
+				}
+				s.waiting.Store(nil)
+			}
 			// EmitWait is head-of-line wait only, measured before the
 			// emit callback so a slow consumer does not inflate it.
 			var emitAt time.Time
 			if observed {
 				emitAt = time.Now()
 			}
-			emit(j.c, r)
+			emit(j.c, j.r)
+			c, pkts := j.c, j.pkts
+			var st StreamStats
+			if observed {
+				st = StreamStats{
+					Seq:       j.seq,
+					QueueWait: j.started.Sub(j.submitted),
+					Score:     j.scored.Sub(j.started),
+					EmitWait:  emitAt.Sub(j.scored),
+				}
+			}
+			// Drop what the job references and leave it: the release
+			// below may admit the Submit that reuses it.
+			j.c, j.b, j.r = nil, nil, zero
+			j.ready.Store(false)
 			s.inConns.Add(-1)
-			s.inPkts.Add(-j.pkts)
+			s.inPkts.Add(-pkts)
 			select {
 			case s.freed <- struct{}{}:
 			default: // a token is already waiting
 			}
 			if observed {
-				hooks.Observe(j.c, StreamStats{
-					Seq:       j.seq,
-					QueueWait: j.started.Sub(j.submitted),
-					Score:     j.scored.Sub(j.started),
-					EmitWait:  emitAt.Sub(j.scored),
-				})
+				hooks.Observe(c, st)
 			}
 		}
-		close(s.done)
 	}()
 	return s
 }
@@ -196,15 +229,32 @@ func NewStreamOf[T any](e *Engine, open backend.Backend,
 // on a cascade, lets a worker's stage-2 lane fill its batch: emission is
 // in order, so a connection held there holds every later one in the
 // window. At worst the window holds the connection bound's connections,
-// plus the room's packets, plus one connection. Not safe for concurrent
-// Submit calls from multiple goroutines; the submission order defines the
-// emit order.
+// plus the room's packets, plus one connection. Submit reuses the jobs
+// emitted connections leave, so once the window has been as deep as it
+// gets, the stream allocates nothing per connection: only the batcher's
+// series and batch errors remain. Not safe for concurrent Submit calls
+// from multiple goroutines; the submission order defines the emit order.
 func (s *StreamOf[T]) Submit(c *flow.Connection) {
 	for s.inConns.Load() >= s.maxConns && s.inPkts.Load() >= s.room {
 		<-s.freed
 	}
 	s.seq++
-	j := &streamJob[T]{c: c, out: make(chan T, 1), seq: s.seq, pkts: int64(max(len(c.Packets), 1))}
+	// In-flight connections are the latest submitted, so the job at next
+	// is free unless every job is in flight; then a new chunk goes in at
+	// next, and the jobs after it are reached len(ring) submissions after
+	// their last use again.
+	if s.inConns.Load() >= int64(len(s.ring)) {
+		chunk := make([]streamJob[T], s.maxConns)
+		ring := make([]*streamJob[T], 0, len(s.ring)+len(chunk))
+		ring = append(ring, s.ring[:s.next]...)
+		for i := range chunk {
+			ring = append(ring, &chunk[i])
+		}
+		s.ring = append(ring, s.ring[s.next:]...)
+	}
+	j := s.ring[s.next]
+	s.next = (s.next + 1) % len(s.ring)
+	j.c, j.seq, j.pkts = c, s.seq, int64(max(len(c.Packets), 1))
 	s.inConns.Add(1)
 	s.inPkts.Add(j.pkts)
 	if s.hooks.Observe != nil {
@@ -229,6 +279,5 @@ func (s *StreamOf[T]) BatchFill() float64 { return s.stats.fill() }
 func (s *StreamOf[T]) Close() {
 	close(s.jobs)
 	close(s.pending)
-	<-s.done
 	s.wg.Wait()
 }

@@ -408,12 +408,15 @@ func (p *Pipeline) resultFor(b Backend, c *Connection, errs []float64, th float6
 	return r
 }
 
-// Run reads the source, scores every connection through the engine, and
-// emits each result to every sink in capture order (then Finish, in sink
-// order). Sinks may be nil-free but are optional: forensic callers can
-// work off the returned summary alone.
+// Run reads the source and scores every connection through the engine's
+// ordered stream: each result goes to every sink as soon as its connection
+// and every earlier one are scored, in capture order, while later ones are
+// still scoring; Finish then runs once per sink, in sink order. Sinks are
+// optional: forensic callers can work off the returned summary alone. A
+// sink error stops Run submitting connections; Run drains what is in
+// flight, emitting none of it, and returns the error.
 func (p *Pipeline) Run(src Source, sinks ...Sink) (*RunSummary, error) {
-	// One snapshot for the whole batch: under a hot-swappable backend every
+	// One snapshot for the whole Run: under a hot-swappable backend every
 	// connection of a Run is scored by the same model.
 	b := p.snapshot()
 	th, calN, calSkipped, err := p.calibrate(b)
@@ -424,7 +427,6 @@ func (p *Pipeline) Run(src Source, sinks ...Sink) (*RunSummary, error) {
 	if err != nil {
 		return nil, fmt.Errorf("clap: reading source: %w", err)
 	}
-	errsAll := p.eng.WindowErrorsBatched(b, conns)
 	// A threshold counts as "in force" when calibrated (WithThresholdFPR),
 	// installed from a snapshot (WithCalibration), or fixed positive —
 	// either way a value of exactly 0 still flags, it does not silently
@@ -439,21 +441,44 @@ func (p *Pipeline) Run(src Source, sinks ...Sink) (*RunSummary, error) {
 		CalibrationSkipped: calSkipped,
 		WindowSpan:         b.WindowSpan(),
 	}
-	for i, c := range conns {
-		r := p.resultFor(b, c, errsAll[i], th, thSet)
-		errsAll[i] = nil
-		if r.Flagged {
-			sum.Flagged++
-		}
-		sum.Results[i] = r
-		for _, s := range sinks {
-			if err := s.Emit(r); err != nil {
-				return nil, fmt.Errorf("clap: sink: %w", err)
-			}
-		}
+	// The emitter owns sum and the run state until Close returns; failed
+	// is how it tells the submitting loop to stop.
+	var st struct {
+		emitted int
+		sinkErr error
+		failed  atomic.Bool
 	}
-	for _, s := range sinks {
-		if err := s.Finish(sum); err != nil {
+	s := engine.NewStreamOf(p.eng, b,
+		func(*Connection) (Backend, Result) { return b, Result{} },
+		func(c *Connection, b Backend, r *Result, o engine.Outcome) { *r = p.resultFor(b, c, o.Errs, th, thSet) },
+		func(_ *Connection, r Result) {
+			if st.sinkErr != nil {
+				return
+			}
+			if r.Flagged {
+				sum.Flagged++
+			}
+			sum.Results[st.emitted] = r
+			st.emitted++
+			for _, sk := range sinks {
+				if st.sinkErr = sk.Emit(r); st.sinkErr != nil {
+					st.failed.Store(true)
+					return
+				}
+			}
+		}, engine.StreamHooks{})
+	for _, c := range conns {
+		if st.failed.Load() {
+			break
+		}
+		s.Submit(c)
+	}
+	s.Close()
+	if st.sinkErr != nil {
+		return nil, fmt.Errorf("clap: sink: %w", st.sinkErr)
+	}
+	for _, sk := range sinks {
+		if err := sk.Finish(sum); err != nil {
 			return nil, fmt.Errorf("clap: sink finish: %w", err)
 		}
 	}

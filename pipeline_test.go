@@ -7,8 +7,10 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"clap/internal/engine"
 	"clap/internal/eval"
 	"clap/internal/kitsune"
 )
@@ -38,6 +40,28 @@ func pipelineBackend(t *testing.T) Backend {
 	}
 	return pipeBk
 }
+
+// countingBackend is a CLAP backend that counts the connections whose
+// windows it makes, one per connection a stream takes in, and the
+// windows it scores.
+type countingBackend struct {
+	*CLAPBackend
+	conns, windows atomic.Int64
+}
+
+func (b *countingBackend) Windows(c *Connection) [][]float64 {
+	b.conns.Add(1)
+	return b.CLAPBackend.Windows(c)
+}
+
+func (b *countingBackend) ScoreWindows(wins [][]float64) []float64 {
+	b.windows.Add(int64(len(wins)))
+	return b.CLAPBackend.ScoreWindows(wins)
+}
+
+// runWindow is the in-flight window of a Run at the given worker count:
+// how many connections it scores ahead of the one it emits next.
+func runWindow(workers int) int { return workers * (4 + engine.DefaultBatch) }
 
 // suspectSource injects the motivating example into half a fresh corpus.
 // The shared fixture is deliberately under-trained (seconds, not minutes),
@@ -274,6 +298,66 @@ func streamBackends(t *testing.T) map[string]Backend {
 		t.Fatal(err)
 	}
 	return map[string]Backend{"clap": pipelineBackend(t), "cascade": cascade}
+}
+
+// firstEmit is a sink that records how many windows its backend had
+// scored when the first verdict reached it.
+type firstEmit struct {
+	b     *countingBackend
+	seen  int64
+	emits int
+}
+
+func (s *firstEmit) Emit(Result) error {
+	if s.emits == 0 {
+		s.seen = s.b.windows.Load()
+	}
+	s.emits++
+	return nil
+}
+
+func (s *firstEmit) Finish(*RunSummary) error { return nil }
+
+// TestRunEmitsWhileScoring: Run hands a verdict to its sinks as soon as
+// that connection and every earlier one are scored, while later ones are
+// still scoring, rather than after the whole capture. Nothing here
+// depends on timing: no connection leaves the in-flight window before
+// its emit, so when the first verdict arrives at most the windows of the
+// first window's worth of connections can have been scored — a fraction
+// of a corpus five windows long.
+func TestRunEmitsWhileScoring(t *testing.T) {
+	const workers = 2
+	window := runWindow(workers)
+	conns := GenerateBenign(5*window, 17)
+	bk := &countingBackend{CLAPBackend: pipelineBackend(t).(*CLAPBackend)}
+	var admitted, total int64 // windows of the first window's connections, of all
+	for i, c := range conns {
+		wins := bk.CLAPBackend.Windows(c)
+		if i < window {
+			admitted += int64(len(wins))
+		}
+		total += int64(len(wins))
+		bk.CLAPBackend.RecycleWindows(wins)
+	}
+	p, err := NewPipeline(WithBackend(bk), WithWorkers(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := &firstEmit{b: bk}
+	sum, err := p.Run(Conns(conns...), first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.emits != len(conns) || len(sum.Results) != len(conns) {
+		t.Fatalf("%d emits, %d results for %d connections", first.emits, len(sum.Results), len(conns))
+	}
+	if got := bk.windows.Load(); got != total {
+		t.Fatalf("Run scored %d windows, the corpus has %d", got, total)
+	}
+	if first.seen > admitted {
+		t.Fatalf("the first Emit saw %d of %d windows scored; the first %d connections have only %d",
+			first.seen, total, window, admitted)
+	}
 }
 
 // TestPipelineStreamMatchesRun: for clap and the cascade, at workers

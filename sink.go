@@ -9,8 +9,10 @@ import (
 )
 
 // Sink consumes pipeline results: Emit is called once per connection in
-// capture order, then Finish once with the run summary. Implementations
-// need no locking — the pipeline emits from a single goroutine.
+// capture order, as soon as that connection and every earlier one are
+// scored, while later ones are still scoring; then Finish once with the
+// run summary. Implementations need no locking — the pipeline emits from
+// a single goroutine, and Run returns only after the last Emit.
 type Sink interface {
 	Emit(r Result) error
 	Finish(sum *RunSummary) error

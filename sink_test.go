@@ -3,6 +3,7 @@ package clap
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -155,8 +156,31 @@ func TestSinksSurfaceWriterErrors(t *testing.T) {
 	}
 }
 
+// countSink counts its Emits; with fail set, its Emit number at fails,
+// and it counts the Emits that still reach it afterwards.
+type countSink struct {
+	emits, at, late int
+	fail            error
+}
+
+func (s *countSink) Emit(Result) error {
+	s.emits++
+	switch {
+	case s.fail == nil || s.emits <= s.at:
+		return nil
+	case s.emits == s.at+1:
+		return s.fail
+	}
+	s.late++
+	return nil
+}
+
+func (s *countSink) Finish(*RunSummary) error { return nil }
+
 // TestSinkErrorsFailRun: a failing sink aborts Pipeline.Run with the
-// writer's error.
+// writer's error. Over a corpus several in-flight windows long, Run stops
+// submitting at the error, drains what is in flight without emitting it,
+// and leaves no goroutine behind.
 func TestSinkErrorsFailRun(t *testing.T) {
 	bk := pipelineBackend(t)
 	p, err := NewPipeline(WithBackend(bk), WithThreshold(1e-12))
@@ -171,6 +195,42 @@ func TestSinkErrorsFailRun(t *testing.T) {
 	_, err = p.Run(TrafficGen(4, 2), NewJSONLines(&failingWriter{err: boom}))
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run err = %v, want the JSON sink's error", err)
+	}
+
+	const workers = 2
+	window := runWindow(workers)
+	conns := GenerateBenign(4*window, 23)
+	cb := &countingBackend{CLAPBackend: bk.(*CLAPBackend)}
+	p, err = NewPipeline(WithBackend(cb), WithWorkers(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, failing, after := &countSink{}, &countSink{at: 3, fail: boom}, &countSink{}
+	goroutines := runtime.NumGoroutine()
+	_, err = p.Run(Conns(conns...), before, failing, after)
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "sink") {
+		t.Fatalf("Run err = %v, want a wrapped sink error", err)
+	}
+	if failing.late != 0 {
+		t.Fatalf("the failing sink received %d Emits after its error", failing.late)
+	}
+	if before.emits != failing.at+1 || after.emits != failing.at {
+		t.Fatalf("sinks before and after the failing one got %d and %d Emits, want %d and %d",
+			before.emits, after.emits, failing.at+1, failing.at)
+	}
+	// When the failing Emit returns, the window holds the connections from
+	// it on; the one Submit then waiting for room is the last.
+	if n := cb.conns.Load(); n > int64(failing.at+1+window) {
+		t.Fatalf("Run submitted %d of %d connections, more than %d: it kept submitting after the error",
+			n, len(conns), failing.at+1+window)
+	}
+	// The stream's goroutines have returned from Close; wait for them to
+	// be gone.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed Run, %d before", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
