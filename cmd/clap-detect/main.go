@@ -29,7 +29,7 @@ func main() {
 	var (
 		in          = flag.String("in", "", "suspect pcap to score")
 		model       = flag.String("model", "clap.model", "trained model path")
-		threshold   = flag.Float64("threshold", 0, "adversarial-score threshold (0: report scores only)")
+		threshold   = flag.Float64("threshold", 0, "adversarial-score threshold (0: report scores only; not with -calibrate)")
 		calibrate   = flag.String("calibrate", "", "benign pcap to derive a threshold from")
 		fpr         = flag.Float64("fpr", 0.01, "target false-positive rate for -calibrate")
 		top         = flag.Int("top", 5, "Top-N windows to localize per flagged connection")
@@ -50,6 +50,9 @@ func main() {
 	}
 	if set["fpr"] && *calibrate == "" {
 		log.Fatalf("-fpr %v: the target of -calibrate, which is not set", *fpr)
+	}
+	if set["threshold"] && *calibrate != "" {
+		log.Fatalf("-threshold %v: -calibrate sets the threshold; give one of the two", *threshold)
 	}
 
 	b, err := clap.LoadBackendFile(*model)

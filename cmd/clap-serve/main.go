@@ -292,7 +292,7 @@ func main() {
 	var (
 		model       = flag.String("model", "", "trained model path (required; also the default -reload source)")
 		addr        = flag.String("addr", "127.0.0.1:8080", "ops API listen address")
-		threshold   = flag.Float64("threshold", 0, "fixed operating threshold (0 with no -calibrate: score-only)")
+		threshold   = flag.Float64("threshold", 0, "fixed operating threshold (0: score-only; not with -calibrate)")
 		calibrate   = flag.String("calibrate", "", "benign pcap to calibrate the threshold from")
 		fpr         = flag.Float64("fpr", 0.01, "target false-positive rate for -calibrate")
 		escalateFPR = flag.Float64("escalate-fpr", 0,
@@ -368,14 +368,17 @@ func main() {
 	if err := checkQuotas(tenantQuotas, tenantFlags); err != nil {
 		log.Fatal(err)
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["threshold"] && *calibrate != "" {
+		log.Fatalf("-threshold %v: -calibrate sets the threshold; give one of the two", *threshold)
+	}
 
 	b, err := clap.LoadBackendFile(*model)
 	if err != nil {
 		log.Fatalf("loading model: %v", err)
 	}
-	escalateSet := false
-	flag.Visit(func(f *flag.Flag) { escalateSet = escalateSet || f.Name == "escalate-fpr" })
-	if escalateSet {
+	if set["escalate-fpr"] {
 		cb, ok := b.(*clap.CascadeBackend)
 		if !ok {
 			log.Fatalf("-escalate-fpr applies to cascade models; %s is %q", *model, b.Tag())

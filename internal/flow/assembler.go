@@ -34,24 +34,15 @@ type Assembler struct {
 	MaxPackets int
 
 	emit   func(*Connection)
-	active map[Key]*asmSlot
-	order  []*asmSlot // insertion order, the order Assemble would emit
+	active map[Key]*slot
+	order  []*slot // insertion order, the order Assemble would emit
 	now    func() time.Time
-}
-
-type asmSlot struct {
-	conn     *Connection
-	closed   bool
-	finC2S   bool
-	finS2C   bool
-	lastFeed time.Time
-	emitted  bool
 }
 
 // NewAssembler returns an incremental assembler delivering finished
 // connections to emit.
 func NewAssembler(emit func(*Connection)) *Assembler {
-	return &Assembler{emit: emit, active: make(map[Key]*asmSlot), now: time.Now}
+	return &Assembler{emit: emit, active: make(map[Key]*slot), now: time.Now}
 }
 
 // Feed appends capture-ordered packets, emitting any connection a packet
@@ -69,40 +60,20 @@ func (a *Assembler) Feed(pkts ...*packet.Packet) {
 
 func (a *Assembler) feed(p *packet.Packet, now time.Time) {
 	k := keyOf(p)
-	var s *asmSlot
-	var dir Direction
-	if sl, ok := a.active[k]; ok {
-		s, dir = sl, ClientToServer
-	} else if sl, ok := a.active[k.Reverse()]; ok {
-		s, dir = sl, ServerToClient
-	}
-	isSYN := p.TCP.Flags.Has(packet.SYN) && !p.TCP.Flags.Has(packet.ACK)
-	if s != nil && isSYN && dir == ClientToServer && s.closed {
+	s, dir := lookup(a.active, k)
+	if s != nil && s.reusedBy(p, dir) {
 		// Port reuse after close: the old connection is complete.
 		a.emitSlot(s)
 		s = nil
 	}
 	if s == nil {
-		s = &asmSlot{conn: &Connection{Key: k}}
+		s = newSlot(k)
 		a.active[k] = s
 		a.order = append(a.order, s)
 		dir = ClientToServer
 	}
-	s.conn.Append(p, dir)
+	s.add(p, dir)
 	s.lastFeed = now
-	switch {
-	case p.TCP.Flags.Has(packet.RST):
-		s.closed = true
-	case p.TCP.Flags.Has(packet.FIN):
-		if dir == ClientToServer {
-			s.finC2S = true
-		} else {
-			s.finS2C = true
-		}
-		if s.finC2S && s.finS2C {
-			s.closed = true
-		}
-	}
 	if a.MaxPackets > 0 && s.conn.Len() >= a.MaxPackets {
 		a.emitSlot(s)
 	}
@@ -111,13 +82,13 @@ func (a *Assembler) feed(p *packet.Packet, now time.Time) {
 // emitSlot delivers a slot's connection and retires it. Slots stay in the
 // order list (marked emitted) so Flush keeps Assemble's output order
 // without re-sorting.
-func (a *Assembler) emitSlot(s *asmSlot) {
+func (a *Assembler) emitSlot(s *slot) {
 	if s.emitted {
 		return
 	}
 	s.emitted = true
 	delete(a.active, s.conn.Key)
-	a.emit(s.conn)
+	a.emit(&s.conn)
 }
 
 // Pending reports how many connections are buffered awaiting close/flush.

@@ -6,6 +6,7 @@ package flow
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"clap/internal/packet"
 )
@@ -58,6 +59,10 @@ func keyOf(p *packet.Packet) Key {
 }
 
 // Connection is a capture-ordered train of packets between two endpoints.
+// One that Assemble or an Assembler built shares its allocation with the
+// flow's assembly state and room for its first nine packets and
+// directions, so a short flow costs one allocation; a longer train grows by
+// doubling, as Append does on a Connection built anywhere else.
 type Connection struct {
 	Key     Key
 	Packets []*packet.Packet
@@ -159,53 +164,87 @@ func (c *Connection) MarkAdversarial(i int) {
 // been closed (or a SYN with a fresh ISN after FIN/RST exchange) starts a
 // new connection, so port reuse does not merge distinct flows.
 func Assemble(pkts []*packet.Packet) []*Connection {
-	type slot struct {
-		conn   *Connection
-		closed bool // saw RST, or FIN in both directions
-		finC2S bool
-		finS2C bool
-	}
 	active := make(map[Key]*slot)
 	var order []*Connection
 
 	for _, p := range pkts {
 		k := keyOf(p)
-		var s *slot
-		var dir Direction
-		if sl, ok := active[k]; ok {
-			s, dir = sl, ClientToServer
-		} else if sl, ok := active[k.Reverse()]; ok {
-			s, dir = sl, ServerToClient
-		}
-		isSYN := p.TCP.Flags.Has(packet.SYN) && !p.TCP.Flags.Has(packet.ACK)
-		if s != nil && isSYN && dir == ClientToServer && s.closed {
+		s, dir := lookup(active, k)
+		if s != nil && s.reusedBy(p, dir) {
 			// Port reuse after close: start a fresh connection.
 			delete(active, s.conn.Key)
 			s = nil
 		}
 		if s == nil {
-			conn := &Connection{Key: k}
-			s = &slot{conn: conn}
+			s = newSlot(k)
 			active[k] = s
-			order = append(order, conn)
+			order = append(order, &s.conn)
 			dir = ClientToServer
 		}
-		s.conn.Append(p, dir)
-		switch {
-		case p.TCP.Flags.Has(packet.RST):
-			s.closed = true
-		case p.TCP.Flags.Has(packet.FIN):
-			if dir == ClientToServer {
-				s.finC2S = true
-			} else {
-				s.finS2C = true
-			}
-			if s.finC2S && s.finS2C {
-				s.closed = true
-			}
-		}
+		s.add(p, dir)
 	}
 	return order
+}
+
+// slotPackets is how many packets a flow holds before its train first
+// grows: nine fill the slot's 256-byte size class on 64-bit platforms.
+const slotPackets = 9
+
+// slot is one flow being assembled. Its Connection and the room for the
+// flow's first packets and directions are part of it, so opening a flow is
+// one allocation and a flow of up to slotPackets packets needs no other.
+// Slots are never pooled or shared between flows: a long-lived flow pins
+// its own slot and nothing else.
+type slot struct {
+	conn     Connection
+	closed   bool // saw RST, or FIN in both directions
+	finC2S   bool
+	finS2C   bool
+	emitted  bool // Assembler: the connection has been delivered
+	dirs     [slotPackets]Direction
+	lastFeed time.Time // Assembler: wall clock of the flow's last Feed
+	pkts     [slotPackets]*packet.Packet
+}
+
+func newSlot(k Key) *slot {
+	s := &slot{conn: Connection{Key: k}}
+	s.conn.Packets = s.pkts[:0]
+	s.conn.Dirs = s.dirs[:0]
+	return s
+}
+
+// lookup finds the open flow a packet keyed k belongs to, and the packet's
+// direction in it; nil when there is none.
+func lookup(active map[Key]*slot, k Key) (*slot, Direction) {
+	if s, ok := active[k]; ok {
+		return s, ClientToServer
+	}
+	return active[k.Reverse()], ServerToClient
+}
+
+// reusedBy reports whether p, arriving in direction dir, opens a new
+// connection on the slot's 4-tuple: a client→server SYN after close.
+func (s *slot) reusedBy(p *packet.Packet, dir Direction) bool {
+	isSYN := p.TCP.Flags.Has(packet.SYN) && !p.TCP.Flags.Has(packet.ACK)
+	return isSYN && dir == ClientToServer && s.closed
+}
+
+// add appends p to the flow and tracks its teardown.
+func (s *slot) add(p *packet.Packet, dir Direction) {
+	s.conn.Append(p, dir)
+	switch {
+	case p.TCP.Flags.Has(packet.RST):
+		s.closed = true
+	case p.TCP.Flags.Has(packet.FIN):
+		if dir == ClientToServer {
+			s.finC2S = true
+		} else {
+			s.finS2C = true
+		}
+		if s.finC2S && s.finS2C {
+			s.closed = true
+		}
+	}
 }
 
 // Flatten concatenates the packets of all connections back into one

@@ -228,3 +228,54 @@ func TestFlattenEmpty(t *testing.T) {
 		t.Errorf("Flatten(nil) returned %d packets", len(got))
 	}
 }
+
+// TestAssembledTrainsDoNotAlias: an assembled connection's packet and
+// direction trains start inside its slot, with room to spare. Appending to
+// a Clone, to the original or to a neighbouring flow must never show
+// through another connection, within that room or past it.
+func TestAssembledTrainsDoNotAlias(t *testing.T) {
+	snapshot := func(c *Connection) ([]*packet.Packet, []Direction) {
+		return append([]*packet.Packet(nil), c.Packets...), append([]Direction(nil), c.Dirs...)
+	}
+	same := func(what string, c *Connection, pkts []*packet.Packet, dirs []Direction) {
+		t.Helper()
+		if len(c.Packets) != len(pkts) || len(c.Dirs) != len(dirs) {
+			t.Fatalf("%s: train is %d packets, %d directions; was %d, %d", what, len(c.Packets), len(c.Dirs), len(pkts), len(dirs))
+		}
+		for i := range pkts {
+			if c.Packets[i] != pkts[i] || c.Dirs[i] != dirs[i] {
+				t.Fatalf("%s: packet %d changed", what, i)
+			}
+		}
+	}
+	extra := func(i int) *packet.Packet {
+		return mkPkt(cIP, sIP, 1111, 80, packet.ACK, uint32(1000+i), time.Second)
+	}
+
+	var fed []*Connection
+	a := NewAssembler(func(c *Connection) { fed = append(fed, c) })
+	capture := interleave(handshake(1111, 0), handshake(2222, time.Microsecond))
+	a.Feed(capture...)
+	a.Flush()
+	for name, conns := range map[string][]*Connection{"Assemble": Assemble(capture), "Assembler": fed} {
+		c, neighbour := conns[0], conns[1]
+		if cap(c.Packets) <= len(c.Packets) {
+			t.Fatalf("%s: an assembled train has no room to spare; the test needs some", name)
+		}
+		pkts, dirs := snapshot(c)
+		npkts, ndirs := snapshot(neighbour)
+
+		d := c.Clone()
+		d.Append(extra(0), ServerToClient)
+		d.InsertAt(1, extra(1), ServerToClient)
+		same(name+": appending to a clone, the original", c, pkts, dirs)
+
+		dp, dd := snapshot(d)
+		for i := 0; i < 2*slotPackets; i++ {
+			c.Append(extra(i), ClientToServer)
+		}
+		same(name+": appending to the original, its clone", d, dp, dd)
+		same(name+": appending to one flow, its neighbour", neighbour, npkts, ndirs)
+		same(name+": the original's first packets", &Connection{Packets: c.Packets[:len(pkts)], Dirs: c.Dirs[:len(dirs)]}, pkts, dirs)
+	}
+}

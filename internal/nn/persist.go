@@ -28,9 +28,10 @@ func restore(s tensorSnap, name string, wantR, wantC int) (*Tensor, error) {
 	if len(s.W) != s.R*s.C {
 		return nil, fmt.Errorf("nn: tensor %s carries %d weights for shape (%d,%d)", name, len(s.W), s.R, s.C)
 	}
-	t := NewTensor(s.R, s.C)
-	copy(t.W, s.W)
-	return t, nil
+	// The tensor owns the decoded weights outright: nothing else holds the
+	// snapshot, and cap == len keeps an append from reaching past them.
+	n := s.R * s.C
+	return &Tensor{R: s.R, C: s.C, W: s.W[:n:n], G: make([]float64, n)}, nil
 }
 
 type gruSnap struct {

@@ -120,6 +120,39 @@ func TestOptionBytesDoNotAlias(t *testing.T) {
 		}
 	})
 
+	t.Run("append to the option list", func(t *testing.T) {
+		// A packet whose one option leaves room in its class's list, and
+		// one that fills it: either way the list's capacity ends with it,
+		// so a grown list is a new array.
+		mss, err := packet.NewBuilder([4]byte{10, 0, 0, 9}, [4]byte{192, 0, 2, 9}, 50000, 443).
+			Flags(packet.SYN).MSS(1460).Build().Encode(packet.SerializeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range [][]byte{raw, mss} {
+			p, err := packet.Decode(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []*packet.Packet{p, p.Clone()} {
+				opts := q.TCP.Options
+				if cap(opts) != len(opts) {
+					t.Fatalf("TCP.Options has %d spare options of capacity", cap(opts)-len(opts))
+				}
+				grown := append(opts, packet.Option{Kind: packet.OptMD5, Data: make([]byte, 16)})
+				for i := range grown {
+					grown[i] = packet.Option{Kind: packet.OptNOP}
+				}
+				if !bytes.Equal(wire(t, q), in) {
+					t.Error("writing through a grown option list changed the packet")
+				}
+				if !bytes.Equal(wire(t, p), in) {
+					t.Error("writing through a clone's grown option list changed the original")
+				}
+			}
+		}
+	})
+
 	t.Run("remove option", func(t *testing.T) {
 		p := decode()
 		q := p.Clone()
@@ -141,15 +174,26 @@ func TestOptionBytesDoNotAlias(t *testing.T) {
 	})
 }
 
-// TestAllocBudgetDecode: a packet is one allocation, its option list a
-// second; the benchmark's captures are payload-stripped, and a stored
-// payload is one more.
+// TestAllocBudgetDecode: a packet is one allocation with its option list
+// and option bytes, whatever options it carries; the benchmark's captures
+// are payload-stripped, and a stored payload is one more.
 func TestAllocBudgetDecode(t *testing.T) {
 	withOptions := optionRich(t)
 	bare, err := packet.NewBuilder([4]byte{10, 0, 0, 9}, [4]byte{192, 0, 2, 9}, 50000, 443).
 		Seq(7).Ack(9).Flags(packet.ACK).Build().Encode(packet.SerializeOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A Linux-style SYN: MSS, window scale, SACK-permitted, timestamps and
+	// the EOL padding them, five options.
+	syn, err := packet.NewBuilder([4]byte{10, 0, 0, 9}, [4]byte{192, 0, 2, 9}, 50000, 443).
+		Seq(7).Flags(packet.SYN).MSS(1460).WScale(7).SACKPermitted().Timestamps(1, 0).
+		Build().Encode(packet.SerializeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := packet.Decode(syn); err != nil || len(p.TCP.Options) != 5 {
+		t.Fatalf("SYN fixture decodes to %v, %v; want five options", p, err)
 	}
 	decode := func(raw []byte) func() {
 		return func() {
@@ -158,10 +202,11 @@ func TestAllocBudgetDecode(t *testing.T) {
 			}
 		}
 	}
-	t.Run("options", func(t *testing.T) { allocbudget.AtMost(t, 2, decode(withOptions)) })
+	t.Run("options", func(t *testing.T) { allocbudget.AtMost(t, 1, decode(withOptions)) })
+	t.Run("five-option SYN", func(t *testing.T) { allocbudget.AtMost(t, 1, decode(syn)) })
 	t.Run("no options", func(t *testing.T) { allocbudget.AtMost(t, 1, decode(bare)) })
 	t.Run("payload", func(t *testing.T) {
-		allocbudget.AtMost(t, 3, decode(append(append([]byte(nil), withOptions...), make([]byte, 100)...)))
+		allocbudget.AtMost(t, 2, decode(append(append([]byte(nil), withOptions...), make([]byte, 100)...)))
 	})
 	t.Run("junk", func(t *testing.T) {
 		// Rejected before the packet is allocated; the error is the cost.

@@ -273,10 +273,10 @@ func TestEncodeComputeChecksums(t *testing.T) {
 	}
 }
 
-// FuzzDecode: Decode never panics on any bytes; what it accepts re-encodes
-// to bytes that decode to an equal packet; and the streaming validators
-// agree with the reference on it. Seeded with the wire form of every
-// strategy's adversarial packets.
+// FuzzDecode: Decode never panics on any bytes; what it accepts clones to
+// an equal packet and re-encodes to bytes that decode to an equal packet;
+// and the streaming validators agree with the reference on it. Seeded with
+// the wire form of every strategy's adversarial packets.
 //
 // The one packet Decode yields that Encode refuses is an option block that
 // does not parse: it is kept as a single kind-255 option, whose own
@@ -304,6 +304,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if got, want := p.TCPChecksumValid(), refTCPChecksumValid(p); got != want {
 			t.Fatalf("TCPChecksumValid = %v, reference %v: %v", got, want, p)
+		}
+		if c := p.Clone(); !reflect.DeepEqual(p, c) {
+			t.Fatalf("Clone changed the packet:\n   got %#v\ndecoded %#v", c, p)
 		}
 		raw, err := p.Encode(packet.SerializeOptions{})
 		if err != nil {

@@ -92,7 +92,10 @@ func DecodeTCP(data []byte) (TCPHeader, int, error) {
 		return h, 0, err
 	}
 	n, size, ok := countOptions(data[20:hlen])
-	h.Options = parseOptions(data[20:hlen], n, ok, make([]byte, 0, size))
+	if n > 0 {
+		h.Options = make([]Option, n)
+		parseOptions(data[20:hlen], ok, h.Options, make([]byte, 0, size))
+	}
 	return h, hlen, nil
 }
 
@@ -127,69 +130,109 @@ func countOptions(block []byte) (n, size int, ok bool) {
 	return n, size, true
 }
 
-// parseOptions builds the options countOptions counted, in one exact-size
-// slice, copying their data into buf (room for size bytes). Every Data is
-// capacity-limited to itself, so appending to one option reallocates rather
-// than reaching a neighbour's bytes.
-func parseOptions(block []byte, n int, ok bool, buf []byte) []Option {
-	if n == 0 {
-		return nil
-	}
-	opts := make([]Option, 0, n)
+// parseOptions fills opts, which has the length countOptions counted, with
+// the block's options, copying their data into buf (room for size bytes).
+// Every Data is capacity-limited to itself, so appending to one option
+// reallocates rather than reaching a neighbour's bytes.
+func parseOptions(block []byte, ok bool, opts []Option, buf []byte) {
 	if !ok {
-		data, _ := carve(buf, block)
-		return append(opts, Option{Kind: 255, Data: data})
+		opts[0] = Option{Kind: 255}
+		opts[0].Data, _ = carve(buf, block)
+		return
 	}
-	for i := 0; len(opts) < n; {
+	for j, i := 0, 0; j < len(opts); j++ {
 		kind := block[i]
+		opts[j].Kind = kind
 		switch kind {
 		case OptEndOfList, OptNOP:
-			opts = append(opts, Option{Kind: kind})
 			i++
 		default:
 			olen := int(block[i+1])
-			var data []byte
-			data, buf = carve(buf, block[i+2:i+olen])
-			opts = append(opts, Option{Kind: kind, Data: data})
+			opts[j].Data, buf = carve(buf, block[i+2:i+olen])
 			i += olen
 		}
 	}
-	return opts
 }
 
-// A packet is allocated together with room for its option bytes: IP.Options
-// and every TCP Option.Data of a decoded packet point into buf, so a packet
-// costs one allocation however many options it has. Two sizes, because every
-// packet held by an open flow pays for the room: 16 bytes cover the options
-// nearly all traffic carries (timestamps; MSS + window scale + timestamps on
-// a SYN; an MD5 digest), 40 a header's whole option space.
+// A packet is allocated together with its option list and room for its
+// option bytes: IP.Options, TCP.Options and every TCP Option.Data of a
+// decoded or cloned packet point into the packet's own allocation, so a
+// packet costs one allocation whatever options it carries. Every packet an
+// open flow holds pays for its class, so each class fills a Go size class
+// exactly (amd64: Packet is 160 bytes, an Option 32) and the common shapes
+// take the smallest that fits them:
+//
+//   - no options: the bare Packet, 160 bytes;
+//   - up to 2 options in 16 bytes, 240: timestamps and the EOL that pads
+//     them, an MD5 digest;
+//   - up to 3, 4 or 5 options in 32 bytes, 288, 320 or 352: handshakes,
+//     whose SYN carries MSS, window scale, SACK-permitted, timestamps and
+//     EOL;
+//   - up to 8 in 96, 512: more option bytes than two headers can carry.
+//
+// Beyond that (NOP floods, built packets with oversized options) the list
+// and the bytes are allocations of their own.
 type (
-	packetSmallOptions struct {
+	packetOptions2 struct {
 		Packet
-		buf [16]byte
+		opts [2]Option
+		buf  [16]byte
 	}
-	packetWithOptions struct {
+	packetOptions3 struct {
 		Packet
-		buf [maxOptionBytes]byte
+		opts [3]Option
+		buf  [32]byte
+	}
+	packetOptions4 struct {
+		Packet
+		opts [4]Option
+		buf  [32]byte
+	}
+	packetOptions5 struct {
+		Packet
+		opts [5]Option
+		buf  [32]byte
+	}
+	packetOptions8 struct {
+		Packet
+		opts [8]Option
+		buf  [96]byte
 	}
 )
 
-// newPacket allocates a zero Packet and a buffer with room for n option
-// bytes — inside the same allocation when they fit, which is every packet
-// whose IP and TCP options together stay within one header's option space.
-func newPacket(n int) (*Packet, []byte) {
+// newPacket allocates a zero Packet with a list of n options (nil for none)
+// and an empty buffer with room for size option bytes.
+func newPacket(n, size int) (*Packet, []Option, []byte) {
 	switch {
-	case n == 0:
-		return new(Packet), nil
-	case n <= len(packetSmallOptions{}.buf):
-		p := new(packetSmallOptions)
-		return &p.Packet, p.buf[:0]
-	case n <= maxOptionBytes:
-		p := new(packetWithOptions)
-		return &p.Packet, p.buf[:0]
+	case n == 0 && size == 0:
+		return new(Packet), nil, nil
+	case n <= 2 && size <= 16:
+		p := new(packetOptions2)
+		return &p.Packet, list(p.opts[:], n), p.buf[:0]
+	case n <= 3 && size <= 32:
+		p := new(packetOptions3)
+		return &p.Packet, list(p.opts[:], n), p.buf[:0]
+	case n <= 4 && size <= 32:
+		p := new(packetOptions4)
+		return &p.Packet, list(p.opts[:], n), p.buf[:0]
+	case n <= 5 && size <= 32:
+		p := new(packetOptions5)
+		return &p.Packet, list(p.opts[:], n), p.buf[:0]
+	case n <= 8 && size <= 96:
+		p := new(packetOptions8)
+		return &p.Packet, list(p.opts[:], n), p.buf[:0]
 	default:
-		return new(Packet), make([]byte, 0, n)
+		return new(Packet), list(make([]Option, n), n), make([]byte, 0, size)
 	}
+}
+
+// list returns the first n options of room as a slice whose capacity ends
+// with it, so appending to a packet's option list reallocates; nil for none.
+func list(room []Option, n int) []Option {
+	if n == 0 {
+		return nil
+	}
+	return room[:n:n]
 }
 
 // carve copies src to the end of buf, which must have the room, and returns
@@ -206,8 +249,9 @@ func carve(buf, src []byte) (data, rest []byte) {
 // Decode parses a full TCP/IPv4 packet from raw IP bytes. The IP payload
 // beyond the TCP header becomes Payload; PayloadLen is derived from the IP
 // total length so that forged length fields remain observable. Nothing in
-// the result aliases data. It allocates the packet with its option bytes,
-// the option list when there is one, and the payload when there is one.
+// the result aliases data. It allocates once for the packet, its option
+// list and its option bytes (see newPacket), and once more for a payload
+// when the capture stores one.
 func Decode(data []byte) (*Packet, error) {
 	// Parse into a local first: junk is rejected before anything is
 	// allocated, and the option sizes are known before the packet is.
@@ -226,10 +270,11 @@ func Decode(data []byte) (*Packet, error) {
 	}
 	block := seg[20:tcpLen]
 	n, size, ok := countOptions(block)
-	p, buf := newPacket(ipLen - 20 + size)
+	p, opts, buf := newPacket(n, ipLen-20+size)
 	*p = hdr
 	p.IP.Options, buf = carve(buf, data[20:ipLen])
-	p.TCP.Options = parseOptions(block, n, ok, buf)
+	p.TCP.Options = opts
+	parseOptions(block, ok, opts, buf)
 	p.Payload, _ = carve(nil, seg[tcpLen:])
 	// Claimed payload length per the IP header; may disagree with captured
 	// bytes for stripped or forged packets.

@@ -125,10 +125,11 @@ const (
 	OptUserTimeout   = 28
 )
 
-// Option is a single TCP option. For NOP/EOL, Data is nil. The Data of a
-// decoded or cloned packet's options share one buffer, each slice
-// capacity-limited to its own bytes: writing through Data changes that
-// option only, and appending to it reallocates.
+// Option is a single TCP option. For NOP/EOL, Data is nil. A decoded or
+// cloned packet's option list and the Data of its options live in the
+// packet's own allocation, each slice capacity-limited to its own elements:
+// writing through Data changes that option only, and appending to Data or
+// to TCPHeader.Options reallocates.
 type Option struct {
 	Kind uint8
 	Data []byte
@@ -162,21 +163,22 @@ type Packet struct {
 
 // Clone returns a deep copy of the packet; attack strategies mutate clones so
 // the benign original survives. Like a decoded packet, the copy carries its
-// option bytes in its own allocation, each Data capacity-limited to itself.
+// option list and option bytes in its own allocation, the list and each
+// Data capacity-limited to itself.
 func (p *Packet) Clone() *Packet {
 	size := len(p.IP.Options)
 	for _, o := range p.TCP.Options {
 		size += len(o.Data)
 	}
-	q, buf := newPacket(size)
+	q, opts, buf := newPacket(len(p.TCP.Options), size)
 	*q = *p
 	q.Payload = append([]byte(nil), p.Payload...)
 	q.IP.Options, buf = carve(buf, p.IP.Options)
-	q.TCP.Options = make([]Option, len(p.TCP.Options))
 	for i, o := range p.TCP.Options {
-		q.TCP.Options[i].Kind = o.Kind
-		q.TCP.Options[i].Data, buf = carve(buf, o.Data)
+		opts[i].Kind = o.Kind
+		opts[i].Data, buf = carve(buf, o.Data)
 	}
+	q.TCP.Options = opts
 	return q
 }
 

@@ -3,6 +3,8 @@ package packet
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -352,6 +354,30 @@ func TestEOLStopsOptionParsing(t *testing.T) {
 	// point of view.
 	if q.TCP.FindOption(OptMSS) != nil {
 		t.Error("options after EOL should not be parsed")
+	}
+}
+
+// TestPacketClassesFillSizeClasses: each allocation class of newPacket
+// fills one of the runtime's size classes on 64-bit platforms, so the room
+// for inline options wastes no rounding.
+func TestPacketClassesFillSizeClasses(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("sizes are laid out for 64-bit platforms")
+	}
+	for _, c := range []struct {
+		v    any
+		want uintptr
+	}{
+		{Packet{}, 160},
+		{packetOptions2{}, 240},
+		{packetOptions3{}, 288},
+		{packetOptions4{}, 320},
+		{packetOptions5{}, 352},
+		{packetOptions8{}, 512},
+	} {
+		if got := reflect.TypeOf(c.v).Size(); got != c.want {
+			t.Errorf("%T is %d bytes, want %d (a size class)", c.v, got, c.want)
+		}
 	}
 }
 
