@@ -6,6 +6,7 @@ package clap_test
 // localize. Run with -short to skip.
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -205,11 +206,15 @@ func TestClapDetectEndToEnd(t *testing.T) {
 	// build (AVX2 panels where the CPU has them) and a -tags purego build
 	// (the portable Go kernel) must print the same bytes — the six-decimal
 	// report and the full-precision -json stream.
-	detect := func(name, tags string) func(mode string) string {
-		bin := filepath.Join(work, "clap-detect-"+name)
-		if out, err := exec.Command("go", "build", "-tags", tags, "-o", bin, "./cmd/clap-detect").CombinedOutput(); err != nil {
-			t.Fatalf("go build -tags %q ./cmd/clap-detect: %v\n%s", tags, err, out)
+	build := func(tool, tags string) string {
+		bin := filepath.Join(work, tool+"-"+tags)
+		if out, err := exec.Command("go", "build", "-tags", tags, "-o", bin, "./cmd/"+tool).CombinedOutput(); err != nil {
+			t.Fatalf("go build -tags %q ./cmd/%s: %v\n%s", tags, tool, err, out)
 		}
+		return bin
+	}
+	detect := func(tags string) func(mode string) string {
+		bin := build("clap-detect", tags)
 		return func(mode string) string {
 			var stdout, stderr strings.Builder
 			cmd := exec.Command(bin, "-in", adv, "-model", model, mode)
@@ -220,7 +225,7 @@ func TestClapDetectEndToEnd(t *testing.T) {
 			return stdout.String()
 		}
 	}
-	defaultKernel, goKernel := detect("default", ""), detect("purego", "purego")
+	defaultKernel, goKernel := detect(""), detect("purego")
 	for _, mode := range []string{"-all", "-json"} {
 		got, want := defaultKernel(mode), goKernel(mode)
 		if got != want {
@@ -230,6 +235,25 @@ func TestClapDetectEndToEnd(t *testing.T) {
 		if mode == "-all" && len(scoreLines(got)) != len(serialScores) {
 			t.Fatalf("kernel diff compared %d score lines, want %d", len(scoreLines(got)), len(serialScores))
 		}
+	}
+
+	// So does training's: clap-train on the per-sample passes of the purego
+	// build writes the model the panels wrote, byte for byte.
+	goModel := filepath.Join(work, "clap-purego.model")
+	if out, err := exec.Command(build("clap-train", "purego"), "-in", benign, "-model", goModel,
+		"-rnn-epochs", "3", "-ae-epochs", "4", "-quiet").CombinedOutput(); err != nil {
+		t.Fatalf("clap-train (purego): %v\n%s", err, out)
+	}
+	panelBytes, err := os.ReadFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goBytes, err := os.ReadFile(goModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(panelBytes, goBytes) {
+		t.Fatalf("clap-train wrote different models on the default and the purego build (%d and %d bytes)", len(panelBytes), len(goBytes))
 	}
 
 	// Calibrated mode still flags connections through the engine.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -162,6 +161,7 @@ func trainAE(stacked [][]float64, cfg Config, rng *rand.Rand, restart int, logf 
 		batch = 32
 	}
 	idx := rng.Perm(len(stacked))
+	xs := make([][]float64, 0, batch)
 	var epochLoss float64
 	for epoch := 0; epoch < cfg.AEEpochs; epoch++ {
 		switch {
@@ -178,11 +178,11 @@ func trainAE(stacked [][]float64, cfg Config, rng *rand.Rand, restart int, logf 
 			if end > len(idx) {
 				end = len(idx)
 			}
-			xs := make([][]float64, 0, end-at)
+			xs = xs[:0]
 			for _, k := range idx[at:end] {
 				xs = append(xs, stacked[k])
 			}
-			loss += ae.TrainBatchParallel(xs, opt, cfg.AEClip, runtime.NumCPU())
+			loss += ae.TrainBatch(xs, opt, cfg.AEClip)
 			batches++
 		}
 		epochLoss = loss / float64(batches)

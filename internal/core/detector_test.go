@@ -262,15 +262,27 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-func TestBaseline1HasNoGateFeatures(t *testing.T) {
-	d, err := Train(benignSet(30, 2), func() Config {
-		c := Baseline1Config()
-		c.RNNEpochs, c.AEEpochs = 2, 2
-		return c
-	}(), nil)
+// testBaseline1 trains one shared Baseline #1 detector for the package
+// tests.
+var b1Det *Detector
+
+func testBaseline1(t *testing.T) *Detector {
+	t.Helper()
+	if b1Det != nil {
+		return b1Det
+	}
+	c := Baseline1Config()
+	c.RNNEpochs, c.AEEpochs = 2, 2
+	d, err := Train(benignSet(30, 2), c, nil)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
+	b1Det = d
+	return d
+}
+
+func TestBaseline1HasNoGateFeatures(t *testing.T) {
+	d := testBaseline1(t)
 	c := benignSet(1, 44)[0]
 	profs := d.ContextProfiles(c)
 	if len(profs[0]) != features.NumPacket {

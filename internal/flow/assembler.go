@@ -9,10 +9,12 @@ import (
 // Assembler is the incremental form of Assemble for live capture: packets
 // are fed as they arrive, singly or in blocks, and finished connections
 // are emitted through a callback, so a long-running ingest loop never
-// holds the whole capture in memory. The grouping rules are identical to Assemble — same
-// client orientation, same port-reuse handling — and a Feed-everything-
-// then-Flush run emits exactly the slice Assemble would have returned, in
-// the same order.
+// holds the whole capture in memory. The grouping rules are identical to
+// Assemble — same client orientation, same port-reuse handling — and a
+// Feed-everything-then-Flush run emits exactly the connections Assemble
+// would have returned. The order is Assemble's (by first packet) except
+// across a port reuse: the closed connection is emitted the moment its
+// 4-tuple reopens, ahead of connections opened before it and still open.
 //
 // Because live TCP teardowns trail packets after the closing FIN/RST (the
 // final ACK, retransmitted FINs), a connection is not emitted the instant

@@ -242,6 +242,45 @@ func TestAssemblerPortReuse(t *testing.T) {
 	}
 }
 
+// TestAssemblerPortReuseEmitsAhead pins what a port reuse does to the
+// emit order. A (still open) and B (reset) interleave, then a fresh client
+// SYN reuses B's 4-tuple as B′. The Assembler emits Assemble's
+// connections, but not in Assemble's order: Assemble returns A, B, B′,
+// while the Assembler emits B the moment B′ opens, ahead of A, and A and
+// B′ at Flush.
+func TestAssemblerPortReuseEmitsAhead(t *testing.T) {
+	a := connPackets(5001, 3, "none", 0)
+	b := connPackets(5002, 1, "rst", time.Microsecond)
+	b2 := connPackets(5002, 2, "rst", time.Second)
+	pkts := append(interleave(a, b), b2...)
+	want := Assemble(pkts)
+	if len(want) != 3 || want[0].Packets[0] != a[0] || want[1].Packets[0] != b[0] || want[2].Packets[0] != b2[0] {
+		t.Fatalf("Assemble returned %d connections, want A, B, B′", len(want))
+	}
+
+	var got []*Connection
+	asm := NewAssembler(func(c *Connection) { got = append(got, c) })
+	for _, p := range pkts {
+		asm.Feed(p)
+	}
+	asm.Flush()
+	order := []*Connection{want[1], want[0], want[2]}
+	if len(got) != len(order) {
+		t.Fatalf("assembler emitted %d connections, want %d", len(got), len(order))
+	}
+	for i, w := range order {
+		g := got[i]
+		if g.Key != w.Key || len(g.Packets) != len(w.Packets) {
+			t.Fatalf("emit %d: %v with %d packets, want %v with %d (order B, A, B′)", i, g.Key, len(g.Packets), w.Key, len(w.Packets))
+		}
+		for j := range w.Packets {
+			if g.Packets[j] != w.Packets[j] || g.Dirs[j] != w.Dirs[j] {
+				t.Fatalf("emit %d packet %d differs from Assemble's", i, j)
+			}
+		}
+	}
+}
+
 // TestAssemblerFlushReleasesSlots pins that Flush clears the order list's
 // backing array. Truncating with [:0] alone keeps every emitted slot (and
 // its *Connection, and every *packet.Packet in it) reachable through the

@@ -38,8 +38,7 @@ type Autoencoder struct {
 	// scratch pools per-layer activation buffers for the inference path so
 	// concurrent Error/Errors callers do not allocate a full activation
 	// chain per window. The zero value is ready to use, which keeps the
-	// struct-literal construction sites (persistence, training shadows)
-	// working unchanged.
+	// struct-literal construction site (persistence) working unchanged.
 	scratch sync.Pool
 
 	// batches pools flat ping-pong activation buffers for ErrorsBatch; like
@@ -261,9 +260,10 @@ func (ae *Autoencoder) ErrorsBatch(xs [][]float64) []float64 {
 	return out
 }
 
-// backward accumulates gradients for one sample from its forward
-// activations and returns the sample's L1 loss.
-func (ae *Autoencoder) backward(acts [][]float64) float64 {
+// backward adds one sample's gradients into grads — each layer's W then B
+// buffer, in Params order — from its forward activations, and returns the
+// sample's L1 loss.
+func (ae *Autoencoder) backward(acts [][]float64, grads [][]float64) float64 {
 	n := len(acts[0])
 	out := acts[len(acts)-1]
 	x := acts[0]
@@ -289,8 +289,11 @@ func (ae *Autoencoder) backward(acts [][]float64) float64 {
 				delta[j] *= 1 - out[j]*out[j]
 			}
 		}
-		l.W.AddOuterGrad(delta, in)
-		l.B.AddVecGrad(delta)
+		addOuter(grads[2*i], l.W.C, delta, in)
+		gb := grads[2*i+1]
+		for j, v := range delta {
+			gb[j] += v
+		}
 		if i > 0 {
 			next := make([]float64, len(in))
 			l.W.MulVecT(delta, next)
@@ -298,114 +301,4 @@ func (ae *Autoencoder) backward(acts [][]float64) float64 {
 		}
 	}
 	return loss / float64(n)
-}
-
-// TrainBatch accumulates gradients over a mini-batch (averaged), clips, and
-// applies one optimiser step. Returns the mean L1 loss over the batch.
-func (ae *Autoencoder) TrainBatch(xs [][]float64, opt *Adam, clip float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var loss float64
-	for _, x := range xs {
-		loss += ae.backward(ae.forward(x))
-	}
-	inv := 1.0 / float64(len(xs))
-	for _, p := range ae.Params() {
-		for i := range p.G {
-			p.G[i] *= inv
-		}
-	}
-	if clip > 0 {
-		ClipGradients(clip, ae.Params()...)
-	}
-	opt.Step()
-	return loss * inv
-}
-
-// shadow mirrors a layer stack's parameters so concurrent workers can
-// accumulate gradients without racing; weights are shared (read-only
-// within a batch), gradient buffers are private.
-type shadow struct {
-	layers []*Dense
-}
-
-func (ae *Autoencoder) newShadow() *shadow {
-	s := &shadow{layers: make([]*Dense, len(ae.Layers))}
-	for i, l := range ae.Layers {
-		s.layers[i] = &Dense{
-			W:    &Tensor{R: l.W.R, C: l.W.C, W: l.W.W, G: make([]float64, len(l.W.G))},
-			B:    &Tensor{R: l.B.R, C: l.B.C, W: l.B.W, G: make([]float64, len(l.B.G))},
-			Tanh: l.Tanh,
-		}
-	}
-	return s
-}
-
-// TrainBatchParallel behaves like TrainBatch but splits gradient
-// computation across `workers` goroutines. Results are deterministic: the
-// per-sample gradients are summed in a fixed order regardless of worker
-// scheduling (each worker owns a contiguous shard and shards are merged
-// sequentially).
-func (ae *Autoencoder) TrainBatchParallel(xs [][]float64, opt *Adam, clip float64, workers int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if workers <= 1 || len(xs) < workers*2 {
-		return ae.TrainBatch(xs, opt, clip)
-	}
-	shadows := make([]*shadow, workers)
-	losses := make([]float64, workers)
-	var wg sync.WaitGroup
-	per := (len(xs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			sh := ae.newShadow()
-			shadows[w] = sh
-			worker := &Autoencoder{Sizes: ae.Sizes, Layers: sh.layers}
-			var loss float64
-			for _, x := range xs[lo:hi] {
-				loss += worker.backward(worker.forward(x))
-			}
-			losses[w] = loss
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	inv := 1.0 / float64(len(xs))
-	var loss float64
-	for w, sh := range shadows {
-		if sh == nil {
-			continue
-		}
-		loss += losses[w]
-		for i, l := range ae.Layers {
-			for k, g := range sh.layers[i].W.G {
-				l.W.G[k] += g
-			}
-			for k, g := range sh.layers[i].B.G {
-				l.B.G[k] += g
-			}
-		}
-	}
-	for _, p := range ae.Params() {
-		for i := range p.G {
-			p.G[i] *= inv
-		}
-	}
-	if clip > 0 {
-		ClipGradients(clip, ae.Params()...)
-	}
-	opt.Step()
-	return loss * inv
 }

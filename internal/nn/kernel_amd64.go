@@ -250,3 +250,219 @@ func (ae *Autoencoder) errorsPanels(xs [][]float64, out []float64) bool {
 	ae.batches.Put(s)
 	return true
 }
+
+// trainPanelScratch holds trainPanels' buffers for batches of up to lanes
+// samples (a multiple of panelLanes). Feature-major buffers have a row
+// per feature and a lane per sample; sample-major ones the other way
+// round.
+type trainPanelScratch struct {
+	lanes int
+	// acts[i] is layer i's input (the output at i = len(Layers)),
+	// feature-major; rows[i] is layer i's input sample-major, each row
+	// panelPad(Sizes[i]) long.
+	acts, rows [][]float64
+	// delta holds Δ, the loss gradient at a layer's output, feature-major;
+	// back receives the Δ that layer hands down.
+	delta, back []float64
+	// deltaRows and backRows are the two sample-major, for a layer whose
+	// input is whole panels.
+	deltaRows, backRows []float64
+	// wT is a layer's Wᵀ, for a layer whose input is not.
+	wT []float64
+	// grad receives one layer's weight gradient, rows panelPad(C) long.
+	grad []float64
+	// loss holds the samples' L1 sums.
+	loss []float64
+}
+
+// panelBuffers returns s's panel buffers sized for ld lanes, allocating
+// them on the first call and for a batch wider than any before.
+func (ae *Autoencoder) panelBuffers(s *trainScratch, ld int) *trainPanelScratch {
+	p := &s.panels
+	if p.lanes >= ld {
+		return p
+	}
+	*p = trainPanelScratch{lanes: ld}
+	width, grad, wT := ae.maxWidth(), 0, 0
+	for i, l := range ae.Layers {
+		grad = max(grad, l.W.R*panelPad(l.W.C))
+		if i > 0 && l.W.C%panelLanes != 0 {
+			wT = max(wT, l.W.R*l.W.C)
+		}
+	}
+	for i, w := range ae.Sizes {
+		p.acts = append(p.acts, make([]float64, w*ld))
+		if i < len(ae.Layers) {
+			p.rows = append(p.rows, make([]float64, ld*panelPad(w)))
+		}
+	}
+	p.delta, p.back = make([]float64, width*ld), make([]float64, width*ld)
+	p.deltaRows, p.backRows = make([]float64, ld*width), make([]float64, ld*width)
+	p.wT, p.grad, p.loss = make([]float64, wT), make([]float64, grad), make([]float64, ld)
+	return p
+}
+
+// trainPanels is one part of TrainBatch on the panel kernel: it adds the
+// part's gradient sums into the model's G and returns the sum of its
+// samples' losses. It reports false, having done nothing, for a lone
+// sample or without AVX2. Each layer runs three panel products:
+//
+//   - forward, the activations feature-major with the bias and tanh of
+//     errorsPanels;
+//   - the weight gradient G = Δᵀ·X, with Δ's feature-major rows as the
+//     weights (pad lanes zero, so the sum runs over whole panels) and the
+//     layer's sample-major input as the lanes;
+//   - the Δ handed down, Δ·W, with the lanes over the layer's inputs
+//     (read from W in place, as mulRecur reads Uᵀ) when they are whole
+//     panels, and over the samples with Wᵀ as the weights otherwise.
+//
+// Every sum is MulVec's — a rounded product, then the add, ascending from
+// +0 — so each element is the sum trainSamples makes of the same terms,
+// plus round(0·x) = ±0 for each term that backward's addOuter and MulVecT
+// skip (Δ zero) and for each pad lane; added to a sum that started at +0,
+// which is never −0, those change no bit for finite x. The bias sums and
+// the tanh derivative are backward's expressions, in sample order.
+func (ae *Autoencoder) trainPanels(xs [][]float64, s *trainScratch) (float64, bool) {
+	m := len(xs)
+	if !useAVX2 || m < panelMinBatch {
+		return 0, false
+	}
+	ld := panelPad(m)
+	p := ae.panelBuffers(s, ld)
+	L := len(ae.Layers)
+
+	// Forward.
+	in := ae.Sizes[0]
+	a0, pw := p.acts[0][:in*ld], panelPad(in)
+	for b, x := range xs {
+		for j, v := range x {
+			a0[j*ld+b] = v
+		}
+		copy(p.rows[0][b*pw:], x)
+	}
+	for j := 0; j < in; j++ {
+		clear(a0[j*ld+m : j*ld+ld])
+	}
+	for i, l := range ae.Layers {
+		r, c := l.W.R, l.W.C
+		out := p.acts[i+1][:r*ld]
+		mulPanels(l.W, p.acts[i][:c*ld], ld, out)
+		for k, bv := range l.B.W[:r] {
+			o := out[k*ld : k*ld+ld]
+			if l.Tanh {
+				tanhs(o, bv)
+			} else {
+				for b := range o {
+					o[b] += bv
+				}
+			}
+		}
+		if i+1 < L {
+			rows, pw := p.rows[i+1], panelPad(r)
+			for k := 0; k < r; k++ {
+				for b, v := range out[k*ld : k*ld+m] {
+					rows[b*pw+k] = v
+				}
+			}
+		}
+	}
+	// The pad samples' rows are lanes of the weight gradient: zero them,
+	// whatever a wider batch left there.
+	for i, rows := range p.rows {
+		pw := panelPad(ae.Sizes[i])
+		clear(rows[m*pw : ld*pw])
+	}
+
+	// The L1 loss and its gradient, backward's expressions.
+	n := ae.Sizes[L]
+	out, d, loss := p.acts[L], p.delta[:n*ld], p.loss[:m]
+	clear(loss)
+	for i := 0; i < n; i++ {
+		di := d[i*ld : i*ld+ld]
+		for b, v := range out[i*ld : i*ld+m] {
+			dv := v - xs[b][i]
+			loss[b] += math.Abs(dv)
+			switch {
+			case dv > 0:
+				di[b] = 1.0 / float64(n)
+			case dv < 0:
+				di[b] = -1.0 / float64(n)
+			default:
+				di[b] = 0
+			}
+		}
+		clear(di[m:])
+	}
+	var sum float64
+	for _, v := range loss {
+		sum += v / float64(n)
+	}
+
+	// Backward.
+	for i := L - 1; i >= 0; i-- {
+		l := ae.Layers[i]
+		r, c := l.W.R, l.W.C
+		d := p.delta[:r*ld]
+		if l.Tanh {
+			a := p.acts[i+1]
+			for k := 0; k < r; k++ {
+				dk := d[k*ld : k*ld+m]
+				for b, av := range a[k*ld : k*ld+m] {
+					dk[b] *= 1 - av*av
+				}
+			}
+		}
+		pw := panelPad(c)
+		g, x := p.grad[:r*pw], p.rows[i][:ld*pw]
+		for q := 0; q < pw; q += panelLanes {
+			mulPanelAVX2(&d[0], r, ld, &x[q], pw, &g[q])
+		}
+		for k := 0; k < r; k++ {
+			gk := l.W.G[k*c : k*c+c]
+			for j, v := range g[k*pw : k*pw+c] {
+				gk[j] += v
+			}
+			var bs float64
+			for _, v := range d[k*ld : k*ld+m] {
+				bs += v
+			}
+			l.B.G[k] += bs
+		}
+		if i == 0 {
+			break
+		}
+		next := p.back[:c*ld]
+		if c%panelLanes == 0 {
+			dr, nr := p.deltaRows[:m*r], p.backRows[:m*c]
+			for k := 0; k < r; k++ {
+				for b, v := range d[k*ld : k*ld+m] {
+					dr[b*r+k] = v
+				}
+			}
+			for q := 0; q < c; q += panelLanes {
+				mulPanelAVX2(&dr[0], m, r, &l.W.W[q], c, &nr[q])
+			}
+			for j := 0; j < c; j++ {
+				nj := next[j*ld : j*ld+m]
+				for b := range nj {
+					nj[b] = nr[b*c+j]
+				}
+			}
+		} else {
+			wT := p.wT[:c*r]
+			for k := 0; k < r; k++ {
+				for j, w := range l.W.W[k*c : k*c+c] {
+					wT[j*r+k] = w
+				}
+			}
+			for q := 0; q < ld; q += panelLanes {
+				mulPanelAVX2(&wT[0], c, r, &d[q], ld, &next[q])
+			}
+		}
+		for j := 0; j < c; j++ {
+			clear(next[j*ld+m : j*ld+ld])
+		}
+		p.delta, p.back = p.back, p.delta
+	}
+	return sum, true
+}

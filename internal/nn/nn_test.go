@@ -63,7 +63,7 @@ func TestAutoencoderGradientCheck(t *testing.T) {
 	}
 	base := ae.Reconstruct(x)
 	acts := ae.forward(x)
-	ae.backward(acts)
+	ae.backward(acts, gradBufs(ae))
 
 	const eps = 1e-6
 	for pi, p := range ae.Params() {
@@ -382,66 +382,5 @@ func BenchmarkAutoencoderError345(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ae.Error(x)
-	}
-}
-
-func TestTrainBatchParallelMatchesSequential(t *testing.T) {
-	mk := func() (*Autoencoder, *Adam) {
-		rng := rand.New(rand.NewSource(11))
-		ae := NewAutoencoder([]int{8, 5, 3, 5, 8}, rng)
-		opt := NewAdam(0.01)
-		opt.Register(ae.Params()...)
-		return ae, opt
-	}
-	rng := rand.New(rand.NewSource(12))
-	batch := make([][]float64, 16)
-	for i := range batch {
-		batch[i] = make([]float64, 8)
-		for j := range batch[i] {
-			batch[i][j] = rng.NormFloat64()
-		}
-	}
-	seq, seqOpt := mk()
-	par, parOpt := mk()
-	for step := 0; step < 5; step++ {
-		l1 := seq.TrainBatch(batch, seqOpt, 5)
-		l2 := par.TrainBatchParallel(batch, parOpt, 5, 2)
-		if math.Abs(l1-l2) > 1e-9 {
-			t.Fatalf("step %d: losses diverge: %g vs %g", step, l1, l2)
-		}
-	}
-	x := batch[0]
-	if math.Abs(seq.Error(x)-par.Error(x)) > 1e-9 {
-		t.Fatalf("models diverged after parallel training: %g vs %g", seq.Error(x), par.Error(x))
-	}
-}
-
-func TestTrainBatchParallelSmallBatchFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	ae := NewAutoencoder([]int{4, 2, 4}, rng)
-	opt := NewAdam(0.01)
-	opt.Register(ae.Params()...)
-	// A 2-sample batch with 4 workers must not panic or lose samples.
-	batch := [][]float64{{1, 0, 0, 0}, {0, 1, 0, 0}}
-	if loss := ae.TrainBatchParallel(batch, opt, 5, 4); loss <= 0 {
-		t.Fatalf("loss = %g", loss)
-	}
-}
-
-func BenchmarkTrainBatchParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	ae := NewAutoencoder([]int{345, 160, 80, 40, 80, 160, 345}, rng)
-	opt := NewAdam(1e-3)
-	opt.Register(ae.Params()...)
-	batch := make([][]float64, 32)
-	for i := range batch {
-		batch[i] = make([]float64, 345)
-		for j := range batch[i] {
-			batch[i][j] = rng.NormFloat64()
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ae.TrainBatchParallel(batch, opt, 5, 2)
 	}
 }

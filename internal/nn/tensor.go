@@ -3,11 +3,14 @@
 // context carrier, §3.3(a)-(b)), a deep autoencoder trained with L1 loss
 // (§3.3(c)), and the Adam optimiser, all in pure Go on float64 — except
 // the AVX2 assembly on amd64 (kernel_amd64.s): one panel kernel under
-// MulMat, and tanh/sigmoid kernels under the batched inference paths, each
-// computing the same bits as the Go code it stands in for.
+// MulMat, the GRU recurrence and autoencoder training, and tanh/sigmoid
+// kernels under the batched paths, each computing the same bits as the Go
+// code it stands in for.
 //
-// Everything is deterministic given the caller-supplied *rand.Rand.
-// Training is single-threaded unless stated otherwise; the inference paths
+// Results are a function of the inputs and of the *rand.Rand a model is
+// initialised from, and of nothing else: not of the CPU count, the kernel
+// the CPU runs or the build tags. Training runs on the calling goroutine
+// and starts none; the inference paths
 // (GRU Forward/ForwardGates/ForwardGatesBatchPooled/Predict, Autoencoder
 // Reconstruct/Error/Errors/ErrorsBatch)
 // keep all scratch state per-call or pooled and are safe for concurrent use
@@ -184,13 +187,16 @@ func (t *Tensor) MulVecT(g, out []float64) {
 }
 
 // AddOuterGrad accumulates G += g·xᵀ, the weight gradient of out = W·x.
-func (t *Tensor) AddOuterGrad(g, x []float64) {
-	for i := 0; i < t.R; i++ {
-		gi := g[i]
+func (t *Tensor) AddOuterGrad(g, x []float64) { addOuter(t.G[:t.R*t.C], t.C, g, x) }
+
+// addOuter accumulates G += g·xᵀ into a row-major G of row length c,
+// skipping the rows whose g is zero.
+func addOuter(G []float64, c int, g, x []float64) {
+	for i, gi := range g {
 		if gi == 0 {
 			continue
 		}
-		grow := t.G[i*t.C : (i+1)*t.C]
+		grow := G[i*c : (i+1)*c]
 		for j, xv := range x {
 			grow[j] += gi * xv
 		}
@@ -290,6 +296,11 @@ type Adam struct {
 	t      int
 	params []*Tensor
 	m, v   [][]float64
+
+	// train is the working memory of the autoencoder steps this
+	// optimiser takes (TrainBatch): kept from one step to the next, and
+	// dropped with the optimiser at the end of the training run.
+	train *trainScratch
 }
 
 // NewAdam creates an optimiser with the conventional defaults and the given
