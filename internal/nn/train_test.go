@@ -95,6 +95,83 @@ func TestTrainBatchPanelsBitIdentical(t *testing.T) {
 	}
 }
 
+// sequentialStep is one training step with the whole batch summed as one
+// part, in sample order, on the per-sample passes: the step without
+// TrainBatch's split into halves.
+func sequentialStep(ae *Autoencoder, xs [][]float64, opt *Adam, clip float64) float64 {
+	s := opt.scratchFor(ae)
+	loss := ae.trainSamples(xs, s, true)
+	inv := 1.0 / float64(len(xs))
+	for _, g := range s.grads {
+		for i := range g {
+			g[i] *= inv
+		}
+	}
+	if clip > 0 {
+		ClipGradients(clip, s.params...)
+	}
+	opt.Step()
+	return loss * inv
+}
+
+// TestTrainBatchParallelMatchesSequential: TrainBatch's split of a batch
+// into two halves (the arithmetic of the former two-worker step) changes
+// only the order of the gradient sums, so its losses and model stay
+// within 1e-9 of a step that sums the whole batch in one pass.
+func TestTrainBatchParallelMatchesSequential(t *testing.T) {
+	mk := func() (*Autoencoder, *Adam) {
+		rng := rand.New(rand.NewSource(11))
+		ae := NewAutoencoder([]int{8, 5, 3, 5, 8}, rng)
+		opt := NewAdam(0.01)
+		opt.Register(ae.Params()...)
+		return ae, opt
+	}
+	batch := randVecs(16, 8, rand.New(rand.NewSource(12)))
+	seq, seqOpt := mk()
+	split, splitOpt := mk()
+	for step := 0; step < 5; step++ {
+		l1 := sequentialStep(seq, batch, seqOpt, 5)
+		l2 := split.TrainBatch(batch, splitOpt, 5)
+		if math.Abs(l1-l2) > 1e-9 {
+			t.Fatalf("step %d: losses diverge: %g vs %g", step, l1, l2)
+		}
+	}
+	x := batch[0]
+	if math.Abs(seq.Error(x)-split.Error(x)) > 1e-9 {
+		t.Fatalf("models diverged after split training: %g vs %g", seq.Error(x), split.Error(x))
+	}
+}
+
+// TestTrainBatchParallelSmallBatchFallsBack: a batch below four samples is
+// one part; a 2-sample batch must not panic or lose a sample, so its step
+// is the one-pass step, bit for bit.
+func TestTrainBatchParallelSmallBatchFallsBack(t *testing.T) {
+	mk := func() (*Autoencoder, *Adam) {
+		ae := NewAutoencoder([]int{4, 2, 4}, rand.New(rand.NewSource(13)))
+		opt := NewAdam(0.01)
+		opt.Register(ae.Params()...)
+		return ae, opt
+	}
+	batch := [][]float64{{1, 0, 0, 0}, {0, 1, 0, 0}}
+	ae, opt := mk()
+	ref, refOpt := mk()
+	loss := ae.TrainBatch(batch, opt, 5)
+	if loss <= 0 {
+		t.Fatalf("loss = %g", loss)
+	}
+	if want := sequentialStep(ref, batch, refOpt, 5); math.Float64bits(loss) != math.Float64bits(want) {
+		t.Fatalf("loss = %v, one-pass step %v", loss, want)
+	}
+	rps := ref.Params()
+	for k, p := range ae.Params() {
+		for i, w := range p.W {
+			if want := rps[k].W[i]; math.Float64bits(w) != math.Float64bits(want) {
+				t.Fatalf("param %d[%d] = %v, one-pass step %v", k, i, w, want)
+			}
+		}
+	}
+}
+
 // TestAllocBudgetTrainBatch: once the first step has sized the scratch, a
 // step on the panels allocates nothing, a smaller batch included. The
 // chain runs both back-propagation layouts (inputs of 16 and of 5).
