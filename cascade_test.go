@@ -124,10 +124,7 @@ func TestCascadePipelineDeterminism(t *testing.T) {
 
 			cascade.ResetEscalationCounts()
 			var streamed []Result
-			s, err := p.NewStream(func(r Result) { streamed = append(streamed, r) })
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := p.NewStream(nil, func(r Result) { streamed = append(streamed, r) })
 			for _, r := range sum.Results {
 				s.Submit(r.Conn)
 			}
@@ -156,14 +153,22 @@ func TestCascadeEndToEndFPR(t *testing.T) {
 	calSeed, heldSeed := int64(5), int64(1234)
 	calN := 60
 
-	p, err := NewPipeline(
-		WithCascade(s1, s2, 0.3),
-		WithThresholdFPR(target, TrafficGen(calN, calSeed)),
-	)
+	cascade, err := NewCascade(s1, s2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cascade := p.Backend().(*CascadeBackend)
+	calP, err := NewPipeline(WithBackend(cascade))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, err := calP.Calibrate(target, TrafficGen(calN, calSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPipeline(WithBackend(cascade), WithCalibration(cal))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Re-running the calibration corpus through the calibrated pipeline
 	// must flag exactly the budget.
@@ -171,8 +176,8 @@ func TestCascadeEndToEndFPR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sum.ThresholdSet {
-		t.Fatal("calibrated run did not mark the threshold set")
+	if sum.Threshold <= 0 {
+		t.Fatalf("calibrated run used threshold %v", sum.Threshold)
 	}
 	wantFlagged := int(target * float64(calN))
 	if sum.Flagged != wantFlagged {
@@ -211,7 +216,11 @@ func TestCascadeEndToEndFPR(t *testing.T) {
 func TestCascadeCalibrationRejectsLooseFPR(t *testing.T) {
 	s1 := cascadeStage1(t)
 	s2 := pipelineBackend(t)
-	p, err := NewPipeline(WithCascade(s1, s2, 0.05))
+	cascade, err := NewCascade(s1, s2, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPipeline(WithBackend(cascade))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +232,7 @@ func TestCascadeCalibrationRejectsLooseFPR(t *testing.T) {
 		t.Fatalf("error should name the escalation budget as the cause, got: %v", err)
 	}
 	// The same target inside the budget calibrates fine.
-	if err := p.Backend().(*CascadeBackend).SetEscalateFPR(0.5); err != nil {
+	if err := cascade.SetEscalateFPR(0.5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Calibrate(0.3, TrafficGen(60, 5)); err != nil {
@@ -253,14 +262,16 @@ func TestCascadeCalibrationResetsCounters(t *testing.T) {
 	}
 }
 
-// TestWithCascadeRejectsBadFPR: option-surface validation.
+// TestWithCascadeRejectsBadFPR: a cascade for WithBackend is built by
+// NewCascade, which refuses an escalation budget outside (0, 1) and a
+// missing stage.
 func TestWithCascadeRejectsBadFPR(t *testing.T) {
 	s1 := cascadeStage1(t)
 	s2 := pipelineBackend(t)
-	if _, err := NewPipeline(WithCascade(s1, s2, 0)); err == nil {
-		t.Fatal("WithCascade(.., 0) should fail NewPipeline")
+	if _, err := NewCascade(s1, s2, 0); err == nil {
+		t.Fatal("NewCascade(.., 0) should fail")
 	}
-	if _, err := NewPipeline(WithCascade(s1, nil, 0.1)); err == nil {
-		t.Fatal("WithCascade with nil stage should fail NewPipeline")
+	if _, err := NewCascade(s1, nil, 0.1); err == nil {
+		t.Fatal("NewCascade with nil stage should fail")
 	}
 }

@@ -36,10 +36,9 @@
 //
 //	b, _ := clap.NewBackend("clap")         // or "baseline1"
 //	_ = b.Train(clap.GenerateBenign(500, 1), func(string, ...any) {})
-//	p, _ := clap.NewPipeline(
-//	        clap.WithBackend(b),
-//	        clap.WithThresholdFPR(0.01, clap.TrafficGen(200, 5)),
-//	)
+//	p, _ := clap.NewPipeline(clap.WithBackend(b))
+//	cal, _ := p.Calibrate(0.01, clap.TrafficGen(200, 5)) // threshold at 1 % FPR
+//	p, _ = clap.NewPipeline(clap.WithBackend(b), clap.WithCalibration(cal))
 //	summary, _ := p.Run(clap.PCAPFile("suspect.pcap"),
 //	        clap.NewTextReport(os.Stdout, false))
 //
@@ -61,9 +60,9 @@
 //
 // The serving substrate is reusable from the library too: ServeSource is
 // the streaming ingest contract (TailPCAP, FollowPCAP, Soak, Replay),
-// NewHotBackend wraps any backend in a reload-safe atomic handle, a
-// PipelineStream's threshold is live-adjustable via SetThreshold, and
-// NewDedupAlertLog hardens the alert log for continuous operation.
+// NewHotBackend wraps any backend in a reload-safe atomic (model,
+// threshold) pair whose threshold is live-adjustable via SetThreshold,
+// and NewDedupAlertLog hardens the alert log for continuous operation.
 //
 // Every verdict can explain itself: -trace-sample arms the provenance
 // layer (DESIGN.md §12), attaching to each verdict the (model tag,
@@ -148,10 +147,10 @@
 //	logf := func(string, ...any) {}
 //	_ = cheap.Train(benign, logf)
 //	_ = expensive.Train(benign, logf)
-//	p, _ := clap.NewPipeline(
-//	        clap.WithCascade(cheap, expensive, 0.05), // ≤5% of benign escalates
-//	        clap.WithThresholdFPR(0.01, clap.PCAPFile("benign.pcap")),
-//	)
+//	tier, _ := clap.NewCascade(cheap, expensive, 0.05) // ≤5% of benign escalates
+//	p, _ := clap.NewPipeline(clap.WithBackend(tier))
+//	cal, _ := p.Calibrate(0.01, clap.PCAPFile("benign.pcap")) // sets both thresholds
+//	p, _ = clap.NewPipeline(clap.WithBackend(tier), clap.WithCalibration(cal))
 //	summary, _ := p.Run(clap.PCAPFile("suspect.pcap"), clap.NewTextReport(os.Stdout, false))
 //
 // or from the CLIs: clap-train -backend cascade:baseline1+clap, then
@@ -217,9 +216,11 @@ type (
 	// implement it too; NewPipeline and NewHotBackend refuse one that
 	// does not.
 	BatchScorer = backend.BatchScorer
-	// HotBackend is a reload-safe backend handle: scoring delegates to the
-	// current model behind an atomic pointer, and Swap replaces it in
-	// place — the substrate of clap-serve's hot model reload.
+	// HotBackend is a reload-safe (model, threshold) pair: scoring
+	// delegates to the current model behind an atomic pointer, Swap
+	// replaces it in place, and SetThreshold installs its operating
+	// threshold (0: none) — the one place a Pipeline's threshold lives,
+	// and the substrate of clap-serve's hot model reload.
 	HotBackend = backend.Hot
 	// CLAPBackend adapts the core CLAP/Baseline #1 pipeline family to the
 	// Backend contract; mutate Cfg before Train.
@@ -274,9 +275,9 @@ func NewBackendSpec(spec string) (Backend, error) { return backend.NewFromSpec(s
 // reaches the calibrated escalation threshold are re-scored by stage2 —
 // bit-identically to running stage2 alone. escalateFPR (in (0,1)) bounds
 // the fraction of benign traffic that escalates once calibrated; until
-// calibration, everything escalates. Calibrate through Pipeline.Calibrate
-// or WithThresholdFPR: one benign corpus sets the escalation threshold and
-// the end-to-end operating threshold together.
+// calibration, everything escalates. Calibrate through Pipeline.Calibrate:
+// one benign corpus sets the escalation threshold and the end-to-end
+// operating threshold together.
 func NewCascade(stage1, stage2 Backend, escalateFPR float64) (*CascadeBackend, error) {
 	return backend.NewCascade(stage1, stage2, escalateFPR)
 }
@@ -284,10 +285,11 @@ func NewCascade(stage1, stage2 Backend, escalateFPR float64) (*CascadeBackend, e
 // BackendTags lists the registered backend tags.
 func BackendTags() []string { return backend.Tags() }
 
-// NewHotBackend wraps a trained backend in a reload-safe handle. Pass the
-// handle to WithBackend and call Swap to hot-reload the model while a
-// Pipeline stream keeps scoring; each connection is scored wholly by one
-// model, never a mixture.
+// NewHotBackend wraps a trained backend in a reload-safe handle with no
+// threshold. Pass the handle to WithBackend and call Swap to hot-reload
+// the model, or SetThreshold to change the threshold, while a Pipeline
+// stream keeps scoring; each connection is judged wholly by one (model,
+// threshold) pair, never a mixture.
 func NewHotBackend(b Backend) (*HotBackend, error) { return backend.NewHot(b) }
 
 // SaveBackendFile persists a trained backend to path, creating parent

@@ -75,20 +75,32 @@ func main() {
 	}
 	log.Printf("loaded %s", b.Describe())
 
-	opts := []clap.PipelineOption{
-		clap.WithBackend(b),
-		clap.WithTopN(*top),
-		clap.WithThreshold(*threshold),
+	// The threshold lives in the pipeline's (model, threshold) pair:
+	// -threshold installs it at construction, -calibrate after scoring the
+	// benign capture, as clap-serve installs its tenants' thresholds.
+	hot, err := clap.NewHotBackend(b)
+	if err != nil {
+		log.Fatal(err)
 	}
+	opts := []clap.PipelineOption{clap.WithBackend(hot), clap.WithTopN(*top)}
 	if *workers > 0 {
 		opts = append(opts, clap.WithWorkers(*workers))
 	}
-	if *calibrate != "" {
-		opts = append(opts, clap.WithThresholdFPR(*fpr, clap.PCAPFile(*calibrate)))
+	if *calibrate == "" {
+		opts = append(opts, clap.WithThreshold(*threshold))
 	}
 	p, err := clap.NewPipeline(opts...)
 	if err != nil {
 		log.Fatal(err)
+	}
+	var cal *clap.Calibration
+	if *calibrate != "" {
+		if cal, err = p.Calibrate(*fpr, clap.PCAPFile(*calibrate)); err != nil {
+			log.Fatal(err)
+		}
+		if err := hot.SetThreshold(cal.Threshold); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	var sink clap.Sink = clap.NewTextReport(os.Stdout, *all)
@@ -99,9 +111,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *calibrate != "" {
+	if cal != nil {
 		log.Printf("calibrated threshold %.6f at FPR <= %.3f over %d benign connections (%d records skipped)",
-			sum.Threshold, *fpr, sum.CalibrationConns, sum.CalibrationSkipped)
+			cal.Threshold, cal.FPR, cal.Conns, cal.Skipped)
 	}
 	// Surface undecodable records: a silently truncated capture would
 	// otherwise look like a clean, smaller one.

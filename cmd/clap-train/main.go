@@ -46,6 +46,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Refused before any input is read: only a cascade has an escalation
+	// budget, so the flag would otherwise be dropped from the saved model.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if _, ok := b.(*clap.CascadeBackend); set["escalate-fpr"] && !ok {
+		log.Fatalf("-escalate-fpr applies to cascade models; -backend %s is not one", tag)
+	}
 	// Apply the training knobs to every CLAP-family model in the backend —
 	// both stages of a cascade included.
 	var configure func(clap.Backend)

@@ -391,6 +391,14 @@ func TestBackendFlagEndToEnd(t *testing.T) {
 		t.Fatal("clap-train saved a model with -rnn-epochs -3")
 	}
 
+	// Only a cascade has an escalation budget: on any other backend
+	// -escalate-fpr is refused before training, and no model is written.
+	runFails(t, tools, "applies to cascade models", "clap-train", "-in", benign, "-model", filepath.Join(work, "escalate.model"),
+		"-backend", "clap", "-escalate-fpr", "5")
+	if _, err := os.Stat(filepath.Join(work, "escalate.model")); err == nil {
+		t.Fatal("clap-train saved a clap model with -escalate-fpr 5")
+	}
+
 	// Kitsune is an evaluation baseline, not a registered backend.
 	out, err := exec.Command(filepath.Join(tools, "clap-train"), "-in", benign,
 		"-model", filepath.Join(work, "kit.model"), "-backend", "kitsune").CombinedOutput()

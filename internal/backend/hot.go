@@ -18,12 +18,14 @@ import (
 // that need one consistent model across several calls (score a connection,
 // then summarize its window errors) pin a snapshot with Current first.
 //
-// The handle can also carry the model's operating threshold as part of the
-// same atomically-published value: SetThreshold installs it, SwapPair
-// replaces model and threshold in one transaction, and CurrentPair reads
-// both in one load. A scorer that pins its (model, threshold) through
-// CurrentPair can therefore never judge a new model against an old
-// threshold or vice versa — the atomicity auto-recalibration depends on.
+// The handle also carries the model's operating threshold as part of the
+// same atomically-published value: a finite number > 0, or 0 for none
+// (score-only), which is where a fresh handle starts. SetThreshold
+// installs it, SwapPair replaces model and threshold in one transaction,
+// and CurrentPair reads both in one load. A scorer that pins its (model,
+// threshold) through CurrentPair can therefore never judge a new model
+// against an old threshold or vice versa — the atomicity
+// auto-recalibration depends on.
 //
 // Generation counts successful model swaps, so operators can verify a
 // reload actually took effect; threshold-only updates leave it unchanged.
@@ -31,15 +33,13 @@ type Hot struct {
 	cur atomic.Pointer[hotModel]
 }
 
-// hotModel pairs a backend with the generation it was installed at — and,
-// once a threshold is installed, the operating threshold calibrated for
-// exactly this model — so a single atomic load yields a consistent
-// (model, threshold, generation) view.
+// hotModel pairs a backend with the generation it was installed at and
+// the operating threshold for exactly this model (0: none), so a single
+// atomic load yields a consistent (model, threshold, generation) view.
 type hotModel struct {
-	b     Backend
-	gen   uint64
-	th    float64
-	hasTh bool
+	b   Backend
+	gen uint64
+	th  float64
 }
 
 // NewHot wraps a trained, scorable backend in a reload-safe handle.
@@ -54,7 +54,7 @@ func NewHot(b Backend) (*Hot, error) {
 		return nil, err
 	}
 	h := &Hot{}
-	h.cur.Store(&hotModel{b: b, gen: 0})
+	h.cur.Store(&hotModel{b: b})
 	return h, nil
 }
 
@@ -79,7 +79,7 @@ func (h *Hot) Swap(b Backend) (prev Backend, err error) {
 	}
 	for {
 		old := h.cur.Load()
-		next := &hotModel{b: b, gen: old.gen + 1, th: old.th, hasTh: old.hasTh}
+		next := &hotModel{b: b, gen: old.gen + 1, th: old.th}
 		if h.cur.CompareAndSwap(old, next) {
 			return old.b, nil
 		}
@@ -99,7 +99,7 @@ func (h *Hot) SwapPair(b Backend, th float64) (prev Backend, err error) {
 	}
 	for {
 		old := h.cur.Load()
-		next := &hotModel{b: b, gen: old.gen + 1, th: th, hasTh: true}
+		next := &hotModel{b: b, gen: old.gen + 1, th: th}
 		if h.cur.CompareAndSwap(old, next) {
 			return old.b, nil
 		}
@@ -108,15 +108,16 @@ func (h *Hot) SwapPair(b Backend, th float64) (prev Backend, err error) {
 
 // SetThreshold installs a new operating threshold for the current model
 // without touching the model or its generation — the live /v1/threshold
-// knob. The (model, threshold) pair stays consistent under concurrent
-// swaps: if a swap wins the race, the CAS retries against the new model.
+// knob; 0 removes it (score-only). The (model, threshold) pair stays
+// consistent under concurrent swaps: if a swap wins the race, the CAS
+// retries against the new model.
 func (h *Hot) SetThreshold(th float64) error {
 	if err := validPairThreshold(th); err != nil {
 		return err
 	}
 	for {
 		old := h.cur.Load()
-		next := &hotModel{b: old.b, gen: old.gen, th: th, hasTh: true}
+		next := &hotModel{b: old.b, gen: old.gen, th: th}
 		if h.cur.CompareAndSwap(old, next) {
 			return nil
 		}
@@ -124,12 +125,10 @@ func (h *Hot) SetThreshold(th float64) error {
 }
 
 // CurrentPair returns the live model with the operating threshold
-// installed for it in one consistent view; ok is false while no threshold
-// has been installed (score-only serving, or a plain Backend lifecycle
-// that never calls SetThreshold/SwapPair).
-func (h *Hot) CurrentPair() (b Backend, th float64, ok bool) {
+// installed for it (0: none) in one consistent view.
+func (h *Hot) CurrentPair() (b Backend, th float64) {
 	cur := h.cur.Load()
-	return cur.b, cur.th, cur.hasTh
+	return cur.b, cur.th
 }
 
 // CurrentPairGen is CurrentPair plus the model's reload generation, all
@@ -137,11 +136,10 @@ func (h *Hot) CurrentPair() (b Backend, th float64, ok bool) {
 // record binding (model tag, generation, threshold) through it can never
 // attribute a score to a generation that did not produce it, even with a
 // reload racing the read; Generation() alone would be a second load that
-// could land on the other side of a swap. b and gen are valid even when
-// ok is false (no threshold installed).
-func (h *Hot) CurrentPairGen() (b Backend, th float64, gen uint64, ok bool) {
+// could land on the other side of a swap.
+func (h *Hot) CurrentPairGen() (b Backend, th float64, gen uint64) {
 	cur := h.cur.Load()
-	return cur.b, cur.th, cur.gen, cur.hasTh
+	return cur.b, cur.th, cur.gen
 }
 
 func swappable(b Backend) error {
@@ -154,11 +152,12 @@ func swappable(b Backend) error {
 	return Scorable(b)
 }
 
-// validPairThreshold mirrors the facade's threshold gate: finite and
-// >= 0, with 0 meaning score-only.
+// validPairThreshold checks every threshold installed on a pair, whichever
+// way it enters (pipeline options, /v1/threshold, reloads, restored
+// snapshots): finite and >= 0, with 0 meaning none.
 func validPairThreshold(th float64) error {
 	if math.IsNaN(th) || math.IsInf(th, 0) || th < 0 {
-		return fmt.Errorf("backend: hot threshold %v must be finite and >= 0", th)
+		return fmt.Errorf("backend: threshold must be finite and >= 0 (0: none), got %v", th)
 	}
 	return nil
 }

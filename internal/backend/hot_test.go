@@ -2,6 +2,7 @@ package backend
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -91,8 +92,10 @@ func TestHotDelegatesAndSwaps(t *testing.T) {
 }
 
 // TestHotPairTransactions pins the (model, threshold) pair semantics:
-// Swap preserves an installed threshold, SwapPair replaces both, and
-// SetThreshold never disturbs the model or its generation.
+// a fresh handle has no threshold (0), invalid thresholds are refused
+// without touching the pair, Swap preserves an installed threshold,
+// SwapPair replaces both, SetThreshold never disturbs the model or its
+// generation, and SetThreshold(0) removes the threshold.
 func TestHotPairTransactions(t *testing.T) {
 	a := trainedBackend(t, TagCLAP)
 	b := trainedBackend(t, TagBaseline1)
@@ -100,45 +103,61 @@ func TestHotPairTransactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := h.CurrentPair(); ok {
-		t.Fatal("fresh handle claims an installed threshold")
+	if m, th := h.CurrentPair(); m != a || th != 0 {
+		t.Fatalf("fresh handle: model=%v th=%v, want the model and no threshold", m, th)
 	}
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if err := h.SetThreshold(bad); err == nil {
-			t.Fatalf("SetThreshold(%v) succeeded", bad)
+	if err := h.SetThreshold(0.25); err != nil {
+		t.Fatal(err)
+	}
+	// +Inf would silently disable flagging forever while looking set.
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := h.SetThreshold(bad); err == nil || !strings.Contains(err.Error(), "threshold must be finite and >= 0") {
+			t.Fatalf("SetThreshold(%v): err = %v, want a refusal", bad, err)
 		}
 		if _, err := h.SwapPair(b, bad); err == nil {
 			t.Fatalf("SwapPair(%v) succeeded", bad)
 		}
 	}
-	if h.Generation() != 0 {
-		t.Fatalf("rejected updates bumped generation to %d", h.Generation())
+	if m, th, gen := h.CurrentPairGen(); m != a || th != 0.25 || gen != 0 {
+		t.Fatalf("rejected updates changed the pair: model=%v th=%v gen=%d", m, th, gen)
 	}
 
+	// A tiny positive threshold is a threshold like any other.
+	if err := h.SetThreshold(1e-12); err != nil {
+		t.Fatal(err)
+	}
 	if err := h.SetThreshold(0.25); err != nil {
 		t.Fatal(err)
 	}
-	if m, th, ok := h.CurrentPair(); !ok || th != 0.25 || m != a || h.Generation() != 0 {
-		t.Fatalf("after SetThreshold: model=%v th=%v ok=%v gen=%d", m, th, ok, h.Generation())
+	if m, th := h.CurrentPair(); th != 0.25 || m != a || h.Generation() != 0 {
+		t.Fatalf("after SetThreshold: model=%v th=%v gen=%d", m, th, h.Generation())
 	}
 
 	// A plain swap carries the threshold over (legacy reload flow).
 	if _, err := h.Swap(b); err != nil {
 		t.Fatal(err)
 	}
-	if m, th, ok := h.CurrentPair(); !ok || th != 0.25 || m != b {
-		t.Fatalf("Swap dropped the pair threshold: th=%v ok=%v", th, ok)
+	if m, th := h.CurrentPair(); th != 0.25 || m != b {
+		t.Fatalf("Swap dropped the pair threshold: th=%v", th)
 	}
 
 	// SwapPair replaces both in one transaction.
 	if _, err := h.SwapPair(a, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if m, th, _ := h.CurrentPair(); m != a || th != 0.5 || h.Generation() != 2 {
+	if m, th := h.CurrentPair(); m != a || th != 0.5 || h.Generation() != 2 {
 		t.Fatalf("after SwapPair: th=%v gen=%d", th, h.Generation())
 	}
 	if _, err := h.SwapPair(nil, 0.5); err == nil {
 		t.Fatal("SwapPair accepted nil")
+	}
+
+	// 0 is "none": it removes the threshold and keeps the model.
+	if err := h.SetThreshold(0); err != nil {
+		t.Fatal(err)
+	}
+	if m, th, gen := h.CurrentPairGen(); m != a || th != 0 || gen != 2 {
+		t.Fatalf("after SetThreshold(0): model=%v th=%v gen=%d", m, th, gen)
 	}
 }
 
@@ -186,11 +205,7 @@ func TestHotPairNeverMixes(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 5000; i++ {
-				m, th, ok := h.CurrentPair()
-				if !ok {
-					t.Error("pair threshold vanished")
-					return
-				}
+				m, th := h.CurrentPair()
 				if !(m == a && th == thA) && !(m == b && th == thB) {
 					t.Errorf("mixed pair observed: model=%p th=%v", m, th)
 					return

@@ -20,7 +20,7 @@ type Calibration struct {
 	// scale, so loaders check it.
 	Tag string
 	// FPR is the calibration target and Threshold the derived operating
-	// threshold.
+	// threshold (finite and > 0).
 	FPR       float64
 	Threshold float64
 	// Conns and Skipped report the calibration corpus.
@@ -44,8 +44,11 @@ func (c *Calibration) Validate() error {
 	if !(c.FPR > 0 && c.FPR < 1) {
 		return fmt.Errorf("calib: calibration target FPR %v outside (0, 1)", c.FPR)
 	}
-	if math.IsNaN(c.Threshold) || math.IsInf(c.Threshold, 0) || c.Threshold < 0 {
-		return fmt.Errorf("calib: calibration threshold %v must be finite and >= 0", c.Threshold)
+	// A calibration exists to set a threshold, so it must find one: 0 is
+	// how a pair says "none", and installing it would silently flag
+	// nothing.
+	if math.IsNaN(c.Threshold) || math.IsInf(c.Threshold, 0) || c.Threshold <= 0 {
+		return fmt.Errorf("calib: calibration threshold %v must be finite and > 0", c.Threshold)
 	}
 	if c.Ref == nil || c.Ref.Count() == 0 {
 		return fmt.Errorf("calib: calibration carries no reference distribution")

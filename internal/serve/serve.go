@@ -511,11 +511,7 @@ func (s *Server) Start(ctx context.Context) error {
 	// connection to its OWN tenant's (model, threshold) pair, so tenants
 	// reload and recalibrate independently while their windows share
 	// micro-batches.
-	stream, err := s.pipe.NewStreamResolved(s.resolveHot, s.emit, clap.StreamHooks{Observe: s.observe})
-	if err != nil {
-		return err
-	}
-	s.stream = stream
+	s.stream = s.pipe.NewStream(s.resolveHot, s.emit, clap.StreamHooks{Observe: s.observe})
 	def := s.tenants[0]
 	s.logf("serving %s (threshold %.6f, %d workers, batch %d)",
 		def.Hot.Describe(), def.Threshold(), s.pipe.Engine().Workers(), s.pipe.Engine().Batch())
@@ -1006,7 +1002,7 @@ func (s *Server) reload(t *tenantState, req ReloadRequest) (res ReloadResult, er
 	t.ReloadMu.Lock()
 	defer t.ReloadMu.Unlock()
 
-	prevB, prevTh, _ := t.Hot.CurrentPair()
+	prevB, prevTh := t.Hot.CurrentPair()
 	res.Old = ReloadInfo{Tag: prevB.Tag(), Describe: prevB.Describe(), Generation: t.Hot.Generation(), Threshold: prevTh}
 
 	// Resolve the incoming model. "live" recalibration with no explicit
@@ -1103,7 +1099,7 @@ func (s *Server) reload(t *tenantState, req ReloadRequest) (res ReloadResult, er
 	if !keepModel {
 		t.Reloads.Add(1)
 	}
-	_, newTh, _ := t.Hot.CurrentPair()
+	_, newTh := t.Hot.CurrentPair()
 	res.New = ReloadInfo{Tag: b.Tag(), Describe: b.Describe(), Generation: t.Hot.Generation(), Threshold: newTh}
 	switch {
 	case keepModel:

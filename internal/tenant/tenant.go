@@ -221,11 +221,9 @@ func (t *Tenant) SampleTrace(period int) bool {
 	return n%uint64(period) == 0
 }
 
-// Threshold reports the tenant's operating threshold (0 while none is
-// installed: score-only).
+// Threshold reports the tenant's operating threshold (0: none,
+// score-only).
 func (t *Tenant) Threshold() float64 {
-	if _, th, ok := t.Hot.CurrentPair(); ok {
-		return th
-	}
-	return 0
+	_, th := t.Hot.CurrentPair()
+	return th
 }

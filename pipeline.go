@@ -3,7 +3,6 @@ package clap
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"clap/internal/backend"
@@ -23,10 +22,18 @@ import (
 //	b, _ := clap.LoadBackendFile("clap.model")
 //	p, _ := clap.NewPipeline(
 //	        clap.WithBackend(b),
-//	        clap.WithThresholdFPR(0.01, clap.PCAPFile("benign.pcap")),
+//	        clap.WithThreshold(0.08),
 //	        clap.WithTopN(5),
 //	)
 //	summary, _ := p.Run(clap.PCAPFile("suspect.pcap"), clap.NewTextReport(os.Stdout, false))
+//
+// The operating threshold lives in one place: the pipeline's HotBackend
+// pair (model, threshold), which NewPipeline makes around a plain backend
+// and uses as it is when given one. A threshold is a finite number > 0,
+// or 0 for none (score-only); a result is flagged when th > 0 and its
+// score >= th. Run pins the pair once for the whole run and a stream once
+// per connection, so a threshold installed on the pair (SetThreshold,
+// SwapPair) applies to both alike.
 //
 // Scores produced through a Pipeline are bit-identical to the backend's
 // serial scoring path at any worker or shard count: every backend scores
@@ -34,15 +41,15 @@ import (
 // connections into micro-batches of engine.DefaultBatch, each one
 // matrix-matrix inference pass — the wall clock changes, never the bits.
 type Pipeline struct {
-	backend Backend
+	backend Backend     // as WithBackend gave it
+	hot     *HotBackend // the (model, threshold) pair every verdict pins
 	eng     *Engine
 
 	workers, shards int
 
-	threshold   float64
-	fpr         float64
-	calibration Source
-	cal         *Calibration
+	// install puts the threshold of WithThreshold or WithCalibration into
+	// hot at NewPipeline.
+	install func(*HotBackend) error
 
 	topN       int
 	keepErrors bool
@@ -63,27 +70,10 @@ func (p *Pipeline) fail(format string, args ...any) {
 
 // WithBackend selects the detection backend. Required; the backend must be
 // trained (or freshly loaded) before Run, and a leaf backend must
-// implement BatchScorer.
+// implement BatchScorer. A HotBackend is used as it is: thresholds and
+// model swaps installed on it reach the pipeline's verdicts. A cascade is
+// built with NewCascade.
 func WithBackend(b Backend) PipelineOption { return func(p *Pipeline) { p.backend = b } }
-
-// WithCascade selects a tiered cascade backend: cheap screens every
-// connection, expensive re-scores the suspicious tail (bit-identically to
-// running it alone), and at most escalateFPR of benign traffic escalates
-// once calibrated (combine with WithThresholdFPR so one benign corpus
-// calibrates both the escalation and the operating threshold). Both
-// stages must be trained; invalid pairings are rejected by NewPipeline.
-func WithCascade(cheap, expensive Backend, escalateFPR float64) PipelineOption {
-	return func(p *Pipeline) {
-		c, err := backend.NewCascade(cheap, expensive, escalateFPR)
-		if err != nil {
-			if p.optErr == nil {
-				p.optErr = fmt.Errorf("clap: WithCascade: %w", err)
-			}
-			return
-		}
-		p.backend = c
-	}
-}
 
 // WithWorkers sets the scoring worker count. Omit the option to size it to
 // the machine; explicit non-positive counts are rejected by NewPipeline.
@@ -109,59 +99,30 @@ func WithShards(n int) PipelineOption {
 	}
 }
 
-// WithThreshold sets a fixed adversarial-score threshold. 0 (the default)
-// means score-only: nothing is flagged. Non-finite (NaN, ±Inf) or negative
-// thresholds are rejected by NewPipeline — +Inf in particular would
-// silently disable flagging forever while looking like a configured
-// threshold.
+// WithThreshold installs a fixed adversarial-score threshold into the
+// pipeline's pair. 0 means none (score-only: nothing is flagged), which is
+// also what a pipeline without the option does, unless its HotBackend
+// already carries a threshold. NewPipeline rejects a non-finite (NaN,
+// ±Inf) or negative threshold — +Inf in particular would silently disable
+// flagging forever while looking like a configured one — and rejects the
+// option beside WithCalibration.
 func WithThreshold(th float64) PipelineOption {
 	return func(p *Pipeline) {
-		if err := validThreshold("WithThreshold", th); err != nil {
-			if p.optErr == nil { // first invalid option wins, like fail()
-				p.optErr = err
+		p.setThreshold("WithThreshold", func(h *HotBackend) error {
+			if err := h.SetThreshold(th); err != nil {
+				return fmt.Errorf("clap: WithThreshold: %w", err)
 			}
-			return
-		}
-		p.threshold = th
+			return nil
+		})
 	}
 }
 
-// validThreshold is the single gate every operating threshold passes
-// through — options, live SetThreshold, and (through those) the
-// /v1/threshold PUT and the CLI -threshold flags.
-func validThreshold(who string, th float64) error {
-	if math.IsNaN(th) || math.IsInf(th, 0) || th < 0 {
-		return fmt.Errorf("clap: %s(%v): threshold must be finite and >= 0", who, th)
-	}
-	return nil
-}
-
-// WithThresholdFPR calibrates the threshold at Run (or NewStream) time:
-// the calibration source is scored with the pipeline's backend and the
-// threshold is picked to keep the false-positive rate on it at or below
-// fpr (the deployment knob of §3.3(d)). Overrides WithThreshold. fpr must
-// lie in (0, 1) — 0 would flag nothing and 1 everything — and the
-// calibration source must be non-nil; NewPipeline rejects both.
-func WithThresholdFPR(fpr float64, calibration Source) PipelineOption {
-	return func(p *Pipeline) {
-		if !(fpr > 0 && fpr < 1) { // the negation also catches NaN
-			p.fail("clap: WithThresholdFPR(%v): target FPR must be in (0, 1)", fpr)
-			return
-		}
-		if calibration == nil {
-			p.fail("clap: WithThresholdFPR needs a calibration source")
-			return
-		}
-		p.fpr, p.calibration = fpr, calibration
-	}
-}
-
-// WithCalibration installs a previously derived calibration snapshot
+// WithCalibration installs the threshold of a calibration snapshot
 // (Pipeline.Calibrate, or LoadCalibrationFile for one persisted alongside
-// the model): the pipeline operates at the snapshot's threshold without
-// re-scoring a calibration corpus. The snapshot's backend tag must match
-// the pipeline's backend — a threshold is meaningless on another family's
-// score scale. Overridden by WithThresholdFPR.
+// the model) into the pipeline's pair, without re-scoring a calibration
+// corpus. The snapshot's backend tag must match the pipeline's backend —
+// a threshold is meaningless on another family's score scale — and
+// NewPipeline rejects the option beside WithThreshold.
 func WithCalibration(cal *Calibration) PipelineOption {
 	return func(p *Pipeline) {
 		if err := cal.Validate(); err != nil {
@@ -170,9 +131,24 @@ func WithCalibration(cal *Calibration) PipelineOption {
 			}
 			return
 		}
-		p.cal = cal
-		p.threshold = cal.Threshold
+		p.setThreshold("WithCalibration", func(h *HotBackend) error {
+			if cal.Tag != h.Tag() {
+				return fmt.Errorf("clap: calibration snapshot is for backend %q, pipeline runs %q", cal.Tag, h.Tag())
+			}
+			return h.SetThreshold(cal.Threshold)
+		})
 	}
+}
+
+// setThreshold records the option that installs the pipeline's
+// threshold. A second one is refused: the threshold would otherwise
+// depend on the order of the options.
+func (p *Pipeline) setThreshold(who string, install func(*HotBackend) error) {
+	if p.install != nil {
+		p.fail("clap: %s: WithThreshold or WithCalibration already sets the threshold; give one of the two", who)
+		return
+	}
+	p.install = install
 }
 
 // WithTopN sets how many highest-error windows each result localizes
@@ -221,24 +197,22 @@ func NewPipeline(opts ...PipelineOption) (*Pipeline, error) {
 	if !p.backend.Trained() {
 		return nil, fmt.Errorf("clap: backend %q is not trained (Train it or load a model first)", p.backend.Tag())
 	}
-	if err := backend.Scorable(p.backend); err != nil {
-		return nil, fmt.Errorf("clap: %w", err)
+	hot, ok := p.backend.(*HotBackend)
+	if !ok {
+		var err error
+		if hot, err = backend.NewHot(p.backend); err != nil {
+			return nil, fmt.Errorf("clap: %w", err)
+		}
 	}
-	if p.cal != nil && p.cal.Tag != p.backend.Tag() {
-		return nil, fmt.Errorf("clap: calibration snapshot is for backend %q, pipeline runs %q", p.cal.Tag, p.backend.Tag())
+	if p.install != nil {
+		if err := p.install(hot); err != nil {
+			return nil, err
+		}
 	}
+	p.hot = hot
 	p.eng = engine.New(engine.Options{Workers: p.workers, Shards: p.shards})
 	return p, nil
 }
-
-// Backend returns the pipeline's detection backend.
-func (p *Pipeline) Backend() Backend { return p.backend }
-
-// snapshot pins the model one connection is scored with. For a reload-safe
-// HotBackend handle this resolves the live model once, so a hot swap can
-// never split a single connection's WindowErrors/Summarize pair across two
-// models; for plain backends it is the backend itself.
-func (p *Pipeline) snapshot() Backend { return backend.Live(p.backend) }
 
 // Engine returns the pipeline's scoring engine (for Source implementations
 // and ad-hoc scoring alongside a Run).
@@ -250,7 +224,7 @@ type Result struct {
 	Conn *Connection
 	// Score is the backend's scalar adversarial score.
 	Score float64
-	// Flagged reports Score >= threshold (never set in score-only mode).
+	// Flagged reports threshold > 0 and Score >= threshold.
 	Flagged bool
 	// PeakWindow is the index of the highest-error window (-1 when the
 	// backend produced no windows).
@@ -277,52 +251,28 @@ type Result struct {
 type RunSummary struct {
 	// Results holds every connection's verdict in capture order.
 	Results []Result
-	// Threshold is the operating threshold used (0 in score-only mode,
-	// unless ThresholdSet says otherwise).
+	// Threshold is the operating threshold the run pinned (0: none,
+	// score-only).
 	Threshold float64
-	// ThresholdSet reports that an operating threshold was genuinely in
-	// force — fixed, calibrated, or snapshot-installed — so a calibrated
-	// threshold of exactly 0 is distinguishable from score-only mode
-	// instead of overloading the value.
-	ThresholdSet bool
 	// Flagged counts results over the threshold.
 	Flagged int
 	// Skipped counts records the source could not decode (e.g. truncated
 	// or non-TCP pcap records).
 	Skipped int
-	// CalibrationConns and CalibrationSkipped report the calibration
-	// source's corpus when WithThresholdFPR was used.
-	CalibrationConns   int
-	CalibrationSkipped int
 	// WindowSpan is the backend's packets-per-window (for expanding window
 	// indices to packet ranges).
 	WindowSpan int
-}
-
-// calibrate resolves the operating threshold, scoring the calibration
-// source with the given model if one was configured. It shares
-// CalibrateBackend's single implementation, so WithThresholdFPR fails
-// loudly on an empty or unreadable calibration corpus instead of
-// deriving a silent +Inf threshold that would disable flagging forever.
-func (p *Pipeline) calibrate(b Backend) (th float64, calN, calSkipped int, err error) {
-	th = p.threshold
-	if p.calibration == nil {
-		return th, 0, 0, nil
-	}
-	cal, err := p.CalibrateBackend(b, p.fpr, p.calibration)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return cal.Threshold, cal.Conns, cal.Skipped, nil
 }
 
 // Calibrate scores the calibration source with the pipeline's current
 // model and freezes the outcome into a reusable snapshot: the operating
 // threshold at the target FPR plus the benign-score reference
 // distribution (the sketch drift monitors compare live traffic against).
-// Persist it with SaveCalibrationFile and restore via WithCalibration.
+// It installs nothing: put cal.Threshold into a HotBackend with
+// SetThreshold, or build a pipeline WithCalibration(cal). Persist it with
+// SaveCalibrationFile.
 func (p *Pipeline) Calibrate(fpr float64, src Source) (*Calibration, error) {
-	return p.CalibrateBackend(p.snapshot(), fpr, src)
+	return p.CalibrateBackend(p.hot.Current(), fpr, src)
 }
 
 // CalibrateBackend is Calibrate against an explicit model — the serving
@@ -369,16 +319,17 @@ func (p *Pipeline) CalibrateBackend(b Backend, fpr float64, src Source) (*Calibr
 	}
 	// A cascade's screened connections score as negative margins, so a
 	// detection FPR target looser than the escalation budget would land
-	// the operating threshold below zero — flagging traffic the verdict
-	// stage never examined. Catch the misconfiguration with its cause
-	// rather than letting Validate reject the bare negative number.
-	if casc != nil && cal.Threshold < 0 {
+	// the operating threshold at or below zero — flagging traffic the
+	// verdict stage never examined, or nothing at all. Catch the
+	// misconfiguration with its cause rather than letting Validate reject
+	// the bare number.
+	if casc != nil && cal.Threshold <= 0 {
 		return nil, fmt.Errorf(
 			"clap: Calibrate(%v): detection FPR target exceeds the cascade's escalation budget %v — the threshold would flag screened connections the verdict stage never scored; raise -escalate-fpr to at least the detection FPR, or lower -fpr",
 			fpr, casc.EscalateFPR())
 	}
 	if err := cal.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("clap: Calibrate(%v): %w", fpr, err)
 	}
 	// Calibration scored the corpus through the backend; scrub any
 	// escalation counters it inflated so serving metrics reflect served
@@ -390,15 +341,11 @@ func (p *Pipeline) CalibrateBackend(b Backend, fpr float64, src Source) (*Calibr
 }
 
 // resultFor scores one connection from its precomputed window errors under
-// the model that produced them. thSet marks a threshold genuinely in
-// force even when its value is 0 (a calibrated threshold can legitimately
-// be exactly 0); without it, th == 0 means score-only.
-func (p *Pipeline) resultFor(b Backend, c *Connection, errs []float64, th float64, thSet bool) Result {
+// the model that produced them, judged at threshold th (0: none).
+func (p *Pipeline) resultFor(b Backend, c *Connection, errs []float64, th float64) Result {
 	score, peak := b.Summarize(errs)
 	r := Result{Conn: c, Score: score, PeakWindow: peak}
-	if (th > 0 || thSet) && score >= th {
-		r.Flagged = true
-	}
+	r.Flagged = th > 0 && score >= th
 	if r.Flagged || p.keepErrors {
 		if p.topN > 0 {
 			r.TopWindows = core.TopWindows(errs, p.topN)
@@ -416,30 +363,18 @@ func (p *Pipeline) resultFor(b Backend, c *Connection, errs []float64, th float6
 // sink error stops Run submitting connections; Run drains what is in
 // flight, emitting none of it, and returns the error.
 func (p *Pipeline) Run(src Source, sinks ...Sink) (*RunSummary, error) {
-	// One snapshot for the whole Run: under a hot-swappable backend every
-	// connection of a Run is scored by the same model.
-	b := p.snapshot()
-	th, calN, calSkipped, err := p.calibrate(b)
-	if err != nil {
-		return nil, err
-	}
+	// One pin for the whole Run: every connection of a Run is judged by
+	// the same (model, threshold) pair, whatever is swapped in meanwhile.
+	b, th := p.hot.CurrentPair()
 	conns, skipped, err := src.Connections(p.eng)
 	if err != nil {
 		return nil, fmt.Errorf("clap: reading source: %w", err)
 	}
-	// A threshold counts as "in force" when calibrated (WithThresholdFPR),
-	// installed from a snapshot (WithCalibration), or fixed positive —
-	// either way a value of exactly 0 still flags, it does not silently
-	// fall back to score-only.
-	thSet := p.calibration != nil || p.cal != nil || th > 0
 	sum := &RunSummary{
-		Results:            make([]Result, len(conns)),
-		Threshold:          th,
-		ThresholdSet:       thSet,
-		Skipped:            skipped,
-		CalibrationConns:   calN,
-		CalibrationSkipped: calSkipped,
-		WindowSpan:         b.WindowSpan(),
+		Results:    make([]Result, len(conns)),
+		Threshold:  th,
+		Skipped:    skipped,
+		WindowSpan: b.WindowSpan(),
 	}
 	// The emitter owns sum and the run state until Close returns; failed
 	// is how it tells the submitting loop to stop.
@@ -450,7 +385,7 @@ func (p *Pipeline) Run(src Source, sinks ...Sink) (*RunSummary, error) {
 	}
 	s := engine.NewStreamOf(p.eng, b,
 		func(*Connection) (Backend, Result) { return b, Result{} },
-		func(c *Connection, b Backend, r *Result, o engine.Outcome) { *r = p.resultFor(b, c, o.Errs, th, thSet) },
+		func(c *Connection, b Backend, r *Result, o engine.Outcome) { *r = p.resultFor(b, c, o.Errs, th) },
 		func(_ *Connection, r Result) {
 			if st.sinkErr != nil {
 				return
@@ -487,26 +422,12 @@ func (p *Pipeline) Run(src Source, sinks ...Sink) (*RunSummary, error) {
 
 // PipelineStream is the pipeline's online mode: connections are submitted
 // as they close, scored concurrently by the engine, and emitted strictly
-// in submission order. The operating threshold is live-adjustable
-// (SetThreshold), and under a reload-safe HotBackend each connection is
-// scored wholly by whichever model is current at its pickup — the serving
-// substrate for clap-serve.
+// in submission order. Each connection is judged wholly by the (model,
+// threshold) pair its resolved HotBackend holds at its pickup, so a model
+// swap or a threshold installed on that pair applies from the next
+// connection on — the serving substrate for clap-serve.
 type PipelineStream struct {
-	inner     *engine.StreamOf[verdict]
-	threshold atomic.Uint64 // math.Float64bits
-
-	// pair is the backend when it is a reload-safe handle. While it
-	// carries a threshold, scoring pins model and threshold in ONE atomic
-	// load and SetThreshold/Threshold route through it — so an atomic
-	// recalibration (SwapPair) can never judge a connection with a crossed
-	// (model, threshold) pairing.
-	pair *HotBackend
-
-	// resolve, when set (NewStreamResolved), picks the handle for EACH
-	// connection — the owning tenant's, so one shared stream scores every
-	// tenant's traffic while each verdict pins its own tenant's pair. A
-	// nil return falls back to the stream's own pair/threshold.
-	resolve func(*Connection) *HotBackend
+	inner *engine.StreamOf[verdict]
 }
 
 // verdict is a streamed connection's Result in the making: the threshold
@@ -524,57 +445,37 @@ type StreamHooks = engine.StreamHooks
 // StreamStats is one streamed connection's stage latency measurement.
 type StreamStats = engine.StreamStats
 
-// NewStream opens the pipeline in streaming mode. Threshold calibration
-// (if configured) runs now, before the first Submit; emit then receives
-// every submitted connection's Result in submission order on a single
-// goroutine. Optional hooks observe per-stage latencies. Close the stream
-// to drain it.
-func (p *Pipeline) NewStream(emit func(Result), hooks ...StreamHooks) (*PipelineStream, error) {
-	return p.newStream(nil, emit, hooks)
-}
-
-// NewStreamResolved is NewStream with per-connection pair resolution:
-// resolve picks the reload-safe handle each connection's verdict pins
-// its (model, threshold) from — the multi-tenant serving substrate,
-// where connections from many tenants ride ONE stream (keeping the
-// batched engine's micro-batches full across tenants) while each is
-// judged by its own tenant's atomically-published pair. resolve runs on
-// pool workers and must be safe for concurrent use; returning nil falls
-// back to the pipeline backend's own handle, and Threshold/SetThreshold
-// keep addressing that fallback handle (the default tenant).
-func (p *Pipeline) NewStreamResolved(resolve func(*Connection) *HotBackend, emit func(Result), hooks ...StreamHooks) (*PipelineStream, error) {
+// NewStream opens the pipeline in streaming mode: emit receives every
+// submitted connection's Result in submission order on a single
+// goroutine, and optional hooks observe per-stage latencies. resolve
+// picks the pair each connection pins its (model, threshold) from in one
+// atomic load; nil means the pipeline's own. A resolver serves many
+// tenants on ONE stream (keeping the batched engine's micro-batches full
+// across tenants) while each connection is judged by its own tenant's
+// pair; it runs on pool workers, must be safe for concurrent use, and
+// must not return nil. Close the stream to drain it.
+func (p *Pipeline) NewStream(resolve func(*Connection) *HotBackend, emit func(Result), hooks ...StreamHooks) *PipelineStream {
 	if resolve == nil {
-		return nil, errors.New("clap: NewStreamResolved needs a resolver (use NewStream)")
+		own := p.hot
+		resolve = func(*Connection) *HotBackend { return own }
 	}
-	return p.newStream(resolve, emit, hooks)
-}
-
-func (p *Pipeline) newStream(resolve func(*Connection) *HotBackend, emit func(Result), hooks []StreamHooks) (*PipelineStream, error) {
-	open := p.snapshot()
-	th, _, _, err := p.calibrate(open)
-	if err != nil {
-		return nil, err
-	}
-	s := &PipelineStream{resolve: resolve}
-	s.pair, _ = p.backend.(*HotBackend)
-	s.threshold.Store(math.Float64bits(th))
 	var h StreamHooks
 	if len(hooks) > 0 {
 		h = hooks[0]
 	}
-	s.inner = engine.NewStreamOf(p.eng, open,
-		func(c *Connection) (Backend, verdict) { return s.start(p, c) },
+	return &PipelineStream{inner: engine.NewStreamOf(p.eng, p.hot.Current(),
+		func(c *Connection) (Backend, verdict) { return p.start(resolve(c), c) },
 		func(c *Connection, b Backend, v *verdict, o engine.Outcome) { v.r = p.finish(b, c, v, o) },
-		func(_ *Connection, v verdict) { emit(v.r) }, h)
-	return s, nil
+		func(_ *Connection, v verdict) { emit(v.r) }, h)}
 }
 
 // start pins the (model, threshold, generation) a streamed connection is
-// judged by. On a provenance-armed stream it also starts the verdict's
-// decision record right here, on the worker that pinned the pair — the
-// same view no concurrent reload can split.
-func (s *PipelineStream) start(p *Pipeline, c *Connection) (Backend, verdict) {
-	b, th, gen := s.pin(p, c)
+// judged by from its pair h, in one atomic load. On a provenance-armed
+// stream it also starts the verdict's decision record right here, on the
+// worker that pinned the pair — the same view no concurrent reload can
+// split.
+func (p *Pipeline) start(h *HotBackend, c *Connection) (Backend, verdict) {
+	b, th, gen := h.CurrentPairGen()
 	v := verdict{th: th}
 	if p.prov {
 		v.r.Prov = &obs.Decision{
@@ -597,9 +498,7 @@ func (s *PipelineStream) start(p *Pipeline, c *Connection) (Backend, verdict) {
 // decision record: the cascade stage that settled it, and the micro-batch
 // that scored its last window.
 func (p *Pipeline) finish(b Backend, c *Connection, v *verdict, o engine.Outcome) Result {
-	// Streams keep the historical threshold-0 = score-only contract:
-	// SetThreshold(0) reverts to score-only, so thSet stays false here.
-	r := p.resultFor(b, c, o.Errs, v.th, false)
+	r := p.resultFor(b, c, o.Errs, v.th)
 	d := v.r.Prov
 	if d == nil {
 		return r
@@ -629,58 +528,6 @@ func (p *Pipeline) finish(b Backend, c *Connection, v *verdict, o engine.Outcome
 // has run: 1 means every batch was full, lower values mean part-filled
 // batches. 0 before any batched scoring.
 func (s *PipelineStream) BatchFill() float64 { return s.inner.BatchFill() }
-
-// pin resolves the (model, threshold, generation) a connection is judged
-// with, in one atomic load: from the connection's resolved handle (the
-// owning tenant's, under NewStreamResolved; score-only while it has no
-// threshold), else from the stream's own handle when it carries a
-// threshold, otherwise the model snapshot plus the stream's own threshold
-// at generation 0.
-func (s *PipelineStream) pin(p *Pipeline, c *Connection) (Backend, float64, uint64) {
-	if s.resolve != nil {
-		if h := s.resolve(c); h != nil {
-			b, th, gen, hasTh := h.CurrentPairGen()
-			if !hasTh {
-				th = 0
-			}
-			return b, th, gen
-		}
-	}
-	if s.pair != nil {
-		if b, th, gen, hasTh := s.pair.CurrentPairGen(); hasTh {
-			return b, th, gen
-		}
-	}
-	return p.snapshot(), math.Float64frombits(s.threshold.Load()), 0
-}
-
-// Threshold reports the stream's current operating threshold (the pair
-// handle's, when the backend carries one).
-func (s *PipelineStream) Threshold() float64 {
-	if s.pair != nil {
-		if _, th, ok := s.pair.CurrentPair(); ok {
-			return th
-		}
-	}
-	return math.Float64frombits(s.threshold.Load())
-}
-
-// SetThreshold adjusts the operating threshold live — the /v1/threshold
-// knob of the serving layer. Connections already scored keep their
-// verdicts; connections picked up after the store see the new value. th
-// must be finite and >= 0 (0 reverts to score-only); NaN and ±Inf are
-// rejected like everywhere else a threshold enters. Under a pair handle
-// the update installs through it, keeping (model, threshold) atomic.
-func (s *PipelineStream) SetThreshold(th float64) error {
-	if err := validThreshold("SetThreshold", th); err != nil {
-		return err
-	}
-	if s.pair != nil {
-		return s.pair.SetThreshold(th)
-	}
-	s.threshold.Store(math.Float64bits(th))
-	return nil
-}
 
 // InFlight reports how many submitted connections await scoring or emit.
 func (s *PipelineStream) InFlight() int { return s.inner.InFlight() }

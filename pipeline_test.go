@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"clap/internal/calib"
 	"clap/internal/engine"
 	"clap/internal/eval"
 	"clap/internal/kitsune"
@@ -70,6 +71,22 @@ func runWindow(workers int) int { return workers * (4 + engine.DefaultBatch) }
 // tests.
 func suspectSource() Source {
 	return AttackCorpus(TrafficGen(24, 42), "GFW: Injected RST Bad TCP-Checksum/MD5-Option", 0.5, 7)
+}
+
+// calibrated calibrates b at the loose 25 % FPR the under-trained
+// fixture needs to flag anything (see suspectSource), over 80 benign
+// connections.
+func calibrated(t *testing.T, b Backend) *Calibration {
+	t.Helper()
+	p, err := NewPipeline(WithBackend(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, err := p.Calibrate(0.25, TrafficGen(80, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cal
 }
 
 // TestPipelineBitIdenticalAcrossWorkers is the acceptance contract:
@@ -166,10 +183,7 @@ func TestPipelineStreamBitIdenticalAcrossWorkers(t *testing.T) {
 
 		// Streaming mode batches across queued connections; same bits.
 		var streamed []float64
-		s, err := p.NewStream(func(r Result) { streamed = append(streamed, r.Score) })
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := p.NewStream(nil, func(r Result) { streamed = append(streamed, r.Score) })
 		for _, c := range conns {
 			s.Submit(c)
 		}
@@ -186,14 +200,18 @@ func TestPipelineStreamBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPipelineCalibratedThresholdFlags exercises the WithThresholdFPR path
-// end to end: calibration, flagging, localization and the flagged text
-// report.
+// TestPipelineCalibratedThresholdFlags exercises the calibrated path end
+// to end: Calibrate, WithCalibration, flagging, localization and the
+// flagged text report.
 func TestPipelineCalibratedThresholdFlags(t *testing.T) {
 	bk := pipelineBackend(t)
+	cal := calibrated(t, bk)
+	if cal.Conns != 80 {
+		t.Errorf("calibration corpus = %d connections, want 80", cal.Conns)
+	}
 	p, err := NewPipeline(
 		WithBackend(bk),
-		WithThresholdFPR(0.25, TrafficGen(80, 1)),
+		WithCalibration(cal),
 		WithTopN(3),
 	)
 	if err != nil {
@@ -204,11 +222,8 @@ func TestPipelineCalibratedThresholdFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Threshold <= 0 {
-		t.Fatalf("calibration produced threshold %v", sum.Threshold)
-	}
-	if sum.CalibrationConns != 80 {
-		t.Errorf("calibration corpus = %d connections, want 80", sum.CalibrationConns)
+	if sum.Threshold <= 0 || sum.Threshold != cal.Threshold {
+		t.Fatalf("run threshold %v, calibration %v", sum.Threshold, cal.Threshold)
 	}
 	if sum.Flagged == 0 {
 		t.Fatal("nothing flagged at a 25% FPR threshold")
@@ -386,13 +401,7 @@ func TestPipelineStreamMatchesRun(t *testing.T) {
 			}
 			conns, _, _ := suspectSource().Connections(p.Engine())
 			var streamed []Result
-			s, err := p.NewStream(func(r Result) { streamed = append(streamed, r) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.Threshold() != sum.Threshold {
-				t.Fatalf("%s: stream threshold %v != run threshold %v", label, s.Threshold(), sum.Threshold)
-			}
+			s := p.NewStream(nil, func(r Result) { streamed = append(streamed, r) })
 			for _, c := range conns {
 				s.Submit(c)
 			}
@@ -470,7 +479,8 @@ func TestPipelineLockstepBitIdentity(t *testing.T) {
 // as the batch Run, in submission order, at every worker count.
 func TestPipelineStreamLockstepMatchesRun(t *testing.T) {
 	bk := pipelineBackend(t)
-	ref, err := NewPipeline(WithBackend(bk), WithThresholdFPR(0.25, TrafficGen(80, 1)))
+	cal := calibrated(t, bk)
+	ref, err := NewPipeline(WithBackend(bk), WithCalibration(cal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,17 +490,13 @@ func TestPipelineStreamLockstepMatchesRun(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		p, err := NewPipeline(WithBackend(bk), WithWorkers(workers),
-			WithThresholdFPR(0.25, TrafficGen(80, 1)))
+		p, err := NewPipeline(WithBackend(bk), WithWorkers(workers), WithCalibration(cal))
 		if err != nil {
 			t.Fatal(err)
 		}
 		conns, _, _ := suspectSource().Connections(p.Engine())
 		var streamed []Result
-		s, err := p.NewStream(func(r Result) { streamed = append(streamed, r) })
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := p.NewStream(nil, func(r Result) { streamed = append(streamed, r) })
 		for _, c := range conns {
 			s.Submit(c)
 		}
@@ -528,10 +534,7 @@ func TestPipelineStreamProvenance(t *testing.T) {
 	}
 	conns, _, _ := suspectSource().Connections(p.Engine())
 	var streamed []Result
-	s, err := p.NewStream(func(r Result) { streamed = append(streamed, r) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := p.NewStream(nil, func(r Result) { streamed = append(streamed, r) })
 	for _, c := range conns {
 		s.Submit(c)
 	}
@@ -562,6 +565,12 @@ func TestPipelineStreamProvenance(t *testing.T) {
 // loudly instead of being silently coerced.
 func TestPipelineOptionValidation(t *testing.T) {
 	bk := pipelineBackend(t)
+	// snapshot is a calibration of bk that is valid except as changed.
+	snapshot := func(fpr, th float64) *Calibration {
+		ref := calib.NewSketch(0, 0)
+		ref.Add(0.5)
+		return &Calibration{Tag: bk.Tag(), FPR: fpr, Threshold: th, Conns: 1, Ref: ref}
+	}
 	cases := []struct {
 		name string
 		opt  PipelineOption
@@ -576,11 +585,13 @@ func TestPipelineOptionValidation(t *testing.T) {
 		{"NaN threshold", WithThreshold(math.NaN()), "threshold must be finite and >= 0"},
 		{"+Inf threshold", WithThreshold(math.Inf(1)), "threshold must be finite and >= 0"},
 		{"-Inf threshold", WithThreshold(math.Inf(-1)), "threshold must be finite and >= 0"},
-		{"zero FPR", WithThresholdFPR(0, TrafficGen(5, 1)), "FPR must be in (0, 1)"},
-		{"FPR of one", WithThresholdFPR(1, TrafficGen(5, 1)), "FPR must be in (0, 1)"},
-		{"FPR above one", WithThresholdFPR(1.5, TrafficGen(5, 1)), "FPR must be in (0, 1)"},
-		{"NaN FPR", WithThresholdFPR(math.NaN(), TrafficGen(5, 1)), "FPR must be in (0, 1)"},
-		{"nil calibration", WithThresholdFPR(0.1, nil), "needs a calibration source"},
+		// A calibration carries its FPR target and a threshold > 0.
+		{"zero FPR", WithCalibration(snapshot(0, 0.1)), "FPR 0 outside (0, 1)"},
+		{"FPR of one", WithCalibration(snapshot(1, 0.1)), "FPR 1 outside (0, 1)"},
+		{"FPR above one", WithCalibration(snapshot(1.5, 0.1)), "FPR 1.5 outside (0, 1)"},
+		{"NaN FPR", WithCalibration(snapshot(math.NaN(), 0.1)), "FPR NaN outside (0, 1)"},
+		{"zero calibrated threshold", WithCalibration(snapshot(0.1, 0)), "threshold 0 must be finite and > 0"},
+		{"nil calibration", WithCalibration(nil), "nil calibration"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -594,54 +605,6 @@ func TestPipelineOptionValidation(t *testing.T) {
 	if _, err := NewPipeline(WithBackend(bk), WithWorkers(1), WithShards(1),
 		WithTopN(0), WithThreshold(0)); err != nil {
 		t.Fatalf("valid boundary options rejected: %v", err)
-	}
-}
-
-// TestPipelineStreamSetThreshold: the stream's operating threshold is
-// live-adjustable and bad values are rejected.
-func TestPipelineStreamSetThreshold(t *testing.T) {
-	bk := pipelineBackend(t)
-	p, err := NewPipeline(WithBackend(bk), WithThreshold(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flags []bool
-	s, err := p.NewStream(func(r Result) { flags = append(flags, r.Flagged) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Threshold() != 0.5 {
-		t.Fatalf("threshold = %v, want 0.5", s.Threshold())
-	}
-	if err := s.SetThreshold(-1); err == nil {
-		t.Fatal("negative threshold accepted")
-	}
-	if err := s.SetThreshold(math.NaN()); err == nil {
-		t.Fatal("NaN threshold accepted")
-	}
-	// +Inf would silently disable flagging forever while looking set.
-	if err := s.SetThreshold(math.Inf(1)); err == nil {
-		t.Fatal("+Inf threshold accepted")
-	}
-	if got := s.Threshold(); got != 0.5 {
-		t.Fatalf("threshold changed to %v by rejected values", got)
-	}
-	// A tiny positive threshold flags everything a benign corpus scores.
-	if err := s.SetThreshold(1e-12); err != nil {
-		t.Fatal(err)
-	}
-	conns := GenerateBenign(4, 8)
-	for _, c := range conns {
-		s.Submit(c)
-	}
-	s.Close()
-	if len(flags) != len(conns) {
-		t.Fatalf("emitted %d results, want %d", len(flags), len(conns))
-	}
-	for i, f := range flags {
-		if !f {
-			t.Errorf("conn %d not flagged at threshold 1e-12", i)
-		}
 	}
 }
 
@@ -671,10 +634,7 @@ func TestPipelineHotBackendStream(t *testing.T) {
 
 	conns := GenerateBenign(12, 55)
 	var scores []float64
-	s, err := p.NewStream(func(r Result) { scores = append(scores, r.Score) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := p.NewStream(nil, func(r Result) { scores = append(scores, r.Score) })
 	for i, c := range conns {
 		if i == len(conns)/2 {
 			if _, err := hot.Swap(b2); err != nil {
@@ -744,14 +704,11 @@ func TestPipelineStreamLockstepHotSwap(t *testing.T) {
 			swapAt := len(conns) / 2
 			var scores []float64
 			firstHalf := make(chan struct{})
-			s, err := p.NewStream(func(r Result) {
+			s := p.NewStream(nil, func(r Result) {
 				if scores = append(scores, r.Score); len(scores) == swapAt {
 					close(firstHalf)
 				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for i, c := range conns {
 				if i == swapAt {
 					// The connections before the swap are judged
@@ -886,21 +843,12 @@ func TestBackendPersistenceThroughFacade(t *testing.T) {
 }
 
 // TestPipelineCalibrationSnapshot pins the explicit calibration flow:
-// Pipeline.Calibrate derives the same threshold WithThresholdFPR would,
-// the snapshot round-trips through disk byte-compatibly, WithCalibration
-// reproduces the calibrated run's verdicts exactly, and mismatched or
-// invalid snapshots fail loudly.
+// Pipeline.Calibrate derives ThresholdAtFPR of the corpus's batched
+// scores, the snapshot round-trips through disk byte-compatibly,
+// WithCalibration reproduces the calibrated run's verdicts exactly, and
+// mismatched or invalid snapshots fail loudly.
 func TestPipelineCalibrationSnapshot(t *testing.T) {
 	bk := pipelineBackend(t)
-	base, err := NewPipeline(WithBackend(bk), WithThresholdFPR(0.25, TrafficGen(80, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := base.Run(suspectSource())
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	p, err := NewPipeline(WithBackend(bk))
 	if err != nil {
 		t.Fatal(err)
@@ -909,8 +857,20 @@ func TestPipelineCalibrationSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cal.Threshold != want.Threshold {
-		t.Fatalf("Calibrate threshold %v != WithThresholdFPR threshold %v", cal.Threshold, want.Threshold)
+	benign, _, err := TrafficGen(80, 1).Connections(p.Engine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if th := ThresholdAtFPR(p.Engine().ScoresBatched(bk, benign), 0.25); cal.Threshold != th {
+		t.Fatalf("Calibrate threshold %v != ThresholdAtFPR of the corpus %v", cal.Threshold, th)
+	}
+	base, err := NewPipeline(WithBackend(bk), WithCalibration(cal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := base.Run(suspectSource())
+	if err != nil {
+		t.Fatal(err)
 	}
 	if cal.Tag != bk.Tag() || cal.FPR != 0.25 || cal.Conns != 80 {
 		t.Fatalf("snapshot metadata: %+v", cal)
@@ -960,22 +920,14 @@ func TestPipelineCalibrationSnapshot(t *testing.T) {
 	if _, err := p.Calibrate(0, TrafficGen(5, 1)); err == nil {
 		t.Error("Calibrate(0) succeeded")
 	}
-	// The legacy WithThresholdFPR path shares the same gate: an empty
-	// calibration corpus must fail the run, never derive a silent +Inf
-	// threshold that disables flagging forever.
-	pe, err := NewPipeline(WithBackend(bk), WithThresholdFPR(0.25, Conns()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pe.Run(suspectSource()); err == nil ||
-		!strings.Contains(err.Error(), "no connections") {
-		t.Errorf("empty calibration corpus: Run returned %v, want loud failure", err)
-	}
 	if _, err := p.Calibrate(0.5, nil); err == nil {
 		t.Error("Calibrate(nil source) succeeded")
 	}
-	if _, err := p.Calibrate(0.5, Conns()); err == nil {
-		t.Error("Calibrate over an empty corpus succeeded")
+	// An empty calibration corpus fails loudly, never deriving a silent
+	// +Inf threshold that disables flagging forever.
+	if _, err := p.Calibrate(0.5, Conns()); err == nil ||
+		!strings.Contains(err.Error(), "no connections") {
+		t.Errorf("Calibrate over an empty corpus: err = %v, want loud failure", err)
 	}
 	other := back
 	mismatch := *other

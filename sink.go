@@ -48,7 +48,7 @@ func (t *textReport) Emit(r Result) error {
 // Finish renders the run footer from the summary's complete result list
 // (capture order), so Emit keeps no per-connection state of its own.
 func (t *textReport) Finish(sum *RunSummary) error {
-	if !sum.ThresholdSet && sum.Threshold <= 0 {
+	if sum.Threshold <= 0 {
 		// Score-only mode: rank everything (ties broken by capture order so
 		// output is deterministic).
 		idx := make([]int, len(sum.Results))

@@ -109,25 +109,6 @@ func TestTextReportGolden(t *testing.T) {
 			t.Fatalf("score-only report diverged:\n got: %q\nwant: %q", buf.String(), want)
 		}
 	})
-
-	// A calibrated threshold of exactly 0 is a real operating point, not
-	// score-only mode: with the ThresholdSet bit carried on the summary the
-	// flagged report renders (previously it silently fell back to the
-	// top-10 ranking).
-	t.Run("threshold-zero-flagged", func(t *testing.T) {
-		zeroTh := &RunSummary{Results: results, Threshold: 0, ThresholdSet: true, Flagged: 2, WindowSpan: 3}
-		var buf bytes.Buffer
-		if err := runSink(t, NewTextReport(&buf, false), results, zeroTh); err != nil {
-			t.Fatal(err)
-		}
-		want := "" +
-			"2/3 connections flagged at threshold 0.000000\n" +
-			"\n10.0.0.1:1001 > 192.0.2.1:443  score=0.250000 peak-window=2\n" +
-			"\n10.0.0.2:1002 > 192.0.2.1:443  score=0.750000 peak-window=0\n"
-		if buf.String() != want {
-			t.Fatalf("threshold-0 flagged report diverged:\n got: %q\nwant: %q", buf.String(), want)
-		}
-	})
 }
 
 // TestSinksSurfaceWriterErrors: every sink propagates its writer's error
