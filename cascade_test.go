@@ -224,12 +224,23 @@ func TestCascadeCalibrationRejectsLooseFPR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	escBefore, setBefore := cascade.Escalation()
+	evalBefore, escalatedBefore := cascade.EscalationCounts()
 	_, err = p.Calibrate(0.3, TrafficGen(60, 5))
 	if err == nil {
 		t.Fatal("calibrating at FPR 0.3 with escalation budget 0.05 should fail")
 	}
 	if !strings.Contains(err.Error(), "escalation budget") {
 		t.Fatalf("error should name the escalation budget as the cause, got: %v", err)
+	}
+	// A refused calibration leaves the cascade as it was: no escalation
+	// threshold installed, no calibration traffic on the counters.
+	if esc, set := cascade.Escalation(); esc != escBefore || set != setBefore {
+		t.Fatalf("refused calibration moved the escalation threshold: (%v, %v) -> (%v, %v)", escBefore, setBefore, esc, set)
+	}
+	if evaluated, escalated := cascade.EscalationCounts(); evaluated != evalBefore || escalated != escalatedBefore {
+		t.Fatalf("refused calibration moved the escalation counters: %d/%d -> %d/%d",
+			escalatedBefore, evalBefore, escalated, evaluated)
 	}
 	// The same target inside the budget calibrates fine.
 	if err := cascade.SetEscalateFPR(0.5); err != nil {

@@ -11,7 +11,7 @@
 //	clap-serve -model clap.model -source tail:/var/run/capture.pcap
 //	clap-serve -model clap.model -source stdin < fifo.pcap
 //	clap-serve -model clap.model -source soak:0:50:0.2
-//	clap-serve -model clap.model -source replay:suspect.pcap -calibrate benign.pcap
+//	clap-serve -model clap.model -source replay:suspect.pcap -calibrate benign.pcap -fpr 0.01
 //	clap-serve -model clap.model -source afpacket:eth0:7
 //
 // -source is repeatable. Its forms are afpacket:IFACE[:fanout-id],
@@ -28,10 +28,10 @@
 //	        -tenant edge=edge.model:0.08 -tenant-source edge=tail:edge.pcap \
 //	        -tenant-quota edge=64:200:50
 //
-// A -calibrate start persists its calibration snapshot (threshold plus
-// the benign-score reference distribution) to <model>.calib, and a later
-// start without -calibrate resumes from it, so drift monitoring keeps
-// its reference across restarts.
+// -calibrate derives the operating point (threshold plus benign-score
+// reference) at -fpr before serving, as clap-detect does, and persists it
+// to <model>.calib; a later start without -calibrate resumes from it.
+// Reloads with no "fpr" recalibrate at the installed snapshot's target.
 //
 // Ops API (default 127.0.0.1:8080; see DESIGN.md §7 and §9):
 //
@@ -86,10 +86,12 @@ type tenantFlag struct {
 	threshold float64
 }
 
-// tenantSourceFlag is one -tenant-source declaration: name=kind:arg.
+// tenantSourceFlag is one -tenant-source declaration, name=kind:arg, or
+// a -source one (name ""), with the source it builds.
 type tenantSourceFlag struct {
 	name string
 	spec string
+	src  clap.ServeSource
 }
 
 // parseTenantFlag splits name=model.bin[:threshold]. The threshold suffix
@@ -294,9 +296,9 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:8080", "ops API listen address")
 		threshold   = flag.Float64("threshold", 0, "fixed operating threshold (0: score-only; not with -calibrate)")
 		calibrate   = flag.String("calibrate", "", "benign pcap to calibrate the threshold from")
-		fpr         = flag.Float64("fpr", 0.01, "target false-positive rate for -calibrate")
+		fpr         = flag.Float64("fpr", 0.01, "target false-positive rate for -calibrate (recalibrating reloads with no \"fpr\" reuse it)")
 		escalateFPR = flag.Float64("escalate-fpr", 0,
-			"cascade models: override the persisted escalate-FPR (takes effect at -calibrate)")
+			"cascade models: override the persisted escalate-FPR (needs -calibrate)")
 		top     = flag.Int("top", 5, "Top-N windows to localize per flagged connection (negative: disable localization)")
 		workers = flag.Int("workers", 0, "scoring workers (0: all cores)")
 		queue   = flag.Int("queue", 256, "ingest queue depth")
@@ -370,8 +372,17 @@ func main() {
 	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["fpr"] && *calibrate == "" {
+		log.Fatalf("-fpr %v: the target of -calibrate, which is not set", *fpr)
+	}
 	if set["threshold"] && *calibrate != "" {
 		log.Fatalf("-threshold %v: -calibrate sets the threshold; give one of the two", *threshold)
+	}
+	// A negative value here would be read as another setting's "off".
+	for name, bad := range map[string]bool{"drift-window": *driftWindow < 0, "alert-rate": *alertRate < 0, "poll": *poll < 0} {
+		if bad {
+			log.Fatalf("-%s %v: must be >= 0", name, flag.Lookup(name).Value)
+		}
 	}
 
 	b, err := clap.LoadBackendFile(*model)
@@ -385,6 +396,9 @@ func main() {
 		}
 		if err := cb.SetEscalateFPR(*escalateFPR); err != nil {
 			log.Fatal(err)
+		}
+		if *calibrate == "" { // only a calibration moves the escalation threshold
+			log.Fatalf("-escalate-fpr %v: takes effect at -calibrate, which is not set", *escalateFPR)
 		}
 	}
 	log.Printf("loaded %s", b.Describe())
@@ -405,9 +419,39 @@ func main() {
 		TraceRing:      *traceRing,
 		Logf:           log.Printf,
 	}
-	cfg.FPR = *fpr
+	// Every source spec is checked before -calibrate scores anything; the
+	// sources join their tenants once the server exists.
+	live := clap.LiveConfig{MaxPackets: *budget, Poll: *poll, IdleFlush: *idle}
+	var sources []tenantSourceFlag
+	for _, spec := range sourceSpecs {
+		src, err := sourceFor(spec, live, *soakSeed)
+		if err != nil {
+			log.Fatalf("-source %s: %v", spec, err)
+		}
+		sources = append(sources, tenantSourceFlag{spec: spec, src: src})
+	}
+	for _, ts := range tenantSources {
+		if ts.src, err = sourceFor(ts.spec, live, *soakSeed); err != nil {
+			log.Fatalf("-tenant-source %s=%s: %v", ts.name, ts.spec, err)
+		}
+		sources = append(sources, ts)
+	}
+
+	// -calibrate derives the operating point before serving, as
+	// clap-detect does; serve installs the finished snapshot.
 	if *calibrate != "" {
-		cfg.Calibration = clap.PCAPFile(*calibrate)
+		opts := []clap.PipelineOption{clap.WithBackend(b)}
+		if *workers > 0 {
+			opts = append(opts, clap.WithWorkers(*workers))
+		}
+		p, err := clap.NewPipeline(opts...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if cfg.CalibrationSnapshot, err = p.Calibrate(*fpr, clap.PCAPFile(*calibrate)); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("calibrated threshold %.6f at FPR %g over %d connections", cfg.CalibrationSnapshot.Threshold, *fpr, cfg.CalibrationSnapshot.Conns)
 	}
 	// The drift monitor's rolling-window size; 0 on the flag means "off"
 	// (the Config encodes that as a negative value).
@@ -474,24 +518,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	live := clap.LiveConfig{MaxPackets: *budget, Poll: *poll, IdleFlush: *idle}
-	for _, spec := range sourceSpecs {
-		src, err := sourceFor(spec, live, *soakSeed)
-		if err != nil {
-			log.Fatalf("-source %s: %v", spec, err)
-		}
-		srv.AddSource(src)
-	}
-	for _, ts := range tenantSources {
-		src, err := sourceFor(ts.spec, live, *soakSeed)
-		if err != nil {
-			log.Fatalf("-tenant-source %s=%s: %v", ts.name, ts.spec, err)
-		}
-		if err := srv.AddTenantSource(ts.name, src); err != nil {
+	for _, ts := range sources {
+		if err := srv.AddTenantSource(ts.name, ts.src); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if len(sourceSpecs)+len(tenantSources) == 0 {
+	if len(sources) == 0 {
 		log.Fatal("no ingest source: need -source or -tenant-source")
 	}
 

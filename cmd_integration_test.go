@@ -371,17 +371,29 @@ func TestBackendFlagEndToEnd(t *testing.T) {
 		runFails(t, tools, "must be in (0, 1)", "clap-detect", "-in", adv, "-model", cascade, "-escalate-fpr", bad)
 		runFails(t, tools, "must be in (0, 1)", "clap-serve", "-model", cascade, "-escalate-fpr", bad)
 	}
-	// clap-detect reads both FPR targets only when it calibrates, so either
-	// one set without -calibrate is refused rather than dropped.
+	// Both commands read both FPR targets only when they calibrate, so
+	// either one set without -calibrate is refused rather than dropped.
 	runFails(t, tools, "-calibrate, which is not set", "clap-detect", "-in", adv, "-model", cascade, "-escalate-fpr", "0.2")
 	runFails(t, tools, "-calibrate, which is not set", "clap-detect", "-in", adv, "-model", cascade, "-fpr", "0.05")
+	runFails(t, tools, "-calibrate, which is not set", "clap-serve", "-model", cascade, "-escalate-fpr", "0.2")
+	runFails(t, tools, "-calibrate, which is not set", "clap-serve", "-model", cascade, "-fpr", "0.05")
 	run(t, tools, "clap-detect", "-in", adv, "-model", cascade, "-calibrate", benign, "-fpr", "0.05", "-escalate-fpr", "0.2")
 	// -calibrate chooses the threshold, so a -threshold beside it would be
 	// dropped; both commands refuse the pair.
 	runFails(t, tools, "give one of the two", "clap-detect", "-in", adv, "-model", cascade, "-threshold", "0.1", "-calibrate", benign)
 	runFails(t, tools, "give one of the two", "clap-serve", "-model", cascade, "-threshold", "0.1", "-calibrate", benign)
-	// clap-serve sizes: a negative count is an error, not a default.
+	// clap-serve sizes: a negative count is an error, not a default, and
+	// not another setting's way to say "off".
 	runFails(t, tools, "Workers -2", "clap-serve", "-model", filepath.Join(work, "clap.model"), "-workers", "-2")
+	for _, bad := range [][2]string{{"-drift-window", "-4"}, {"-alert-rate", "-1"}, {"-poll", "-1s"}} {
+		runFails(t, tools, bad[0]+" "+bad[1], "clap-serve", "-model", filepath.Join(work, "clap.model"),
+			bad[0], bad[1])
+	}
+	// Drift levels that would alert on every window are refused by serve.New.
+	runFails(t, tools, "DriftFPRFactor 0.5", "clap-serve", "-model", filepath.Join(work, "clap.model"),
+		"-drift-fpr-factor", "0.5")
+	runFails(t, tools, "DriftMaxShift NaN", "clap-serve", "-model", filepath.Join(work, "clap.model"),
+		"-drift-max-shift", "NaN")
 
 	// Training needs at least one epoch of each network; fewer would save
 	// an untrained model.

@@ -101,14 +101,14 @@ func TestServeDriftEndToEnd(t *testing.T) {
 	var alerts []DriftStatus
 	feed := &chanSource{name: "feed", ch: make(chan *clap.Connection, 64)}
 
+	b := loadModel(t, clapModel)
 	srv, err := New(Config{
-		Backend:         loadModel(t, clapModel),
-		ModelPath:       clapModel,
-		Calibration:     clap.TrafficGen(120, 5),
-		FPR:             targetFPR,
-		CalibrationFile: calFile,
-		DriftWindow:     window,
-		DriftWindows:    2,
+		Backend:             b,
+		ModelPath:           clapModel,
+		CalibrationSnapshot: calibrated(t, b, targetFPR, clap.TrafficGen(120, 5)),
+		CalibrationFile:     calFile,
+		DriftWindow:         window,
+		DriftWindows:        2,
 		OnDriftAlert: func(_ string, st DriftStatus) {
 			mu.Lock()
 			alerts = append(alerts, st)
@@ -354,15 +354,7 @@ func TestServeReloadCalibrationAtomicity(t *testing.T) {
 	// the same deterministic calibration path the server uses.
 	expectTh := func(path string) float64 {
 		t.Helper()
-		p, err := clap.NewPipeline(clap.WithBackend(loadModel(t, path)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cal, err := p.Calibrate(targetFPR, clap.PCAPFile(calibPcap))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cal.Threshold
+		return calibrated(t, loadModel(t, path), targetFPR, clap.PCAPFile(calibPcap)).Threshold
 	}
 	thA, thB := expectTh(clapModel), expectTh(b1Model)
 	if thA == thB {
@@ -377,13 +369,13 @@ func TestServeReloadCalibrationAtomicity(t *testing.T) {
 	var mu sync.Mutex
 	scored := make(map[*clap.Connection]verdict, soakN)
 
+	b := loadModel(t, clapModel)
 	srv, err := New(Config{
-		Backend:     loadModel(t, clapModel),
-		ModelPath:   clapModel,
-		Calibration: clap.PCAPFile(calibPcap),
-		FPR:         targetFPR,
-		QueueDepth:  16,
-		DriftWindow: -1, // monitoring off: this test isolates pair atomicity
+		Backend:             b,
+		ModelPath:           clapModel,
+		CalibrationSnapshot: calibrated(t, b, targetFPR, clap.PCAPFile(calibPcap)),
+		QueueDepth:          16,
+		DriftWindow:         -1, // monitoring off: this test isolates pair atomicity
 		OnResult: func(r clap.Result) {
 			mu.Lock()
 			scored[r.Conn] = verdict{score: r.Score, flagged: r.Flagged}

@@ -72,20 +72,21 @@ type Config struct {
 	// Workers sizes the scoring engine (0: all cores).
 	Workers int
 
-	// Threshold fixes the operating threshold; Calibration+FPR derive it
-	// instead when Calibration is non-nil. Both may later be adjusted
-	// live via /v1/threshold.
-	Threshold   float64
-	FPR         float64
-	Calibration clap.Source
+	// Threshold fixes the operating threshold (0: none, score-only);
+	// /v1/threshold adjusts it live. A CalibrationSnapshot replaces it, and
+	// it keeps its value over a snapshot restored from CalibrationFile.
+	Threshold float64
 
-	// CalibrationSnapshot installs a pre-derived calibration (threshold +
-	// benign-score reference) when no Calibration source is given.
+	// CalibrationSnapshot is the operating point to serve: a calibration
+	// derived beforehand for Backend (Pipeline.Calibrate, or
+	// LoadCalibrationFile). Start installs its threshold and benign-score
+	// reference, and a recalibrating reload with no "fpr" of its own
+	// recalibrates at its FPR target. Serve never derives one at Start.
 	CalibrationSnapshot *clap.Calibration
-	// CalibrationFile persists the calibration snapshot
-	// (conventionally "<model>.calib"): a Start-time calibration and every
+	// CalibrationFile persists the installed calibration (conventionally
+	// "<model>.calib"): an installed CalibrationSnapshot and every
 	// recalibrating reload save it there, and a restart with no
-	// Calibration source loads it back, so the drift monitor keeps its
+	// CalibrationSnapshot loads it back, so the drift monitor keeps its
 	// reference distribution across restarts. A snapshot whose backend
 	// tag does not match the serving model is ignored with a log line.
 	// When Threshold is set explicitly, a loaded snapshot contributes
@@ -168,10 +169,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// TenantConfig configures one named tenant. The fields mirror Config's
-// calibration surface; each resolves independently at Start with the
-// same precedence (Calibration source > CalibrationSnapshot >
-// CalibrationFile restore > fixed Threshold).
+// TenantConfig configures one named tenant. Its threshold fields mirror
+// Config's and resolve independently at Start with the same precedence:
+// CalibrationSnapshot, else a CalibrationFile restore, else the fixed
+// Threshold (0: none).
 type TenantConfig struct {
 	// Name identifies the tenant in the API, metrics labels, and CLI
 	// flags (required; "default" is reserved).
@@ -180,11 +181,9 @@ type TenantConfig struct {
 	Backend clap.Backend
 	// ModelPath is the tenant's default reload source (optional).
 	ModelPath string
-	// Threshold / FPR / Calibration / CalibrationSnapshot /
-	// CalibrationFile behave exactly as Config's, scoped to this tenant.
+	// Threshold, CalibrationSnapshot and CalibrationFile behave exactly
+	// as Config's, scoped to this tenant.
 	Threshold           float64
-	FPR                 float64
-	Calibration         clap.Source
 	CalibrationSnapshot *clap.Calibration
 	CalibrationFile     string
 	// Quota bounds the tenant's admission: max in-flight connections
@@ -252,11 +251,15 @@ type Server struct {
 }
 
 // tenantState composes a tenant's core state with its serving-layer
-// attachments: the calibration spec resolved at Start, the flagged
-// ring, and the tenant's source accounting.
+// attachments: the spec Start installs, the installed calibration's FPR
+// target, the flagged ring, and the tenant's source accounting.
 type tenantState struct {
 	*tenant.Tenant
-	spec    TenantConfig
+	spec TenantConfig
+	// fpr is the FPR target of the installed calibration (0: none, or a
+	// fixed Threshold overrode it), the one a recalibrating reload falls
+	// back to. Written by install; guarded by ReloadMu.
+	fpr     float64
 	flagged *tenant.Ring[FlaggedConn]
 	srcs    []*srcCounters
 	// tracer holds the tenant's decision ring and deep-trace store
@@ -302,6 +305,15 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: %s %d must be >= 0", f.name, f.v)
 		}
 	}
+	// Drift levels: 0 takes the default and a negative value turns the
+	// rule off, but a non-finite level, or an FPR factor in (0, 1) whose
+	// band [target/f, target·f] is empty, would alert on every window.
+	if math.IsNaN(cfg.DriftMaxShift) || math.IsInf(cfg.DriftMaxShift, 0) {
+		return nil, fmt.Errorf("serve: DriftMaxShift %v must be finite", cfg.DriftMaxShift)
+	}
+	if f := cfg.DriftFPRFactor; math.IsNaN(f) || math.IsInf(f, 0) || (f > 0 && f < 1) {
+		return nil, fmt.Errorf("serve: DriftFPRFactor %v must be finite and not in (0, 1)", f)
+	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 256
 	}
@@ -338,8 +350,6 @@ func New(cfg Config) (*Server, error) {
 		Backend:             cfg.Backend,
 		ModelPath:           cfg.ModelPath,
 		Threshold:           cfg.Threshold,
-		FPR:                 cfg.FPR,
-		Calibration:         cfg.Calibration,
 		CalibrationSnapshot: cfg.CalibrationSnapshot,
 		CalibrationFile:     cfg.CalibrationFile,
 		Quota:               cfg.Quota,
@@ -366,8 +376,9 @@ func New(cfg Config) (*Server, error) {
 		opts = append(opts, clap.WithWorkers(cfg.Workers))
 	}
 	// Thresholds live only in each tenant's hot (model, threshold) pair,
-	// installed at Start (resolveCalibration): the stream's resolver pins
-	// every connection to its tenant's pair, so the pipeline carries none.
+	// set in addTenant and at Start (startCalibration): the stream's
+	// resolver pins every connection to its tenant's pair, so the pipeline
+	// carries none.
 	s.pipe, err = clap.NewPipeline(opts...)
 	if err != nil {
 		return nil, err
@@ -387,19 +398,14 @@ func (s *Server) addTenant(tc TenantConfig) (*tenantState, error) {
 	if tc.Backend == nil {
 		return nil, fmt.Errorf("serve: %s needs a trained Backend", who)
 	}
-	// Reject non-finite thresholds here rather than relying on the
-	// pipeline's WithThreshold guard: NaN would not survive the > 0 gate
-	// and would silently fall back to score-only mode.
-	if tc.Threshold < 0 || math.IsNaN(tc.Threshold) || math.IsInf(tc.Threshold, 0) {
-		return nil, fmt.Errorf("serve: %s threshold %v must be finite and >= 0", who, tc.Threshold)
-	}
-	// The FPR bound is validated here so a bad config fails at
-	// construction, not minutes later at Start.
-	if tc.Calibration != nil && !(tc.FPR > 0 && tc.FPR < 1) {
-		return nil, fmt.Errorf("serve: %s calibration target FPR %v must be in (0, 1)", who, tc.FPR)
-	}
 	hot, err := backend.NewHot(tc.Backend)
 	if err != nil {
+		return nil, fmt.Errorf("serve: %s: %w", who, err)
+	}
+	// The fixed threshold goes into the pair now, so the pair's own check
+	// refuses a bad one at construction; a calibration installed at Start
+	// replaces it.
+	if err := hot.SetThreshold(tc.Threshold); err != nil {
 		return nil, fmt.Errorf("serve: %s: %w", who, err)
 	}
 	var monitor *calib.Monitor
@@ -417,7 +423,6 @@ func (s *Server) addTenant(tc TenantConfig) (*tenantState, error) {
 	}
 	core.ModelPath = tc.ModelPath
 	core.CalibrationFile = tc.CalibrationFile
-	core.FPR = tc.FPR
 	t := &tenantState{
 		Tenant:  core,
 		spec:    tc,
@@ -491,8 +496,8 @@ func (s *Server) AddTenantSource(name string, src clap.ServeSource) error {
 	return nil
 }
 
-// Start opens the scoring stream (running threshold calibration if
-// configured), launches every source's ingest goroutine and the pump, and
+// Start installs each tenant's calibration (startCalibration), opens the
+// scoring stream, launches every source's ingest goroutine and the pump, and
 // — when cfg.Addr is set — begins serving the ops API. It returns once
 // the service is live.
 func (s *Server) Start(ctx context.Context) error {
@@ -503,7 +508,7 @@ func (s *Server) Start(ctx context.Context) error {
 	}
 
 	for _, t := range s.tenants {
-		if err := s.resolveCalibration(t); err != nil {
+		if err := s.startCalibration(t); err != nil {
 			return err
 		}
 	}
@@ -584,88 +589,100 @@ func (s *Server) resolveHot(c *clap.Connection) *clap.HotBackend {
 	return s.tenantOf(c.Tenant).Hot
 }
 
-// resolveCalibration runs once per tenant at Start: it derives (or
-// restores) the tenant's calibration — the operating threshold and the
-// drift monitor's frozen reference distribution — and installs the
-// threshold into the tenant's hot (model, threshold) pair before the
-// first connection is scored. Precedence: an explicit Calibration source
-// is scored now; otherwise an explicit CalibrationSnapshot applies;
-// otherwise a persisted CalibrationFile from an earlier run restores the
-// reference (and the threshold too, unless a fixed Threshold overrides
-// it); otherwise only the fixed Threshold (if any) is installed.
-func (s *Server) resolveCalibration(t *tenantState) error {
-	tc := t.spec
-	switch {
-	case tc.Calibration != nil:
-		cal, err := s.pipe.CalibrateBackend(t.Hot.Current(), tc.FPR, tc.Calibration)
-		if err != nil {
-			return fmt.Errorf("serve: %scalibrating: %w", t.logPrefix(), err)
+// startCalibration runs once per tenant at Start, before the first
+// connection is scored. The tenant's CalibrationSnapshot is installed if
+// it has one; otherwise the snapshot an earlier run persisted to its
+// CalibrationFile is restored. Restoration is best-effort: a missing,
+// unreadable or other-model snapshot leaves the tenant on its fixed
+// Threshold (or none) with a log line, never a failed start.
+func (s *Server) startCalibration(t *tenantState) error {
+	t.ReloadMu.Lock()
+	defer t.ReloadMu.Unlock()
+	if cal := t.spec.CalibrationSnapshot; cal != nil {
+		if err := s.install(t, nil, cal, false); err != nil {
+			return fmt.Errorf("serve: %scalibration snapshot: %w", t.logPrefix(), err)
 		}
-		s.logf("%scalibrated threshold %.6f at FPR %g over %d connections",
-			t.logPrefix(), cal.Threshold, cal.FPR, cal.Conns)
-		if err := t.Hot.SetThreshold(cal.Threshold); err != nil {
-			return fmt.Errorf("serve: %sinstalling calibrated threshold: %w", t.logPrefix(), err)
-		}
-		s.resetMonitor(t, cal)
-		s.persistCalibration(t, cal)
-		return nil
-
-	case tc.CalibrationSnapshot != nil:
-		cal := tc.CalibrationSnapshot
-		if err := cal.Validate(); err != nil {
-			return fmt.Errorf("serve: %s%w", t.logPrefix(), err)
-		}
-		if cal.Tag != t.Hot.Tag() {
-			return fmt.Errorf("serve: %scalibration snapshot is for backend %q, serving %q", t.logPrefix(), cal.Tag, t.Hot.Tag())
-		}
-		if err := t.Hot.SetThreshold(cal.Threshold); err != nil {
-			return fmt.Errorf("serve: %sinstalling snapshot threshold: %w", t.logPrefix(), err)
-		}
-		s.resetMonitor(t, cal)
-		s.persistCalibration(t, cal)
 		s.logf("%sinstalled calibration snapshot: threshold %.6f at FPR %g", t.logPrefix(), cal.Threshold, cal.FPR)
 		return nil
 	}
-
-	// No explicit calibration. A snapshot persisted by an earlier run
-	// restores the drift reference — and the threshold, unless the
-	// config fixes one. Restoration is best-effort: a missing, stale or
-	// unreadable snapshot degrades to reference-less monitoring with a
-	// log line, never a failed start.
-	if t.CalibrationFile != "" {
-		switch cal, err := clap.LoadCalibrationFile(t.CalibrationFile); {
-		case err == nil && cal.Tag != t.Hot.Tag():
-			s.logf("%signoring calibration snapshot %s: calibrated for backend %q, serving %q",
-				t.logPrefix(), t.CalibrationFile, cal.Tag, t.Hot.Tag())
-		case err == nil:
-			th := cal.Threshold
-			fprTarget := cal.FPR
-			if tc.Threshold > 0 {
-				// A fixed threshold overrides the snapshot's: the snapshot
-				// contributes only its reference distribution, and its FPR
-				// target is dropped too — alerting that the operating FPR
-				// misses a target the operator explicitly opted out of
-				// would ring forever. Quantile-shift monitoring remains.
-				th = tc.Threshold
-				fprTarget = 0
-			}
-			if t.Monitor != nil {
-				t.Monitor.Reset(cal.Ref, fprTarget)
-			}
-			if err := t.Hot.SetThreshold(th); err != nil {
-				return fmt.Errorf("serve: %sinstalling restored threshold: %w", t.logPrefix(), err)
-			}
-			s.logf("%srestored calibration snapshot from %s: threshold %.6f at FPR %g (reference of %d scores)",
-				t.logPrefix(), t.CalibrationFile, th, cal.FPR, cal.Ref.Count())
-			return nil
-		case !os.IsNotExist(err):
-			s.logf("%scalibration snapshot %s unreadable: %v", t.logPrefix(), t.CalibrationFile, err)
-		}
+	if t.CalibrationFile == "" {
+		return nil
 	}
-	if tc.Threshold > 0 {
-		if err := t.Hot.SetThreshold(tc.Threshold); err != nil {
-			return fmt.Errorf("serve: %sinstalling threshold: %w", t.logPrefix(), err)
+	cal, err := clap.LoadCalibrationFile(t.CalibrationFile)
+	switch {
+	case os.IsNotExist(err):
+	case err != nil:
+		s.logf("%scalibration snapshot %s unreadable: %v", t.logPrefix(), t.CalibrationFile, err)
+	default:
+		if err := s.install(t, nil, cal, true); err != nil {
+			s.logf("%signoring calibration snapshot %s: %v", t.logPrefix(), t.CalibrationFile, err)
+			return nil
 		}
+		s.logf("%srestored calibration snapshot from %s: threshold %.6f at FPR %g (reference of %d scores)",
+			t.logPrefix(), t.CalibrationFile, t.Threshold(), cal.FPR, cal.Ref.Count())
+	}
+	return nil
+}
+
+// install is the one way a calibration reaches a tenant: at Start (its
+// CalibrationSnapshot, or one restored from its CalibrationFile) and at
+// every recalibrating reload (a benign pcap or the live sketch). It
+// checks cal against model b (nil: keep the serving model), publishes b
+// with cal's threshold in one hot-pair transaction, rebases the drift
+// monitor on cal's reference, records cal's FPR as the target later
+// reloads recalibrate at, and persists cal to the tenant's
+// CalibrationFile. A restored cal is already persisted, and a fixed
+// Threshold keeps its value over the restored one: cal then contributes
+// only its reference, and its FPR target is dropped with its threshold
+// (alerting that the operating FPR misses a target the operator opted
+// out of would ring forever; quantile-shift monitoring remains). The
+// caller holds t.ReloadMu.
+func (s *Server) install(t *tenantState, b clap.Backend, cal *clap.Calibration, restored bool) error {
+	if err := cal.Validate(); err != nil {
+		return err
+	}
+	keepModel := b == nil
+	if keepModel {
+		b = t.Hot.Current()
+	}
+	if cal.Tag != b.Tag() {
+		return fmt.Errorf("calibrated for backend %q, serving %q", cal.Tag, b.Tag())
+	}
+	th, fpr := cal.Threshold, cal.FPR
+	if restored && t.spec.Threshold != 0 {
+		th, fpr = t.spec.Threshold, 0
+	}
+	var err error
+	if keepModel {
+		err = t.Hot.SetThreshold(th)
+	} else {
+		_, err = t.Hot.SwapPair(b, th)
+	}
+	if err != nil {
+		return err
+	}
+	t.fpr = fpr
+	// The monitor's reset and a skip of the tenant's in-flight count are
+	// armed in one critical section, so scores from connections still
+	// pinned to the previous (model, threshold) pair — which emit after
+	// the reset — never pollute the new reference's first window (across
+	// model families their old-scale scores would fire a spurious alert
+	// right after the fix). The count is read before the reset;
+	// connections that emit in between land in the discarded old state,
+	// so the error direction is only ever skipping a few fresh scores. At
+	// Start nothing is in flight.
+	if t.Monitor != nil {
+		t.Monitor.ResetSkipping(cal.Ref, fpr, t.InFlight())
+	}
+	// Persisting is best-effort: a failed snapshot write never takes
+	// serving down.
+	if restored || t.CalibrationFile == "" {
+		return nil
+	}
+	if err := clap.SaveCalibrationFile(t.CalibrationFile, cal); err != nil {
+		s.logf("%spersisting calibration snapshot to %s: %v", t.logPrefix(), t.CalibrationFile, err)
+	} else {
+		s.logf("%scalibration snapshot saved to %s", t.logPrefix(), t.CalibrationFile)
 	}
 	return nil
 }
@@ -678,46 +695,6 @@ func (t *tenantState) logPrefix() string {
 		return ""
 	}
 	return fmt.Sprintf("tenant %s: ", t.Name)
-}
-
-// resetMonitor rebases a tenant's drift monitoring on a new calibration.
-// Used by Start's calibration, which runs under s.mu before the stream
-// exists (nothing is in flight); the reload path uses rebaseMonitor.
-func (s *Server) resetMonitor(t *tenantState, cal *clap.Calibration) {
-	if t.Monitor != nil {
-		t.Monitor.Reset(cal.Ref, cal.FPR)
-	}
-}
-
-// rebaseMonitor rebases a tenant's drift monitoring mid-serve: the reset
-// and a skip of the tenant's current in-flight count are armed in one
-// monitor critical section, so scores from connections still pinned to
-// the pre-recalibration (model, threshold) pair — which emit after the
-// reset — can never pollute the new reference's first window (across
-// model families their old-scale scores would otherwise fire a spurious
-// alert right after the fix). The in-flight count is read before the
-// reset; connections that emit in between land in the discarded old
-// state, so the error direction is only ever skipping a few fresh
-// scores.
-func (s *Server) rebaseMonitor(t *tenantState, cal *clap.Calibration) {
-	if t.Monitor == nil {
-		return
-	}
-	t.Monitor.ResetSkipping(cal.Ref, cal.FPR, t.InFlight())
-}
-
-// persistCalibration saves a tenant's active calibration snapshot
-// alongside its model file (best-effort: serving is never taken down by
-// a snapshot write failure).
-func (s *Server) persistCalibration(t *tenantState, cal *clap.Calibration) {
-	if t.CalibrationFile == "" {
-		return
-	}
-	if err := clap.SaveCalibrationFile(t.CalibrationFile, cal); err != nil {
-		s.logf("%spersisting calibration snapshot to %s: %v", t.logPrefix(), t.CalibrationFile, err)
-		return
-	}
-	s.logf("%scalibration snapshot saved to %s", t.logPrefix(), t.CalibrationFile)
 }
 
 // OpsAddr reports the ops API's bound address ("" without a listener) —
@@ -927,7 +904,7 @@ func (s *Server) Threshold() float64 { return s.tenants[0].Threshold() }
 
 // SetThreshold adjusts a tenant's live operating threshold ("": the
 // default tenant). Before Start it installs the threshold Start then
-// keeps, unless the tenant's calibration or fixed Threshold replaces it.
+// keeps, unless Start installs a calibration.
 func (s *Server) SetThreshold(name string, th float64) error {
 	t, ok := s.tenantByName(name)
 	if !ok {
@@ -965,8 +942,9 @@ type ReloadRequest struct {
 	// ever be judged by a (new model, old threshold) or (old model, new
 	// threshold) crossover.
 	Calibration string `json:"calibration"`
-	// FPR is the recalibration target (0: the monitor's current target,
-	// falling back to the serve config's FPR).
+	// FPR is the recalibration target (0: the FPR target of the tenant's
+	// installed calibration; with none installed, a recalibrating reload
+	// is refused).
 	FPR float64 `json:"fpr"`
 }
 
@@ -1043,57 +1021,48 @@ func (s *Server) reload(t *tenantState, req ReloadRequest) (res ReloadResult, er
 	}
 
 	// Derive the new calibration before anything is published, so a
-	// failed calibration leaves the serving state untouched.
+	// failed calibration leaves the serving state untouched. Every tenant
+	// recalibrates at the request's FPR, or else at the installed
+	// calibration's.
 	var cal *clap.Calibration
-	switch req.Calibration {
-	case "":
-	case "live":
-		if t.Monitor == nil {
+	if req.Calibration != "" {
+		if req.Calibration == "live" && t.Monitor == nil {
 			return res, errors.New("serve: live recalibration needs drift monitoring enabled")
 		}
 		fpr := req.FPR
 		if fpr == 0 {
-			if fpr = t.Monitor.TargetFPR(); fpr == 0 {
-				fpr = t.FPR
-			}
+			fpr = t.fpr
 		}
-		th, live, rerr := t.Monitor.Recalibrate(fpr)
-		if rerr != nil {
-			return res, fmt.Errorf("serve: reload: %w", rerr)
-		}
-		cal = &clap.Calibration{Tag: b.Tag(), FPR: fpr, Threshold: th, Conns: int(live.Count()), Ref: live}
-	default:
-		fpr := req.FPR
 		if fpr == 0 {
-			fpr = t.FPR
+			return res, fmt.Errorf(`serve: %sreload: no calibration is installed to take an FPR target from; give "fpr"`, t.logPrefix())
 		}
-		cal, err = s.pipe.CalibrateBackend(b, fpr, clap.PCAPFile(req.Calibration))
-		if err != nil {
+		if req.Calibration == "live" {
+			th, live, rerr := t.Monitor.Recalibrate(fpr)
+			if rerr != nil {
+				return res, fmt.Errorf("serve: reload: %w", rerr)
+			}
+			cal = &clap.Calibration{Tag: b.Tag(), FPR: fpr, Threshold: th, Conns: int(live.Count()), Ref: live}
+		} else if cal, err = s.pipe.CalibrateBackend(b, fpr, clap.PCAPFile(req.Calibration)); err != nil {
 			return res, fmt.Errorf("serve: reload: %w", err)
 		}
 	}
 
-	// Publish. One transaction whichever shape the reload takes: model
-	// and threshold move together (SwapPair), or only one of them moves.
-	switch {
-	case cal == nil:
+	// Publish: the model alone keeps the threshold it had, and a
+	// calibration moves model and threshold in one transaction.
+	if cal == nil {
 		if _, err := t.Hot.Swap(b); err != nil {
 			return res, fmt.Errorf("serve: reload: %w", err)
 		}
-	case keepModel:
-		if err := t.Hot.SetThreshold(cal.Threshold); err != nil {
+	} else {
+		next := b
+		if keepModel {
+			next = nil
+		}
+		if err := s.install(t, next, cal, false); err != nil {
 			return res, fmt.Errorf("serve: reload: %w", err)
 		}
-	default:
-		if _, err := t.Hot.SwapPair(b, cal.Threshold); err != nil {
-			return res, fmt.Errorf("serve: reload: %w", err)
-		}
-	}
-	if cal != nil {
 		res.Recalibrated = true
 		res.CalibrationConns = cal.Conns
-		s.rebaseMonitor(t, cal)
-		s.persistCalibration(t, cal)
 	}
 
 	if !keepModel {

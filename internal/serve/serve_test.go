@@ -80,6 +80,21 @@ func loadModel(t *testing.T, path string) clap.Backend {
 	return b
 }
 
+// calibrated derives b's operating point at fpr from src, as clap-serve
+// -calibrate does before serving: the snapshot a Config takes.
+func calibrated(t *testing.T, b clap.Backend, fpr float64, src clap.Source) *clap.Calibration {
+	t.Helper()
+	p, err := clap.NewPipeline(clap.WithBackend(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, err := p.Calibrate(fpr, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cal
+}
+
 // chanSource delivers test-controlled connections until its channel closes.
 type chanSource struct {
 	name string
@@ -181,13 +196,13 @@ func TestServeEndToEnd(t *testing.T) {
 	var results []clap.Result
 	post := &chanSource{name: "post-reload", ch: make(chan *clap.Connection, 16)}
 
+	b := loadModel(t, clapModel)
 	srv, err := New(Config{
-		Backend:     loadModel(t, clapModel),
-		ModelPath:   clapModel,
-		Calibration: clap.TrafficGen(80, 5),
-		FPR:         0.25,
-		QueueDepth:  64,
-		FlaggedRing: 64,
+		Backend:             b,
+		ModelPath:           clapModel,
+		CalibrationSnapshot: calibrated(t, b, 0.25, clap.TrafficGen(80, 5)),
+		QueueDepth:          64,
+		FlaggedRing:         64,
 		OnResult: func(r clap.Result) {
 			mu.Lock()
 			results = append(results, r)
@@ -578,27 +593,49 @@ func TestServeHandlerBeforeStart(t *testing.T) {
 // TestServeNewRejectsNegativeSizes: a negative worker count, queue depth,
 // ring size or trace sampling rate fails New, naming the field, instead
 // of quietly becoming that field's default; zero still takes the default.
+// So does a drift level that would alert on every window: a non-finite
+// quantile shift, or an FPR factor that is non-finite or in (0, 1).
 func TestServeNewRejectsNegativeSizes(t *testing.T) {
 	clapModel, _ := fixture(t)
 	b := loadModel(t, clapModel)
 	cases := []struct {
-		field string
-		set   func(*Config)
+		field, value string // value names the subtest beside field ("": field alone)
+		set          func(*Config)
 	}{
-		{"Workers", func(c *Config) { c.Workers = -2 }},
-		{"QueueDepth", func(c *Config) { c.QueueDepth = -1 }},
-		{"FlaggedRing", func(c *Config) { c.FlaggedRing = -1 }},
-		{"TraceSample", func(c *Config) { c.TraceSample = -1 }},
-		{"TraceRing", func(c *Config) { c.TraceRing = -5 }},
+		{"Workers", "", func(c *Config) { c.Workers = -2 }},
+		{"QueueDepth", "", func(c *Config) { c.QueueDepth = -1 }},
+		{"FlaggedRing", "", func(c *Config) { c.FlaggedRing = -1 }},
+		{"TraceSample", "", func(c *Config) { c.TraceSample = -1 }},
+		{"TraceRing", "", func(c *Config) { c.TraceRing = -5 }},
+		{"DriftMaxShift", "NaN", func(c *Config) { c.DriftMaxShift = math.NaN() }},
+		{"DriftMaxShift", "+Inf", func(c *Config) { c.DriftMaxShift = math.Inf(1) }},
+		{"DriftMaxShift", "-Inf", func(c *Config) { c.DriftMaxShift = math.Inf(-1) }},
+		{"DriftFPRFactor", "NaN", func(c *Config) { c.DriftFPRFactor = math.NaN() }},
+		{"DriftFPRFactor", "+Inf", func(c *Config) { c.DriftFPRFactor = math.Inf(1) }},
+		{"DriftFPRFactor", "-Inf", func(c *Config) { c.DriftFPRFactor = math.Inf(-1) }},
+		{"DriftFPRFactor", "0.5", func(c *Config) { c.DriftFPRFactor = 0.5 }},
 	}
 	for _, tc := range cases {
-		t.Run(tc.field, func(t *testing.T) {
+		name := tc.field
+		if tc.value != "" {
+			name += "=" + tc.value
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg := Config{Backend: b}
 			tc.set(&cfg)
 			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
-				t.Fatalf("New with negative %s: err %v, want an error naming it", tc.field, err)
+				t.Fatalf("New with %s: err %v, want an error naming %s", name, err, tc.field)
 			}
 		})
+	}
+	// The rules' "off" and boundary values stay accepted.
+	for _, cfg := range []Config{
+		{Backend: b, DriftMaxShift: -1, DriftFPRFactor: -1},
+		{Backend: b, DriftFPRFactor: 1},
+	} {
+		if _, err := New(cfg); err != nil {
+			t.Fatalf("New(DriftMaxShift %v, DriftFPRFactor %v): %v", cfg.DriftMaxShift, cfg.DriftFPRFactor, err)
+		}
 	}
 	srv, err := New(Config{Backend: b})
 	if err != nil {

@@ -139,15 +139,7 @@ func TestServeTenantReloadAtomicity(t *testing.T) {
 	}
 	expectTh := func(path string, fpr float64) float64 {
 		t.Helper()
-		p, err := clap.NewPipeline(clap.WithBackend(loadModel(t, path)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cal, err := p.Calibrate(fpr, clap.PCAPFile(calibPcap))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cal.Threshold
+		return calibrated(t, loadModel(t, path), fpr, clap.PCAPFile(calibPcap)).Threshold
 	}
 	// Each tenant's two legal thresholds, and the discrimination check:
 	// a crossed binding (tenant a's model, tenant b's threshold) must
@@ -172,6 +164,7 @@ func TestServeTenantReloadAtomicity(t *testing.T) {
 		"a": make(map[*clap.Connection]verdict, soakN),
 		"b": make(map[*clap.Connection]verdict, soakN),
 	}
+	ba, bb := loadModel(t, clapModel), loadModel(t, clapModel)
 	srv, err := New(Config{
 		Backend:     loadModel(t, clapModel),
 		QueueDepth:  16,
@@ -187,10 +180,10 @@ func TestServeTenantReloadAtomicity(t *testing.T) {
 			mu.Unlock()
 		},
 		Tenants: []TenantConfig{
-			{Name: "a", Backend: loadModel(t, clapModel), ModelPath: clapModel,
-				Calibration: clap.PCAPFile(calibPcap), FPR: fprs["a"]},
-			{Name: "b", Backend: loadModel(t, clapModel), ModelPath: clapModel,
-				Calibration: clap.PCAPFile(calibPcap), FPR: fprs["b"]},
+			{Name: "a", Backend: ba, ModelPath: clapModel,
+				CalibrationSnapshot: calibrated(t, ba, fprs["a"], clap.PCAPFile(calibPcap))},
+			{Name: "b", Backend: bb, ModelPath: clapModel,
+				CalibrationSnapshot: calibrated(t, bb, fprs["b"], clap.PCAPFile(calibPcap))},
 		},
 	})
 	if err != nil {
@@ -329,6 +322,78 @@ func TestServeTenantReloadAtomicity(t *testing.T) {
 		if seenA == 0 || seenB == 0 {
 			t.Fatalf("tenant %s: both models must serve during the hammer: A scored %d, B scored %d",
 				name, seenA, seenB)
+		}
+	}
+}
+
+// TestServeReloadFPRRule pins the one FPR rule of a recalibrating
+// reload: the request's "fpr", or else the FPR target of the tenant's
+// installed calibration. After a calibrated start a pcap reload with no
+// "fpr" recalibrates at the start's target, for the default tenant and a
+// named one alike; after a fixed-threshold start there is no target, so
+// both refuse, name fpr, and leave the pair as it was.
+func TestServeReloadFPRRule(t *testing.T) {
+	clapModel, _ := fixture(t)
+	const fpr = 0.2
+	calibPcap := filepath.Join(t.TempDir(), "calib.pcap")
+	if err := clap.WritePCAPFile(calibPcap, clap.GenerateBenign(40, 5), false); err != nil {
+		t.Fatal(err)
+	}
+	want := calibrated(t, loadModel(t, clapModel), fpr, clap.PCAPFile(calibPcap)).Threshold
+	start := func(calibrate bool) *Server {
+		t.Helper()
+		operatingPoint := func() (clap.Backend, *clap.Calibration, float64) {
+			b := loadModel(t, clapModel)
+			if !calibrate {
+				return b, nil, 0.5
+			}
+			// A corpus other than the reloads', so only a recalibration
+			// moves the threshold to want.
+			return b, calibrated(t, b, fpr, clap.TrafficGen(60, 9)), 0
+		}
+		cfg := Config{ModelPath: clapModel, DriftWindow: -1}
+		cfg.Backend, cfg.CalibrationSnapshot, cfg.Threshold = operatingPoint()
+		tc := TenantConfig{Name: "a", ModelPath: clapModel}
+		tc.Backend, tc.CalibrationSnapshot, tc.Threshold = operatingPoint()
+		cfg.Tenants = []TenantConfig{tc}
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Shutdown(context.Background()) })
+		return srv
+	}
+
+	srv := start(true)
+	for _, name := range []string{"", "a"} {
+		before, _ := srv.tenantByName(name)
+		if before.Threshold() == want {
+			t.Fatalf("tenant %q: the start's threshold already equals the reload's %v", name, want)
+		}
+		res, err := srv.Reload(name, ReloadRequest{Calibration: calibPcap})
+		if err != nil {
+			t.Fatalf("tenant %q: reload with no fpr after a calibrated start: %v", name, err)
+		}
+		if !res.Recalibrated || res.New.Threshold != want {
+			t.Fatalf("tenant %q: reload recalibrated=%v to %v, want %v (the start's FPR %v)",
+				name, res.Recalibrated, res.New.Threshold, want, fpr)
+		}
+	}
+
+	srv = start(false)
+	for _, name := range []string{"", "a"} {
+		ts, _ := srv.tenantByName(name)
+		gen := ts.Hot.Generation()
+		_, err := srv.Reload(name, ReloadRequest{Calibration: calibPcap})
+		if err == nil || !strings.Contains(err.Error(), `"fpr"`) {
+			t.Fatalf("tenant %q: reload with no fpr after a fixed-threshold start: err %v, want a refusal naming \"fpr\"", name, err)
+		}
+		if ts.Threshold() != 0.5 || ts.Hot.Generation() != gen {
+			t.Fatalf("tenant %q: refused reload moved the pair: threshold %v generation %d -> %d",
+				name, ts.Threshold(), gen, ts.Hot.Generation())
 		}
 	}
 }

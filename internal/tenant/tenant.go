@@ -90,9 +90,6 @@ type Tenant struct {
 	ModelPath       string
 	CalibrationFile string
 
-	// FPR is the tenant's calibration target (0: none).
-	FPR float64
-
 	// Quota is the tenant's admission bound.
 	Quota Quota
 

@@ -297,14 +297,23 @@ func (p *Pipeline) CalibrateBackend(b Backend, fpr float64, src Source) (*Calibr
 	}
 	// A cascade calibrates its escalation threshold from the same corpus
 	// first, so the end-to-end scoring below sees the routing that will
-	// serve.
+	// serve. It does so on a copy of the cascade with counters of its own,
+	// installed only once the whole calibration succeeds: a refused one
+	// leaves the cascade's escalation threshold and counters as they were.
 	casc, _ := b.(*backend.Cascade)
+	scored := b
+	var trial *backend.Cascade
 	if casc != nil {
-		if err := casc.CalibrateStages(benign, p.eng.ScoresBatched); err != nil {
+		s1, s2 := casc.Stages()
+		if trial, err = backend.NewCascade(s1, s2, casc.EscalateFPR()); err != nil {
 			return nil, fmt.Errorf("clap: calibrating stages: %w", err)
 		}
+		if err := trial.CalibrateStages(benign, p.eng.ScoresBatched); err != nil {
+			return nil, fmt.Errorf("clap: calibrating stages: %w", err)
+		}
+		scored = trial
 	}
-	scores := p.eng.ScoresBatched(b, benign)
+	scores := p.eng.ScoresBatched(scored, benign)
 	ref := calib.NewSketch(0, 0)
 	for _, s := range scores {
 		ref.Add(s)
@@ -331,10 +340,11 @@ func (p *Pipeline) CalibrateBackend(b Backend, fpr float64, src Source) (*Calibr
 	if err := cal.Validate(); err != nil {
 		return nil, fmt.Errorf("clap: Calibrate(%v): %w", fpr, err)
 	}
-	// Calibration scored the corpus through the backend; scrub any
-	// escalation counters it inflated so serving metrics reflect served
-	// traffic only.
+	// The escalation threshold the end-to-end threshold was derived under
+	// goes live with it; the counters restart with the served traffic.
 	if casc != nil {
+		esc, _ := trial.Escalation()
+		_ = casc.SetEscalation(esc) // the trial accepted the same value
 		casc.ResetEscalationCounts()
 	}
 	return cal, nil
